@@ -85,8 +85,10 @@ class PairSweep:
     """Batched ranking runs where only one edge's two ranks vary.
 
     Precomputes everything independent of (y_u, y_v): the fixed arrival
-    order, per-arrival base offer rows, and curve values of the fixed
-    ranks. run() then simulates whole lanes of rank pairs at once.
+    order, per-arrival base offer rows, and the offer parts of the fixed
+    ranks (a of every offline rank, b of every fixed arrival time). run()
+    then simulates whole lanes of rank pairs at once; each lane carries
+    a(y_v) and b(y_u), offers are w * (a + b) and shares 1 - a - b.
 
     Arrival-time ties between u and a fixed online vertex resolve with u
     first (the scalar engine breaks such ties by id); exact ties are
@@ -98,7 +100,6 @@ class PairSweep:
         if not instance.has_edge(online_id, offline_id):
             raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
         self.spec = spec
-        self.split = spec.is_weight_split
         off_ids = instance.offline_ids
         on_ids = instance.online_ids
         self.nv = len(off_ids)
@@ -124,15 +125,10 @@ class PairSweep:
             hits = np.nonzero(nb == self.v_idx)[0]
             self.vcol.append(int(hits[0]) if hits.size else -1)
 
-        if self.split:
-            self.c_off = np.asarray(spec.curve(self.y_off), dtype=float)
-            self.c_on = {j: float(spec.curve(self.y_on[j])) for j in others}
-            self.base_offer = {
-                j: self.w[self.adj[j]] * 0.5 * (1.0 - self.c_off[self.adj[j]] + self.c_on[j])
-                for j in others}
-        else:
-            self.static_off = self.w * (1.0 - np.exp(self.y_off - 1.0))
-            self.base_offer = {j: self.static_off[self.adj[j]] for j in others}
+        self.a_off = np.asarray(spec.rank_offer(self.y_off), dtype=float)
+        self.b_on = {j: float(spec.time_offer(self.y_on[j])) for j in others}
+        self.base_offer = {j: self.w[self.adj[j]] * (self.a_off[self.adj[j]] + self.b_on[j])
+                           for j in others}
 
     def run(self, y_u, y_v) -> SweepResult:
         """Simulate all lanes; y_u and y_v are equal-length 1-d arrays."""
@@ -145,31 +141,22 @@ class PairSweep:
                           status=np.full(n, UNMATCHED_AFTER, dtype=np.int8),
                           v_time=np.full(n, np.inf),
                           u_partner=np.full(n, -1, dtype=np.intp))
-        if self.split:
-            c_u = np.asarray(self.spec.curve(y_u), dtype=float)
-            c_v = np.asarray(self.spec.curve(y_v), dtype=float)
-        else:
-            c_u = c_v = None
+        b_u = np.asarray(self.spec.time_offer(y_u), dtype=float)
+        a_v = np.asarray(self.spec.rank_offer(y_v), dtype=float)
 
         pos = np.searchsorted(self.other_y, y_u, side="left")
         for k in np.unique(pos):
             lanes = np.nonzero(pos == k)[0]
-            self._run_group(int(k), lanes, y_u, y_v, c_u, c_v, out)
+            self._run_group(int(k), lanes, y_u, y_v, b_u, a_v, out)
         return out
 
-    def _v_offer_fixed(self, c_v_g, y_v_g, z: int) -> np.ndarray:
-        """Lane-dependent offer of v to the fixed arrival z."""
-        if self.split:
-            return self.w_v * 0.5 * (1.0 - c_v_g + self.c_on[z])
-        return self.w_v * (1.0 - np.exp(y_v_g - 1.0))
-
-    def _run_group(self, k: int, lanes: np.ndarray, y_u, y_v, c_u, c_v,
+    def _run_group(self, k: int, lanes: np.ndarray, y_u, y_v, b_u, a_v,
                    out: SweepResult) -> None:
         m = lanes.size
         y_u_g = y_u[lanes]
         y_v_g = y_v[lanes]
-        c_u_g = c_u[lanes] if self.split else None
-        c_v_g = c_v[lanes] if self.split else None
+        b_u_g = b_u[lanes]
+        a_v_g = a_v[lanes]
         matched = np.zeros((m, self.nv), dtype=bool)
         vt = np.full(m, np.inf)
         vbu = np.zeros(m, dtype=bool)
@@ -184,18 +171,13 @@ class PairSweep:
             if nb.size == 0:
                 continue
             if arriving_u:
-                if self.split:
-                    offers = self.w[nb] * 0.5 * (1.0 - self.c_off[nb] + c_u_g[:, None])
-                    if col >= 0:
-                        offers[:, col] = self.w_v * 0.5 * (1.0 - c_v_g + c_u_g)
-                else:
-                    offers = np.broadcast_to(self.static_off[nb], (m, nb.size)).copy()
-                    if col >= 0:
-                        offers[:, col] = self.w_v * (1.0 - np.exp(y_v_g - 1.0))
+                offers = self.w[nb] * (self.a_off[nb] + b_u_g[:, None])
+                if col >= 0:
+                    offers[:, col] = self.w_v * (a_v_g + b_u_g)
             else:
                 offers = np.broadcast_to(self.base_offer[z], (m, nb.size)).copy()
                 if col >= 0:
-                    offers[:, col] = self._v_offer_fixed(c_v_g, y_v_g, z)
+                    offers[:, col] = self.w_v * (a_v_g + self.b_on[z])
 
             rk = np.broadcast_to(self.y_off[nb], offers.shape).copy()
             if col >= 0:
@@ -218,28 +200,25 @@ class PairSweep:
             else:
                 vt[vrows] = self.y_on[z]
 
-        # gains; share complements are computed exactly as assign_duals does
+        # gains, with share = 1 - a - b; the online side gets the complement
+        # of the offline share, exactly as assign_duals computes it
         alpha_u = np.zeros(m)
         alpha_v = np.zeros(m)
         to_v = upart == self.v_idx
         if np.any(to_v):
-            sv = self.w_v * self._share(y_v_g[to_v], c_v_g[to_v] if self.split else None,
-                                        y_u_g[to_v], c_u_g[to_v] if self.split else None)
+            sv = self.w_v * (1.0 - a_v_g[to_v] - b_u_g[to_v])
             alpha_v[to_v] = sv
             alpha_u[to_v] = self.w_v - sv
         elsewhere = (upart >= 0) & ~to_v
         if np.any(elsewhere):
             p = upart[elsewhere]
             wp = self.w[p]
-            sv = wp * self._share(self.y_off[p], self.c_off[p] if self.split else None,
-                                  y_u_g[elsewhere], c_u_g[elsewhere] if self.split else None)
+            sv = wp * (1.0 - self.a_off[p] - b_u_g[elsewhere])
             alpha_u[elsewhere] = wp - sv
         by_other = ~vbu & (vt < np.inf)
         if np.any(by_other):
-            t = vt[by_other]
-            ct = np.asarray(self.spec.curve(t), dtype=float) if self.split else None
-            alpha_v[by_other] = self.w_v * self._share(
-                y_v_g[by_other], c_v_g[by_other] if self.split else None, t, ct)
+            alpha_v[by_other] = self.w_v * (
+                1.0 - a_v_g[by_other] - self.spec.time_offer(vt[by_other]))
 
         status = np.full(m, UNMATCHED_AFTER, dtype=np.int8)
         status[vbu] = MATCHED_TO_U
@@ -250,12 +229,6 @@ class PairSweep:
         out.status[lanes] = status
         out.v_time[lanes] = vt
         out.u_partner[lanes] = upart
-
-    def _share(self, x, cx, y, cy):
-        """share(x, y) from precomputed curve values where available."""
-        if self.split:
-            return 0.5 * (cx + 1.0 - cy)
-        return np.exp(np.asarray(x, dtype=float) - 1.0)
 
 
 # -- thresholds -----------------------------------------------------------

@@ -1,23 +1,26 @@
 """Numerical evaluation and minimization of the pair-gain lower bounds.
 
-Two closed-form lower-bound surfaces over the (tau, gamma) unit square are
-provided. The simple form charges the corner mass plus one share integral
-per side:
+Two lower-bound surfaces over the (tau, gamma) unit square are provided.
+The simple form charges the corner mass plus one share integral per side:
 
     (1-tau)(1-gamma) + int_0^gamma share(x, tau) dx + int_0^tau share(x, gamma) dx
 
-The improved form keeps the corner and v-side terms but replaces the u-side
-integrand with an inner minimization over a marginal rank theta <= gamma:
+and is evaluated in closed form from the spec's offer split (share integrals
+are exact through the antiderivative A of a). The improved form keeps the
+corner and v-side terms but replaces the u-side integrand with an inner
+minimization over a marginal rank theta <= gamma:
 
     share(x, theta) + int_0^theta share(y, x) dy + int_theta^gamma share(y, tau) dy
+      = 1 - a(x) - b(theta) + theta (1 - b(x)) + (gamma - theta)(1 - b(tau)) - A(gamma)
 
-The inner minimum is found exactly from a finite candidate set (endpoints,
-curve kinks, stationary points); the outer integrals use adaptive Simpson
-quadrature with panels forced apart at curve kinks. minimize_bound scans a
-coarse grid and polishes with alternating golden-section line searches,
-reproducing the worst-case constants of both built-in curves. The module
-also evaluates the threshold-profile integral: a lower bound on the
-competitive ratio given explicit beta/theta profiles.
+The A(theta) terms cancel, so the inner minimum needs no antiderivative at
+its candidates; it is found exactly from a finite candidate set (the
+endpoints and the curve kinks), and the outer integral uses adaptive
+Simpson quadrature with panels forced apart at curve kinks. minimize_bound
+scans a coarse grid and polishes with alternating golden-section line
+searches, reproducing the worst-case constants of both built-in curves.
+The module also evaluates the threshold-profile integral: a lower bound on
+the competitive ratio given explicit beta/theta profiles.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .gains import ADVERSARIAL, HALF_EXP, SIMPLE_EXP, GainSpec
+from .gains import GainSpec
 from .numerics import bisect_root, golden_minimize, integrate
 
 
@@ -51,71 +54,37 @@ def _check_unit_pair(tau: float, gamma: float) -> None:
 
 def simple_bound(spec: GainSpec, tau: float, gamma: float,
                  tol: float = 1e-10) -> float:
-    """Corner mass plus one share integral per side; quadrature error <= tol."""
+    """Corner mass plus one share integral per side.
+
+    The value is exact (closed-form share integrals); tol is accepted so
+    that every bound_function surface takes the same arguments.
+    """
     _check_unit_pair(tau, gamma)
-    bps = spec.curve_breakpoints
-    share = spec.share_scalar
-    left = integrate(lambda x: share(x, tau), 0.0, gamma,
-                     tol=0.5 * tol, breakpoints=bps)
-    right = integrate(lambda x: share(x, gamma), 0.0, tau,
-                      tol=0.5 * tol, breakpoints=bps)
-    return (1.0 - tau) * (1.0 - gamma) + left + right
-
-
-def _stationary_candidates(spec: GainSpec, diff: float) -> tuple[float, ...]:
-    """Solutions of curve'(theta) = diff on the smooth part of the curve."""
-    if diff <= 0.0:
-        return ()
-    if spec.kind == SIMPLE_EXP:
-        # curve'(theta) = e^(theta - 1/2) below the kink
-        if math.exp(-0.5) <= diff <= 1.0:
-            return (0.5 + math.log(diff),)
-        return ()
-    if spec.kind == HALF_EXP:
-        # curve'(theta) = e^theta / 2 below the kink
-        if 0.5 <= diff <= 1.0:
-            return (math.log(2.0 * diff),)
-        return ()
-    return ()
+    return ((1.0 - tau) * (1.0 - gamma) + spec.share_integral_first(0.0, gamma, tau)
+            + spec.share_integral_first(0.0, tau, gamma))
 
 
 def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
     """Evaluator for min over theta in [0, gamma] of the improved u-side
     integrand at x.
 
-    The objective's theta-derivative is (curve(tau) - curve(x) - curve'(theta))/2,
-    so the minimum sits at an endpoint, a curve kink, or a stationary point;
-    for table curves the objective is piecewise affine in theta and the knots
-    suffice. Candidate curve/antiderivative values that do not depend on x
-    are hoisted out of the returned closure.
+    Regrouped, the objective is
+    1 - A(gamma) + gamma (1 - b(tau)) - a(x) + theta (b(tau) - b(x)) - b(theta).
+    Between curve kinks b is convex (the exp curves) or affine (tables, and
+    the constant adversarial b), so the objective is concave in theta there
+    and its minimum sits at 0, gamma, or a kink inside (0, gamma). Candidate
+    values that do not depend on x are hoisted out of the returned closure.
     """
-    curve = spec.curve_scalar
-    antid = spec.curve_antideriv
-    c_tau = curve(tau)
-    h_gamma = antid(gamma)
-    fixed = [0.0, gamma]
-    fixed += [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
-    fixed_vals = [(th, curve(th), antid(th)) for th in fixed]
-    exp_kind = spec.kind in (SIMPLE_EXP, HALF_EXP)
+    a = spec.rank_offer_scalar
+    b = spec.time_offer_scalar
+    b_tau = b(tau)
+    const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
+    thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
+    candidates = [(th, b(th)) for th in thetas]
 
     def inner(x: float) -> float:
-        c_x = curve(x)
-        cands = fixed_vals
-        if exp_kind:
-            extra = [(s, curve(s), antid(s))
-                     for s in _stationary_candidates(spec, c_tau - c_x)
-                     if 0.0 < s < gamma]
-            if extra:
-                cands = fixed_vals + extra
-        best = math.inf
-        for th, c_th, h_th in cands:
-            # share(x, th) + int_0^th share(y, x) dy + int_th^gamma share(y, tau) dy
-            val = (0.5 * (c_x + 1.0 - c_th)
-                   + 0.5 * (h_th + th * (1.0 - c_x))
-                   + 0.5 * ((h_gamma - h_th) + (gamma - th) * (1.0 - c_tau)))
-            if val < best:
-                best = val
-        return best
+        slope = b_tau - b(x)
+        return const - a(x) + min(th * slope - b_th for th, b_th in candidates)
 
     return inner
 
@@ -131,13 +100,7 @@ def improved_bound(spec: GainSpec, tau: float, gamma: float,
     _check_unit_pair(tau, gamma)
     corner = (1.0 - tau) * (1.0 - gamma)
     v_side = (1.0 - tau) * spec.share_integral_first(0.0, gamma, tau)
-    if spec.kind == ADVERSARIAL:
-        # the inner objective does not depend on theta at all
-        v_mass = math.exp(gamma - 1.0) - math.exp(-1.0)
-        inner = lambda x: math.exp(x - 1.0) + v_mass  # noqa: E731
-    else:
-        inner = _inner_minimum_fn(spec, tau, gamma)
-    u_side = integrate(inner, 0.0, tau, tol=tol,
+    u_side = integrate(_inner_minimum_fn(spec, tau, gamma), 0.0, tau, tol=tol,
                        breakpoints=spec.curve_breakpoints)
     return corner + v_side + u_side
 
@@ -298,9 +261,14 @@ class Piecewise:
 
 
 def piecewise_from_json(obj: Mapping) -> Piecewise:
-    return Piecewise(xs=tuple(float(x) for x in obj["x"]),
-                     ys=tuple(float(y) for y in obj["y"]),
-                     kind=str(obj.get("kind", "step")))
+    try:
+        xs = tuple(float(x) for x in obj["x"])
+        ys = tuple(float(y) for y in obj["y"])
+        kind = str(obj.get("kind", "step"))
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise ProfileError(f'malformed profile {obj!r}: want {{"kind": ..., '
+                           '"x": [numbers], "y": [numbers]}') from None
+    return Piecewise(xs=xs, ys=ys, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -336,6 +304,11 @@ class StepProfiles:
 def profiles_from_json(obj: Mapping | str) -> StepProfiles:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, Mapping):
+        raise ProfileError("profiles must be a mapping with theta and beta entries")
+    for key in ("theta", "beta"):
+        if key not in obj:
+            raise ProfileError(f"profiles lack the {key} entry")
     return StepProfiles(theta_fn=piecewise_from_json(obj["theta"]),
                         beta_fn=piecewise_from_json(obj["beta"]))
 

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import compute_thresholds, pair_gain
+from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
 from .bounds import (BoundPoint, bound_function, heatmap_rows, integral_bound,
                      minimize_bound, profiles_from_json)
 from .core import instance_from_json, sample_ranks
@@ -238,6 +238,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ThreeIntervalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

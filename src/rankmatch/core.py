@@ -58,8 +58,13 @@ class Instance:
     def edge_count(self) -> int:
         return sum(len(nbs) for _, nbs in self.online)
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Every (online id, offline id) edge."""
+        return frozenset((u, v) for u, nbs in self.online for v in nbs)
+
     def has_edge(self, online_id: str, offline_id: str) -> bool:
-        return offline_id in set(self.neighbors.get(online_id, ()))
+        return (online_id, offline_id) in self.edges
 
     def all_ids(self) -> tuple[str, ...]:
         return self.offline_ids + self.online_ids
@@ -75,13 +80,17 @@ def validate_instance(raw: Mapping) -> Instance:
     """Build an Instance from {"offline": [...], "online": [...]} data.
 
     Raises InstanceError naming the offending id on duplicate ids, unknown
-    neighbor ids, or negative weights. Zero weights are allowed; a zero
-    weight vertex contributes nothing but may still absorb a match.
+    neighbor ids, or negative weights, and naming the entry when one is
+    malformed. Zero weights are allowed; a zero weight vertex contributes
+    nothing but may still absorb a match.
     """
     if not isinstance(raw, Mapping):
         raise InstanceError("instance description must be a mapping")
     offline_raw = raw.get("offline", [])
     online_raw = raw.get("online", [])
+    for key, entries in (("offline", offline_raw), ("online", online_raw)):
+        if not isinstance(entries, (list, tuple)):
+            raise InstanceError(f"{key} must be a list of entries, got {entries!r}")
 
     seen: set[str] = set()
     offline = []
@@ -114,17 +123,25 @@ def validate_instance(raw: Mapping) -> Instance:
 
 
 def _parse_offline(entry) -> tuple[str, float]:
-    if isinstance(entry, Mapping):
-        return str(entry["id"]), float(entry["weight"])
-    vid, weight = entry
-    return str(vid), float(weight)
+    try:
+        if isinstance(entry, Mapping):
+            return str(entry["id"]), float(entry["weight"])
+        vid, weight = entry
+        return str(vid), float(weight)
+    except (KeyError, TypeError, ValueError):
+        raise InstanceError(f"malformed offline entry {entry!r}: want "
+                            '{"id": ..., "weight": ...} or [id, weight]') from None
 
 
 def _parse_online(entry) -> tuple[str, list[str]]:
-    if isinstance(entry, Mapping):
-        return str(entry["id"]), [str(n) for n in entry["neighbors"]]
-    uid, nbs = entry
-    return str(uid), [str(n) for n in nbs]
+    try:
+        if isinstance(entry, Mapping):
+            return str(entry["id"]), [str(n) for n in entry["neighbors"]]
+        uid, nbs = entry
+        return str(uid), [str(n) for n in nbs]
+    except (KeyError, TypeError, ValueError):
+        raise InstanceError(f"malformed online entry {entry!r}: want "
+                            '{"id": ..., "neighbors": [...]} or [id, neighbors]') from None
 
 
 def build_instance(offline: Iterable[tuple[str, float]],
@@ -201,7 +218,8 @@ def sample_ranks(instance: Instance, seed) -> RankAssignment:
 
     Deterministic function of (instance, seed): vertices are filled in
     sorted id order (offline first) from a PCG64 stream seeded with seed.
-    seed may be an int or a tuple of ints (stream splitting for trials).
+    seed may be an int or a tuple of ints (stream splitting for trials), or
+    a numpy Generator, which is drawn from (and advanced) directly.
     Sampled ranks carry 53 bits, so ties effectively never occur.
     """
     rng = np.random.default_rng(seed)

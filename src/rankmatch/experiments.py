@@ -191,13 +191,6 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((seed, tag, trial))
 
 
-def _uniform_ranks(instance: Instance, rng: np.random.Generator):
-    from .core import RankAssignment
-
-    ids = instance.all_ids()
-    return RankAssignment({vid: float(r) for vid, r in zip(ids, rng.random(len(ids)))})
-
-
 def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec,
                              engine=run_ranking) -> str | None:
     """One raise-the-offline-rank probe of the stays-unmatched property.
@@ -212,7 +205,7 @@ def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec,
     else:
         trial_spec, weighted = simple_exp(), False
     instance = random_instance(rng, weighted=weighted)
-    ranks = _uniform_ranks(instance, rng)
+    ranks = sample_ranks(instance, rng)
     _, trace = engine(instance, trial_spec, ranks, collect_offers=False)
     u = instance.online_ids[int(rng.integers(len(instance.online_ids)))]
     y_u = ranks.ranks[u]
@@ -244,7 +237,7 @@ def check_arrival_trial(seed: int, trial: int, spec: GainSpec,
     """
     rng = _trial_rng(seed, 202, trial)
     instance = random_instance(rng, weighted=True)
-    ranks = _uniform_ranks(instance, rng)
+    ranks = sample_ranks(instance, rng)
     _, trace = engine(instance, spec, ranks, collect_offers=False)
     u = instance.online_ids[int(rng.integers(len(instance.online_ids)))]
     original = ranks.ranks[u]
@@ -265,7 +258,7 @@ def check_accounting_trial(seed: int, trial: int, spec: GainSpec,
     """One exact-accounting probe: the dual shares must recompose ALG."""
     rng = _trial_rng(seed, 303, trial)
     instance = random_instance(rng, weighted=True)
-    ranks = _uniform_ranks(instance, rng)
+    ranks = sample_ranks(instance, rng)
     result, _ = engine(instance, spec, ranks, collect_offers=False)
     shares = assign_duals(instance, result, spec, ranks)
     try:
@@ -284,7 +277,7 @@ def check_structure_probe(seed: int, trial: int, spec: GainSpec) -> str | None:
     """
     rng = _trial_rng(seed, 404, trial)
     instance = random_instance(rng, weighted=True)
-    ranks = _uniform_ranks(instance, rng)
+    ranks = sample_ranks(instance, rng)
     edges = [(u, v) for u in instance.online_ids
              for v in instance.neighbors[u]]
     u, v = edges[int(rng.integers(len(edges)))]

@@ -1,16 +1,29 @@
 """Gain-sharing specifications.
 
 A GainSpec decides how a matched edge's weight is split between its two
-endpoints as a function of their ranks. The weight-splitting kinds are built
-from a non-decreasing curve c on [0, 1] with 0 <= c <= 1 and c' <= c:
+endpoints as a function of their ranks. Every kind is one additive offer
+split: an offline vertex v of rank y_v offers an arrival u of arrival time
+y_u the amount
 
-    share(x, y) = (c(x) + 1 - c(y)) / 2
+    offer = w_v * (a(y_v) + b(y_u)),    share(x, y) = 1 - a(x) - b(y),
 
-so that share(x, y) + share(y, x) = 1. Two closed-form curves are provided
-("simple-exp" and "half-exp"), plus monotone piecewise-linear tables for
-experimentation. The "adversarial" kind is the static-price baseline
-share(x, y) = e^(x-1), which ignores the partner's rank entirely and is not
-a weight split (its two shares do not sum to one).
+where a is the part set by the offline rank and b the part set by the
+arrival time, and share is the fraction the offline endpoint keeps. The
+curve kinds are built from a non-decreasing curve c on [0, 1] with
+0 <= c <= 1 and c' <= c:
+
+    a(y) = (1 - c(y)) / 2,    b(y) = c(y) / 2,
+
+so that share(x, y) = (c(x) + 1 - c(y)) / 2 and share(x, y) + share(y, x) = 1.
+Two closed-form curves are provided ("simple-exp" and "half-exp"), plus
+monotone piecewise-linear tables for experimentation. The "adversarial"
+kind is the static-price baseline
+
+    a(y) = 1 - e^(y-1),    b(y) = 0,
+
+so share(x, y) = e^(x-1) ignores the partner's rank entirely; it is not a
+weight split (its two shares do not sum to one). Only this module knows how
+a kind turns ranks into offers and shares.
 """
 
 from __future__ import annotations
@@ -111,12 +124,6 @@ class GainSpec:
             return float(np.interp(x, self.breakpoints, self.values))
         raise GainSpecError("the adversarial baseline has no underlying curve")
 
-    def share_scalar(self, x: float, y: float) -> float:
-        """share() for scalar hot paths: plain math, no domain validation."""
-        if self.kind == ADVERSARIAL:
-            return math.exp(x - 1.0)
-        return 0.5 * (self.curve_scalar(x) + 1.0 - self.curve_scalar(y))
-
     @cached_property
     def _table_cums(self) -> tuple[float, ...]:
         # exact trapezoid cumulative integral of the table curve at the knots
@@ -154,29 +161,60 @@ class GainSpec:
         yt = y0 + (y1 - y0) * frac
         return self._table_cums[i] + 0.5 * (y0 + yt) * (t - x0)
 
+    # -- the additive offer split -------------------------------------
+
+    def rank_offer(self, y):
+        """a(y), the part of the offer set by the offline rank y; accepts
+        scalars or numpy arrays in [0, 1]."""
+        if self.kind == ADVERSARIAL:
+            _check_unit("offer argument", y)
+            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0)
+        return 0.5 * (1.0 - self.curve(y))
+
+    def rank_offer_scalar(self, y: float) -> float:
+        """rank_offer() for scalar hot paths: plain math, no domain validation."""
+        if self.kind == ADVERSARIAL:
+            return 1.0 - math.exp(y - 1.0)
+        return 0.5 * (1.0 - self.curve_scalar(y))
+
+    def time_offer(self, y):
+        """b(y), the part of the offer set by the arrival time y; accepts
+        scalars or numpy arrays in [0, 1]."""
+        if self.kind == ADVERSARIAL:
+            _check_unit("offer argument", y)
+            return np.zeros(np.shape(y))
+        return 0.5 * self.curve(y)
+
+    def time_offer_scalar(self, y: float) -> float:
+        """time_offer() for scalar hot paths: plain math, no domain validation."""
+        if self.kind == ADVERSARIAL:
+            return 0.0
+        return 0.5 * self.curve_scalar(y)
+
+    def rank_offer_antideriv(self, t: float) -> float:
+        """Exact antiderivative A of rank_offer with A(0) = 0."""
+        if self.kind == ADVERSARIAL:
+            return t - math.exp(t - 1.0) + math.exp(-1.0)
+        return 0.5 * (t - self.curve_antideriv(t))
+
     # -- the two-dimensional share ------------------------------------
 
     def share(self, x, y):
         """Fraction of the matched weight kept by the rank-x endpoint when
         its partner has rank y. Scalar or numpy-array arguments."""
-        if self.kind == ADVERSARIAL:
-            _check_unit("share argument x", x)
-            _check_unit("share argument y", y)
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            out = np.exp(x - 1.0) + 0.0 * y  # broadcast against y's shape
-            return float(out) if out.ndim == 0 else out
-        cx = self.curve(x)
-        cy = self.curve(y)
-        out = 0.5 * (cx + 1.0 - cy)
+        out = 1.0 - self.rank_offer(x) - self.time_offer(y)
         return float(out) if np.ndim(out) == 0 else out
+
+    def share_scalar(self, x: float, y: float) -> float:
+        """share() for scalar hot paths: plain math, no domain validation."""
+        return 1.0 - self.rank_offer_scalar(x) - self.time_offer_scalar(y)
 
     def share_integral_first(self, a: float, b: float, y: float) -> float:
         """Exact integral of share(t, y) dt over t in [a, b]."""
-        if self.kind == ADVERSARIAL:
-            _check_unit("integral bounds", (float(a), float(b)))
-            return math.exp(b - 1.0) - math.exp(a - 1.0)
-        return 0.5 * (self.curve_integral(a, b) + (b - a) * (1.0 - self.curve_scalar(y)))
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+            raise GainSpecError(f"integral bounds must lie in [0, 1], got {(a, b)!r}")
+        return ((b - a) * (1.0 - self.time_offer_scalar(y))
+                - (self.rank_offer_antideriv(b) - self.rank_offer_antideriv(a)))
 
     # -- serialization --------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Deterministic simulation of weighted ranking for one rank assignment.
 
 Online vertices are processed in increasing arrival time. Each arrival u
-sees an offer w_v * (1 - share(y_v, y_u)) from every still-unmatched
-neighbor v and takes the highest offer; offers never go negative, so an
-arrival with at least one unmatched neighbor always matches. Offer ties
+sees an offer w_v * (a(y_v) + b(y_u)) = w_v * (1 - share(y_v, y_u)) from
+every still-unmatched neighbor v (the spec's additive offer split) and
+takes the highest offer; offers never go negative, so an arrival with at
+least one unmatched neighbor always matches. Offer ties
 (measure zero under continuous ranks, but reachable once a share curve
 saturates) break toward the smaller offline rank, then the smaller id.
 """
@@ -65,25 +66,8 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
     rank_of = ranks.ranks
     offline_ids = instance.offline_ids
     weights = instance.weights
-
-    # offered value per still-unmatched offline vertex, as a function of the
-    # arrival's rank; precompute the rank-dependent pieces once per run
-    if spec.is_weight_split:
-        curve_of = {v: spec.curve_scalar(rank_of[v]) for v in offline_ids}
-
-        def offer(v: str, y_u_curve: float) -> float:
-            return weights[v] * 0.5 * (1.0 - curve_of[v] + y_u_curve)
-
-        def arrival_key(u: str) -> float:
-            return spec.curve_scalar(rank_of[u])
-    else:
-        static = {v: weights[v] * (1.0 - math.exp(rank_of[v] - 1.0)) for v in offline_ids}
-
-        def offer(v: str, y_u_curve: float) -> float:
-            return static[v]
-
-        def arrival_key(u: str) -> float:
-            return 0.0
+    # the offline part of every offer is fixed for the whole run
+    a_of = {v: spec.rank_offer_scalar(rank_of[v]) for v in offline_ids}
 
     order = sorted(instance.online_ids, key=lambda u: (rank_of[u], u))
     unmatched = set(offline_ids)
@@ -93,7 +77,7 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
 
     for u in order:
         y_u = rank_of[u]
-        key = arrival_key(u)
+        b_u = spec.time_offer_scalar(y_u)
         best_v: str | None = None
         best_o = -1.0
         best_r = math.inf
@@ -101,7 +85,7 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
         for v in instance.neighbors[u]:
             if v not in unmatched:
                 continue
-            o = offer(v, key)
+            o = weights[v] * (a_of[v] + b_u)
             if collect_offers:
                 offers.append((v, o))
             # maximize the offer, then prefer the smaller offline rank, then id

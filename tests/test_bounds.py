@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
+                              _inner_minimum_fn,
                               bound_function, heatmap_rows, improved_bound,
                               integral_bound, minimize_bound,
                               piecewise_from_json, profiles_from_json,
@@ -12,6 +13,7 @@ from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
                               stationary_tau)
 from rankmatch.gains import (LN2, adversarial_baseline, half_exp,
                              piecewise_table, simple_exp)
+from rankmatch.numerics import integrate
 
 E_HALF = math.exp(-0.5)
 SIMPLE_FLOOR = 1.25 - E_HALF            # 0.6434693402873666
@@ -61,6 +63,49 @@ def test_simple_bound_matches_closed_form_everywhere():
             tau, gamma = rng.random(), rng.random()
             want = hand_simple_bound(kind, tau, gamma)
             assert simple_bound(spec, tau, gamma) == pytest.approx(want, abs=1e-9)
+
+
+def test_simple_bound_matches_quadrature_for_every_kind():
+    # reference: both share integrals by adaptive quadrature of share_scalar
+    rng = np.random.default_rng(34)
+    for spec in (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE):
+        share, bps = spec.share_scalar, spec.curve_breakpoints
+        for _ in range(20):
+            tau, gamma = rng.random(), rng.random()
+            left = integrate(lambda x: share(x, tau), 0.0, gamma, tol=1e-14,
+                             breakpoints=bps)
+            right = integrate(lambda x: share(x, gamma), 0.0, tau, tol=1e-14,
+                              breakpoints=bps)
+            want = (1.0 - tau) * (1.0 - gamma) + left + right
+            assert simple_bound(spec, tau, gamma) == pytest.approx(want, abs=1e-12)
+
+
+def test_improved_bound_adversarial_closed_form():
+    # b = 0: the inner objective is e^(x-1) + e^(gamma-1) - e^(-1) at every theta
+    rng = np.random.default_rng(35)
+    adv = adversarial_baseline()
+    e1 = math.exp(-1.0)
+    for _ in range(40):
+        tau, gamma = rng.random(), rng.random()
+        corner = (1.0 - tau) * (1.0 - gamma)
+        v_side = (1.0 - tau) * (math.exp(gamma - 1.0) - e1)
+        u_side = (math.exp(tau - 1.0) - e1) + tau * (math.exp(gamma - 1.0) - e1)
+        assert improved_bound(adv, tau, gamma, tol=1e-10) == pytest.approx(
+            corner + v_side + u_side, abs=1e-10)
+
+
+def test_improved_inner_minimum_matches_dense_theta_grid():
+    # reference: the unregrouped u-side integrand minimized over a theta grid
+    # that holds the candidates (0, gamma, the kinks) and 400 points between
+    rng = np.random.default_rng(36)
+    for spec in (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE):
+        for _ in range(25):
+            tau, gamma, x = (float(r) for r in rng.random(3))
+            thetas = list(np.linspace(0.0, gamma, 401))
+            thetas += [bp for bp in spec.curve_breakpoints if bp < gamma]
+            dense = min(spec.share_scalar(x, th) + spec.share_integral_first(0.0, th, x)
+                        + spec.share_integral_first(th, gamma, tau) for th in thetas)
+            assert _inner_minimum_fn(spec, tau, gamma)(x) == pytest.approx(dense, abs=1e-12)
 
 
 def test_improved_bound_named_values():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rankmatch.analysis import ThreeIntervalError
 from rankmatch.cli import main
 
 
@@ -141,3 +142,26 @@ def test_spec_from_json_file(tmp_path, capsys):
                            "--which", "simple", "--tau", "0", "--gamma", "0")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
+    step = {"kind": "step", "x": [0.0, 1.0], "y": [1.0]}
+    cases = (("simulate", "--instance", {"offline": [{"id": "v1"}], "online": []},
+              "{'id': 'v1'}"),
+             ("simulate", "--instance", {"offline": [["v1", 1.0]], "online": [7]}, "7"),
+             ("integral", "--profiles", {"theta": step}, "beta"))
+    path = tmp_path / "input.json"
+    for command, flag, payload, named in cases:
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, command, flag, str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+
+
+def test_three_interval_violation_exits_one(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ThreeIntervalError("status interleaving at y_u=0.5")
+
+    monkeypatch.setattr("rankmatch.cli.compute_thresholds", broken)
+    code, out, err = run_cli(capsys, "thresholds", "--gen", "complete", "--n", "2")
+    assert (code, out, err) == (1, "", "error: status interleaving at y_u=0.5\n")

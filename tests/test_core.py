@@ -96,6 +96,8 @@ def test_sample_ranks_deterministic():
     assert a.ranks == b.ranks
     c = sample_ranks(inst, 124)
     assert a.ranks != c.ranks
+    # a Generator is drawn from directly: the same stream as its seed
+    assert sample_ranks(inst, np.random.default_rng(123)).ranks == a.ranks
 
 
 def test_sample_ranks_uniform_mean():

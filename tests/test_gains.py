@@ -147,3 +147,28 @@ def test_scalar_paths_match_array_paths():
         ss = np.array([spec.share_scalar(float(x), float(y))
                        for x, y in zip(xs, ys)])
         assert np.max(np.abs(ss - spec.share(xs, ys))) <= 5e-16
+        for part, part_scalar in ((spec.rank_offer, spec.rank_offer_scalar),
+                                  (spec.time_offer, spec.time_offer_scalar)):
+            ps = np.array([part_scalar(float(x)) for x in xs])
+            assert np.max(np.abs(ps - part(xs))) <= 2e-16
+
+
+def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
+    # reference: the offers written out per kind, without the a + b split
+    rng = np.random.default_rng(2)
+    n = 20_000
+    w, y_v, y_u = 10.0 * rng.random(n), rng.random(n), rng.random(n)
+    for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
+        if spec.is_weight_split:
+            want = w * 0.5 * (1.0 - spec.curve(y_v) + spec.curve(y_u))
+            want_scalar = [wi * 0.5 * (1.0 - spec.curve_scalar(a) + spec.curve_scalar(b))
+                           for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
+        else:
+            want = w * (1.0 - np.exp(y_v - 1.0))
+            want_scalar = [wi * (1.0 - math.exp(a - 1.0)) for wi, a in
+                           zip(w.tolist(), y_v.tolist())]
+        got = w * (spec.rank_offer(y_v) + spec.time_offer(y_u))
+        assert np.array_equal(got, want)
+        got_scalar = [wi * (spec.rank_offer_scalar(a) + spec.time_offer_scalar(b))
+                      for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
+        assert got_scalar == want_scalar
