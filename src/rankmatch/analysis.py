@@ -9,11 +9,12 @@ theta(y_u). This module locates those thresholds numerically and estimates
 the expected combined gain of the pair over uniformly random (y_u, y_v) by
 midpoint quadrature.
 
-Re-running the full simulation per grid cell would dominate everything, so
-PairSweep batches lanes of (y_u, y_v) values: lanes sharing u's insertion
-position in the fixed arrival order follow the same arrival sequence and
-are simulated in lockstep with numpy. The scalar path through run_ranking
-stays the reference; tests cross-check the two.
+Re-running the scalar simulation per grid cell would dominate everything,
+so PairSweep lays the (y_u, y_v) values out as lanes of rank columns, runs
+them all through ranking.run_lanes, and splits the pair's gains from the
+partners. Every lane follows run_ranking's rules, ties included; the
+scalar path (vary_two_ranks, edge_status) stays the reference, and tests
+cross-check the two.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ import numpy as np
 from .core import DualShares, Instance, MatchingResult, RankAssignment
 from .gains import GainSpec
 from .numerics import bisect_boundary
-from .ranking import assign_duals, run_ranking
+from .ranking import assign_duals, run_lanes, run_ranking
 
 MATCHED_BEFORE = 0
 MATCHED_TO_U = 1
 UNMATCHED_AFTER = 2
+
+# lanes per run_lanes call: bounds PairSweep.run's working set
+LANE_BLOCK = 8192
 
 
 class AnalysisError(ValueError):
@@ -84,51 +88,29 @@ class SweepResult:
 class PairSweep:
     """Batched ranking runs where only one edge's two ranks vary.
 
-    Precomputes everything independent of (y_u, y_v): the fixed arrival
-    order, per-arrival base offer rows, and the offer parts of the fixed
-    ranks (a of every offline rank, b of every fixed arrival time). run()
-    then simulates whole lanes of rank pairs at once; each lane carries
-    a(y_v) and b(y_u), offers are w * (a + b) and shares 1 - a - b.
-
-    Arrival-time ties between u and a fixed online vertex resolve with u
-    first (the scalar engine breaks such ties by id); exact ties are
-    measure-zero and do not occur for random base ranks.
+    __init__ evaluates the spec once on the base ranks: a column of
+    arrival times with their offer parts b, and a column of offline ranks
+    with their offer parts a. run() copies these columns across the
+    lanes, writes each lane's y_u, y_v, b(y_u) and a(y_v) into the rows of
+    u and v, and hands the lanes to ranking.run_lanes, LANE_BLOCK at a
+    time. It reads the gains of u and v off the partners, split exactly as
+    assign_duals splits them, so every lane is the run vary_two_ranks makes.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
                  base_ranks: RankAssignment, online_id: str, offline_id: str):
         if not instance.has_edge(online_id, offline_id):
             raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
+        self.instance = instance
         self.spec = spec
-        off_ids = instance.offline_ids
-        on_ids = instance.online_ids
-        self.nv = len(off_ids)
-        self.v_idx = off_ids.index(offline_id)
-        self.u_idx = on_ids.index(online_id)
+        self.u_idx = instance.online_ids.index(online_id)
+        self.v_idx = instance.offline_ids.index(offline_id)
         self.w = np.array([w for _, w in instance.offline], dtype=float)
-        self.w_v = float(self.w[self.v_idx])
         rank_of = base_ranks.ranks
-        self.y_off = np.array([rank_of[v] for v in off_ids], dtype=float)
-        self.y_on = [rank_of[u] for u in on_ids]
-
-        others = [j for j in range(len(on_ids)) if j != self.u_idx]
-        others.sort(key=lambda j: (self.y_on[j], on_ids[j]))
-        self.others = others
-        self.other_y = np.array([self.y_on[j] for j in others], dtype=float)
-
-        off_index = {v: j for j, v in enumerate(off_ids)}
-        self.adj = [np.array([off_index[v] for v in instance.neighbors[u]], dtype=np.intp)
-                    for u in on_ids]
-        # column of v inside each adjacency row, -1 when absent
-        self.vcol = []
-        for nb in self.adj:
-            hits = np.nonzero(nb == self.v_idx)[0]
-            self.vcol.append(int(hits[0]) if hits.size else -1)
-
+        self.y_on = np.array([rank_of[u] for u in instance.online_ids], dtype=float)
+        self.y_off = np.array([rank_of[v] for v in instance.offline_ids], dtype=float)
+        self.b_on = np.asarray(spec.time_offer(self.y_on), dtype=float)
         self.a_off = np.asarray(spec.rank_offer(self.y_off), dtype=float)
-        self.b_on = {j: float(spec.time_offer(self.y_on[j])) for j in others}
-        self.base_offer = {j: self.w[self.adj[j]] * (self.a_off[self.adj[j]] + self.b_on[j])
-                           for j in others}
 
     def run(self, y_u, y_v) -> SweepResult:
         """Simulate all lanes; y_u and y_v are equal-length 1-d arrays."""
@@ -137,98 +119,38 @@ class PairSweep:
         if y_u.shape != y_v.shape:
             raise AnalysisError("y_u and y_v must have equal shapes")
         n = y_u.size
-        out = SweepResult(alpha_u=np.zeros(n), alpha_v=np.zeros(n),
-                          status=np.full(n, UNMATCHED_AFTER, dtype=np.int8),
-                          v_time=np.full(n, np.inf),
-                          u_partner=np.full(n, -1, dtype=np.intp))
+        out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
+                          status=np.empty(n, dtype=np.int8), v_time=np.empty(n),
+                          u_partner=np.empty(n, dtype=np.intp))
         b_u = np.asarray(self.spec.time_offer(y_u), dtype=float)
         a_v = np.asarray(self.spec.rank_offer(y_v), dtype=float)
+        u, v, w = self.u_idx, self.v_idx, self.w
+        for start in range(0, n, LANE_BLOCK):
+            blk = slice(start, start + LANE_BLOCK)
+            lanes = np.arange(y_u[blk].size)
+            on_ranks, off_ranks, on_offer, off_offer = (
+                np.repeat(col[:, None], lanes.size, axis=1)
+                for col in (self.y_on, self.y_off, self.b_on, self.a_off))
+            on_ranks[u], off_ranks[v] = y_u[blk], y_v[blk]
+            on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
+            partner = run_lanes(self.instance, on_ranks, off_ranks, on_offer, off_offer)
 
-        pos = np.searchsorted(self.other_y, y_u, side="left")
-        for k in np.unique(pos):
-            lanes = np.nonzero(pos == k)[0]
-            self._run_group(int(k), lanes, y_u, y_v, b_u, a_v, out)
+            # each matched offline endpoint p keeps w_p * (1 - a - b); the
+            # online side gets the complement, exactly as in assign_duals
+            p = partner[u]
+            kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])
+            out.alpha_u[blk] = np.where(p >= 0, w[p] - kept, 0.0)
+            # v has at most one partner per lane: the min and the sum over
+            # rows read that partner's arrival time and b exactly
+            took_v = partner == v
+            v_time = np.where(took_v, on_ranks, np.inf).min(axis=0)
+            b_by = np.where(took_v, on_offer, 0.0).sum(axis=0)
+            out.alpha_v[blk] = np.where(v_time < np.inf, w[v] * (1.0 - a_v[blk] - b_by), 0.0)
+            out.status[blk] = np.where(took_v[u], MATCHED_TO_U, np.where(
+                v_time < y_u[blk], MATCHED_BEFORE, UNMATCHED_AFTER))
+            out.v_time[blk] = v_time
+            out.u_partner[blk] = p
         return out
-
-    def _run_group(self, k: int, lanes: np.ndarray, y_u, y_v, b_u, a_v,
-                   out: SweepResult) -> None:
-        m = lanes.size
-        y_u_g = y_u[lanes]
-        y_v_g = y_v[lanes]
-        b_u_g = b_u[lanes]
-        a_v_g = a_v[lanes]
-        matched = np.zeros((m, self.nv), dtype=bool)
-        vt = np.full(m, np.inf)
-        vbu = np.zeros(m, dtype=bool)
-        upart = np.full(m, -1, dtype=np.intp)
-
-        sequence: list[int | None] = list(self.others[:k]) + [None] + list(self.others[k:])
-        for z in sequence:
-            arriving_u = z is None
-            j = self.u_idx if arriving_u else z
-            nb = self.adj[j]
-            col = self.vcol[j]
-            if nb.size == 0:
-                continue
-            if arriving_u:
-                offers = self.w[nb] * (self.a_off[nb] + b_u_g[:, None])
-                if col >= 0:
-                    offers[:, col] = self.w_v * (a_v_g + b_u_g)
-            else:
-                offers = np.broadcast_to(self.base_offer[z], (m, nb.size)).copy()
-                if col >= 0:
-                    offers[:, col] = self.w_v * (a_v_g + self.b_on[z])
-
-            rk = np.broadcast_to(self.y_off[nb], offers.shape).copy()
-            if col >= 0:
-                rk[:, col] = y_v_g
-            masked = np.where(matched[:, nb], -np.inf, offers)
-            top = masked.max(axis=1)
-            # break offer ties toward the smaller offline rank, then the
-            # smaller id (columns are id-ordered; argmin takes the first)
-            cand = np.where(masked == top[:, None], rk, np.inf)
-            sel = np.argmin(cand, axis=1)
-            rows = np.nonzero(top > -np.inf)[0]
-            chosen = nb[sel[rows]]
-            matched[rows, chosen] = True
-            took_v = chosen == self.v_idx
-            vrows = rows[took_v]
-            if arriving_u:
-                upart[rows] = chosen
-                vt[vrows] = y_u_g[vrows]
-                vbu[vrows] = True
-            else:
-                vt[vrows] = self.y_on[z]
-
-        # gains, with share = 1 - a - b; the online side gets the complement
-        # of the offline share, exactly as assign_duals computes it
-        alpha_u = np.zeros(m)
-        alpha_v = np.zeros(m)
-        to_v = upart == self.v_idx
-        if np.any(to_v):
-            sv = self.w_v * (1.0 - a_v_g[to_v] - b_u_g[to_v])
-            alpha_v[to_v] = sv
-            alpha_u[to_v] = self.w_v - sv
-        elsewhere = (upart >= 0) & ~to_v
-        if np.any(elsewhere):
-            p = upart[elsewhere]
-            wp = self.w[p]
-            sv = wp * (1.0 - self.a_off[p] - b_u_g[elsewhere])
-            alpha_u[elsewhere] = wp - sv
-        by_other = ~vbu & (vt < np.inf)
-        if np.any(by_other):
-            alpha_v[by_other] = self.w_v * (
-                1.0 - a_v_g[by_other] - self.spec.time_offer(vt[by_other]))
-
-        status = np.full(m, UNMATCHED_AFTER, dtype=np.int8)
-        status[vbu] = MATCHED_TO_U
-        status[~vbu & (vt < y_u_g)] = MATCHED_BEFORE
-
-        out.alpha_u[lanes] = alpha_u
-        out.alpha_v[lanes] = alpha_v
-        out.status[lanes] = status
-        out.v_time[lanes] = vt
-        out.u_partner[lanes] = upart
 
 
 # -- thresholds -----------------------------------------------------------

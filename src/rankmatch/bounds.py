@@ -126,6 +126,14 @@ def minimize_bound(spec: GainSpec, which: str, grid_n: int = 256,
     golden-section refinement of each coordinate inside the winning cell's
     neighborhood down to arg_tol. Deterministic: ties on the scan resolve
     to the first grid point in row-major order.
+
+    Only the value is a stable output; the minimizer need not be unique.
+    For simple-exp the simple surface sits at its minimum 5/4 - e^(-1/2)
+    along a whole path in (tau, gamma), (0, 1) -> (1/2, 1) -> (1/2, 1/2)
+    -> (1, 1/2) -> (1, 0): it equals that value exactly at (1, 0),
+    (0.5, 0.5), (0, 1), (0.0109, 1) and (4e-7, 1). The reported tau and
+    gamma are one point of that flat valley, and a change of 1e-15 in the
+    surface can move them along it.
     """
     f = bound_function(which)
     pts = [i / (grid_n - 1) for i in range(grid_n)]

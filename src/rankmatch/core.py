@@ -189,8 +189,14 @@ class RankAssignment:
 
 
 def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment:
-    """Validate coverage, range and pairwise distinctness of user ranks."""
+    """Validate coverage, range and pairwise distinctness of user ranks.
+
+    Raises RankError naming the entry when ranks is not a mapping or a
+    rank is not a number.
+    """
     ranks = raw.get("ranks", raw) if isinstance(raw, Mapping) else raw
+    if not isinstance(ranks, Mapping):
+        raise RankError(f"ranks must map vertex ids to numbers, got {ranks!r}")
     ids = instance.all_ids()
     missing = [i for i in ids if i not in ranks]
     if missing:
@@ -200,11 +206,14 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
         raise RankError(f"rank for unknown vertex {sorted(extra)[0]}")
     by_value: dict[float, str] = {}
     for vid in ids:
-        r = float(ranks[vid])
+        try:
+            r = float(ranks[vid])
+        except (TypeError, ValueError):
+            raise RankError(f"malformed rank for {vid}: {ranks[vid]!r}") from None
         if r in by_value:
             raise RankError(f"tied ranks for {by_value[r]} and {vid}: {r}")
         by_value[r] = vid
-    return RankAssignment({vid: float(ranks[vid]) for vid in ids})
+    return RankAssignment({vid: r for r, vid in by_value.items()})
 
 
 def ranks_from_json(instance: Instance, obj: Mapping | str) -> RankAssignment:

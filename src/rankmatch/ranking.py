@@ -7,6 +7,10 @@ takes the highest offer; offers never go negative, so an arrival with at
 least one unmatched neighbor always matches. Offer ties
 (measure zero under continuous ranks, but reachable once a share curve
 saturates) break toward the smaller offline rank, then the smaller id.
+
+run_ranking is the scalar engine: one run, with an optional arrival trace.
+run_lanes runs the same rules over many rank assignments at once, one
+lane per assignment, in lockstep with numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import DualShares, Instance, MatchingResult, RankAssignment, matching_result
 from .gains import GainSpec
@@ -102,6 +108,45 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
 
     result = matching_result(instance, pairs)
     return result, SimulationTrace(arrivals=tuple(records), match_time=match_time)
+
+
+def run_lanes(instance: Instance, on_ranks: np.ndarray, off_ranks: np.ndarray,
+              on_offer: np.ndarray, off_offer: np.ndarray) -> np.ndarray:
+    """run_ranking over T lanes at once; lanes are columns.
+
+    on_ranks and on_offer are (n_online, T) arrays of arrival times and
+    their offer parts b(y_u); off_ranks and off_offer are (n_offline, T)
+    arrays of offline ranks and their offer parts a(y_v). Rows follow the
+    instance's id order. Each lane follows run_ranking's rules: arrivals
+    in order of rank, then id; offers w_v * (a + b); offer ties to the
+    smaller offline rank, then the smaller id. Returns the (n_online, T)
+    array of the offline index each arrival took, -1 if none.
+    """
+    n_on, n_lanes = on_ranks.shape
+    n_off = len(instance.offline)
+    partner = np.full((n_on, n_lanes), -1, dtype=np.intp)
+    if n_off == 0:
+        return partner
+    off_index = {v: i for i, v in enumerate(instance.offline_ids)}
+    adj = np.zeros((n_off, n_on), dtype=bool)
+    for j, (_, nbs) in enumerate(instance.online):
+        adj[[off_index[v] for v in nbs], j] = True
+    w = np.array([w for _, w in instance.offline], dtype=float)[:, None]
+    rows = np.arange(n_off)[:, None]
+    lanes = np.arange(n_lanes)
+    free = np.ones((n_off, n_lanes), dtype=bool)
+    # a stable sort of id-ordered rows orders arrivals by rank, then id;
+    # step k holds the online index arriving k-th in every lane
+    for j in np.argsort(on_ranks, axis=0, kind="stable"):
+        offers = np.where(adj[:, j] & free, w * (off_offer + on_offer[j, lanes]), -np.inf)
+        top = offers.max(axis=0)
+        tied = offers == top
+        low = np.where(tied, off_ranks, np.inf).min(axis=0)
+        took = np.where(tied & (off_ranks == low), rows, n_off).min(axis=0)
+        hit = np.nonzero(top > -np.inf)[0]
+        partner[j[hit], hit] = took[hit]
+        free[took[hit], hit] = False
+    return partner
 
 
 def assign_duals(instance: Instance, result: MatchingResult, spec: GainSpec,

@@ -81,6 +81,22 @@ def test_sweep_matches_scalar_engine_with_zero_weight_vertex():
         assert duals.alpha["v3"] == pytest.approx(res.alpha_v[i], abs=1e-12)
 
 
+def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
+    # u1 and u2 both arrive at 0.5: u1 goes first by id and takes the
+    # heavier v2, so u2 finds v2 gone and v2 counts as unmatched after u2
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)],
+                          [("u1", ["v1", "v2"]), ("u2", ["v2"])])
+    base = RankAssignment({"v1": 0.3, "v2": 0.9, "u1": 0.5, "u2": 0.1})
+    res = PairSweep(inst, half_exp(), base, "u2", "v2").run([0.5], [0.4])
+    _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v2", 0.5, 0.4)
+    status = edge_status(inst, half_exp(), base, "u2", "v2", 0.5, 0.4)
+    assert status == UNMATCHED_AFTER
+    assert res.status[0] == status
+    assert res.alpha_u[0] == duals.alpha["u2"] == 0.0
+    assert res.alpha_v[0] == pytest.approx(duals.alpha["v2"], abs=1e-12)
+    assert res.u_partner[0] == -1
+
+
 def test_three_interval_structure_random_probes():
     rng = np.random.default_rng(22)
     pts = (np.arange(400) + 0.5) / 400

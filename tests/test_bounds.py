@@ -56,6 +56,16 @@ def test_simple_bound_named_values():
         assert simple_bound(spec, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_simple_exp_simple_surface_is_flat_along_its_valley():
+    # the minimizer is not unique: every point of the path
+    # (0, 1) -> (1/2, 1) -> (1/2, 1/2) -> (1, 1/2) -> (1, 0) is a minimum
+    s = simple_exp()
+    valley = [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.0109, 1.0), (4e-7, 1.0),
+              (0.25, 1.0), (0.5, 0.75), (0.75, 0.5), (1.0, 0.25)]
+    for tau, gamma in valley:
+        assert abs(simple_bound(s, tau, gamma) - SIMPLE_FLOOR) <= 1e-12
+
+
 def test_simple_bound_matches_closed_form_everywhere():
     rng = np.random.default_rng(30)
     for kind, spec in (("simple-exp", simple_exp()), ("half-exp", half_exp())):

@@ -88,6 +88,16 @@ def test_rank_validation_errors():
         validate_rank_assignment(inst, {"ranks": {"v1": 1.5, "u1": 0.5}})
 
 
+def test_rank_validation_names_malformed_entries():
+    inst = tiny()
+    with pytest.raises(RankError, match="ranks must map vertex ids"):
+        ranks_from_json(inst, '{"ranks": 5}')
+    with pytest.raises(RankError, match="malformed rank for u1: 'x'"):
+        ranks_from_json(inst, '{"ranks": {"v1": 0.5, "u1": "x"}}')
+    with pytest.raises(RankError, match="malformed rank for v1: None"):
+        ranks_from_json(inst, '{"ranks": {"v1": null, "u1": 0.5}}')
+
+
 def test_sample_ranks_deterministic():
     inst = build_instance([("v1", 1.0), ("v2", 2.0)],
                           [("u1", ["v1"]), ("u2", ["v2"])])

@@ -6,9 +6,12 @@ import pytest
 
 from rankmatch.core import (RankAssignment, build_instance, check_dual_shares,
                             sample_ranks, validate_rank_assignment)
-from rankmatch.gains import adversarial_baseline, half_exp, simple_exp
+from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
 from rankmatch.generators import random_instance
-from rankmatch.ranking import assign_duals, run_ranking
+from rankmatch.ranking import assign_duals, run_lanes, run_ranking
+
+ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
+             piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6)))
 
 
 def ranks_of(inst, mapping):
@@ -194,3 +197,86 @@ def test_trace_json_lines_schema():
     assert set(first) == {"online", "arrival_rank", "offers", "chosen"}
     assert first["online"] == "u1"
     assert isinstance(first["offers"], list)
+
+
+def lane_partners(instance, spec, lanes):
+    """run_lanes over a list of RankAssignments, with the offer parts
+    evaluated exactly as run_ranking evaluates them."""
+    on = np.array([[r.ranks[u] for r in lanes] for u in instance.online_ids])
+    off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
+    b = np.vectorize(spec.time_offer_scalar, otypes=[float])(on)
+    a = np.vectorize(spec.rank_offer_scalar, otypes=[float])(off)
+    return run_lanes(instance, on, off, b, a)
+
+
+def scalar_partners(instance, spec, ranks):
+    result, _ = run_ranking(instance, spec, ranks, collect_offers=False)
+    took = dict(result.pairs)
+    return [instance.offline_ids.index(took[u]) if u in took else -1
+            for u in instance.online_ids]
+
+
+def offer_ties(instance, spec, ranks):
+    """Arrivals whose best offer comes from two or more neighbors."""
+    _, trace = run_ranking(instance, spec, ranks)
+    count = 0
+    for rec in trace.arrivals:
+        offers = [o for _, o in rec.offers]
+        count += len(offers) > 1 and offers.count(max(offers)) > 1
+    return count
+
+
+@pytest.mark.parametrize("regime", ["continuous", "grid", "offer-ties"])
+def test_run_lanes_matches_run_ranking_lane_for_lane(regime):
+    # grid: ranks k/4, so arrival times tie, and unit-weight offers from
+    # equal offline ranks tie; offer-ties: simple-exp saturates above 1/2,
+    # so unit-weight offers tie exactly
+    rng = np.random.default_rng(5)
+    arrival_ties = tied_offers = 0
+    for trial in range(60):
+        if regime == "offer-ties":
+            spec, weighted = simple_exp(), False
+        else:
+            spec, weighted = ALL_KINDS[trial % 4], trial % 3 != 0
+        inst = random_instance(rng, weighted=weighted)
+        if regime == "grid":
+            lanes = [RankAssignment({vid: int(rng.integers(5)) / 4 for vid in inst.all_ids()})
+                     for _ in range(8)]
+        else:
+            lanes = [sample_ranks(inst, rng) for _ in range(8)]
+        partner = lane_partners(inst, spec, lanes)
+        for t, ranks in enumerate(lanes):
+            assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
+            times = [ranks.ranks[u] for u in inst.online_ids]
+            arrival_ties += len(set(times)) < len(times)
+            tied_offers += offer_ties(inst, spec, ranks)
+    if regime == "grid":
+        assert arrival_ties > 0 and tied_offers > 0
+    if regime == "offer-ties":
+        assert tied_offers > 0
+
+
+def test_run_lanes_matches_run_ranking_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rank = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    weight = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.1, 10.0)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n_on = data.draw(st.integers(1, 5))
+        n_off = data.draw(st.integers(0, 5))
+        offline = [(f"v{j}", data.draw(weight)) for j in range(n_off)]
+        online = [(f"u{i}", [v for v, _ in offline if data.draw(st.booleans())])
+                  for i in range(n_on)]
+        inst = build_instance(offline, online)
+        spec = data.draw(st.sampled_from(ALL_KINDS))
+        lanes = [RankAssignment({vid: data.draw(rank) for vid in inst.all_ids()})
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        partner = lane_partners(inst, spec, lanes)
+        for t, ranks in enumerate(lanes):
+            assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
+
+    check()
