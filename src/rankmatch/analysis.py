@@ -19,6 +19,7 @@ cross-check the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
         raise AnalysisError("y_u grid must be strictly increasing")
     if not grid or grid[0] < 0.0 or grid[-1] > 1.0:
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
-    if refine_tol <= 0.0:
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise AnalysisError("refine_tol must be positive")
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     pts = (np.arange(sweep_points) + 0.5) / sweep_points

@@ -117,6 +117,13 @@ def bound_function(which: str) -> Callable[..., float]:
     return _BOUNDS[which]
 
 
+def _grid_points(grid_n: int) -> list[float]:
+    """grid_n evenly spaced points on [0, 1], both endpoints included."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    return [i / (grid_n - 1) for i in range(grid_n)]
+
+
 def minimize_bound(spec: GainSpec, which: str, grid_n: int = 256,
                    scan_tol: float = 1e-6, refine_tol: float = 1e-9,
                    arg_tol: float = 1e-6) -> BoundPoint:
@@ -136,7 +143,7 @@ def minimize_bound(spec: GainSpec, which: str, grid_n: int = 256,
     surface can move them along it.
     """
     f = bound_function(which)
-    pts = [i / (grid_n - 1) for i in range(grid_n)]
+    pts = _grid_points(grid_n)
     best = (math.inf, 0.0, 0.0)
     for t in pts:
         for g in pts:
@@ -164,7 +171,7 @@ def heatmap_rows(spec: GainSpec, which: str, grid_n: int,
                  tol: float = 1e-8) -> list[tuple[float, float, float]]:
     """(tau, gamma, value) rows over a uniform grid, row-major in tau."""
     f = bound_function(which)
-    pts = [i / (grid_n - 1) for i in range(grid_n)]
+    pts = _grid_points(grid_n)
     return [(t, g, f(spec, t, g, tol=tol)) for t in pts for g in pts]
 
 

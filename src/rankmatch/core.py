@@ -201,7 +201,8 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
     missing = [i for i in ids if i not in ranks]
     if missing:
         raise RankError(f"missing rank for {missing[0]}")
-    extra = [i for i in ranks if i not in set(ids)]
+    known = set(ids)
+    extra = [i for i in ranks if i not in known]
     if extra:
         raise RankError(f"rank for unknown vertex {sorted(extra)[0]}")
     by_value: dict[float, str] = {}

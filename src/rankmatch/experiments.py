@@ -132,8 +132,8 @@ class PropertySuiteConfig:
                 raise ConfigError(f"{name} must be >= 1")
 
     def scaled(self, scale: float) -> "PropertySuiteConfig":
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigError(f"scale must be positive and finite, got {scale}")
         return PropertySuiteConfig(
             seed=self.seed, spec=self.spec,
             monotonicity_trials=max(1, int(self.monotonicity_trials * scale)),

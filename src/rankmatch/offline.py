@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Instance, InstanceError
 
@@ -30,7 +29,13 @@ class OptResult:
 
 
 def solve_opt(instance: Instance) -> OptResult:
-    """Maximum-weight offline matching; exact within double precision."""
+    """Maximum-weight offline matching; exact within double precision.
+
+    scipy is imported here, not at module level, so that only a process
+    that solves an offline optimum pays its start-up time and memory.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     n_u = len(instance.online)
     n_v = len(instance.offline)
     if n_u == 0 or n_v == 0:

@@ -123,6 +123,15 @@ def test_thresholds_single_edge():
     assert prof.gamma == 0.0
 
 
+@pytest.mark.parametrize("refine_tol", [0.0, -1e-9, math.nan, math.inf])
+def test_thresholds_reject_bad_refine_tol(refine_tol):
+    # NaN fails every comparison, so a bare `refine_tol <= 0` check lets it by
+    inst = build_instance([("v1", 1.0), ("v2", 1.0)], [("u1", ["v1", "v2"])])
+    with pytest.raises(AnalysisError, match="refine_tol must be positive"):
+        compute_thresholds(inst, half_exp(), sample_ranks(inst, 2), "u1", "v1",
+                           [0.25, 0.75], refine_tol=refine_tol, sweep_points=64)
+
+
 def test_thresholds_beta_jumps_at_competitor_arrival():
     # z grabs v whenever y_v < y_b, so beta jumps from 0 to y_b at y_z
     inst = build_instance([("v", 1.0), ("b", 1.0)],

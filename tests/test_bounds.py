@@ -205,7 +205,43 @@ def test_heatmap_rows_order_and_determinism():
     assert rows == heatmap_rows(half_exp(), "simple", grid_n=5, tol=1e-9)
 
 
+@pytest.mark.parametrize("grid_n", [-1, 0, 1])
+def test_grids_below_two_points_are_rejected(grid_n):
+    with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
+        heatmap_rows(half_exp(), "simple", grid_n)
+    with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
+        minimize_bound(half_exp(), "simple", grid_n=grid_n)
+
+
 # -- piecewise profiles and the ratio integral ----------------------------
+
+
+def test_profiles_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    def piecewise(data, values, non_decreasing=False):
+        inner = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                             exclude_max=True),
+                                   max_size=5, unique=True))
+        xs = (0.0, *sorted(inner), 1.0)
+        kind = data.draw(st.sampled_from(["step", "linear"]))
+        n = len(xs) - 1 if kind == "step" else len(xs)
+        ys = data.draw(st.lists(values, min_size=n, max_size=n))
+        return Piecewise(xs, tuple(sorted(ys) if non_decreasing else ys), kind)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        beta = piecewise(data, unit, non_decreasing=True)
+        # theta at or above beta's maximum stays above beta everywhere
+        theta = piecewise(data, st.floats(beta.ys[-1], 1.0))
+        profiles = StepProfiles(theta_fn=theta, beta_fn=beta)
+        assert profiles_from_json(json.dumps(profiles.to_json_dict())) == profiles
+
+    check()
 
 
 def test_piecewise_step_and_linear_eval():

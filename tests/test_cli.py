@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmatch
 from rankmatch.analysis import ThreeIntervalError
 from rankmatch.cli import main
 
@@ -165,3 +170,63 @@ def test_three_interval_violation_exits_one(monkeypatch, capsys):
     monkeypatch.setattr("rankmatch.cli.compute_thresholds", broken)
     code, out, err = run_cli(capsys, "thresholds", "--gen", "complete", "--n", "2")
     assert (code, out, err) == (1, "", "error: status interleaving at y_u=0.5\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("bounds", "heatmap", "--grid", "1"), "grid_n must be >= 2, got 1"),
+    (("bounds", "heatmap", "--grid", "0"), "grid_n must be >= 2, got 0"),
+    (("verify", "--scale", "inf"), "scale must be positive and finite, got inf"),
+    (("verify", "--scale", "nan"), "scale must be positive and finite, got nan"),
+    (("thresholds", "--gen", "complete", "--n", "2", "--refine-tol", "nan"),
+     "refine_tol must be positive"),
+], ids=["heatmap-grid-1", "heatmap-grid-0", "verify-scale-inf", "verify-scale-nan",
+        "thresholds-refine-tol-nan"])
+def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}\n"
+
+
+def _scipy_modules_after(tmp_path, *commands):
+    """Run cli.main on each argv in a fresh interpreter.
+
+    Returns the exit codes and the names of the scipy modules loaded by
+    then; the child imports rankmatch from the same source tree.
+    """
+    script = ("import json, sys\n"
+              "import rankmatch, rankmatch.cli\n"
+              "codes = [rankmatch.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "print(json.dumps([codes, loaded]))\n")
+    src = str(Path(rankmatch.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
+    profiles = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
+                "beta": {"kind": "linear", "x": [0.0, 1.0], "y": [0.0, 0.5]}}
+    (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+    codes, loaded = _scipy_modules_after(
+        tmp_path,
+        ["generate", "--gen", "upper_triangular", "--n", "3", "--out", "inst.json"],
+        ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"],
+        ["pair-gain", "--instance", "inst.json", "--grid", "8", "--out", "pg.json"],
+        ["thresholds", "--instance", "inst.json", "--grid", "2",
+         "--refine-tol", "1e-6", "--out", "th.csv"],
+        ["integral", "--profiles", "profiles.json", "--out", "int.json"],
+        ["verify", "--scale", "0.002", "--out", "verify.json"])
+    assert codes == [0] * 6
+    assert loaded == []
+
+
+def test_simulate_imports_scipy_for_the_offline_optimum(tmp_path):
+    codes, loaded = _scipy_modules_after(
+        tmp_path, ["simulate", "--gen", "complete", "--n", "3", "--trials", "5",
+                   "--out", "sim.json"])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded

@@ -164,3 +164,30 @@ def test_instances_hashable_and_frozen():
     assert a == b
     with pytest.raises(Exception):
         a.offline = ()
+
+
+def test_instance_and_rank_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e300)
+    rank = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=4), max_size=8,
+                                 unique=True))
+        n_off = data.draw(st.integers(0, len(ids)))
+        offline = [(v, data.draw(weight)) for v in ids[:n_off]]
+        online = [(u, data.draw(st.lists(st.sampled_from(ids[:n_off]), max_size=4)
+                                if n_off else st.just([])))
+                  for u in ids[n_off:]]
+        inst = build_instance(offline, online)
+        assert instance_from_json(json.dumps(inst.to_json_dict())) == inst
+        values = data.draw(st.lists(rank, min_size=len(ids), max_size=len(ids),
+                                     unique=True))
+        ranks = validate_rank_assignment(inst, dict(zip(inst.all_ids(), values)))
+        assert ranks_from_json(inst, json.dumps(ranks.to_json_dict())) == ranks
+
+    check()

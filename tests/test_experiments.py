@@ -71,6 +71,9 @@ def test_property_suite_config_validation():
         PropertySuiteConfig(monotonicity_trials=0)
     with pytest.raises(ConfigError):
         PropertySuiteConfig().scaled(0.0)
+    for bad in (math.inf, -math.inf, math.nan, -0.5):
+        with pytest.raises(ConfigError, match=f"scale must be positive and finite, got {bad}"):
+            PropertySuiteConfig().scaled(bad)
 
 
 def reversed_tiebreak_engine(instance, spec, ranks, collect_offers=True):
