@@ -35,6 +35,8 @@ UNMATCHED_AFTER = 2
 
 # lanes per run_lanes call: bounds PairSweep.run's working set
 LANE_BLOCK = 8192
+# bisection tolerance of pair_gain's (tau, gamma) and compute_thresholds' default
+REFINE_TOL = 1e-9
 
 
 class AnalysisError(ValueError):
@@ -224,7 +226,7 @@ def _boundary(statuses: np.ndarray, pts: np.ndarray, is_left_side, status_at,
 
 def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                        online_id: str, offline_id: str, y_u_grid,
-                       refine_tol: float = 1e-9, sweep_points: int = 1000,
+                       refine_tol: float = REFINE_TOL, sweep_points: int = 1000,
                        ) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
@@ -287,7 +289,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
 
 
 def _locate_tau(instance, spec, base_ranks, online_id, offline_id,
-                refine_tol: float = 1e-9) -> float:
+                refine_tol: float) -> float:
     """Earliest arrival time whose theta is one (1.0 when there is none).
 
     theta(y) = 1 iff v is not left unmatched even at rank one, i.e. the
@@ -306,7 +308,7 @@ def _locate_tau(instance, spec, base_ranks, online_id, offline_id,
 
 
 def _locate_gamma(instance, spec, base_ranks, online_id, offline_id,
-                  refine_tol: float = 1e-9) -> float:
+                  refine_tol: float) -> float:
     """beta at arrival time one: the matched-before boundary when u is last."""
     def pre(y_v: float) -> bool:
         return edge_status(instance, spec, base_ranks, online_id, offline_id,
@@ -359,14 +361,14 @@ class PairGainEstimate:
 
 
 def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-              online_id: str, offline_id: str, grid_n: int,
-              refine_tol: float = 1e-9) -> PairGainEstimate:
+              online_id: str, offline_id: str, grid_n: int) -> PairGainEstimate:
     """Estimate the pair's expected combined gain over uniform (y_u, y_v).
 
     Midpoint rule on a grid_n x grid_n grid of full re-simulations; the gain
     surface is piecewise smooth, so the quadrature error decays like
-    1/grid_n along the status boundaries. Requires w_v > 0 (the estimate is
-    normalized by the offline weight).
+    1/grid_n along the status boundaries; tau and gamma are bisected down
+    to REFINE_TOL. Requires w_v > 0 (the estimate is normalized by the
+    offline weight).
     """
     if grid_n < 2:
         raise AnalysisError("grid_n must be >= 2")
@@ -382,8 +384,8 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     y_v = np.tile(mids, grid_n)
     res = sweeper.run(y_u, y_v)
 
-    tau = _locate_tau(instance, spec, base_ranks, online_id, offline_id, refine_tol)
-    gamma = _locate_gamma(instance, spec, base_ranks, online_id, offline_id, refine_tol)
+    tau = _locate_tau(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
+    gamma = _locate_gamma(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
 
     cu = y_u > tau
     cv = y_v > gamma

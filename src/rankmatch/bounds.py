@@ -34,6 +34,19 @@ from .gains import GainSpec
 from .numerics import bisect_root, golden_minimize, integrate
 
 
+# minimize_bound: scan grid size, quadrature tolerances of the scan and the
+# polish, and the argument tolerance of the golden-section polish (also
+# stationary_tau's)
+SCAN_GRID_N = 256
+SCAN_TOL = 1e-6
+POLISH_TOL = 1e-9
+ARG_TOL = 1e-6
+HEATMAP_TOL = 1e-8
+ROOT_TOL = 1e-10       # solve_curve_equals_two_t
+STATIONARY_TOL = 1e-10  # stationary_tau's quadrature
+INTEGRAL_TOL = 1e-9    # integral_bound
+
+
 class ProfileError(ValueError):
     """Invalid threshold profile supplied to the integral evaluator."""
 
@@ -124,15 +137,15 @@ def _grid_points(grid_n: int) -> list[float]:
     return [i / (grid_n - 1) for i in range(grid_n)]
 
 
-def minimize_bound(spec: GainSpec, which: str, grid_n: int = 256,
-                   scan_tol: float = 1e-6, refine_tol: float = 1e-9,
-                   arg_tol: float = 1e-6) -> BoundPoint:
+def minimize_bound(spec: GainSpec, which: str) -> BoundPoint:
     """Global minimum of a bound surface over the unit square.
 
-    Coarse grid_n x grid_n scan (endpoints included), then alternating
-    golden-section refinement of each coordinate inside the winning cell's
-    neighborhood down to arg_tol. Deterministic: ties on the scan resolve
-    to the first grid point in row-major order.
+    Coarse SCAN_GRID_N x SCAN_GRID_N scan (256 x 256, endpoints included)
+    with the surface at quadrature tolerance SCAN_TOL (1e-6), then
+    alternating golden-section refinement of each coordinate inside the
+    winning cell's neighborhood down to ARG_TOL (1e-6), with the surface at
+    POLISH_TOL (1e-9). Deterministic: ties on the scan resolve to the first
+    grid point in row-major order.
 
     Only the value is a stable output; the minimizer need not be unique.
     For simple-exp the simple surface sits at its minimum 5/4 - e^(-1/2)
@@ -143,57 +156,58 @@ def minimize_bound(spec: GainSpec, which: str, grid_n: int = 256,
     surface can move them along it.
     """
     f = bound_function(which)
-    pts = _grid_points(grid_n)
+    pts = _grid_points(SCAN_GRID_N)
     best = (math.inf, 0.0, 0.0)
     for t in pts:
         for g in pts:
-            val = f(spec, t, g, tol=scan_tol)
+            val = f(spec, t, g, tol=SCAN_TOL)
             if val < best[0]:
                 best = (val, t, g)
     _, tau, gamma = best
-    window = 2.0 / (grid_n - 1)
+    window = 2.0 / (SCAN_GRID_N - 1)
     for _ in range(24):
         new_tau, _ = golden_minimize(
-            lambda t: f(spec, t, gamma, tol=refine_tol),
-            max(0.0, tau - window), min(1.0, tau + window), tol=arg_tol)
+            lambda t: f(spec, t, gamma, tol=POLISH_TOL),
+            max(0.0, tau - window), min(1.0, tau + window), tol=ARG_TOL)
         new_gamma, _ = golden_minimize(
-            lambda g: f(spec, new_tau, g, tol=refine_tol),
-            max(0.0, gamma - window), min(1.0, gamma + window), tol=arg_tol)
+            lambda g: f(spec, new_tau, g, tol=POLISH_TOL),
+            max(0.0, gamma - window), min(1.0, gamma + window), tol=ARG_TOL)
         moved = max(abs(new_tau - tau), abs(new_gamma - gamma))
         tau, gamma = new_tau, new_gamma
-        window = max(4.0 * arg_tol, 0.5 * window)
-        if moved < arg_tol:
+        window = max(4.0 * ARG_TOL, 0.5 * window)
+        if moved < ARG_TOL:
             break
-    return BoundPoint(tau=tau, gamma=gamma, value=f(spec, tau, gamma, tol=refine_tol))
+    return BoundPoint(tau=tau, gamma=gamma, value=f(spec, tau, gamma, tol=POLISH_TOL))
 
 
-def heatmap_rows(spec: GainSpec, which: str, grid_n: int,
-                 tol: float = 1e-8) -> list[tuple[float, float, float]]:
-    """(tau, gamma, value) rows over a uniform grid, row-major in tau."""
+def heatmap_rows(spec: GainSpec, which: str,
+                 grid_n: int) -> list[tuple[float, float, float]]:
+    """(tau, gamma, value) rows over a uniform grid, row-major in tau, with
+    the surface at quadrature tolerance HEATMAP_TOL."""
     f = bound_function(which)
     pts = _grid_points(grid_n)
-    return [(t, g, f(spec, t, g, tol=tol)) for t in pts for g in pts]
+    return [(t, g, f(spec, t, g, tol=HEATMAP_TOL)) for t in pts for g in pts]
 
 
-def solve_curve_equals_two_t(spec: GainSpec, tol: float = 1e-10) -> float:
+def solve_curve_equals_two_t(spec: GainSpec) -> float:
     """Root of curve(t) = 2 t in [0, 1] by bracketed bisection.
 
     For both built-in exp curves the crossing exists and is unique:
     curve(0) > 0 and curve(1) <= 1 < 2.
     """
-    return bisect_root(lambda t: float(spec.curve(t)) - 2.0 * t, 0.0, 1.0, tol=tol)
+    return bisect_root(lambda t: float(spec.curve(t)) - 2.0 * t, 0.0, 1.0,
+                       tol=ROOT_TOL)
 
 
-def stationary_tau(spec: GainSpec, gamma: float,
-                   quad_tol: float = 1e-10, arg_tol: float = 1e-6,
-                   ) -> tuple[float, float]:
+def stationary_tau(spec: GainSpec, gamma: float) -> tuple[float, float]:
     """Interior minimizer of improved_bound along tau at fixed gamma.
 
-    Returns (tau, value) from a golden-section search over [0, 1]; the
+    Returns (tau, value) from a golden-section search over [0, 1] down to
+    ARG_TOL, with the surface at quadrature tolerance STATIONARY_TOL; the
     slice is unimodal for the built-in curves.
     """
-    return golden_minimize(lambda t: improved_bound(spec, t, gamma, tol=quad_tol),
-                           0.0, 1.0, tol=arg_tol)
+    return golden_minimize(lambda t: improved_bound(spec, t, gamma, tol=STATIONARY_TOL),
+                           0.0, 1.0, tol=ARG_TOL)
 
 
 # -- threshold profiles and the ratio integral ----------------------------
@@ -328,8 +342,7 @@ def profiles_from_json(obj: Mapping | str) -> StepProfiles:
                         beta_fn=piecewise_from_json(obj["beta"]))
 
 
-def integral_bound(spec: GainSpec, profiles: StepProfiles,
-                   tol: float = 1e-9) -> float:
+def integral_bound(spec: GainSpec, profiles: StepProfiles) -> float:
     """Ratio lower bound from explicit threshold profiles.
 
     Integrates, over the online arrival time, the online side's floor gain
@@ -338,7 +351,8 @@ def integral_bound(spec: GainSpec, profiles: StepProfiles,
     unmatched-after regions (credited at the inverse-beta marginal rank).
     Conventions: the inverse of beta extends to one at and above
     gamma = beta(1), and a share against a rank-one marginal counts as
-    zero, so profiles that never match contribute nothing.
+    zero, so profiles that never match contribute nothing. The outer
+    integral is taken to INTEGRAL_TOL, each inner one to a tenth of it.
     """
     theta_fn, beta_fn = profiles.theta_fn, profiles.beta_fn
     gamma = beta_fn(1.0)
@@ -362,10 +376,10 @@ def integral_bound(spec: GainSpec, profiles: StepProfiles,
         th = theta_fn(y_u)
         be = beta_fn(y_u)
         val = (1.0 - th + be) * u_floor(y_u, th) + (th - be)
-        val += integrate(v_gain, 0.0, be, tol=0.1 * tol, breakpoints=v_breaks)
-        val += integrate(v_gain, th, 1.0, tol=0.1 * tol, breakpoints=v_breaks)
+        val += integrate(v_gain, 0.0, be, tol=0.1 * INTEGRAL_TOL, breakpoints=v_breaks)
+        val += integrate(v_gain, th, 1.0, tol=0.1 * INTEGRAL_TOL, breakpoints=v_breaks)
         return val
 
     outer_breaks = (set(theta_fn.breaks()) | set(beta_fn.breaks())
                     | set(spec.curve_breakpoints))
-    return integrate(f, 0.0, 1.0, tol=tol, breakpoints=outer_breaks)
+    return integrate(f, 0.0, 1.0, tol=INTEGRAL_TOL, breakpoints=outer_breaks)

@@ -35,16 +35,23 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
 def _load_spec(name: str) -> GainSpec:
     if name.endswith(".json") or "/" in name:
-        return gain_spec_from_json(Path(name).read_text())
+        return gain_spec_from_json(_read_json(name, "gain spec"))
     return named_spec(name)
 
 
 def _load_instance(args):
-    if getattr(args, "instance", None):
-        return instance_from_json(Path(args.instance).read_text())
-    if getattr(args, "gen", None):
+    if args.instance:
+        return instance_from_json(_read_json(args.instance, "instance"))
+    if args.gen:
         params = {"n": args.n}
         if args.p is not None:
             params["p"] = args.p
@@ -58,14 +65,18 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
                    "(complete|upper_triangular|random|weighted_random)")
     p.add_argument("--n", type=int, default=10, help="generator size")
     p.add_argument("--p", type=float, default=None, help="edge probability")
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, fmt=("json", "text")) -> None:
+def _add_spec_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", default="half-exp",
                    help="simple-exp|half-exp|adversarial or a JSON file")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_output_flags(p: argparse.ArgumentParser, fmt=()) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=fmt, default=fmt[0])
+    if fmt:
+        p.add_argument("--format", choices=fmt, default=fmt[0])
 
 
 def _parse_edge(edge: str) -> tuple[str, str]:
@@ -155,7 +166,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_integral(args) -> int:
     spec = _load_spec(args.spec)
-    profiles = profiles_from_json(Path(args.profiles).read_text())
+    profiles = profiles_from_json(_read_json(args.profiles, "profiles"))
     value = integral_bound(spec, profiles)
     _emit(_json_text({"value": value,
                       "profiles": profiles.to_json_dict()}), args.out)
@@ -183,33 +194,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit an instance as JSON")
     _add_instance_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="Monte-Carlo ratio experiment")
     _add_instance_flags(p)
-    _add_common_flags(p, fmt=("json", "text"))
+    _add_spec_flag(p)
+    _add_output_flags(p, fmt=("json", "text"))
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pair-gain", help="expected combined gain of one edge")
     _add_instance_flags(p)
-    _add_common_flags(p, fmt=("json", "text"))
+    _add_spec_flag(p)
+    _add_output_flags(p, fmt=("json", "text"))
     p.add_argument("--edge", help="ONLINE,OFFLINE ids (default: first edge)")
     p.add_argument("--grid", type=int, default=200)
     p.set_defaults(func=cmd_pair_gain)
 
     p = sub.add_parser("thresholds", help="beta/theta profile of one edge")
     _add_instance_flags(p)
-    _add_common_flags(p, fmt=("csv", "json"))
+    _add_spec_flag(p)
+    _add_output_flags(p, fmt=("csv", "json"))
     p.add_argument("--edge", help="ONLINE,OFFLINE ids (default: first edge)")
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--refine-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("bounds", help="evaluate/minimize/heatmap a bound surface")
+    p = sub.add_parser("bounds", help="evaluate/minimize/heatmap a bound surface "
+                       "(evaluate and minimize print JSON, heatmap CSV)")
     p.add_argument("action", choices=("evaluate", "minimize", "heatmap"))
-    _add_common_flags(p, fmt=("json", "csv"))
+    _add_spec_flag(p)
+    _add_output_flags(p)
     p.add_argument("--which", choices=("simple", "improved"), default="improved")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
@@ -217,13 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("integral", help="ratio integral over threshold profiles")
-    _add_common_flags(p, fmt=("json",))
+    _add_spec_flag(p)
+    _add_output_flags(p)
     p.add_argument("--profiles", required=True,
                    help='JSON file {"theta": {...}, "beta": {...}}')
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser("verify", help="run the quantified property suites")
-    _add_common_flags(p, fmt=("json", "text"))
+    _add_spec_flag(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output_flags(p, fmt=("json", "text"))
     p.add_argument("--scale", type=float, default=1.0,
                    help="scale all trial counts (e.g. 0.01 for a smoke run)")
     p.set_defaults(func=cmd_verify)

@@ -191,8 +191,7 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((seed, tag, trial))
 
 
-def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec,
-                             engine=run_ranking) -> str | None:
+def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
     """One raise-the-offline-rank probe of the stays-unmatched property.
 
     Odd trials switch to unit weights with the saturating simple-exp curve,
@@ -206,7 +205,7 @@ def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec,
         trial_spec, weighted = simple_exp(), False
     instance = random_instance(rng, weighted=weighted)
     ranks = sample_ranks(instance, rng)
-    _, trace = engine(instance, trial_spec, ranks, collect_offers=False)
+    _, trace = run_ranking(instance, trial_spec, ranks, collect_offers=False)
     u = instance.online_ids[int(rng.integers(len(instance.online_ids)))]
     y_u = ranks.ranks[u]
     free = [v for v in instance.offline_ids if trace.match_time[v] >= y_u]
@@ -215,16 +214,15 @@ def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec,
     v = free[int(rng.integers(len(free)))]
     y_v = ranks.ranks[v]
     raised = y_v + (1.0 - y_v) * float(rng.random())
-    _, trace2 = engine(instance, trial_spec, ranks.override({v: raised}),
-                       collect_offers=False)
+    _, trace2 = run_ranking(instance, trial_spec, ranks.override({v: raised}),
+                            collect_offers=False)
     if trace2.match_time[v] < y_u:
         return (f"trial={trial}: raising rank of {v} from {y_v:.6f} to "
                 f"{raised:.6f} matched it before {u} arrives (seed={seed})")
     return None
 
 
-def check_arrival_trial(seed: int, trial: int, spec: GainSpec,
-                        engine=run_ranking) -> str | None:
+def check_arrival_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
     """One lower-the-arrival-time probe of the no-delay property.
 
     Moving one online vertex u earlier never delays the match of an offline
@@ -238,12 +236,12 @@ def check_arrival_trial(seed: int, trial: int, spec: GainSpec,
     rng = _trial_rng(seed, 202, trial)
     instance = random_instance(rng, weighted=True)
     ranks = sample_ranks(instance, rng)
-    _, trace = engine(instance, spec, ranks, collect_offers=False)
+    _, trace = run_ranking(instance, spec, ranks, collect_offers=False)
     u = instance.online_ids[int(rng.integers(len(instance.online_ids)))]
     original = ranks.ranks[u]
     lowered = original * float(rng.random())
-    _, trace2 = engine(instance, spec, ranks.override({u: lowered}),
-                       collect_offers=False)
+    _, trace2 = run_ranking(instance, spec, ranks.override({u: lowered}),
+                            collect_offers=False)
     for v in instance.offline_ids:
         if trace.match_time[v] < original and \
                 trace2.match_time[v] > trace.match_time[v]:
@@ -253,13 +251,12 @@ def check_arrival_trial(seed: int, trial: int, spec: GainSpec,
     return None
 
 
-def check_accounting_trial(seed: int, trial: int, spec: GainSpec,
-                           engine=run_ranking) -> str | None:
+def check_accounting_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
     """One exact-accounting probe: the dual shares must recompose ALG."""
     rng = _trial_rng(seed, 303, trial)
     instance = random_instance(rng, weighted=True)
     ranks = sample_ranks(instance, rng)
-    result, _ = engine(instance, spec, ranks, collect_offers=False)
+    result, _ = run_ranking(instance, spec, ranks, collect_offers=False)
     shares = assign_duals(instance, result, spec, ranks)
     try:
         check_dual_shares(instance, result, shares, tol=1e-12)
@@ -303,18 +300,18 @@ def _run_suite(name: str, trials: int, check) -> SuiteResult:
                        first_violation=first)
 
 
-def run_property_suite(config: PropertySuiteConfig,
-                       engine=run_ranking) -> PropertyReport:
-    """Run all quantified property suites; engine is injectable for
-    mutation tests (a deliberately broken engine must be caught)."""
+def run_property_suite(config: PropertySuiteConfig) -> PropertyReport:
+    """Run all quantified property suites. The engine checks call this
+    module's run_ranking, so a mutation test swaps in a deliberately broken
+    engine by rebinding experiments.run_ranking."""
     seed, spec = config.seed, config.spec
     suites = (
         _run_suite("monotonicity", config.monotonicity_trials,
-                   lambda t: check_monotonicity_trial(seed, t, spec, engine)),
+                   lambda t: check_monotonicity_trial(seed, t, spec)),
         _run_suite("arrival-benignity", config.arrival_trials,
-                   lambda t: check_arrival_trial(seed, t, spec, engine)),
+                   lambda t: check_arrival_trial(seed, t, spec)),
         _run_suite("dual-accounting", config.accounting_trials,
-                   lambda t: check_accounting_trial(seed, t, spec, engine)),
+                   lambda t: check_accounting_trial(seed, t, spec)),
         _run_suite("threshold-structure", config.structure_probes,
                    lambda t: check_structure_probe(seed, t, spec)),
     )

@@ -267,16 +267,27 @@ def piecewise_table(breakpoints, values, check_slope: bool = True) -> GainSpec:
 _NAMED = {SIMPLE_EXP: simple_exp, HALF_EXP: half_exp, ADVERSARIAL: adversarial_baseline}
 
 
+def _table_knots(obj: Mapping, key: str) -> list[float]:
+    try:
+        return [float(x) for x in obj.get(key, ())]
+    except (TypeError, ValueError):
+        raise GainSpecError(f"table spec {key} must be a list of numbers, "
+                            f"got {obj.get(key)!r}") from None
+
+
 def gain_spec_from_json(obj: Mapping | str) -> GainSpec:
     """Parse {"kind": ...} (optionally with table knots) into a GainSpec."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, Mapping):
+        raise GainSpecError(f'gain spec must be an object {{"kind": ...}}, got {obj!r}')
     kind = obj.get("kind")
-    if kind in _NAMED:
-        return _NAMED[kind]()
     if kind == TABLE:
-        return piecewise_table(obj.get("breakpoints", ()), obj.get("values", ()))
-    raise GainSpecError(f"unknown gain spec kind {kind!r}")
+        return piecewise_table(_table_knots(obj, "breakpoints"),
+                               _table_knots(obj, "values"))
+    if not isinstance(kind, str) or kind not in _NAMED:
+        raise GainSpecError(f"unknown gain spec kind {kind!r}")
+    return _NAMED[kind]()
 
 
 def named_spec(name: str) -> GainSpec:

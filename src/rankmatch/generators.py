@@ -78,13 +78,13 @@ def generate_instance(kind: str, params: Mapping, seed) -> Instance:
     raise GeneratorError(f"unknown generator kind {kind!r}")
 
 
-def random_instance(rng: np.random.Generator, max_side: int = 6, p: float = 0.5,
+def random_instance(rng: np.random.Generator, max_side: int = 6,
                     weighted: bool = True, min_edges: int = 1) -> Instance:
     """Random small instance for property tests; redraws until it has edges.
 
-    Sides are uniform on 1..max_side; weights log-uniform in [0.1, 10] when
-    weighted, else 1. Driven by the caller's rng, so sequences of draws are
-    reproducible from one seed.
+    Sides are uniform on 1..max_side; each edge is present with probability
+    1/2; weights log-uniform in [0.1, 10] when weighted, else 1. Driven by
+    the caller's rng, so sequences of draws are reproducible from one seed.
     """
     while True:
         n_u = int(rng.integers(1, max_side + 1))
@@ -93,7 +93,7 @@ def random_instance(rng: np.random.Generator, max_side: int = 6, p: float = 0.5,
             weights = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=n_v))
         else:
             weights = np.ones(n_v)
-        adj = rng.random((n_u, n_v)) < p
+        adj = rng.random((n_u, n_v)) < 0.5
         if adj.sum() < min_edges:
             continue
         offl = _ids("v", n_v)

@@ -11,6 +11,7 @@ import math
 from typing import Callable, Iterable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_DEPTH = 48   # recursion limit of adaptive Simpson per panel
 
 
 def split_points(a: float, b: float, breakpoints: Iterable[float]) -> list[float]:
@@ -43,18 +44,18 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-10, breakpoints: Iterable[float] = (),
-              max_depth: int = 48) -> float:
+              tol: float = 1e-10, breakpoints: Iterable[float] = ()) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
     Panels are forced to split at every interior breakpoint, so f only needs
     to be smooth between consecutive breakpoints. Accepts a >= b (returns the
-    signed value). Absolute error is roughly bounded by tol.
+    signed value). Absolute error is roughly bounded by tol; each panel
+    stops refining at MAX_DEPTH levels.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, tol, breakpoints, max_depth)
+        return -integrate(f, b, a, tol, breakpoints)
     pts = split_points(a, b, breakpoints)
     per_panel = tol / (len(pts) - 1)
     total = 0.0
@@ -63,7 +64,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         m = 0.5 * (lo + hi)
         fm = f(m)
         whole = _simpson(fa, fm, fb, hi - lo)
-        total += _adaptive(f, lo, hi, fa, fm, fb, whole, per_panel, max_depth)
+        total += _adaptive(f, lo, hi, fa, fm, fb, whole, per_panel, MAX_DEPTH)
     return total
 
 
@@ -115,10 +116,13 @@ def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float,
     """Boundary point of a monotone predicate: pred holds at lo, fails at hi.
 
     Returns the midpoint of the final bracket; the true flip point lies
-    within tol of it provided pred is monotone on [lo, hi].
+    within tol of it provided pred is monotone on [lo, hi]. A tol below the
+    float spacing at the boundary stops once the bracket cannot shrink.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if pred(mid):
             lo = mid
         else:

@@ -166,13 +166,13 @@ def test_minimize_half_exp_improved():
 
 def test_grid_floor_half_exp_improved():
     # the worst-case claim quantified over the full minimization grid
-    rows = heatmap_rows(half_exp(), "improved", grid_n=256, tol=1e-8)
+    rows = heatmap_rows(half_exp(), "improved", grid_n=256)
     low = min(v for _, _, v in rows)
     assert low >= IMPROVED_FLOOR - 1e-6
 
 
 def test_grid_floor_simple_exp_simple():
-    rows = heatmap_rows(simple_exp(), "simple", grid_n=256, tol=1e-8)
+    rows = heatmap_rows(simple_exp(), "simple", grid_n=256)
     low = min(v for _, _, v in rows)
     assert low >= SIMPLE_FLOOR - 1e-6
 
@@ -198,19 +198,17 @@ def test_bound_function_rejects_unknown():
 
 
 def test_heatmap_rows_order_and_determinism():
-    rows = heatmap_rows(half_exp(), "simple", grid_n=5, tol=1e-9)
+    rows = heatmap_rows(half_exp(), "simple", grid_n=5)
     assert len(rows) == 25
     assert rows[0][:2] == (0.0, 0.0)
     assert rows[-1][:2] == (1.0, 1.0)
-    assert rows == heatmap_rows(half_exp(), "simple", grid_n=5, tol=1e-9)
+    assert rows == heatmap_rows(half_exp(), "simple", grid_n=5)
 
 
 @pytest.mark.parametrize("grid_n", [-1, 0, 1])
 def test_grids_below_two_points_are_rejected(grid_n):
     with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
         heatmap_rows(half_exp(), "simple", grid_n)
-    with pytest.raises(ValueError, match=f"grid_n must be >= 2, got {grid_n}"):
-        minimize_bound(half_exp(), "simple", grid_n=grid_n)
 
 
 # -- piecewise profiles and the ratio integral ----------------------------

@@ -163,6 +163,60 @@ def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("payload, named", [
+    ("", "gain spec file {path} is not valid JSON"),
+    ("[1]", 'gain spec must be an object {"kind": ...}, got [1]'),
+    ('{"kind": "table", "breakpoints": 5}',
+     "table spec breakpoints must be a list of numbers, got 5"),
+], ids=["not-json", "not-an-object", "table-breakpoints-not-a-list"])
+def test_malformed_spec_files_exit_two_with_one_error_line(tmp_path, capsys,
+                                                           payload, named):
+    path = tmp_path / "spec.json"
+    path.write_text(payload)
+    code, out, err = run_cli(capsys, "bounds", "evaluate", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + named.replace("{path}", str(path)))
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("integral", "--profiles", "profiles"),
+    ("generate", "--instance", "instance"),
+])
+def test_input_files_that_are_not_json_are_named(tmp_path, capsys, command, flag,
+                                                 what):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} file {path} is not valid JSON: ")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--gen", "complete", "--n", "2", "--spec", "half-exp"),
+    ("generate", "--gen", "complete", "--n", "2", "--format", "json"),
+    ("bounds", "evaluate", "--seed", "1"),
+    ("bounds", "evaluate", "--format", "json"),
+    ("integral", "--profiles", "profiles.json", "--seed", "1"),
+    ("integral", "--profiles", "profiles.json", "--format", "json"),
+], ids=["generate-spec", "generate-format", "bounds-seed", "bounds-format",
+        "integral-seed", "integral-format"])
+def test_flags_a_command_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_thresholds_refine_tol_below_float_spacing_terminates(capsys):
+    code, out, _ = run_cli(capsys, "thresholds", "--gen", "weighted_random",
+                           "--n", "4", "--seed", "3", "--grid", "2",
+                           "--refine-tol", "1e-300")
+    assert code == 0
+    assert out.startswith("y_u,beta,theta\n")
+
+
 def test_three_interval_violation_exits_one(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ThreeIntervalError("status interleaving at y_u=0.5")

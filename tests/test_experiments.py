@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rankmatch import experiments
 from rankmatch.core import build_instance, matching_result
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
                                    ExperimentConfig, PropertySuiteConfig,
@@ -128,11 +129,12 @@ def test_reversed_tiebreak_violates_monotonicity_on_fixture():
     assert bt2.match_time["v1"] == 0.1         # raising v1 matched it EARLIER
 
 
-def test_mutation_caught_by_monotonicity_suite():
+def test_mutation_caught_by_monotonicity_suite(monkeypatch):
+    monkeypatch.setattr(experiments, "run_ranking", reversed_tiebreak_engine)
     config = PropertySuiteConfig(seed=0, monotonicity_trials=200,
                                  arrival_trials=1, accounting_trials=1,
                                  structure_probes=1)
-    report = run_property_suite(config, engine=reversed_tiebreak_engine)
+    report = run_property_suite(config)
     assert not report.passed
     mono = report.suites[0]
     assert mono.name == "monotonicity"
@@ -140,8 +142,7 @@ def test_mutation_caught_by_monotonicity_suite():
     assert "trial=" in mono.first_violation and "seed=" in mono.first_violation
     # the reported trial reproduces in isolation
     trial = int(mono.first_violation.split("trial=")[1].split(":")[0])
-    hint = check_monotonicity_trial(0, trial, half_exp(),
-                                    engine=reversed_tiebreak_engine)
+    hint = check_monotonicity_trial(0, trial, half_exp())
     assert hint is not None
 
 

@@ -59,3 +59,10 @@ def test_bisect_root_requires_sign_change():
 def test_bisect_boundary_step():
     b = bisect_boundary(lambda x: x < 0.6180339887, 0.0, 1.0, tol=1e-10)
     assert b == pytest.approx(0.6180339887, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-300, 0.0])
+def test_bisect_boundary_stops_at_float_spacing(tol):
+    # below the spacing of doubles near 0.3 the bracket cannot shrink further
+    b = bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, tol=tol)
+    assert abs(b - 0.3) <= math.ulp(0.3)
