@@ -16,19 +16,20 @@ minimization over a marginal rank theta <= gamma:
 The A(theta) terms cancel, so the inner minimum needs no antiderivative at
 its candidates; it is found exactly from a finite candidate set (the
 endpoints and the curve kinks), and the outer integral uses adaptive
-Simpson quadrature with panels forced apart at curve kinks. minimize_bound
-scans a coarse grid and polishes with alternating golden-section line
-searches, reproducing the worst-case constants of both built-in curves.
+Simpson quadrature with panels forced apart at curve kinks. Each quadrature
+point costs one curve evaluation, which gives both a(x) and b(x), and a
+fold over the at most three candidates. minimize_bound scans a coarse grid
+and polishes with alternating golden-section line searches, reproducing the
+worst-case constants of both built-in curves.
 The module also evaluates the threshold-profile integral: a lower bound on
 the competitive ratio given explicit beta/theta profiles.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 from .gains import GainSpec
 from .numerics import bisect_root, golden_minimize, integrate
@@ -87,8 +88,11 @@ def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
     the constant adversarial b), so the objective is concave in theta there
     and its minimum sits at 0, gamma, or a kink inside (0, gamma). Candidate
     values that do not depend on x are hoisted out of the returned closure.
+    Each call evaluates the curve once, through offer_parts_scalar, and
+    folds the candidates in order keeping the first minimum, so it returns
+    exactly what separate a(x) and b(x) calls and min() would.
     """
-    a = spec.rank_offer_scalar
+    parts = spec.offer_parts_scalar
     b = spec.time_offer_scalar
     b_tau = b(tau)
     const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
@@ -96,8 +100,14 @@ def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
     candidates = [(th, b(th)) for th in thetas]
 
     def inner(x: float) -> float:
-        slope = b_tau - b(x)
-        return const - a(x) + min(th * slope - b_th for th, b_th in candidates)
+        a_x, b_x = parts(x)
+        slope = b_tau - b_x
+        low = math.inf
+        for th, b_th in candidates:
+            v = th * slope - b_th
+            if v < low:
+                low = v
+        return const - a_x + low
 
     return inner
 
@@ -330,9 +340,8 @@ class StepProfiles:
                 "beta": self.beta_fn.to_json_dict()}
 
 
-def profiles_from_json(obj: Mapping | str) -> StepProfiles:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def profiles_from_json(obj: Mapping) -> StepProfiles:
+    """Profiles from parsed {"theta": ..., "beta": ...} data."""
     if not isinstance(obj, Mapping):
         raise ProfileError("profiles must be a mapping with theta and beta entries")
     for key in ("theta", "beta"):

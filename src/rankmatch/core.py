@@ -8,11 +8,10 @@ is reproducible.
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -153,9 +152,8 @@ def build_instance(offline: Iterable[tuple[str, float]],
     })
 
 
-def instance_from_json(obj: Mapping | str) -> Instance:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def instance_from_json(obj: Mapping) -> Instance:
+    """Instance from parsed JSON data; validate_instance's checks apply."""
     return validate_instance(obj)
 
 
@@ -217,9 +215,9 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
     return RankAssignment({vid: r for r, vid in by_value.items()})
 
 
-def ranks_from_json(instance: Instance, obj: Mapping | str) -> RankAssignment:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def ranks_from_json(instance: Instance, obj: Mapping) -> RankAssignment:
+    """Rank assignment from parsed JSON data; validate_rank_assignment's
+    checks apply."""
     return validate_rank_assignment(instance, obj)
 
 

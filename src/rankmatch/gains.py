@@ -28,11 +28,10 @@ a kind turns ranks into offers and shares.
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class GainSpec:
         """True when the shares of the two endpoints sum to the full weight."""
         return self.kind != ADVERSARIAL
 
-    @property
+    @cached_property
     def curve_breakpoints(self) -> tuple[float, ...]:
         """Interior kinks of the curve; quadrature must split here."""
         if self.kind == SIMPLE_EXP:
@@ -115,11 +114,17 @@ class GainSpec:
         raise GainSpecError("the adversarial baseline has no underlying curve")
 
     def curve_scalar(self, x: float) -> float:
-        """curve() for scalar hot paths: plain math, no domain validation."""
+        """curve() for scalar hot paths: plain math, no domain validation.
+
+        The exp curves saturate through a conditional rather than min(): the
+        same value, without a builtin call per quadrature point.
+        """
         if self.kind == SIMPLE_EXP:
-            return min(1.0, math.exp(x - 0.5))
+            c = math.exp(x - 0.5)
+            return c if c < 1.0 else 1.0
         if self.kind == HALF_EXP:
-            return min(1.0, 0.5 * math.exp(x))
+            c = 0.5 * math.exp(x)
+            return c if c < 1.0 else 1.0
         if self.kind == TABLE:
             return float(np.interp(x, self.breakpoints, self.values))
         raise GainSpecError("the adversarial baseline has no underlying curve")
@@ -190,6 +195,14 @@ class GainSpec:
         if self.kind == ADVERSARIAL:
             return 0.0
         return 0.5 * self.curve_scalar(y)
+
+    def offer_parts_scalar(self, y: float) -> tuple[float, float]:
+        """(a(y), b(y)) from one curve evaluation; bit for bit
+        (rank_offer_scalar(y), time_offer_scalar(y))."""
+        if self.kind == ADVERSARIAL:
+            return 1.0 - math.exp(y - 1.0), 0.0
+        c = self.curve_scalar(y)
+        return 0.5 * (1.0 - c), 0.5 * c
 
     def rank_offer_antideriv(self, t: float) -> float:
         """Exact antiderivative A of rank_offer with A(0) = 0."""
@@ -275,10 +288,9 @@ def _table_knots(obj: Mapping, key: str) -> list[float]:
                             f"got {obj.get(key)!r}") from None
 
 
-def gain_spec_from_json(obj: Mapping | str) -> GainSpec:
-    """Parse {"kind": ...} (optionally with table knots) into a GainSpec."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def gain_spec_from_json(obj: Mapping) -> GainSpec:
+    """Build a GainSpec from parsed {"kind": ...} data (optionally with
+    table knots)."""
     if not isinstance(obj, Mapping):
         raise GainSpecError(f'gain spec must be an object {{"kind": ...}}, got {obj!r}')
     kind = obj.get("kind")

@@ -8,7 +8,7 @@ The integrators take explicit breakpoint lists so that piecewise integrands
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_DEPTH = 48   # recursion limit of adaptive Simpson per panel

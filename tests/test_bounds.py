@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rankmatch import bounds
 from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
                               _inner_minimum_fn,
                               bound_function, heatmap_rows, improved_bound,
@@ -11,7 +12,7 @@ from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
                               piecewise_from_json, profiles_from_json,
                               simple_bound, solve_curve_equals_two_t,
                               stationary_tau)
-from rankmatch.gains import (LN2, adversarial_baseline, half_exp,
+from rankmatch.gains import (LN2, GainSpec, adversarial_baseline, half_exp,
                              piecewise_table, simple_exp)
 from rankmatch.numerics import integrate
 
@@ -116,6 +117,70 @@ def test_improved_inner_minimum_matches_dense_theta_grid():
             dense = min(spec.share_scalar(x, th) + spec.share_integral_first(0.0, th, x)
                         + spec.share_integral_first(th, gamma, tau) for th in thetas)
             assert _inner_minimum_fn(spec, tau, gamma)(x) == pytest.approx(dense, abs=1e-12)
+
+
+def two_call_improved_bound(spec, tau, gamma, tol):
+    """improved_bound with its integrand in the two-call form: a(x) and
+    b(x) each from their own curve evaluation, min() over a generator."""
+    a, b = spec.rank_offer_scalar, spec.time_offer_scalar
+    b_tau = b(tau)
+    const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
+    thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
+    candidates = [(th, b(th)) for th in thetas]
+
+    def inner(x):
+        slope = b_tau - b(x)
+        return const - a(x) + min(th * slope - b_th for th, b_th in candidates)
+
+    corner = (1.0 - tau) * (1.0 - gamma)
+    v_side = (1.0 - tau) * spec.share_integral_first(0.0, gamma, tau)
+    return corner + v_side + integrate(inner, 0.0, tau, tol=tol,
+                                       breakpoints=spec.curve_breakpoints)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("spec", [simple_exp(), half_exp(), adversarial_baseline(),
+                                  MILD_TABLE], ids=lambda spec: spec.kind)
+def test_improved_bound_matches_two_call_integrand_bit_for_bit(spec, tol):
+    pts = [i / 40 for i in range(41)]
+    for tau in pts:
+        for gamma in pts:
+            assert (improved_bound(spec, tau, gamma, tol=tol).hex()
+                    == two_call_improved_bound(spec, tau, gamma, tol).hex())
+
+
+@pytest.mark.parametrize("spec, tau, gamma, per_point, fixed", [
+    # per call: b(tau) for the v-side and for the slope, then b at 0, gamma
+    # and any kink below gamma; the adversarial offers use no curve
+    (half_exp(), 0.7, 0.9, 1, 5),
+    (half_exp(), 0.7, 0.5, 1, 4),
+    (simple_exp(), 0.3, 0.8, 1, 5),
+    (MILD_TABLE, 0.9, 0.4, 1, 4),
+    (adversarial_baseline(), 0.7, 0.9, 0, 0),
+], ids=["half-exp-kink-below-gamma", "half-exp", "simple-exp", "table", "adversarial"])
+def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
+        monkeypatch, spec, tau, gamma, per_point, fixed):
+    calls = {"curve": 0, "integrand": 0}
+    curve_scalar = GainSpec.curve_scalar
+    inner_minimum_fn = bounds._inner_minimum_fn
+
+    def counted_curve(self, x):
+        calls["curve"] += 1
+        return curve_scalar(self, x)
+
+    def counted_inner_minimum_fn(*args):
+        inner = inner_minimum_fn(*args)
+
+        def counted(x):
+            calls["integrand"] += 1
+            return inner(x)
+        return counted
+
+    monkeypatch.setattr(GainSpec, "curve_scalar", counted_curve)
+    monkeypatch.setattr(bounds, "_inner_minimum_fn", counted_inner_minimum_fn)
+    improved_bound(spec, tau, gamma, tol=1e-9)
+    assert calls["integrand"] > 0
+    assert calls["curve"] == per_point * calls["integrand"] + fixed
 
 
 def test_improved_bound_named_values():
@@ -237,7 +302,7 @@ def test_profiles_json_round_trip_property():
         # theta at or above beta's maximum stays above beta everywhere
         theta = piecewise(data, st.floats(beta.ys[-1], 1.0))
         profiles = StepProfiles(theta_fn=theta, beta_fn=beta)
-        assert profiles_from_json(json.dumps(profiles.to_json_dict())) == profiles
+        assert profiles_from_json(json.loads(json.dumps(profiles.to_json_dict()))) == profiles
 
     check()
 
@@ -348,7 +413,7 @@ def test_profiles_json_round_trip():
     prof = StepProfiles(
         theta_fn=Piecewise((0.0, 0.3, 1.0), (0.5, 1.0), kind="step"),
         beta_fn=Piecewise((0.0, 0.3, 1.0), (0.0, 0.4), kind="step"))
-    back = profiles_from_json(json.dumps(prof.to_json_dict()))
+    back = profiles_from_json(json.loads(json.dumps(prof.to_json_dict())))
     assert back == prof
     lin = piecewise_from_json({"kind": "linear", "x": [0, 0.5, 1], "y": [0, 0.2, 0.4]})
     assert lin(0.25) == pytest.approx(0.1)

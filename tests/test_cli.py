@@ -179,6 +179,26 @@ def test_malformed_spec_files_exit_two_with_one_error_line(tmp_path, capsys,
     assert err.count("\n") == 1 and err.count("error:") == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("bounds", "evaluate", "--spec"), 'gain spec must be an object {"kind": ...}'),
+    (("simulate", "--instance"), "instance description must be a mapping"),
+    (("integral", "--profiles"), "profiles must be a mapping"),
+], ids=["spec", "instance", "profiles"])
+@pytest.mark.parametrize("document", [
+    "half-exp",
+    '{"kind": "half-exp", "offline": [], "online": [], "theta": {}, "beta": {}}',
+], ids=["string", "string-holding-an-object"])
+def test_input_files_holding_a_json_string_are_rejected(tmp_path, capsys, argv,
+                                                        named, document):
+    # the file is parsed once; a top-level string is never parsed again
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + named)
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
 @pytest.mark.parametrize("command, flag, what", [
     ("integral", "--profiles", "profiles"),
     ("generate", "--instance", "instance"),

@@ -126,7 +126,7 @@ def test_table_validation():
 def test_json_round_trip():
     for spec in [simple_exp(), half_exp(), adversarial_baseline(),
                  piecewise_table((0.0, 0.4, 1.0), (0.4, 0.5, 0.6))]:
-        back = gain_spec_from_json(json.dumps(spec.to_json_dict()))
+        back = gain_spec_from_json(json.loads(json.dumps(spec.to_json_dict())))
         assert back == spec
 
 
@@ -172,3 +172,28 @@ def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
         got_scalar = [wi * (spec.rank_offer_scalar(a) + spec.time_offer_scalar(b))
                       for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
         assert got_scalar == want_scalar
+
+
+def unit_grid_with_kinks(spec):
+    """A grid on [0, 1] holding 0, 1, every kink and its float neighbours."""
+    kinks = [0.5, LN2, *spec.curve_breakpoints]
+    ys = [i / 200 for i in range(201)] + kinks
+    ys += [math.nextafter(k, 0.0) for k in kinks] + [math.nextafter(k, 1.0) for k in kinks]
+    return ys + np.random.default_rng(4).random(200).tolist()
+
+
+@pytest.mark.parametrize("spec, saturated", [
+    (simple_exp(), lambda x: min(1.0, math.exp(x - 0.5))),
+    (half_exp(), lambda x: min(1.0, 0.5 * math.exp(x))),
+], ids=["simple-exp", "half-exp"])
+def test_curve_scalar_is_the_saturated_exp_bit_for_bit(spec, saturated):
+    for x in unit_grid_with_kinks(spec):
+        assert spec.curve_scalar(x).hex() == saturated(x).hex()
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
+def test_offer_parts_scalar_is_both_offer_parts_bit_for_bit(spec):
+    for y in unit_grid_with_kinks(spec):
+        got = [v.hex() for v in spec.offer_parts_scalar(y)]
+        assert got == [spec.rank_offer_scalar(y).hex(), spec.time_offer_scalar(y).hex()]
