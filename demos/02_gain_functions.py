@@ -11,8 +11,8 @@ that climbs faster than its own value breaks it and is flagged.
 
 import numpy as np
 
-from rankmatch import (adversarial_baseline, check_share_derivative_bound,
-                       half_exp, piecewise_table, simple_exp)
+from rankmatch import (GainSpec, adversarial_baseline,
+                       check_share_derivative_bound, half_exp, simple_exp)
 
 for spec in (simple_exp(), half_exp()):
     print(f"{spec.kind}:")
@@ -32,8 +32,8 @@ print(f"  share(0.3, 0.9) = {adv.share_scalar(0.3, 0.9):.6f}")
 print()
 
 print("a steep table violates the bound and the sweep catches it:")
-steep = piecewise_table((0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9),
-                        check_slope=False)
+# piecewise_table would refuse this curve; GainSpec builds it unchecked
+steep = GainSpec("table", (0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9))
 report = check_share_derivative_bound(steep, grid_n=1000)
 print(f"  max defect {report.max_violation:.3f} at "
       f"(x={report.worst_x:.3f}, y={report.worst_y:.3f})")

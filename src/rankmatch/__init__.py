@@ -17,9 +17,8 @@ from .bounds import (BoundPoint, Piecewise, ProfileError, StepProfiles,
                      solve_curve_equals_two_t, stationary_tau)
 from .core import (DualShares, Instance, InstanceError, MatchingResult,
                    RankAssignment, RankError, build_instance,
-                   check_dual_shares, instance_from_json, matching_result,
-                   ranks_from_json, sample_ranks, validate_instance,
-                   validate_rank_assignment)
+                   check_dual_shares, matching_result, sample_ranks,
+                   validate_instance, validate_rank_assignment)
 from .experiments import (ConfigError, DegenerateInstanceError,
                           ExperimentConfig, PropertyReport,
                           PropertySuiteConfig, RatioReport,

@@ -84,8 +84,6 @@ class SweepResult:
     alpha_u: np.ndarray    # online endpoint's gain
     alpha_v: np.ndarray    # offline endpoint's gain
     status: np.ndarray     # MATCHED_BEFORE / MATCHED_TO_U / UNMATCHED_AFTER
-    v_time: np.ndarray     # arrival rank of v's partner, inf if unmatched
-    u_partner: np.ndarray  # offline index u matched, -1 if unmatched
 
 
 class PairSweep:
@@ -112,8 +110,8 @@ class PairSweep:
         rank_of = base_ranks.ranks
         self.y_on = np.array([rank_of[u] for u in instance.online_ids], dtype=float)
         self.y_off = np.array([rank_of[v] for v in instance.offline_ids], dtype=float)
-        self.b_on = np.asarray(spec.time_offer(self.y_on), dtype=float)
-        self.a_off = np.asarray(spec.rank_offer(self.y_off), dtype=float)
+        self.b_on = np.asarray(spec.offer_parts(self.y_on)[1], dtype=float)
+        self.a_off = np.asarray(spec.offer_parts(self.y_off)[0], dtype=float)
 
     def run(self, y_u, y_v) -> SweepResult:
         """Simulate all lanes; y_u and y_v are equal-length 1-d arrays."""
@@ -123,10 +121,9 @@ class PairSweep:
             raise AnalysisError("y_u and y_v must have equal shapes")
         n = y_u.size
         out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
-                          status=np.empty(n, dtype=np.int8), v_time=np.empty(n),
-                          u_partner=np.empty(n, dtype=np.intp))
-        b_u = np.asarray(self.spec.time_offer(y_u), dtype=float)
-        a_v = np.asarray(self.spec.rank_offer(y_v), dtype=float)
+                          status=np.empty(n, dtype=np.int8))
+        b_u = np.asarray(self.spec.offer_parts(y_u)[1], dtype=float)
+        a_v = np.asarray(self.spec.offer_parts(y_v)[0], dtype=float)
         u, v, w = self.u_idx, self.v_idx, self.w
         for start in range(0, n, LANE_BLOCK):
             blk = slice(start, start + LANE_BLOCK)
@@ -151,8 +148,6 @@ class PairSweep:
             out.alpha_v[blk] = np.where(v_time < np.inf, w[v] * (1.0 - a_v[blk] - b_by), 0.0)
             out.status[blk] = np.where(took_v[u], MATCHED_TO_U, np.where(
                 v_time < y_u[blk], MATCHED_BEFORE, UNMATCHED_AFTER))
-            out.v_time[blk] = v_time
-            out.u_partner[blk] = p
         return out
 
 
@@ -167,7 +162,7 @@ class ThresholdProfile:
     y_v < beta, matched to u iff beta < y_v < theta, and unmatched right
     after u's arrival iff y_v > theta. tau is the earliest arrival time
     whose theta equals one (1.0 if none); gamma is beta evaluated at
-    arrival time one. fixed_ranks echoes the ranks of all other vertices.
+    arrival time one.
     """
 
     online_id: str
@@ -177,7 +172,6 @@ class ThresholdProfile:
     theta: tuple[float, ...]
     tau: float
     gamma: float
-    fixed_ranks: dict[str, float]
 
     def to_csv(self) -> str:
         lines = ["y_u,beta,theta"]
@@ -280,12 +274,9 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
 
     tau = _locate_tau(instance, spec, base_ranks, online_id, offline_id, refine_tol)
     gamma = _locate_gamma(instance, spec, base_ranks, online_id, offline_id, refine_tol)
-    fixed = {vid: r for vid, r in base_ranks.ranks.items()
-             if vid not in (online_id, offline_id)}
     return ThresholdProfile(online_id=online_id, offline_id=offline_id,
                             y_u_grid=tuple(grid), beta=tuple(betas),
-                            theta=tuple(thetas), tau=tau, gamma=gamma,
-                            fixed_ranks=fixed)
+                            theta=tuple(thetas), tau=tau, gamma=gamma)
 
 
 def _locate_tau(instance, spec, base_ranks, online_id, offline_id,

@@ -93,11 +93,10 @@ def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
     exactly what separate a(x) and b(x) calls and min() would.
     """
     parts = spec.offer_parts_scalar
-    b = spec.time_offer_scalar
-    b_tau = b(tau)
+    b_tau = parts(tau)[1]
     const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
     thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
-    candidates = [(th, b(th)) for th in thetas]
+    candidates = [(th, parts(th)[1]) for th in thetas]
 
     def inner(x: float) -> float:
         a_x, b_x = parts(x)
@@ -240,6 +239,8 @@ class Piecewise:
     def __post_init__(self):
         if self.kind not in ("step", "linear"):
             raise ProfileError(f"unknown piecewise kind {self.kind!r}")
+        if not all(math.isfinite(x) for x in self.xs):
+            raise ProfileError(f"profile knots must be finite, got {self.xs!r}")
         if len(self.xs) < 2 or self.xs[0] != 0.0 or self.xs[-1] != 1.0:
             raise ProfileError("knots must run from 0.0 to 1.0")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):

@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
 from .bounds import (BoundPoint, bound_function, heatmap_rows, integral_bound,
                      minimize_bound, profiles_from_json)
-from .core import instance_from_json, sample_ranks
+from .core import sample_ranks, validate_instance
 from .experiments import (ExperimentConfig, PropertySuiteConfig,
                           run_property_suite, run_ratio_experiment)
 from .gains import GainSpec, gain_spec_from_json, named_spec
@@ -50,7 +50,7 @@ def _load_spec(name: str) -> GainSpec:
 
 def _load_instance(args):
     if args.instance:
-        return instance_from_json(_read_json(args.instance, "instance"))
+        return validate_instance(_read_json(args.instance, "instance"))
     if args.gen:
         params = {"n": args.n}
         if args.p is not None:

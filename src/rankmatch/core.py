@@ -16,6 +16,10 @@ from functools import cached_property
 import numpy as np
 
 
+# relative accounting slack of check_dual_shares
+DUAL_SHARE_TOL = 1e-12
+
+
 class InstanceError(ValueError):
     """Malformed instance description."""
 
@@ -152,11 +156,6 @@ def build_instance(offline: Iterable[tuple[str, float]],
     })
 
 
-def instance_from_json(obj: Mapping) -> Instance:
-    """Instance from parsed JSON data; validate_instance's checks apply."""
-    return validate_instance(obj)
-
-
 @dataclass(frozen=True)
 class RankAssignment:
     """Rank (offline) or arrival time (online) for every vertex, in [0, 1].
@@ -213,12 +212,6 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
             raise RankError(f"tied ranks for {by_value[r]} and {vid}: {r}")
         by_value[r] = vid
     return RankAssignment({vid: r for r, vid in by_value.items()})
-
-
-def ranks_from_json(instance: Instance, obj: Mapping) -> RankAssignment:
-    """Rank assignment from parsed JSON data; validate_rank_assignment's
-    checks apply."""
-    return validate_rank_assignment(instance, obj)
 
 
 def sample_ranks(instance: Instance, seed) -> RankAssignment:
@@ -283,13 +276,13 @@ class DualShares:
 
 
 def check_dual_shares(instance: Instance, result: MatchingResult,
-                      shares: DualShares, tol: float = 1e-12) -> None:
+                      shares: DualShares) -> None:
     """Assert the accounting identities of a DualShares against its matching.
 
     Raises AssertionError on: a missing vertex, a nonzero share on an
     unmatched vertex, a pair whose shares do not sum to its weight (within
-    tol relative to the weight scale), or a grand total drifting from the
-    matching's total weight by more than tol.
+    DUAL_SHARE_TOL relative to the weight scale), or a grand total drifting
+    from the matching's total weight by more than DUAL_SHARE_TOL.
     """
     alpha = shares.alpha
     matched = result.matched_online | result.matched_offline
@@ -302,7 +295,8 @@ def check_dual_shares(instance: Instance, result: MatchingResult,
     weights = instance.weights
     for u, v in result.pairs:
         w = weights[v]
-        assert abs((alpha[u] + alpha[v]) - w) <= tol * max(1.0, w), \
+        assert abs((alpha[u] + alpha[v]) - w) <= DUAL_SHARE_TOL * max(1.0, w), \
             f"pair ({u}, {v}) shares {alpha[u]} + {alpha[v]} != weight {w}"
-    assert abs(shares.total() - result.total_weight) <= tol * max(1.0, result.total_weight), \
+    assert (abs(shares.total() - result.total_weight)
+            <= DUAL_SHARE_TOL * max(1.0, result.total_weight)), \
         f"share total {shares.total()} != matching weight {result.total_weight}"

@@ -259,7 +259,7 @@ def check_accounting_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
     result, _ = run_ranking(instance, spec, ranks, collect_offers=False)
     shares = assign_duals(instance, result, spec, ranks)
     try:
-        check_dual_shares(instance, result, shares, tol=1e-12)
+        check_dual_shares(instance, result, shares)
     except AssertionError as exc:
         return f"trial={trial}: {exc} (seed={seed})"
     return None

@@ -23,7 +23,10 @@ kind is the static-price baseline
 
 so share(x, y) = e^(x-1) ignores the partner's rank entirely; it is not a
 weight split (its two shares do not sum to one). Only this module knows how
-a kind turns ranks into offers and shares.
+a kind turns ranks into offers and shares: GainSpec.offer_parts(y) returns
+(a(y), b(y)) for scalars or arrays, offer_parts_scalar(y) the same pair for
+scalar hot paths, and the shares and their integrals read the split from
+them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ ADVERSARIAL = "adversarial"
 TABLE = "table"
 
 LN2 = math.log(2.0)
+# largest defect DerivativeBoundReport.holds() accepts
+DERIVATIVE_BOUND_TOL = 1e-6
 
 
 class GainSpecError(ValueError):
@@ -74,6 +79,8 @@ class GainSpec:
             xs, ys = self.breakpoints, self.values
             if len(xs) < 2 or len(xs) != len(ys):
                 raise GainSpecError("table needs matching breakpoints/values, >= 2 knots")
+            if not all(math.isfinite(x) for x in xs):
+                raise GainSpecError(f"table breakpoints must be finite, got {xs!r}")
             if xs[0] != 0.0 or xs[-1] != 1.0:
                 raise GainSpecError("table breakpoints must start at 0 and end at 1")
             if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -85,11 +92,6 @@ class GainSpec:
             raise GainSpecError(f"{self.kind} takes no breakpoints/values")
 
     # -- the one-dimensional curve ------------------------------------
-
-    @property
-    def is_weight_split(self) -> bool:
-        """True when the shares of the two endpoints sum to the full weight."""
-        return self.kind != ADVERSARIAL
 
     @cached_property
     def curve_breakpoints(self) -> tuple[float, ...]:
@@ -138,15 +140,6 @@ class GainSpec:
             cums.append(cums[-1] + 0.5 * (y0 + y1) * (x1 - x0))
         return tuple(cums)
 
-    def curve_integral(self, a: float, b: float) -> float:
-        """Exact integral of the curve over [a, b] (closed form per kind)."""
-        if b < a:
-            return -self.curve_integral(b, a)
-        if self.kind == ADVERSARIAL:
-            raise GainSpecError("the adversarial baseline has no underlying curve")
-        _check_unit("integral bounds", (a, b))
-        return self.curve_antideriv(b) - self.curve_antideriv(a)
-
     def curve_antideriv(self, t: float) -> float:
         """Exact antiderivative of the curve with value 0 at t = 0."""
         if self.kind == SIMPLE_EXP:
@@ -168,44 +161,25 @@ class GainSpec:
 
     # -- the additive offer split -------------------------------------
 
-    def rank_offer(self, y):
-        """a(y), the part of the offer set by the offline rank y; accepts
-        scalars or numpy arrays in [0, 1]."""
+    def offer_parts(self, y):
+        """(a(y), b(y)): the parts of the offer set by the offline rank y
+        and by the arrival time y; accepts scalars or numpy arrays in [0, 1]."""
         if self.kind == ADVERSARIAL:
             _check_unit("offer argument", y)
-            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0)
-        return 0.5 * (1.0 - self.curve(y))
-
-    def rank_offer_scalar(self, y: float) -> float:
-        """rank_offer() for scalar hot paths: plain math, no domain validation."""
-        if self.kind == ADVERSARIAL:
-            return 1.0 - math.exp(y - 1.0)
-        return 0.5 * (1.0 - self.curve_scalar(y))
-
-    def time_offer(self, y):
-        """b(y), the part of the offer set by the arrival time y; accepts
-        scalars or numpy arrays in [0, 1]."""
-        if self.kind == ADVERSARIAL:
-            _check_unit("offer argument", y)
-            return np.zeros(np.shape(y))
-        return 0.5 * self.curve(y)
-
-    def time_offer_scalar(self, y: float) -> float:
-        """time_offer() for scalar hot paths: plain math, no domain validation."""
-        if self.kind == ADVERSARIAL:
-            return 0.0
-        return 0.5 * self.curve_scalar(y)
+            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0), np.zeros(np.shape(y))
+        c = self.curve(y)
+        return 0.5 * (1.0 - c), 0.5 * c
 
     def offer_parts_scalar(self, y: float) -> tuple[float, float]:
-        """(a(y), b(y)) from one curve evaluation; bit for bit
-        (rank_offer_scalar(y), time_offer_scalar(y))."""
+        """offer_parts() for scalar hot paths: one curve evaluation, plain
+        math, no domain validation."""
         if self.kind == ADVERSARIAL:
             return 1.0 - math.exp(y - 1.0), 0.0
         c = self.curve_scalar(y)
         return 0.5 * (1.0 - c), 0.5 * c
 
     def rank_offer_antideriv(self, t: float) -> float:
-        """Exact antiderivative A of rank_offer with A(0) = 0."""
+        """Exact antiderivative A of a, the rank part of the offer, with A(0) = 0."""
         if self.kind == ADVERSARIAL:
             return t - math.exp(t - 1.0) + math.exp(-1.0)
         return 0.5 * (t - self.curve_antideriv(t))
@@ -215,18 +189,18 @@ class GainSpec:
     def share(self, x, y):
         """Fraction of the matched weight kept by the rank-x endpoint when
         its partner has rank y. Scalar or numpy-array arguments."""
-        out = 1.0 - self.rank_offer(x) - self.time_offer(y)
+        out = 1.0 - self.offer_parts(x)[0] - self.offer_parts(y)[1]
         return float(out) if np.ndim(out) == 0 else out
 
     def share_scalar(self, x: float, y: float) -> float:
         """share() for scalar hot paths: plain math, no domain validation."""
-        return 1.0 - self.rank_offer_scalar(x) - self.time_offer_scalar(y)
+        return 1.0 - self.offer_parts_scalar(x)[0] - self.offer_parts_scalar(y)[1]
 
     def share_integral_first(self, a: float, b: float, y: float) -> float:
         """Exact integral of share(t, y) dt over t in [a, b]."""
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise GainSpecError(f"integral bounds must lie in [0, 1], got {(a, b)!r}")
-        return ((b - a) * (1.0 - self.time_offer_scalar(y))
+        return ((b - a) * (1.0 - self.offer_parts_scalar(y)[1])
                 - (self.rank_offer_antideriv(b) - self.rank_offer_antideriv(a)))
 
     # -- serialization --------------------------------------------------
@@ -254,26 +228,24 @@ def adversarial_baseline() -> GainSpec:
     return GainSpec(ADVERSARIAL)
 
 
-def piecewise_table(breakpoints, values, check_slope: bool = True) -> GainSpec:
+def piecewise_table(breakpoints, values) -> GainSpec:
     """Monotone piecewise-linear curve from knots.
 
-    With check_slope=True (the default) the construction rejects tables whose
-    segment slope exceeds the curve value anywhere (such curves break the
-    share-derivative bound and the analysis built on it). Passing
-    check_slope=False admits them for diagnostic use, e.g. to demonstrate
-    that check_share_derivative_bound flags the violation.
+    Rejects tables whose segment slope exceeds the curve value anywhere:
+    such curves break the share-derivative bound and the analysis built on
+    it. GainSpec(TABLE, ...) builds one without this check, for diagnostic
+    use such as showing that check_share_derivative_bound flags it.
     """
     spec = GainSpec(TABLE, tuple(float(x) for x in breakpoints),
                     tuple(float(v) for v in values))
-    if check_slope:
-        for (x0, x1, y0, y1) in zip(spec.breakpoints, spec.breakpoints[1:],
-                                    spec.values, spec.values[1:]):
-            slope = (y1 - y0) / (x1 - x0)
-            # the curve is non-decreasing, so its minimum on the segment is y0
-            if slope > y0 + 1e-12:
-                raise GainSpecError(
-                    f"table slope {slope:.6g} exceeds curve value {y0:.6g} "
-                    f"on [{x0:.6g}, {x1:.6g}]")
+    for (x0, x1, y0, y1) in zip(spec.breakpoints, spec.breakpoints[1:],
+                                spec.values, spec.values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        # the curve is non-decreasing, so its minimum on the segment is y0
+        if slope > y0 + 1e-12:
+            raise GainSpecError(
+                f"table slope {slope:.6g} exceeds curve value {y0:.6g} "
+                f"on [{x0:.6g}, {x1:.6g}]")
     return spec
 
 
@@ -318,8 +290,8 @@ class DerivativeBoundReport:
     worst_x: float
     worst_y: float
 
-    def holds(self, tol: float = 1e-6) -> bool:
-        return self.max_violation <= tol
+    def holds(self) -> bool:
+        return self.max_violation <= DERIVATIVE_BOUND_TOL
 
 
 def check_share_derivative_bound(spec: GainSpec, grid_n: int) -> DerivativeBoundReport:

@@ -37,7 +37,8 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     left = _simpson(fa, flm, fm, m - a)
     right = _simpson(fm, frm, fb, b - m)
     err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
+    # written so that a NaN error (a NaN or infinite integrand) also stops
+    if depth <= 0 or not abs(err) > 15.0 * tol:
         return left + right + err / 15.0
     return (_adaptive(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
             + _adaptive(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))

@@ -72,8 +72,9 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
     rank_of = ranks.ranks
     offline_ids = instance.offline_ids
     weights = instance.weights
+    parts = spec.offer_parts_scalar
     # the offline part of every offer is fixed for the whole run
-    a_of = {v: spec.rank_offer_scalar(rank_of[v]) for v in offline_ids}
+    a_of = {v: parts(rank_of[v])[0] for v in offline_ids}
 
     order = sorted(instance.online_ids, key=lambda u: (rank_of[u], u))
     unmatched = set(offline_ids)
@@ -83,7 +84,7 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
 
     for u in order:
         y_u = rank_of[u]
-        b_u = spec.time_offer_scalar(y_u)
+        b_u = parts(y_u)[1]
         best_v: str | None = None
         best_o = -1.0
         best_r = math.inf

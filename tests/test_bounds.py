@@ -12,8 +12,8 @@ from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
                               piecewise_from_json, profiles_from_json,
                               simple_bound, solve_curve_equals_two_t,
                               stationary_tau)
-from rankmatch.gains import (LN2, GainSpec, adversarial_baseline, half_exp,
-                             piecewise_table, simple_exp)
+from rankmatch.gains import (ADVERSARIAL, LN2, GainSpec, adversarial_baseline,
+                             half_exp, piecewise_table, simple_exp)
 from rankmatch.numerics import integrate
 
 E_HALF = math.exp(-0.5)
@@ -122,7 +122,18 @@ def test_improved_inner_minimum_matches_dense_theta_grid():
 def two_call_improved_bound(spec, tau, gamma, tol):
     """improved_bound with its integrand in the two-call form: a(x) and
     b(x) each from their own curve evaluation, min() over a generator."""
-    a, b = spec.rank_offer_scalar, spec.time_offer_scalar
+    if spec.kind == ADVERSARIAL:
+        def a(x):
+            return 1.0 - math.exp(x - 1.0)
+
+        def b(x):
+            return 0.0
+    else:
+        def a(x):
+            return 0.5 * (1.0 - spec.curve_scalar(x))
+
+        def b(x):
+            return 0.5 * spec.curve_scalar(x)
     b_tau = b(tau)
     const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
     thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]

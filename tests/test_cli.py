@@ -304,3 +304,39 @@ def test_simulate_imports_scipy_for_the_offline_optimum(tmp_path):
                    "--out", "sim.json"])
     assert codes == [0]
     assert "scipy.optimize" in loaded
+
+
+def _cli_in_subprocess(tmp_path, *argv):
+    """Run the CLI in a fresh interpreter with a timeout, so that a hang
+    fails the test; returns (exit code, stdout, stderr)."""
+    src = str(Path(rankmatch.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-m", "rankmatch.cli", *argv],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "evaluate", "--which", "improved", "--tau", "0.5", "--gamma", "0.9"),
+    ("bounds", "evaluate", "--which", "simple", "--tau", "0.5", "--gamma", "0.9"),
+    ("simulate", "--gen", "complete", "--n", "3"),
+], ids=["bounds-improved", "bounds-simple", "simulate"])
+def test_table_spec_with_a_nan_knot_exits_two(tmp_path, argv):
+    # json parses NaN, and NaN passes every ordering check on the knots
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"kind": "table", "breakpoints": [0.0, math.nan, 1.0], "values": [0.5, 0.5, 1.0]}))
+    code, out, err = _cli_in_subprocess(tmp_path, *argv, "--spec", "spec.json")
+    assert (code, out) == (2, "")
+    assert err == "error: table breakpoints must be finite, got (0.0, nan, 1.0)\n"
+
+
+@pytest.mark.parametrize("side", ["theta", "beta"])
+def test_profiles_with_a_nan_knot_exit_two(tmp_path, side):
+    profiles = {"theta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [1.0, 1.0]},
+                "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.0]}}
+    profiles[side]["x"][1] = math.nan
+    (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+    code, out, err = _cli_in_subprocess(tmp_path, "integral", "--profiles", "profiles.json")
+    assert (code, out) == (2, "")
+    assert err == "error: profile knots must be finite, got (0.0, nan, 1.0)\n"

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rankmatch.core import (DualShares, InstanceError, RankError,
-                            build_instance, check_dual_shares,
-                            instance_from_json, matching_result,
-                            ranks_from_json, sample_ranks, validate_instance,
+                            build_instance, check_dual_shares, matching_result,
+                            sample_ranks, validate_instance,
                             validate_rank_assignment)
 
 
@@ -63,7 +62,7 @@ def test_instance_json_round_trip_bit_exact():
     weights = [0.1, 1e-300, 0.6065306597126334, 7.2e15, 1 / 3]
     inst = build_instance([(f"v{i}", w) for i, w in enumerate(weights)],
                           [("u1", [f"v{i}" for i in range(len(weights))])])
-    back = instance_from_json(json.loads(json.dumps(inst.to_json_dict())))
+    back = validate_instance(json.loads(json.dumps(inst.to_json_dict())))
     assert back == inst
     for i, w in enumerate(weights):
         assert back.weights[f"v{i}"] == w  # bit-exact
@@ -72,7 +71,7 @@ def test_instance_json_round_trip_bit_exact():
 def test_rank_assignment_json_round_trip_bit_exact():
     inst = tiny()
     ranks = validate_rank_assignment(inst, {"ranks": {"v1": 1 / 3, "u1": 0.7}})
-    back = ranks_from_json(inst, json.loads(json.dumps(ranks.to_json_dict())))
+    back = validate_rank_assignment(inst, json.loads(json.dumps(ranks.to_json_dict())))
     assert back.ranks == ranks.ranks
 
 
@@ -91,11 +90,11 @@ def test_rank_validation_errors():
 def test_rank_validation_names_malformed_entries():
     inst = tiny()
     with pytest.raises(RankError, match="ranks must map vertex ids"):
-        ranks_from_json(inst, {"ranks": 5})
+        validate_rank_assignment(inst, {"ranks": 5})
     with pytest.raises(RankError, match="malformed rank for u1: 'x'"):
-        ranks_from_json(inst, {"ranks": {"v1": 0.5, "u1": "x"}})
+        validate_rank_assignment(inst, {"ranks": {"v1": 0.5, "u1": "x"}})
     with pytest.raises(RankError, match="malformed rank for v1: None"):
-        ranks_from_json(inst, {"ranks": {"v1": None, "u1": 0.5}})
+        validate_rank_assignment(inst, {"ranks": {"v1": None, "u1": 0.5}})
 
 
 def test_sample_ranks_deterministic():
@@ -184,10 +183,10 @@ def test_instance_and_rank_json_round_trip_property():
                                 if n_off else st.just([])))
                   for u in ids[n_off:]]
         inst = build_instance(offline, online)
-        assert instance_from_json(json.loads(json.dumps(inst.to_json_dict()))) == inst
+        assert validate_instance(json.loads(json.dumps(inst.to_json_dict()))) == inst
         values = data.draw(st.lists(rank, min_size=len(ids), max_size=len(ids),
                                      unique=True))
         ranks = validate_rank_assignment(inst, dict(zip(inst.all_ids(), values)))
-        assert ranks_from_json(inst, json.loads(json.dumps(ranks.to_json_dict()))) == ranks
+        assert validate_rank_assignment(inst, json.loads(json.dumps(ranks.to_json_dict()))) == ranks
 
     check()

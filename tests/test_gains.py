@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rankmatch.gains import (LN2, GainSpec, GainSpecError, adversarial_baseline,
-                             check_share_derivative_bound, gain_spec_from_json,
-                             half_exp, named_spec, piecewise_table, simple_exp)
+from rankmatch.gains import (ADVERSARIAL, LN2, TABLE, GainSpec, GainSpecError,
+                             adversarial_baseline, check_share_derivative_bound,
+                             gain_spec_from_json, half_exp, named_spec,
+                             piecewise_table, simple_exp)
 
 ALL_SPLIT_SPECS = [simple_exp(), half_exp(),
                    piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))]
@@ -59,7 +60,8 @@ def test_adversarial_ignores_partner_rank():
     s = adversarial_baseline()
     assert s.share_scalar(0.3, 0.1) == s.share_scalar(0.3, 0.9)
     assert s.share_scalar(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert not s.is_weight_split
+    # not a weight split: the two endpoints' shares do not sum to one
+    assert s.share_scalar(0.3, 0.8) + s.share_scalar(0.8, 0.3) != pytest.approx(1.0)
     with pytest.raises(GainSpecError):
         s.curve(0.5)
 
@@ -79,7 +81,8 @@ def test_curve_integral_matches_quadrature():
             n = 400_000
             xs = a + (np.arange(n) + 0.5) * (b - a) / n
             mid = float(np.sum(spec.curve(xs))) * (b - a) / n
-            assert spec.curve_integral(a, b) == pytest.approx(mid, abs=5e-9)
+            exact = spec.curve_antideriv(b) - spec.curve_antideriv(a)
+            assert exact == pytest.approx(mid, abs=5e-9)
 
 
 def test_share_integral_first_matches_quadrature():
@@ -99,8 +102,7 @@ def test_derivative_bound_holds_for_builtin_curves():
 
 def test_derivative_bound_flags_steep_table():
     # slope 14 on [0.5, 0.55] far exceeds the curve value there
-    steep = piecewise_table((0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9),
-                            check_slope=False)
+    steep = GainSpec(TABLE, (0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9))
     report = check_share_derivative_bound(steep, grid_n=1000)
     assert report.max_violation > 0.1
     assert not report.holds()
@@ -123,6 +125,17 @@ def test_table_validation():
         GainSpec("half-exp", breakpoints=(0.5,))          # extras forbidden
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_breakpoints(bad):
+    # NaN passes every ordering comparison, so it needs its own check
+    for make in (piecewise_table, lambda xs, ys: GainSpec(TABLE, xs, ys)):
+        with pytest.raises(GainSpecError, match="breakpoints must be finite"):
+            make((0.0, bad, 1.0), (0.5, 0.5, 1.0))
+    with pytest.raises(GainSpecError, match="breakpoints must be finite"):
+        gain_spec_from_json({"kind": "table", "breakpoints": [0.0, bad, 1.0],
+                             "values": [0.5, 0.5, 1.0]})
+
+
 def test_json_round_trip():
     for spec in [simple_exp(), half_exp(), adversarial_baseline(),
                  piecewise_table((0.0, 0.4, 1.0), (0.4, 0.5, 0.6))]:
@@ -141,16 +154,16 @@ def test_scalar_paths_match_array_paths():
     xs = rng.random(500)
     ys = rng.random(500)
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
-        if spec.is_weight_split:
+        if spec.kind != ADVERSARIAL:
             cs = np.array([spec.curve_scalar(float(x)) for x in xs])
             assert np.max(np.abs(cs - spec.curve(xs))) <= 2e-16
         ss = np.array([spec.share_scalar(float(x), float(y))
                        for x, y in zip(xs, ys)])
         assert np.max(np.abs(ss - spec.share(xs, ys))) <= 5e-16
-        for part, part_scalar in ((spec.rank_offer, spec.rank_offer_scalar),
-                                  (spec.time_offer, spec.time_offer_scalar)):
-            ps = np.array([part_scalar(float(x)) for x in xs])
-            assert np.max(np.abs(ps - part(xs))) <= 2e-16
+        parts = spec.offer_parts(xs)
+        parts_scalar = np.array([spec.offer_parts_scalar(float(x)) for x in xs])
+        for k in (0, 1):
+            assert np.max(np.abs(parts_scalar[:, k] - parts[k])) <= 2e-16
 
 
 def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
@@ -159,7 +172,7 @@ def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
     n = 20_000
     w, y_v, y_u = 10.0 * rng.random(n), rng.random(n), rng.random(n)
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
-        if spec.is_weight_split:
+        if spec.kind != ADVERSARIAL:
             want = w * 0.5 * (1.0 - spec.curve(y_v) + spec.curve(y_u))
             want_scalar = [wi * 0.5 * (1.0 - spec.curve_scalar(a) + spec.curve_scalar(b))
                            for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
@@ -167,9 +180,9 @@ def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
             want = w * (1.0 - np.exp(y_v - 1.0))
             want_scalar = [wi * (1.0 - math.exp(a - 1.0)) for wi, a in
                            zip(w.tolist(), y_v.tolist())]
-        got = w * (spec.rank_offer(y_v) + spec.time_offer(y_u))
+        got = w * (spec.offer_parts(y_v)[0] + spec.offer_parts(y_u)[1])
         assert np.array_equal(got, want)
-        got_scalar = [wi * (spec.rank_offer_scalar(a) + spec.time_offer_scalar(b))
+        got_scalar = [wi * (spec.offer_parts_scalar(a)[0] + spec.offer_parts_scalar(b)[1])
                       for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
         assert got_scalar == want_scalar
 
@@ -194,6 +207,35 @@ def test_curve_scalar_is_the_saturated_exp_bit_for_bit(spec, saturated):
 @pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
                          ids=lambda spec: spec.kind)
 def test_offer_parts_scalar_is_both_offer_parts_bit_for_bit(spec):
+    # reference: a(y) and b(y) written out per kind, each on its own
+    if spec.kind == ADVERSARIAL:
+        def want(y):
+            return 1.0 - math.exp(y - 1.0), 0.0
+    else:
+        def want(y):
+            return 0.5 * (1.0 - spec.curve_scalar(y)), 0.5 * spec.curve_scalar(y)
     for y in unit_grid_with_kinks(spec):
         got = [v.hex() for v in spec.offer_parts_scalar(y)]
-        assert got == [spec.rank_offer_scalar(y).hex(), spec.time_offer_scalar(y).hex()]
+        assert got == [v.hex() for v in want(y)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
+def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
+    # reference: a(y) and b(y) written out per kind for arrays, each on its own
+    if spec.kind == ADVERSARIAL:
+        def want(y):
+            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0), np.zeros(np.shape(y))
+    else:
+        def want(y):
+            return 0.5 * (1.0 - spec.curve(y)), 0.5 * spec.curve(y)
+    ys = np.array(unit_grid_with_kinks(spec))
+    for y in (ys, ys.reshape(-1, 1), 0.25, np.float64(LN2)):
+        got, expected = spec.offer_parts(y), want(y)
+        for part, ref in zip(got, expected):
+            assert np.shape(part) == np.shape(ref)
+            assert np.array_equal(part, ref)
+    with pytest.raises(GainSpecError):
+        spec.offer_parts(np.array([0.5, 1.5]))
+    with pytest.raises(GainSpecError):
+        spec.offer_parts(math.nan)

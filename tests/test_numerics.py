@@ -66,3 +66,20 @@ def test_bisect_boundary_stops_at_float_spacing(tol):
     # below the spacing of doubles near 0.3 the bracket cannot shrink further
     b = bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, tol=tol)
     assert abs(b - 0.3) <= math.ulp(0.3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_integrate_stops_on_a_non_finite_integrand(value):
+    # a NaN error estimate fails every `<=` test; integrate must still stop
+    # after the first split of each panel instead of recursing to MAX_DEPTH
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        if calls > 300:
+            raise AssertionError("integrate kept refining a non-finite integrand")
+        return value
+
+    assert math.isnan(integrate(f, 0.0, 1.0, breakpoints=(0.25, 0.5)))
+

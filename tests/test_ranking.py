@@ -160,7 +160,7 @@ def test_dual_accounting_random_trials():
         ranks = sample_ranks(inst, (3, trial))
         result, _ = run_ranking(inst, spec, ranks, collect_offers=False)
         duals = assign_duals(inst, result, spec, ranks)
-        check_dual_shares(inst, result, duals, tol=1e-12)
+        check_dual_shares(inst, result, duals)
 
 
 def test_adversarial_choice_rule_static():
@@ -204,8 +204,8 @@ def lane_partners(instance, spec, lanes):
     evaluated exactly as run_ranking evaluates them."""
     on = np.array([[r.ranks[u] for r in lanes] for u in instance.online_ids])
     off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
-    b = np.vectorize(spec.time_offer_scalar, otypes=[float])(on)
-    a = np.vectorize(spec.rank_offer_scalar, otypes=[float])(off)
+    b = np.vectorize(lambda y: spec.offer_parts_scalar(y)[1], otypes=[float])(on)
+    a = np.vectorize(lambda y: spec.offer_parts_scalar(y)[0], otypes=[float])(off)
     return run_lanes(instance, on, off, b, a)
 
 
