@@ -11,7 +11,7 @@ from rankmatch import (ExperimentConfig, adversarial_baseline,
                        generate_instance, half_exp, run_ratio_experiment)
 
 instance = generate_instance("upper_triangular", {"n": 60}, 0)
-print(f"instance: upper_triangular(60), {instance.edge_count} edges")
+print(f"instance: upper_triangular(60), {len(instance.edges)} edges")
 print()
 
 for name, spec in (("half-exp (two-dimensional shares)", half_exp()),

@@ -20,8 +20,7 @@ from .core import (DualShares, Instance, InstanceError, MatchingResult,
                    check_dual_shares, matching_result, sample_ranks,
                    validate_instance, validate_rank_assignment)
 from .experiments import (ConfigError, DegenerateInstanceError,
-                          ExperimentConfig, PropertyReport,
-                          PropertySuiteConfig, RatioReport,
+                          ExperimentConfig, PropertyReport, RatioReport,
                           run_property_suite, run_ratio_experiment)
 from .gains import (LN2, DerivativeBoundReport, GainSpec, GainSpecError,
                     adversarial_baseline, check_share_derivative_bound,

@@ -191,11 +191,6 @@ class ThresholdProfile:
         }
 
 
-def _sweep_statuses(sweeper: PairSweep, y_u: float, pts: np.ndarray) -> np.ndarray:
-    res = sweeper.run(np.full(pts.size, y_u), pts)
-    return res.status
-
-
 def _boundary(statuses: np.ndarray, pts: np.ndarray, is_left_side, status_at,
               refine_tol: float) -> float:
     """Refine the boundary where is_left_side(status) flips from True to False.
@@ -244,7 +239,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     betas: list[float] = []
     thetas: list[float] = []
     for y_u in grid:
-        statuses = _sweep_statuses(sweeper, y_u, pts)
+        statuses = sweeper.run(np.full(pts.size, y_u), pts).status
         if np.any(np.diff(statuses) < 0):
             bad = int(np.nonzero(np.diff(statuses) < 0)[0][0])
             raise ThreeIntervalError(

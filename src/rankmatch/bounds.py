@@ -5,10 +5,10 @@ The simple form charges the corner mass plus one share integral per side:
 
     (1-tau)(1-gamma) + int_0^gamma share(x, tau) dx + int_0^tau share(x, gamma) dx
 
-and is evaluated in closed form from the spec's offer split (share integrals
-are exact through the antiderivative A of a). The improved form keeps the
-corner and v-side terms but replaces the u-side integrand with an inner
-minimization over a marginal rank theta <= gamma:
+and is evaluated in closed form from the spec's offer split: each share
+integral is t (1 - b(y)) - A(t), with A the antiderivative of a. The
+improved form keeps the corner and v-side terms but replaces the u-side
+integrand with an inner minimization over a marginal rank theta <= gamma:
 
     share(x, theta) + int_0^theta share(y, x) dy + int_theta^gamma share(y, tau) dy
       = 1 - a(x) - b(theta) + theta (1 - b(x)) + (gamma - theta)(1 - b(tau)) - A(gamma)
@@ -16,11 +16,13 @@ minimization over a marginal rank theta <= gamma:
 The A(theta) terms cancel, so the inner minimum needs no antiderivative at
 its candidates; it is found exactly from a finite candidate set (the
 endpoints and the curve kinks), and the outer integral uses adaptive
-Simpson quadrature with panels forced apart at curve kinks. Each quadrature
-point costs one curve evaluation, which gives both a(x) and b(x), and a
-fold over the at most three candidates. minimize_bound scans a coarse grid
-and polishes with alternating golden-section line searches, reproducing the
-worst-case constants of both built-in curves.
+Simpson quadrature with panels forced apart at curve kinks. improved_bound
+sets up b(tau), A(gamma) and the candidates once per point and hands a
+nested integrand to integrate; each quadrature point costs one curve
+evaluation, which gives both a(x) and b(x), and a fold over the at most
+three candidates. minimize_bound scans a coarse grid and polishes with
+alternating golden-section line searches, reproducing the worst-case
+constants of both built-in curves.
 The module also evaluates the threshold-profile integral: a lower bound on
 the competitive ratio given explicit beta/theta profiles.
 """
@@ -70,31 +72,37 @@ def simple_bound(spec: GainSpec, tau: float, gamma: float,
                  tol: float = 1e-10) -> float:
     """Corner mass plus one share integral per side.
 
-    The value is exact (closed-form share integrals); tol is accepted so
-    that every bound_function surface takes the same arguments.
+    The value is exact: int_0^t share(x, y) dx = t (1 - b(y)) - A(t). tol is
+    accepted so that every bound_function surface takes the same arguments.
     """
     _check_unit_pair(tau, gamma)
-    return ((1.0 - tau) * (1.0 - gamma) + spec.share_integral_first(0.0, gamma, tau)
-            + spec.share_integral_first(0.0, tau, gamma))
+    parts, antideriv = spec.offer_parts_scalar, spec.rank_offer_antideriv
+    return ((1.0 - tau) * (1.0 - gamma)
+            + (gamma * (1.0 - parts(tau)[1]) - antideriv(gamma))
+            + (tau * (1.0 - parts(gamma)[1]) - antideriv(tau)))
 
 
-def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
-    """Evaluator for min over theta in [0, gamma] of the improved u-side
-    integrand at x.
+def improved_bound(spec: GainSpec, tau: float, gamma: float,
+                   tol: float = 1e-9) -> float:
+    """Improved lower-bound surface; never below simple_bound.
 
-    Regrouped, the objective is
+    The v-side integral is exact. The u-side integrand at x is the minimum
+    over theta in [0, gamma] of
     1 - A(gamma) + gamma (1 - b(tau)) - a(x) + theta (b(tau) - b(x)) - b(theta).
     Between curve kinks b is convex (the exp curves) or affine (tables, and
     the constant adversarial b), so the objective is concave in theta there
-    and its minimum sits at 0, gamma, or a kink inside (0, gamma). Candidate
-    values that do not depend on x are hoisted out of the returned closure.
-    Each call evaluates the curve once, through offer_parts_scalar, and
-    folds the candidates in order keeping the first minimum, so it returns
-    exactly what separate a(x) and b(x) calls and min() would.
+    and its minimum sits at 0, gamma, or a kink inside (0, gamma). b(tau),
+    A(gamma) and the candidates' b values are set up once per point; each
+    integrand call evaluates the curve once, through offer_parts_scalar, and
+    folds the candidates in order keeping the first minimum. The outer
+    integral uses adaptive quadrature, so the absolute error is bounded by
+    tol.
     """
+    _check_unit_pair(tau, gamma)
     parts = spec.offer_parts_scalar
     b_tau = parts(tau)[1]
-    const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
+    a_gamma = spec.rank_offer_antideriv(gamma)
+    const = 1.0 - a_gamma + gamma * (1.0 - b_tau)
     thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
     candidates = [(th, parts(th)[1]) for th in thetas]
 
@@ -108,22 +116,9 @@ def _inner_minimum_fn(spec: GainSpec, tau: float, gamma: float):
                 low = v
         return const - a_x + low
 
-    return inner
-
-
-def improved_bound(spec: GainSpec, tau: float, gamma: float,
-                   tol: float = 1e-9) -> float:
-    """Improved lower-bound surface; never below simple_bound.
-
-    The v-side integral is exact (closed-form share antiderivatives); the
-    u-side outer integral of the inner minimum uses adaptive quadrature, so
-    the absolute error is bounded by tol.
-    """
-    _check_unit_pair(tau, gamma)
     corner = (1.0 - tau) * (1.0 - gamma)
-    v_side = (1.0 - tau) * spec.share_integral_first(0.0, gamma, tau)
-    u_side = integrate(_inner_minimum_fn(spec, tau, gamma), 0.0, tau, tol=tol,
-                       breakpoints=spec.curve_breakpoints)
+    v_side = (1.0 - tau) * (gamma * (1.0 - b_tau) - a_gamma)
+    u_side = integrate(inner, 0.0, tau, tol=tol, breakpoints=spec.curve_breakpoints)
     return corner + v_side + u_side
 
 

@@ -18,8 +18,8 @@ from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
 from .bounds import (BoundPoint, bound_function, heatmap_rows, integral_bound,
                      minimize_bound, profiles_from_json)
 from .core import sample_ranks, validate_instance
-from .experiments import (ExperimentConfig, PropertySuiteConfig,
-                          run_property_suite, run_ratio_experiment)
+from .experiments import (ExperimentConfig, run_property_suite,
+                          run_ratio_experiment)
 from .gains import GainSpec, gain_spec_from_json, named_spec
 from .generators import generate_instance
 
@@ -174,10 +174,7 @@ def cmd_integral(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = PropertySuiteConfig(seed=args.seed, spec=_load_spec(args.spec))
-    if args.scale != 1.0:
-        config = config.scaled(args.scale)
-    report = run_property_suite(config)
+    report = run_property_suite(args.seed, _load_spec(args.spec), args.scale)
     if args.format == "text":
         _emit(report.to_text(), args.out)
     else:

@@ -58,10 +58,6 @@ class Instance:
         return {u: nbs for u, nbs in self.online}
 
     @cached_property
-    def edge_count(self) -> int:
-        return sum(len(nbs) for _, nbs in self.online)
-
-    @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         """Every (online id, offline id) edge."""
         return frozenset((u, v) for u, nbs in self.online for v in nbs)

@@ -8,14 +8,14 @@ isolation and parallel or serial execution order cannot change results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .analysis import AnalysisError, ThreeIntervalError, compute_thresholds
 from .core import Instance, check_dual_shares, sample_ranks
-from .gains import GainSpec, half_exp, simple_exp
+from .gains import GainSpec, simple_exp
 from .generators import random_instance
 from .offline import solve_opt
 from .ranking import assign_duals, run_ranking
@@ -112,34 +112,6 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
 
 
 # -- property suite --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropertySuiteConfig:
-    """Trial counts for the quantified engine/analysis property checks."""
-
-    seed: int = 0
-    spec: GainSpec = field(default_factory=half_exp)
-    monotonicity_trials: int = 10_000
-    arrival_trials: int = 10_000
-    accounting_trials: int = 100_000
-    structure_probes: int = 1_000
-
-    def __post_init__(self):
-        for name in ("monotonicity_trials", "arrival_trials",
-                     "accounting_trials", "structure_probes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-
-    def scaled(self, scale: float) -> "PropertySuiteConfig":
-        if not (math.isfinite(scale) and scale > 0):
-            raise ConfigError(f"scale must be positive and finite, got {scale}")
-        return PropertySuiteConfig(
-            seed=self.seed, spec=self.spec,
-            monotonicity_trials=max(1, int(self.monotonicity_trials * scale)),
-            arrival_trials=max(1, int(self.arrival_trials * scale)),
-            accounting_trials=max(1, int(self.accounting_trials * scale)),
-            structure_probes=max(1, int(self.structure_probes * scale)))
 
 
 @dataclass(frozen=True)
@@ -287,11 +259,20 @@ def check_structure_probe(seed: int, trial: int, spec: GainSpec) -> str | None:
     return None
 
 
-def _run_suite(name: str, trials: int, check) -> SuiteResult:
+# (suite name, check, trials at scale 1)
+_SUITES = (
+    ("monotonicity", check_monotonicity_trial, 10_000),
+    ("arrival-benignity", check_arrival_trial, 10_000),
+    ("dual-accounting", check_accounting_trial, 100_000),
+    ("threshold-structure", check_structure_probe, 1_000),
+)
+
+
+def _run_suite(name: str, trials: int, check, seed: int, spec: GainSpec) -> SuiteResult:
     violations = 0
     first = None
     for t in range(trials):
-        hint = check(t)
+        hint = check(seed, t, spec)
         if hint is not None:
             violations += 1
             if first is None:
@@ -300,19 +281,13 @@ def _run_suite(name: str, trials: int, check) -> SuiteResult:
                        first_violation=first)
 
 
-def run_property_suite(config: PropertySuiteConfig) -> PropertyReport:
-    """Run all quantified property suites. The engine checks call this
-    module's run_ranking, so a mutation test swaps in a deliberately broken
-    engine by rebinding experiments.run_ranking."""
-    seed, spec = config.seed, config.spec
-    suites = (
-        _run_suite("monotonicity", config.monotonicity_trials,
-                   lambda t: check_monotonicity_trial(seed, t, spec)),
-        _run_suite("arrival-benignity", config.arrival_trials,
-                   lambda t: check_arrival_trial(seed, t, spec)),
-        _run_suite("dual-accounting", config.accounting_trials,
-                   lambda t: check_accounting_trial(seed, t, spec)),
-        _run_suite("threshold-structure", config.structure_probes,
-                   lambda t: check_structure_probe(seed, t, spec)),
-    )
+def run_property_suite(seed: int, spec: GainSpec, scale: float = 1.0) -> PropertyReport:
+    """Run all quantified property suites, each at max(1, int(trials * scale))
+    trials. The engine checks call this module's run_ranking, so a mutation
+    test swaps in a deliberately broken engine by rebinding
+    experiments.run_ranking."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
+    suites = tuple(_run_suite(name, max(1, int(trials * scale)), check, seed, spec)
+                   for name, check, trials in _SUITES)
     return PropertyReport(suites=suites, seed=seed, timestamp=_timestamp())

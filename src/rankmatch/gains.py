@@ -25,8 +25,8 @@ so share(x, y) = e^(x-1) ignores the partner's rank entirely; it is not a
 weight split (its two shares do not sum to one). Only this module knows how
 a kind turns ranks into offers and shares: GainSpec.offer_parts(y) returns
 (a(y), b(y)) for scalars or arrays, offer_parts_scalar(y) the same pair for
-scalar hot paths, and the shares and their integrals read the split from
-them.
+scalar hot paths, and the shares read the split from them;
+rank_offer_antideriv(t) is the antiderivative A of a.
 """
 
 from __future__ import annotations
@@ -196,13 +196,6 @@ class GainSpec:
         """share() for scalar hot paths: plain math, no domain validation."""
         return 1.0 - self.offer_parts_scalar(x)[0] - self.offer_parts_scalar(y)[1]
 
-    def share_integral_first(self, a: float, b: float, y: float) -> float:
-        """Exact integral of share(t, y) dt over t in [a, b]."""
-        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-            raise GainSpecError(f"integral bounds must lie in [0, 1], got {(a, b)!r}")
-        return ((b - a) * (1.0 - self.offer_parts_scalar(y)[1])
-                - (self.rank_offer_antideriv(b) - self.rank_offer_antideriv(a)))
-
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -330,9 +323,8 @@ def check_share_derivative_bound(spec: GainSpec, grid_n: int) -> DerivativeBound
                  -0.5 * (cy - cy_minus) / d,
                  -0.5 * (cy_plus - cy) / d))
 
-    cx = spec.curve(pts)
-    # share(x, y) - 1 - d share/dy, maximized over the grid
-    defect = 0.5 * (cx[:, None] + 1.0 - cy[None, :]) - 1.0 - dshare_dy[None, :]
+    # share(x, y) - 1 - d share/dy, maximized over the grid (x and y share pts)
+    defect = 0.5 * (cy[:, None] + 1.0 - cy[None, :]) - 1.0 - dshare_dy[None, :]
     flat = int(np.argmax(defect))
     i, j = divmod(flat, grid_n)
     return DerivativeBoundReport(grid_n=grid_n,

@@ -16,8 +16,9 @@ from rankmatch.analysis import pair_gain
 from rankmatch.bounds import improved_bound, solve_curve_equals_two_t, stationary_tau
 from rankmatch.cli import main as cli_main
 from rankmatch.core import sample_ranks
-from rankmatch.experiments import (ExperimentConfig, PropertySuiteConfig,
-                                   run_property_suite, run_ratio_experiment)
+from rankmatch.experiments import (ExperimentConfig, check_arrival_trial,
+                                   check_monotonicity_trial,
+                                   check_structure_probe, run_ratio_experiment)
 from rankmatch.gains import LN2, adversarial_baseline, half_exp, simple_exp
 from rankmatch.generators import generate_instance, random_instance
 from rankmatch.offline import brute_force_opt, solve_opt
@@ -117,17 +118,15 @@ def test_criterion_5_dual_accounting_exact():
 
 
 def test_criterion_6_structural_properties():
-    config = PropertySuiteConfig(seed=0, monotonicity_trials=10_000,
-                                 arrival_trials=10_000, accounting_trials=1,
-                                 structure_probes=1_000)
-    rep = run_property_suite(config)
-    failed = [s.name for s in rep.suites if not s.passed]
+    suites = {"monotonicity": (check_monotonicity_trial, 10_000),
+              "benignity": (check_arrival_trial, 10_000),
+              "structure": (check_structure_probe, 1_000)}
+    failed = [name for name, (check, trials) in suites.items()
+              if any(check(0, t, half_exp()) is not None for t in range(trials))]
     assert not failed, f"violations in: {failed}"
-    counts = {s.name: s.trials for s in rep.suites}
     report(6, "structural properties",
-           f"monotonicity:{counts['monotonicity']} "
-           f"benignity:{counts['arrival-benignity']} "
-           f"structure:{counts['threshold-structure']} - 0 violations")
+           " ".join(f"{name}:{trials}" for name, (_, trials) in suites.items())
+           + " - 0 violations")
 
 
 def test_criterion_7_oracle_equivalence():

@@ -6,7 +6,6 @@ import pytest
 
 from rankmatch import bounds
 from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
-                              _inner_minimum_fn,
                               bound_function, heatmap_rows, improved_bound,
                               integral_bound, minimize_bound,
                               piecewise_from_json, profiles_from_json,
@@ -91,6 +90,24 @@ def test_simple_bound_matches_quadrature_for_every_kind():
             assert simple_bound(spec, tau, gamma) == pytest.approx(want, abs=1e-12)
 
 
+def share_integral(spec, lo, hi, y):
+    """Test-local closed-form integral of share(t, y) dt over [lo, hi]."""
+    return ((hi - lo) * (1.0 - spec.offer_parts_scalar(y)[1])
+            - (spec.rank_offer_antideriv(hi) - spec.rank_offer_antideriv(lo)))
+
+
+@pytest.mark.parametrize("spec", [simple_exp(), half_exp(), adversarial_baseline(),
+                                  MILD_TABLE], ids=lambda spec: spec.kind)
+def test_simple_bound_matches_two_share_integrals_bit_for_bit(spec):
+    # the corner plus one closed-form share integral per side, summed in order
+    pts = [i / 40 for i in range(41)]
+    for tau in pts:
+        for gamma in pts:
+            want = ((1.0 - tau) * (1.0 - gamma) + share_integral(spec, 0.0, gamma, tau)
+                    + share_integral(spec, 0.0, tau, gamma))
+            assert simple_bound(spec, tau, gamma).hex() == want.hex()
+
+
 def test_improved_bound_adversarial_closed_form():
     # b = 0: the inner objective is e^(x-1) + e^(gamma-1) - e^(-1) at every theta
     rng = np.random.default_rng(35)
@@ -105,18 +122,27 @@ def test_improved_bound_adversarial_closed_form():
             corner + v_side + u_side, abs=1e-10)
 
 
-def test_improved_inner_minimum_matches_dense_theta_grid():
+def test_improved_inner_minimum_matches_dense_theta_grid(monkeypatch):
     # reference: the unregrouped u-side integrand minimized over a theta grid
-    # that holds the candidates (0, gamma, the kinks) and 400 points between
+    # that holds the candidates (0, gamma, the kinks) and 400 points between;
+    # the spy captures the integrand improved_bound hands to integrate
+    integrands = []
+
+    def spy(f, *args, **kwargs):
+        integrands.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate", spy)
     rng = np.random.default_rng(36)
     for spec in (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE):
         for _ in range(25):
             tau, gamma, x = (float(r) for r in rng.random(3))
             thetas = list(np.linspace(0.0, gamma, 401))
             thetas += [bp for bp in spec.curve_breakpoints if bp < gamma]
-            dense = min(spec.share_scalar(x, th) + spec.share_integral_first(0.0, th, x)
-                        + spec.share_integral_first(th, gamma, tau) for th in thetas)
-            assert _inner_minimum_fn(spec, tau, gamma)(x) == pytest.approx(dense, abs=1e-12)
+            dense = min(spec.share_scalar(x, th) + share_integral(spec, 0.0, th, x)
+                        + share_integral(spec, th, gamma, tau) for th in thetas)
+            improved_bound(spec, tau, gamma)
+            assert integrands[-1](x) == pytest.approx(dense, abs=1e-12)
 
 
 def two_call_improved_bound(spec, tau, gamma, tol):
@@ -144,7 +170,7 @@ def two_call_improved_bound(spec, tau, gamma, tol):
         return const - a(x) + min(th * slope - b_th for th, b_th in candidates)
 
     corner = (1.0 - tau) * (1.0 - gamma)
-    v_side = (1.0 - tau) * spec.share_integral_first(0.0, gamma, tau)
+    v_side = (1.0 - tau) * share_integral(spec, 0.0, gamma, tau)
     return corner + v_side + integrate(inner, 0.0, tau, tol=tol,
                                        breakpoints=spec.curve_breakpoints)
 
@@ -161,34 +187,31 @@ def test_improved_bound_matches_two_call_integrand_bit_for_bit(spec, tol):
 
 
 @pytest.mark.parametrize("spec, tau, gamma, per_point, fixed", [
-    # per call: b(tau) for the v-side and for the slope, then b at 0, gamma
-    # and any kink below gamma; the adversarial offers use no curve
-    (half_exp(), 0.7, 0.9, 1, 5),
-    (half_exp(), 0.7, 0.5, 1, 4),
-    (simple_exp(), 0.3, 0.8, 1, 5),
-    (MILD_TABLE, 0.9, 0.4, 1, 4),
+    # per call: b(tau) once, then b at 0, gamma and any kink below gamma;
+    # the adversarial offers use no curve
+    (half_exp(), 0.7, 0.9, 1, 4),
+    (half_exp(), 0.7, 0.5, 1, 3),
+    (simple_exp(), 0.3, 0.8, 1, 4),
+    (MILD_TABLE, 0.9, 0.4, 1, 3),
     (adversarial_baseline(), 0.7, 0.9, 0, 0),
 ], ids=["half-exp-kink-below-gamma", "half-exp", "simple-exp", "table", "adversarial"])
 def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
         monkeypatch, spec, tau, gamma, per_point, fixed):
     calls = {"curve": 0, "integrand": 0}
     curve_scalar = GainSpec.curve_scalar
-    inner_minimum_fn = bounds._inner_minimum_fn
 
     def counted_curve(self, x):
         calls["curve"] += 1
         return curve_scalar(self, x)
 
-    def counted_inner_minimum_fn(*args):
-        inner = inner_minimum_fn(*args)
-
+    def counted_integrate(f, *args, **kwargs):
         def counted(x):
             calls["integrand"] += 1
-            return inner(x)
-        return counted
+            return f(x)
+        return integrate(counted, *args, **kwargs)
 
     monkeypatch.setattr(GainSpec, "curve_scalar", counted_curve)
-    monkeypatch.setattr(bounds, "_inner_minimum_fn", counted_inner_minimum_fn)
+    monkeypatch.setattr(bounds, "integrate", counted_integrate)
     improved_bound(spec, tau, gamma, tol=1e-9)
     assert calls["integrand"] > 0
     assert calls["curve"] == per_point * calls["integrand"] + fixed

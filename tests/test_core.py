@@ -17,7 +17,7 @@ def tiny():
 def test_validate_smallest_instance():
     inst = validate_instance({"offline": [{"id": "v1", "weight": 1.0}],
                               "online": [{"id": "u1", "neighbors": ["v1"]}]})
-    assert inst.edge_count == 1
+    assert len(inst.edges) == 1
     assert inst.weights == {"v1": 1.0}
     assert inst.neighbors == {"u1": ("v1",)}
 

@@ -6,8 +6,7 @@ import pytest
 from rankmatch import experiments
 from rankmatch.core import build_instance, matching_result
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
-                                   ExperimentConfig, PropertySuiteConfig,
-                                   check_monotonicity_trial,
+                                   ExperimentConfig, check_monotonicity_trial,
                                    run_property_suite, run_ratio_experiment)
 from rankmatch.gains import half_exp, simple_exp
 from rankmatch.generators import generate_instance
@@ -59,8 +58,7 @@ def test_report_reproducible_modulo_timestamp():
 
 
 def test_property_suite_passes_at_small_scale():
-    config = PropertySuiteConfig(seed=0).scaled(0.01)
-    report = run_property_suite(config)
+    report = run_property_suite(0, half_exp(), scale=0.01)
     assert report.passed
     names = [s.name for s in report.suites]
     assert names == ["monotonicity", "arrival-benignity", "dual-accounting",
@@ -69,12 +67,10 @@ def test_property_suite_passes_at_small_scale():
 
 def test_property_suite_config_validation():
     with pytest.raises(ConfigError):
-        PropertySuiteConfig(monotonicity_trials=0)
-    with pytest.raises(ConfigError):
-        PropertySuiteConfig().scaled(0.0)
+        run_property_suite(0, half_exp(), scale=0.0)
     for bad in (math.inf, -math.inf, math.nan, -0.5):
         with pytest.raises(ConfigError, match=f"scale must be positive and finite, got {bad}"):
-            PropertySuiteConfig().scaled(bad)
+            run_property_suite(0, half_exp(), scale=bad)
 
 
 def reversed_tiebreak_engine(instance, spec, ranks, collect_offers=True):
@@ -131,13 +127,11 @@ def test_reversed_tiebreak_violates_monotonicity_on_fixture():
 
 def test_mutation_caught_by_monotonicity_suite(monkeypatch):
     monkeypatch.setattr(experiments, "run_ranking", reversed_tiebreak_engine)
-    config = PropertySuiteConfig(seed=0, monotonicity_trials=200,
-                                 arrival_trials=1, accounting_trials=1,
-                                 structure_probes=1)
-    report = run_property_suite(config)
+    report = run_property_suite(0, half_exp(), scale=0.02)
     assert not report.passed
     mono = report.suites[0]
     assert mono.name == "monotonicity"
+    assert mono.trials == 200
     assert mono.violations >= 1
     assert "trial=" in mono.first_violation and "seed=" in mono.first_violation
     # the reported trial reproduces in isolation
@@ -147,8 +141,7 @@ def test_mutation_caught_by_monotonicity_suite(monkeypatch):
 
 
 def test_property_report_serialization():
-    config = PropertySuiteConfig(seed=1).scaled(0.002)
-    report = run_property_suite(config)
+    report = run_property_suite(1, half_exp(), scale=0.002)
     d = report.to_json_dict()
     assert set(d) == {"seed", "passed", "suites", "timestamp"}
     text = report.to_text()

@@ -85,12 +85,12 @@ def test_curve_integral_matches_quadrature():
             assert exact == pytest.approx(mid, abs=5e-9)
 
 
-def test_share_integral_first_matches_quadrature():
+def test_rank_offer_antideriv_matches_quadrature():
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
         n = 400_000
         xs = (np.arange(n) + 0.5) / n * 0.8
-        mid = float(np.sum(spec.share(xs, 0.37))) * 0.8 / n
-        assert spec.share_integral_first(0.0, 0.8, 0.37) == pytest.approx(mid, abs=5e-9)
+        mid = float(np.sum(spec.offer_parts(xs)[0])) * 0.8 / n
+        assert spec.rank_offer_antideriv(0.8) == pytest.approx(mid, abs=5e-9)
 
 
 def test_derivative_bound_holds_for_builtin_curves():

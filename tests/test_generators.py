@@ -6,13 +6,13 @@ from rankmatch.generators import GeneratorError, generate_instance, random_insta
 
 def test_complete_two_has_four_edges():
     inst = generate_instance("complete", {"n": 2}, 0)
-    assert inst.edge_count == 4
+    assert len(inst.edges) == 4
     assert all(w == 1.0 for _, w in inst.offline)
 
 
 def test_upper_triangular_three():
     inst = generate_instance("upper_triangular", {"n": 3}, 0)
-    assert inst.edge_count == 6
+    assert len(inst.edges) == 6
     assert inst.neighbors["u1"] == ("v1", "v2", "v3")
     assert inst.neighbors["u2"] == ("v2", "v3")
     assert inst.neighbors["u3"] == ("v3",)
@@ -37,7 +37,7 @@ def test_rectangular_sides():
     inst = generate_instance("random", {"n_online": 2, "n_offline": 5, "p": 1.0}, 0)
     assert len(inst.online) == 2
     assert len(inst.offline) == 5
-    assert inst.edge_count == 10
+    assert len(inst.edges) == 10
 
 
 def test_id_padding_keeps_lexicographic_order():
@@ -62,4 +62,4 @@ def test_random_instance_always_has_edges():
     rng = np.random.default_rng(0)
     for _ in range(50):
         inst = random_instance(rng)
-        assert inst.edge_count >= 1
+        assert len(inst.edges) >= 1
