@@ -5,8 +5,10 @@ neighbor v, the run outcome as a function of (y_u, y_v) has a rigid
 structure: for each arrival time y_u, the offline rank axis splits into
 three intervals (v already matched when u arrives / v matched to u /
 v unmatched right after u's arrival) delimited by thresholds beta(y_u) and
-theta(y_u). This module locates those thresholds numerically and estimates
-the expected combined gain of the pair over uniformly random (y_u, y_v) by
+theta(y_u); (tau, gamma) is the corner of that split. Each of the four is
+where a monotone status flips, and one search (_boundary) finds them all.
+This module locates those thresholds numerically and estimates the
+expected combined gain of the pair over uniformly random (y_u, y_v) by
 midpoint quadrature.
 
 Re-running the scalar simulation per grid cell would dominate everything,
@@ -52,24 +54,28 @@ class ThreeIntervalError(AssertionError):
     """
 
 
+def _rerun(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
+           online_id: str, offline_id: str, y_u: float, y_v: float):
+    """The scalar re-run behind both probes: only the edge's two ranks move."""
+    if not instance.has_edge(online_id, offline_id):
+        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
+    ranks = base_ranks.override({online_id: float(y_u), offline_id: float(y_v)})
+    result, trace = run_ranking(instance, spec, ranks, collect_offers=False)
+    return ranks, result, trace
+
+
 def vary_two_ranks(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                    online_id: str, offline_id: str, y_u: float, y_v: float,
                    ) -> tuple[MatchingResult, DualShares]:
     """Re-run ranking with only the two edge ranks overridden (scalar path)."""
-    if not instance.has_edge(online_id, offline_id):
-        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
-    ranks = base_ranks.override({online_id: float(y_u), offline_id: float(y_v)})
-    result, _ = run_ranking(instance, spec, ranks, collect_offers=False)
+    ranks, result, _ = _rerun(instance, spec, base_ranks, online_id, offline_id, y_u, y_v)
     return result, assign_duals(instance, result, spec, ranks)
 
 
 def edge_status(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                 online_id: str, offline_id: str, y_u: float, y_v: float) -> int:
     """v's status around u's arrival for one (y_u, y_v): scalar reference."""
-    if not instance.has_edge(online_id, offline_id):
-        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
-    ranks = base_ranks.override({online_id: float(y_u), offline_id: float(y_v)})
-    result, trace = run_ranking(instance, spec, ranks, collect_offers=False)
+    _, result, trace = _rerun(instance, spec, base_ranks, online_id, offline_id, y_u, y_v)
     if (online_id, offline_id) in result.pairs:
         return MATCHED_TO_U
     if trace.match_time[offline_id] < y_u:
@@ -193,24 +199,36 @@ class ThresholdProfile:
 
 def _boundary(statuses: np.ndarray, pts: np.ndarray, is_left_side, status_at,
               refine_tol: float) -> float:
-    """Refine the boundary where is_left_side(status) flips from True to False.
+    """Refine the point in [0, 1] where is_left_side(status) flips to False.
 
-    statuses/pts come from a coarse sweep; status_at(y_v) is the scalar
-    probe. Requires the left-side lanes to form a prefix of the sweep.
+    The one flip-point search here: beta and theta start from a coarse
+    sweep, tau and gamma from an empty one. statuses/pts are the sweep,
+    left-side lanes first; status_at(y) is the scalar probe. An end of
+    [0, 1] the sweep does not bracket is probed, then bisection runs
+    between the nearest bracketing points or domain ends.
     """
-    left = is_left_side(statuses)
-    if left.all():
-        if is_left_side(status_at(1.0)):
-            return 1.0
-        lo, hi = float(pts[-1]), 1.0
-    elif not left.any():
-        if not is_left_side(status_at(0.0)):
-            return 0.0
-        lo, hi = 0.0, float(pts[0])
-    else:
-        last = int(np.nonzero(left)[0][-1])
-        lo, hi = float(pts[last]), float(pts[last + 1])
+    k = int(np.count_nonzero(is_left_side(statuses)))
+    if k == len(pts) and is_left_side(status_at(1.0)):
+        return 1.0
+    if k == 0 and not is_left_side(status_at(0.0)):
+        return 0.0
+    lo = float(pts[k - 1]) if k else 0.0
+    hi = float(pts[k]) if k < len(pts) else 1.0
     return bisect_boundary(lambda y: is_left_side(status_at(y)), lo, hi, refine_tol)
+
+
+def _tau_gamma(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
+               online_id: str, offline_id: str, refine_tol: float) -> tuple[float, float]:
+    """(tau, gamma): the earliest arrival time whose theta is one (v at rank
+    one no longer left unmatched), and beta at arrival time one."""
+    def status(y_u, y_v):
+        return edge_status(instance, spec, base_ranks, online_id, offline_id, y_u, y_v)
+
+    none = np.empty(0)
+    return (_boundary(none, none, lambda s: s == UNMATCHED_AFTER,
+                      lambda y: status(y, 1.0), refine_tol),
+            _boundary(none, none, lambda s: s == MATCHED_BEFORE,
+                      lambda y: status(1.0, y), refine_tol))
 
 
 def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
@@ -233,6 +251,8 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
     if not (math.isfinite(refine_tol) and refine_tol > 0.0):
         raise AnalysisError("refine_tol must be positive")
+    if sweep_points < 1:
+        raise AnalysisError("sweep_points must be >= 1")
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     pts = (np.arange(sweep_points) + 0.5) / sweep_points
 
@@ -267,44 +287,10 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
             raise AnalysisError(f"theta left 1.0 at y_u={y} after saturating")
         saturated = saturated or t == 1.0
 
-    tau = _locate_tau(instance, spec, base_ranks, online_id, offline_id, refine_tol)
-    gamma = _locate_gamma(instance, spec, base_ranks, online_id, offline_id, refine_tol)
+    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id, refine_tol)
     return ThresholdProfile(online_id=online_id, offline_id=offline_id,
                             y_u_grid=tuple(grid), beta=tuple(betas),
                             theta=tuple(thetas), tau=tau, gamma=gamma)
-
-
-def _locate_tau(instance, spec, base_ranks, online_id, offline_id,
-                refine_tol: float) -> float:
-    """Earliest arrival time whose theta is one (1.0 when there is none).
-
-    theta(y) = 1 iff v is not left unmatched even at rank one, i.e. the
-    status at y_v = 1 is not UNMATCHED_AFTER; saturation is absorbing, so
-    the flip point is located by bisection.
-    """
-    def saturated(y: float) -> bool:
-        return edge_status(instance, spec, base_ranks, online_id, offline_id,
-                           y, 1.0) != UNMATCHED_AFTER
-
-    if not saturated(1.0):
-        return 1.0
-    if saturated(0.0):
-        return 0.0
-    return bisect_boundary(lambda y: not saturated(y), 0.0, 1.0, refine_tol)
-
-
-def _locate_gamma(instance, spec, base_ranks, online_id, offline_id,
-                  refine_tol: float) -> float:
-    """beta at arrival time one: the matched-before boundary when u is last."""
-    def pre(y_v: float) -> bool:
-        return edge_status(instance, spec, base_ranks, online_id, offline_id,
-                           1.0, y_v) == MATCHED_BEFORE
-
-    if not pre(0.0):
-        return 0.0
-    if pre(1.0):
-        return 1.0
-    return bisect_boundary(pre, 0.0, 1.0, refine_tol)
 
 
 # -- pair gain ------------------------------------------------------------
@@ -358,20 +344,17 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     """
     if grid_n < 2:
         raise AnalysisError("grid_n must be >= 2")
-    w_v = instance.weights.get(offline_id)
-    if not instance.has_edge(online_id, offline_id):
-        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
+    sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
+    w_v = instance.weights[offline_id]
     if w_v == 0.0:
         raise AnalysisError(f"pair gain of zero-weight vertex {offline_id} is undefined")
 
-    sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     mids = (np.arange(grid_n) + 0.5) / grid_n
     y_u = np.repeat(mids, grid_n)
     y_v = np.tile(mids, grid_n)
     res = sweeper.run(y_u, y_v)
 
-    tau = _locate_tau(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
-    gamma = _locate_gamma(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
+    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
 
     cu = y_u > tau
     cv = y_v > gamma

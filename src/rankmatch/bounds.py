@@ -297,8 +297,10 @@ class Piecewise:
 
 def piecewise_from_json(obj: Mapping) -> Piecewise:
     try:
-        xs = tuple(float(x) for x in obj["x"])
-        ys = tuple(float(y) for y in obj["y"])
+        knots = obj["x"], obj["y"]
+        if not all(isinstance(k, (list, tuple)) for k in knots):
+            raise TypeError("profile x and y must be arrays, not strings")
+        xs, ys = (tuple(float(t) for t in k) for k in knots)
         kind = str(obj.get("kind", "step"))
     except (KeyError, TypeError, ValueError, AttributeError):
         raise ProfileError(f'malformed profile {obj!r}: want {{"kind": ..., '

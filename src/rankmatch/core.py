@@ -121,11 +121,18 @@ def validate_instance(raw: Mapping) -> Instance:
     return Instance(offline=tuple(offline), online=tuple(online))
 
 
+def _array(value) -> list | tuple:
+    """value itself if it is a JSON array; a string is not read as one."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not an array: {value!r}")
+    return value
+
+
 def _parse_offline(entry) -> tuple[str, float]:
     try:
         if isinstance(entry, Mapping):
             return str(entry["id"]), float(entry["weight"])
-        vid, weight = entry
+        vid, weight = _array(entry)
         return str(vid), float(weight)
     except (KeyError, TypeError, ValueError):
         raise InstanceError(f"malformed offline entry {entry!r}: want "
@@ -134,10 +141,9 @@ def _parse_offline(entry) -> tuple[str, float]:
 
 def _parse_online(entry) -> tuple[str, list[str]]:
     try:
-        if isinstance(entry, Mapping):
-            return str(entry["id"]), [str(n) for n in entry["neighbors"]]
-        uid, nbs = entry
-        return str(uid), [str(n) for n in nbs]
+        uid, nbs = ((entry["id"], entry["neighbors"]) if isinstance(entry, Mapping)
+                    else _array(entry))
+        return str(uid), [str(n) for n in _array(nbs)]
     except (KeyError, TypeError, ValueError):
         raise InstanceError(f"malformed online entry {entry!r}: want "
                             '{"id": ..., "neighbors": [...]} or [id, neighbors]') from None

@@ -246,11 +246,13 @@ _NAMED = {SIMPLE_EXP: simple_exp, HALF_EXP: half_exp, ADVERSARIAL: adversarial_b
 
 
 def _table_knots(obj: Mapping, key: str) -> list[float]:
+    knots = obj.get(key, ())
     try:
-        return [float(x) for x in obj.get(key, ())]
+        if isinstance(knots, (list, tuple)):   # a string is not a list of digits
+            return [float(x) for x in knots]
     except (TypeError, ValueError):
-        raise GainSpecError(f"table spec {key} must be a list of numbers, "
-                            f"got {obj.get(key)!r}") from None
+        pass
+    raise GainSpecError(f"table spec {key} must be a list of numbers, got {knots!r}")
 
 
 def gain_spec_from_json(obj: Mapping) -> GainSpec:

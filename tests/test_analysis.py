@@ -131,6 +131,52 @@ def test_thresholds_reject_bad_refine_tol(refine_tol):
                            [0.25, 0.75], refine_tol=refine_tol, sweep_points=64)
 
 
+@pytest.mark.parametrize("sweep_points", [0, -1])
+def test_thresholds_reject_empty_sweep(sweep_points):
+    # an empty sweep used to fail with a bare IndexError on some edges and
+    # skip the interleaving check on others
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)],
+                          [("u1", ["v1", "v2"]), ("u2", ["v1"])])
+    with pytest.raises(AnalysisError, match="sweep_points must be >= 1"):
+        compute_thresholds(inst, half_exp(), sample_ranks(inst, 0), "u2", "v1",
+                           [0.25, 0.75], sweep_points=sweep_points)
+
+
+def _flip_point(left_at, tol=1e-9):
+    """Reference flip point of a monotone predicate on [0, 1]: ends first."""
+    from rankmatch.numerics import bisect_boundary
+
+    if left_at(1.0):
+        return 1.0
+    if not left_at(0.0):
+        return 0.0
+    return bisect_boundary(left_at, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["half-exp", "simple-exp", "adversarial"])
+def test_tau_gamma_match_scalar_bisection_bit_for_bit(spec):
+    # tau: v at rank one flips from unmatched-after to not; gamma: beta at
+    # arrival time one. The draws cover both at 0, at 1 and inside (0, 1).
+    seen_tau, seen_gamma = set(), set()
+    for i in (0, 2, 5, 23, 44):
+        inst = random_instance(np.random.default_rng((9, i)), max_side=3, weighted=True)
+        base = sample_ranks(inst, (9, i))
+        for u in inst.online_ids:
+            for v in inst.neighbors[u]:
+                def status(y_u, y_v):
+                    return edge_status(inst, spec, base, u, v, y_u, y_v)
+                tau = _flip_point(lambda y: status(y, 1.0) == UNMATCHED_AFTER)
+                gamma = _flip_point(lambda y: status(1.0, y) == MATCHED_BEFORE)
+                prof = compute_thresholds(inst, spec, base, u, v, [0.5],
+                                          refine_tol=1e-9, sweep_points=8)
+                est = pair_gain(inst, spec, base, u, v, grid_n=4)
+                assert prof.tau == est.tau == tau
+                assert prof.gamma == est.gamma == gamma
+                seen_tau.add(tau if tau in (0.0, 1.0) else "inside")
+                seen_gamma.add(gamma if gamma in (0.0, 1.0) else "inside")
+    assert seen_tau == seen_gamma == {0.0, 1.0, "inside"}
+
+
 def test_thresholds_beta_jumps_at_competitor_arrival():
     # z grabs v whenever y_v < y_b, so beta jumps from 0 to y_b at y_z
     inst = build_instance([("v", 1.0), ("b", 1.0)],

@@ -154,7 +154,15 @@ def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
     cases = (("simulate", "--instance", {"offline": [{"id": "v1"}], "online": []},
               "{'id': 'v1'}"),
              ("simulate", "--instance", {"offline": [["v1", 1.0]], "online": [7]}, "7"),
-             ("integral", "--profiles", {"theta": step}, "beta"))
+             ("integral", "--profiles", {"theta": step}, "beta"),
+             # a JSON string where an array belongs is not read character by character
+             ("simulate", "--instance",
+              {"offline": ["v1", "w2"], "online": [{"id": "u", "neighbors": "vw"}]}, "'v1'"),
+             ("simulate", "--instance",
+              {"offline": [["v", 1.0]], "online": [{"id": "u", "neighbors": "v"}]},
+              "{'id': 'u', 'neighbors': 'v'}"),
+             ("integral", "--profiles",
+              {"theta": {"kind": "step", "x": "01", "y": "1"}, "beta": step}, "'x': '01'"))
     path = tmp_path / "input.json"
     for command, flag, payload, named in cases:
         path.write_text(json.dumps(payload))
@@ -168,7 +176,10 @@ def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
     ("[1]", 'gain spec must be an object {"kind": ...}, got [1]'),
     ('{"kind": "table", "breakpoints": 5}',
      "table spec breakpoints must be a list of numbers, got 5"),
-], ids=["not-json", "not-an-object", "table-breakpoints-not-a-list"])
+    ('{"kind": "table", "breakpoints": "01", "values": "11"}',
+     "table spec breakpoints must be a list of numbers, got '01'"),
+], ids=["not-json", "not-an-object", "table-breakpoints-not-a-list",
+        "table-breakpoints-a-string"])
 def test_malformed_spec_files_exit_two_with_one_error_line(tmp_path, capsys,
                                                            payload, named):
     path = tmp_path / "spec.json"
