@@ -14,9 +14,10 @@ midpoint quadrature.
 Re-running the scalar simulation per grid cell would dominate everything,
 so PairSweep lays the (y_u, y_v) values out as lanes of rank columns, runs
 them all through ranking.run_lanes, and splits the pair's gains from the
-partners. Every lane follows run_ranking's rules, ties included; the
-scalar path (vary_two_ranks, edge_status) stays the reference, and tests
-cross-check the two.
+partners; compute_thresholds makes one such run for its whole grid, and
+pair_gain one for its grid cells. Every lane follows run_ranking's rules,
+ties included; the scalar path (vary_two_ranks, edge_status) stays the
+reference, and tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ class PairSweep:
 
     __init__ evaluates the spec once on the base ranks: a column of
     arrival times with their offer parts b, and a column of offline ranks
-    with their offer parts a. run() copies these columns across the
-    lanes, writes each lane's y_u, y_v, b(y_u) and a(y_v) into the rows of
-    u and v, and hands the lanes to ranking.run_lanes, LANE_BLOCK at a
-    time. It reads the gains of u and v off the partners, split exactly as
-    assign_duals splits them, so every lane is the run vary_two_ranks makes.
+    with their offer parts a, and sorts the other online vertices into
+    their arrival order. run() copies these columns across the lanes,
+    writes each lane's y_v, b(y_u) and a(y_v) into the rows of u and v,
+    inserts u into the arrival order at y_u, and hands the lanes to
+    ranking.run_lanes, LANE_BLOCK at a time. It reads the gains of u and v
+    off the partners, split exactly as assign_duals splits them, so every
+    lane is the run vary_two_ranks makes.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -118,6 +121,12 @@ class PairSweep:
         self.y_off = np.array([rank_of[v] for v in instance.offline_ids], dtype=float)
         self.b_on = np.asarray(spec.offer_parts(self.y_on)[1], dtype=float)
         self.a_off = np.asarray(spec.offer_parts(self.y_off)[0], dtype=float)
+        # the arrival order of the other online vertices, by rank then id,
+        # with u appended; run() inserts u into it lane by lane
+        rest = np.argsort(self.y_on, kind="stable")
+        self.ext = np.append(rest[rest != self.u_idx], self.u_idx)
+        self.ranks_before = np.sort(self.y_on[:self.u_idx])
+        self.ranks_after = np.sort(self.y_on[self.u_idx + 1:])
 
     def run(self, y_u, y_v) -> SweepResult:
         """Simulate all lanes; y_u and y_v are equal-length 1-d arrays."""
@@ -131,29 +140,38 @@ class PairSweep:
         b_u = np.asarray(self.spec.offer_parts(y_u)[1], dtype=float)
         a_v = np.asarray(self.spec.offer_parts(y_v)[0], dtype=float)
         u, v, w = self.u_idx, self.v_idx, self.w
+        k = np.arange(self.y_on.size)[:, None]
         for start in range(0, n, LANE_BLOCK):
             blk = slice(start, start + LANE_BLOCK)
             lanes = np.arange(y_u[blk].size)
-            on_ranks, off_ranks, on_offer, off_offer = (
+            # u arrives after the lower-index others of rank <= y_u and the
+            # higher-index others of rank < y_u: a stable argsort's order
+            pos = (np.searchsorted(self.ranks_before, y_u[blk], "right")
+                   + np.searchsorted(self.ranks_after, y_u[blk], "left"))
+            order = self.ext[k - (k > pos)]
+            order[pos, lanes] = u
+            off_ranks, on_offer, off_offer = (
                 np.repeat(col[:, None], lanes.size, axis=1)
-                for col in (self.y_on, self.y_off, self.b_on, self.a_off))
-            on_ranks[u], off_ranks[v] = y_u[blk], y_v[blk]
+                for col in (self.y_off, self.b_on, self.a_off))
+            off_ranks[v] = y_v[blk]
             on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
-            partner = run_lanes(self.instance, on_ranks, off_ranks, on_offer, off_offer)
+            partner = run_lanes(self.instance, order, off_ranks, on_offer, off_offer)
 
             # each matched offline endpoint p keeps w_p * (1 - a - b); the
             # online side gets the complement, exactly as in assign_duals
             p = partner[u]
             kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])
             out.alpha_u[blk] = np.where(p >= 0, w[p] - kept, 0.0)
-            # v has at most one partner per lane: the min and the sum over
-            # rows read that partner's arrival time and b exactly
+            # v has at most one partner per lane, so the row sum of the
+            # one-hot took_v is that partner's online index
             took_v = partner == v
-            v_time = np.where(took_v, on_ranks, np.inf).min(axis=0)
-            b_by = np.where(took_v, on_offer, 0.0).sum(axis=0)
-            out.alpha_v[blk] = np.where(v_time < np.inf, w[v] * (1.0 - a_v[blk] - b_by), 0.0)
+            v_matched = took_v.any(axis=0)
+            by = (took_v * k).sum(axis=0)
+            b_by = np.take(on_offer.ravel(), by * lanes.size + lanes)
+            out.alpha_v[blk] = np.where(v_matched, w[v] * (1.0 - a_v[blk] - b_by), 0.0)
+            before = v_matched & (self.y_on[by] < y_u[blk])
             out.status[blk] = np.where(took_v[u], MATCHED_TO_U, np.where(
-                v_time < y_u[blk], MATCHED_BEFORE, UNMATCHED_AFTER))
+                before, MATCHED_BEFORE, UNMATCHED_AFTER))
         return out
 
 
@@ -237,12 +255,13 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
                        ) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
-    Per grid point: a coarse sweep of y_v classifies v's status, the sweep
-    is checked to split into the three contiguous intervals, and each
-    boundary is refined by bisection down to refine_tol. Raises
-    ThreeIntervalError when a sweep interleaves statuses, and AnalysisError
-    when a profile invariant (beta <= theta, beta non-decreasing, theta
-    absorbing at one) fails; theta itself need not be monotone.
+    One PairSweep run classifies v's status on a coarse sweep of y_v at
+    every grid point. Per grid point, the sweep is checked to split into
+    the three contiguous intervals, and each boundary is refined by
+    bisection down to refine_tol. Raises ThreeIntervalError when a sweep
+    interleaves statuses, and AnalysisError when a profile invariant
+    (beta <= theta, beta non-decreasing, theta absorbing at one) fails;
+    theta itself need not be monotone.
     """
     grid = [float(y) for y in y_u_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -256,10 +275,12 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     pts = (np.arange(sweep_points) + 0.5) / sweep_points
 
+    # one run over every (grid point, sweep point) lane, grid-major
+    sweeps = sweeper.run(np.repeat(grid, pts.size),
+                         np.tile(pts, len(grid))).status.reshape(len(grid), pts.size)
     betas: list[float] = []
     thetas: list[float] = []
-    for y_u in grid:
-        statuses = sweeper.run(np.full(pts.size, y_u), pts).status
+    for y_u, statuses in zip(grid, sweeps):
         if np.any(np.diff(statuses) < 0):
             bad = int(np.nonzero(np.diff(statuses) < 0)[0][0])
             raise ThreeIntervalError(

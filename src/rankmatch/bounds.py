@@ -34,7 +34,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .gains import GainSpec
-from .numerics import bisect_root, golden_minimize, integrate
+from .numerics import as_real, bisect_root, golden_minimize, integrate
 
 
 # minimize_bound: scan grid size, quadrature tolerances of the scan and the
@@ -300,7 +300,7 @@ def piecewise_from_json(obj: Mapping) -> Piecewise:
         knots = obj["x"], obj["y"]
         if not all(isinstance(k, (list, tuple)) for k in knots):
             raise TypeError("profile x and y must be arrays, not strings")
-        xs, ys = (tuple(float(t) for t in k) for k in knots)
+        xs, ys = (tuple(as_real(t) for t in k) for k in knots)
         kind = str(obj.get("kind", "step"))
     except (KeyError, TypeError, ValueError, AttributeError):
         raise ProfileError(f'malformed profile {obj!r}: want {{"kind": ..., '

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import as_real
+
 
 # relative accounting slack of check_dual_shares
 DUAL_SHARE_TOL = 1e-12
@@ -128,12 +130,18 @@ def _array(value) -> list | tuple:
     return value
 
 
+def _id(value) -> str:
+    """value itself if it is a string; an id is never a number."""
+    if not isinstance(value, str):
+        raise TypeError(f"not an id: {value!r}")
+    return value
+
+
 def _parse_offline(entry) -> tuple[str, float]:
     try:
-        if isinstance(entry, Mapping):
-            return str(entry["id"]), float(entry["weight"])
-        vid, weight = _array(entry)
-        return str(vid), float(weight)
+        vid, weight = ((entry["id"], entry["weight"]) if isinstance(entry, Mapping)
+                       else _array(entry))
+        return _id(vid), as_real(weight)
     except (KeyError, TypeError, ValueError):
         raise InstanceError(f"malformed offline entry {entry!r}: want "
                             '{"id": ..., "weight": ...} or [id, weight]') from None
@@ -143,7 +151,7 @@ def _parse_online(entry) -> tuple[str, list[str]]:
     try:
         uid, nbs = ((entry["id"], entry["neighbors"]) if isinstance(entry, Mapping)
                     else _array(entry))
-        return str(uid), [str(n) for n in _array(nbs)]
+        return _id(uid), [_id(n) for n in _array(nbs)]
     except (KeyError, TypeError, ValueError):
         raise InstanceError(f"malformed online entry {entry!r}: want "
                             '{"id": ..., "neighbors": [...]} or [id, neighbors]') from None
@@ -207,8 +215,8 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
     by_value: dict[float, str] = {}
     for vid in ids:
         try:
-            r = float(ranks[vid])
-        except (TypeError, ValueError):
+            r = as_real(ranks[vid])
+        except TypeError:
             raise RankError(f"malformed rank for {vid}: {ranks[vid]!r}") from None
         if r in by_value:
             raise RankError(f"tied ranks for {by_value[r]} and {vid}: {r}")

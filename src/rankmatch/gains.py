@@ -38,6 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import as_real
+
 SIMPLE_EXP = "simple-exp"
 HALF_EXP = "half-exp"
 ADVERSARIAL = "adversarial"
@@ -249,8 +251,8 @@ def _table_knots(obj: Mapping, key: str) -> list[float]:
     knots = obj.get(key, ())
     try:
         if isinstance(knots, (list, tuple)):   # a string is not a list of digits
-            return [float(x) for x in knots]
-    except (TypeError, ValueError):
+            return [as_real(x) for x in knots]
+    except TypeError:
         pass
     raise GainSpecError(f"table spec {key} must be a list of numbers, got {knots!r}")
 

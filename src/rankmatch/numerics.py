@@ -1,4 +1,5 @@
-"""Deterministic scalar numerics: quadrature, root finding, line search.
+"""Deterministic scalar numerics: quadrature, root finding, line search,
+and as_real, the one test of what counts as a number in an input file.
 
 Everything here is pure and reproducible; no global state, no randomness.
 The integrators take explicit breakpoint lists so that piecewise integrands
@@ -8,10 +9,26 @@ The integrators take explicit breakpoint lists so that piecewise integrands
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_DEPTH = 48   # recursion limit of adaptive Simpson per panel
+
+
+def as_real(value) -> float:
+    """float(value) for a real number; TypeError for anything else.
+
+    The input parsers read numbers through this: numeric text such as
+    "2.5", bools (a real number to Python) and integers beyond the float
+    range are not numbers.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"not a float: {value!r}") from None
 
 
 def split_points(a: float, b: float, breakpoints: Iterable[float]) -> list[float]:

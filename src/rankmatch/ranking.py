@@ -111,19 +111,22 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
     return result, SimulationTrace(arrivals=tuple(records), match_time=match_time)
 
 
-def run_lanes(instance: Instance, on_ranks: np.ndarray, off_ranks: np.ndarray,
+def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
               on_offer: np.ndarray, off_offer: np.ndarray) -> np.ndarray:
     """run_ranking over T lanes at once; lanes are columns.
 
-    on_ranks and on_offer are (n_online, T) arrays of arrival times and
-    their offer parts b(y_u); off_ranks and off_offer are (n_offline, T)
-    arrays of offline ranks and their offer parts a(y_v). Rows follow the
-    instance's id order. Each lane follows run_ranking's rules: arrivals
-    in order of rank, then id; offers w_v * (a + b); offer ties to the
-    smaller offline rank, then the smaller id. Returns the (n_online, T)
-    array of the offline index each arrival took, -1 if none.
+    order is the (n_online, T) arrival order: order[k, t] is the online
+    index arriving k-th in lane t, by arrival time, then id (a stable
+    argsort of the id-ordered arrival times gives it). on_offer is the
+    (n_online, T) array of the arrivals' offer parts b(y_u); off_ranks and
+    off_offer are (n_offline, T) arrays of offline ranks and their offer
+    parts a(y_v). Rows follow the instance's id order. Every offer
+    w_v * (a + b) must be >= 0, as it is for every GainSpec. Each lane
+    follows run_ranking's rules: offer ties go to the smaller offline
+    rank, then the smaller id. Returns the (n_online, T) array of the
+    offline index each arrival took, -1 if none.
     """
-    n_on, n_lanes = on_ranks.shape
+    n_on, n_lanes = order.shape
     n_off = len(instance.offline)
     partner = np.full((n_on, n_lanes), -1, dtype=np.intp)
     if n_off == 0:
@@ -137,18 +140,28 @@ def run_lanes(instance: Instance, on_ranks: np.ndarray, off_ranks: np.ndarray,
     lanes = np.arange(n_lanes)
     flat_on_offer = on_offer.ravel()
     free = np.ones((n_off, n_lanes), dtype=bool)
-    # a stable sort of id-ordered rows orders arrivals by rank, then id;
-    # step k holds the online index arriving k-th in every lane
-    for j in np.argsort(on_ranks, axis=0, kind="stable"):
+    cand = np.empty((n_off, n_lanes), dtype=bool)
+    offers = np.empty((n_off, n_lanes))
+    for j in order:
         # np.take gathers two to three times faster than fancy indexing here
         arriving = np.take(flat_on_offer, j * n_lanes + lanes)
-        offers = np.where(np.take(adj, j, axis=1) & free, w * (off_offer + arriving),
-                          -np.inf)
-        top = offers.max(axis=0)
-        tied = offers == top
-        low = np.where(tied, off_ranks, np.inf).min(axis=0)
-        took = np.where(tied & (off_ranks == low), rows, n_off).min(axis=0)
-        hit = np.nonzero(top > -np.inf)[0]
+        np.logical_and(np.take(adj, j, axis=1), free, out=cand)
+        # offers are >= 0, so a non-candidate's 0 never beats a candidate,
+        # and a lane matches iff some candidate ties for the top offer
+        np.add(off_offer, arriving, out=offers)
+        offers *= w
+        offers *= cand
+        tied = offers == offers.max(axis=0)
+        tied &= cand
+        n_tied = tied.sum(axis=0)
+        # the tied row, where there is one; offers' buffer is free again
+        took = np.multiply(tied, rows, out=offers).sum(axis=0).astype(np.intp)
+        multi = np.flatnonzero(n_tied > 1)
+        if multi.size:
+            t, r = tied[:, multi], off_ranks[:, multi]
+            low = np.where(t, r, np.inf).min(axis=0)
+            took[multi] = np.where(t & (r == low), rows, n_off).min(axis=0)
+        hit = np.flatnonzero(n_tied > 0)
         partner[j[hit], hit] = took[hit]
         free[took[hit], hit] = False
     return partner

@@ -96,6 +96,50 @@ def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
     assert res.alpha_v[0] == pytest.approx(duals.alpha["v2"], abs=1e-12)
 
 
+def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
+    # u2 is inserted among u1 (lower id, base rank 0.3), u3 (higher id, 0.6)
+    # and u4 (higher id, 1.0); at an equal arrival time the smaller id goes
+    # first, so u2 follows u1 at 0.3 and precedes u3 at 0.6 and u4 at 1.0
+    from rankmatch import analysis
+
+    orders = []
+    run_lanes = analysis.run_lanes
+
+    def spy(instance, order, *columns):
+        orders.append(order.copy())
+        return run_lanes(instance, order, *columns)
+
+    monkeypatch.setattr(analysis, "run_lanes", spy)
+    inst = build_instance([("v1", 2.0), ("v2", 1.0)],
+                          [("u1", ["v1"]), ("u2", ["v1", "v2"]), ("u3", ["v2"]),
+                           ("u4", ["v2"])])
+    base = RankAssignment({"v1": 0.5, "v2": 0.5, "u1": 0.3, "u2": 0.8,
+                           "u3": 0.6, "u4": 1.0})
+    y_u = np.repeat([0.0, 0.3, 0.45, 0.6, 1.0], 4)
+    y_v = np.tile([0.0, 0.3, 0.6, 1.0], 5)
+    on = np.repeat([[0.3], [0.8], [0.6], [1.0]], y_u.size, axis=1)
+    on[1] = y_u
+    for spec in SPECS:
+        for offline_id in ("v1", "v2"):
+            orders.clear()
+            res = PairSweep(inst, spec, base, "u2", offline_id).run(y_u, y_v)
+            assert len(orders) == 1
+            assert np.array_equal(orders[0], np.argsort(on, axis=0, kind="stable"))
+            for i in range(y_u.size):
+                _, duals = vary_two_ranks(inst, spec, base, "u2", offline_id,
+                                          y_u[i], y_v[i])
+                assert res.alpha_u[i] == pytest.approx(duals.alpha["u2"], abs=1e-12)
+                assert res.alpha_v[i] == pytest.approx(duals.alpha[offline_id], abs=1e-12)
+                assert res.status[i] == edge_status(inst, spec, base, "u2",
+                                                    offline_id, y_u[i], y_v[i])
+    # the ties decide the run: at 0.3, u1 goes first and takes v1; at 0.6,
+    # u2 goes before u3 and takes v2
+    _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v1", 0.3, 0.5)
+    assert duals.alpha["u1"] > 0.0
+    _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v1", 0.6, 0.5)
+    assert duals.alpha["u3"] == 0.0 and duals.alpha["u2"] > 0.0
+
+
 def test_three_interval_structure_random_probes():
     rng = np.random.default_rng(22)
     pts = (np.arange(400) + 0.5) / 400
@@ -251,6 +295,49 @@ def test_thresholds_empty_middle_band():
     assert prof.theta == (0.0, 0.0, 0.0)
     assert prof.tau == 1.0 and prof.gamma == 0.0
     assert edge_status(inst, half_exp(), base, "u", "v", 0.5, 0.3) == UNMATCHED_AFTER
+
+
+def test_thresholds_make_one_sweep_run(monkeypatch):
+    # one PairSweep.run covers every grid point; its profile is the one a
+    # run per grid point gives
+    from rankmatch import analysis
+
+    calls = []
+    run = analysis.PairSweep.run
+
+    def spy(self, y_u, y_v):
+        calls.append(np.size(y_u))
+        return run(self, y_u, y_v)
+
+    monkeypatch.setattr(analysis.PairSweep, "run", spy)
+    rng = np.random.default_rng(24)
+    grid = [0.0, 0.1, 0.35, 0.6, 0.85, 1.0]
+    pts = (np.arange(64) + 0.5) / 64
+    for trial in range(12):
+        inst = random_instance(rng, weighted=True)
+        spec = SPECS[trial % 3]
+        base = sample_ranks(inst, (24, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        calls.clear()
+        prof = compute_thresholds(inst, spec, base, u, v, grid,
+                                  refine_tol=1e-9, sweep_points=64)
+        assert calls == [len(grid) * 64]
+
+        sweeper = PairSweep(inst, spec, base, u, v)
+        betas, thetas = [], []
+        for y in grid:
+            statuses = run(sweeper, np.full(64, y), pts).status
+
+            def probe(y_v, _y=y):
+                return edge_status(inst, spec, base, u, v, _y, y_v)
+
+            betas.append(analysis._boundary(statuses, pts, lambda s: s == MATCHED_BEFORE,
+                                            probe, 1e-9))
+            thetas.append(analysis._boundary(statuses, pts, lambda s: s != UNMATCHED_AFTER,
+                                             probe, 1e-9))
+        assert prof.beta == tuple(betas)
+        assert prof.theta == tuple(thetas)
 
 
 def test_thresholds_csv_and_json():

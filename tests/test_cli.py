@@ -190,6 +190,49 @@ def test_malformed_spec_files_exit_two_with_one_error_line(tmp_path, capsys,
     assert err.count("\n") == 1 and err.count("error:") == 1
 
 
+_STEP = {"kind": "step", "x": [0.0, 1.0], "y": [1.0]}
+
+
+@pytest.mark.parametrize("argv, payload, named", [
+    (("generate", "--instance"),
+     {"offline": [{"id": "v1", "weight": "2.5"}], "online": []},
+     "malformed offline entry {'id': 'v1', 'weight': '2.5'}"),
+    (("generate", "--instance"), {"offline": [["v1", True]], "online": []},
+     "malformed offline entry ['v1', True]"),
+    (("generate", "--instance"), {"offline": [["v1", 10 ** 400]], "online": []},
+     "malformed offline entry ['v1', 1000"),
+    (("generate", "--instance"), {"offline": [{"id": 7, "weight": 1.0}], "online": []},
+     "malformed offline entry {'id': 7, 'weight': 1.0}"),
+    (("generate", "--instance"), {"offline": [], "online": [[7, []]]},
+     "malformed online entry [7, []]"),
+    (("generate", "--instance"),
+     {"offline": [["7", 1.0]], "online": [{"id": "u1", "neighbors": [7]}]},
+     "malformed online entry {'id': 'u1', 'neighbors': [7]}"),
+    (("bounds", "evaluate", "--spec"),
+     {"kind": "table", "breakpoints": ["0", "1"], "values": [0.5, 0.9]},
+     "table spec breakpoints must be a list of numbers, got ['0', '1']"),
+    (("bounds", "evaluate", "--spec"),
+     {"kind": "table", "breakpoints": [0.0, 1.0], "values": [0.5, "0.9"]},
+     "table spec values must be a list of numbers, got [0.5, '0.9']"),
+    (("integral", "--profiles"),
+     {"theta": {"kind": "step", "x": ["0", 1.0], "y": [1.0]}, "beta": _STEP},
+     "malformed profile {'kind': 'step', 'x': ['0', 1.0], 'y': [1.0]}"),
+    (("integral", "--profiles"),
+     {"theta": _STEP, "beta": {"kind": "step", "x": [0.0, 1.0], "y": [False]}},
+     "malformed profile {'kind': 'step', 'x': [0.0, 1.0], 'y': [False]}"),
+], ids=["weight-text", "weight-bool", "weight-beyond-float", "offline-id-number", "online-id-number",
+        "neighbor-id-number", "table-breakpoint-text", "table-value-text",
+        "profile-x-text", "profile-y-bool"])
+def test_numeric_text_and_numeric_ids_exit_two(tmp_path, capsys, argv, payload, named):
+    # float() parses "2.5" and str() turns 7 into "7"; neither is accepted
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + named)
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
 @pytest.mark.parametrize("argv, named", [
     (("bounds", "evaluate", "--spec"), 'gain spec must be an object {"kind": ...}'),
     (("simulate", "--instance"), "instance description must be a mapping"),

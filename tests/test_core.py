@@ -95,6 +95,13 @@ def test_rank_validation_names_malformed_entries():
         validate_rank_assignment(inst, {"ranks": {"v1": 0.5, "u1": "x"}})
     with pytest.raises(RankError, match="malformed rank for v1: None"):
         validate_rank_assignment(inst, {"ranks": {"v1": None, "u1": 0.5}})
+    # numeric text and bools are not numbers; an int is
+    with pytest.raises(RankError, match="malformed rank for u1: '0.5'"):
+        validate_rank_assignment(inst, {"ranks": {"v1": 0.25, "u1": "0.5"}})
+    with pytest.raises(RankError, match="malformed rank for v1: True"):
+        validate_rank_assignment(inst, {"ranks": {"v1": True, "u1": 0.5}})
+    ranks = validate_rank_assignment(inst, {"ranks": {"v1": 1, "u1": 0.5}})
+    assert ranks.ranks == {"v1": 1.0, "u1": 0.5}
 
 
 def test_sample_ranks_deterministic():

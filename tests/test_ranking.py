@@ -206,7 +206,8 @@ def lane_partners(instance, spec, lanes):
     off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
     b = np.vectorize(lambda y: spec.offer_parts_scalar(y)[1], otypes=[float])(on)
     a = np.vectorize(lambda y: spec.offer_parts_scalar(y)[0], otypes=[float])(off)
-    return run_lanes(instance, on, off, b, a)
+    order = np.argsort(on, axis=0, kind="stable")
+    return run_lanes(instance, order, off, b, a)
 
 
 def scalar_partners(instance, spec, ranks):
@@ -280,3 +281,33 @@ def test_run_lanes_matches_run_ranking_property():
             assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
 
     check()
+
+
+def one_lane(instance, spec, ranks):
+    """lane_partners for a single assignment, as a list of offline ids."""
+    partner = lane_partners(instance, spec, [ranks])[:, 0]
+    return [instance.offline_ids[p] if p >= 0 else None for p in partner]
+
+
+def test_run_lanes_takes_a_lone_free_zero_weight_neighbor():
+    # v0 is heavier and first by rank and id, but u1 is not its neighbor:
+    # its masked offer of 0 ties u1's only offer and must not be taken
+    inst = build_instance([("v0", 1.0), ("v1", 0.0)], [("u1", ["v1"])])
+    ranks = RankAssignment({"v0": 0.1, "v1": 0.8, "u1": 0.5})
+    for spec in ALL_KINDS:
+        assert one_lane(inst, spec, ranks) == ["v1"]
+        assert scalar_partners(inst, spec, ranks) == [1]
+
+
+def test_run_lanes_breaks_a_zero_offer_tie_by_rank_then_id():
+    # u2 arrives after u1 has taken v0, so v0 is no longer a candidate;
+    # the zero-weight v1 and v2 both offer exactly 0
+    inst = build_instance([("v0", 1.0), ("v1", 0.0), ("v2", 0.0)],
+                          [("u1", ["v0"]), ("u2", ["v0", "v1", "v2"])])
+    for spec in ALL_KINDS:
+        for r1, r2, want in ((0.7, 0.4, "v2"), (0.4, 0.7, "v1"), (0.6, 0.6, "v1")):
+            ranks = RankAssignment({"v0": 0.1, "v1": r1, "v2": r2,
+                                    "u1": 0.2, "u2": 0.5})
+            assert one_lane(inst, spec, ranks) == ["v0", want]
+            took = scalar_partners(inst, spec, ranks)
+            assert [inst.offline_ids[p] for p in took] == ["v0", want]
