@@ -14,10 +14,10 @@ midpoint quadrature.
 Re-running the scalar simulation per grid cell would dominate everything,
 so PairSweep lays the (y_u, y_v) values out as lanes of rank columns, runs
 them all through ranking.run_lanes, and splits the pair's gains from the
-partners; compute_thresholds makes one such run for its whole grid, and
-pair_gain one for its grid cells. Every lane follows run_ranking's rules,
-ties included; the scalar path (vary_two_ranks, edge_status) stays the
-reference, and tests cross-check the two.
+partners; compute_thresholds makes one such run per LANE_BLOCK lanes of
+its grid, and pair_gain one for its grid cells. Every lane follows
+run_ranking's rules, ties included; the scalar path (vary_two_ranks,
+edge_status) stays the reference, and tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -255,13 +255,13 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
                        ) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
-    One PairSweep run classifies v's status on a coarse sweep of y_v at
-    every grid point. Per grid point, the sweep is checked to split into
-    the three contiguous intervals, and each boundary is refined by
-    bisection down to refine_tol. Raises ThreeIntervalError when a sweep
-    interleaves statuses, and AnalysisError when a profile invariant
-    (beta <= theta, beta non-decreasing, theta absorbing at one) fails;
-    theta itself need not be monotone.
+    PairSweep runs of at most LANE_BLOCK lanes classify v's status on a
+    coarse sweep of y_v at every grid point. Per grid point, the sweep is
+    checked to split into the three contiguous intervals, and each
+    boundary is refined by bisection down to refine_tol. Raises
+    ThreeIntervalError when a sweep interleaves statuses, and AnalysisError
+    when a profile invariant (beta <= theta, beta non-decreasing, theta
+    absorbing at one) fails; theta itself need not be monotone.
     """
     grid = [float(y) for y in y_u_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -275,9 +275,12 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     pts = (np.arange(sweep_points) + 0.5) / sweep_points
 
-    # one run over every (grid point, sweep point) lane, grid-major
-    sweeps = sweeper.run(np.repeat(grid, pts.size),
-                         np.tile(pts, len(grid))).status.reshape(len(grid), pts.size)
+    # grid-major lanes, at most LANE_BLOCK per run (or one grid point's sweep)
+    per_run = max(1, LANE_BLOCK // pts.size)
+    sweeps = np.concatenate([
+        sweeper.run(np.repeat(chunk, pts.size), np.tile(pts, len(chunk))).status
+        for chunk in (grid[i:i + per_run] for i in range(0, len(grid), per_run))
+    ]).reshape(len(grid), pts.size)
     betas: list[float] = []
     thetas: list[float] = []
     for y_u, statuses in zip(grid, sweeps):

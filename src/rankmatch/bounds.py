@@ -23,13 +23,14 @@ evaluation, which gives both a(x) and b(x), and a fold over the at most
 three candidates. minimize_bound scans a coarse grid and polishes with
 alternating golden-section line searches, reproducing the worst-case
 constants of both built-in curves.
-The module also evaluates the threshold-profile integral: a lower bound on
-the competitive ratio given explicit beta/theta profiles.
+The module also evaluates the threshold-profile integral, a ratio lower
+bound from explicit beta/theta step profiles, as an exact sum over pieces.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -47,7 +48,6 @@ ARG_TOL = 1e-6
 HEATMAP_TOL = 1e-8
 ROOT_TOL = 1e-10       # solve_curve_equals_two_t
 STATIONARY_TOL = 1e-10  # stationary_tau's quadrature
-INTEGRAL_TOL = 1e-9    # integral_bound
 
 
 class ProfileError(ValueError):
@@ -219,80 +219,33 @@ def stationary_tau(spec: GainSpec, gamma: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Piecewise:
-    """Piecewise-constant or piecewise-linear function on [0, 1].
+    """Step function on [0, 1]: ys[i] on [xs[i], xs[i+1]), and ys[-1] at 1.0.
 
-    xs are strictly increasing knots from 0.0 to 1.0. With kind="step" the
-    function holds ys[i] on [xs[i], xs[i+1]) (len(ys) == len(xs) - 1, the
-    point 1.0 maps to ys[-1]); with kind="linear" it interpolates between
-    knot values (len(ys) == len(xs)).
+    xs are strictly increasing knots from 0.0 to 1.0; len(ys) == len(xs) - 1.
     """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    kind: str = "step"
 
     def __post_init__(self):
-        if self.kind not in ("step", "linear"):
-            raise ProfileError(f"unknown piecewise kind {self.kind!r}")
         if not all(math.isfinite(x) for x in self.xs):
             raise ProfileError(f"profile knots must be finite, got {self.xs!r}")
         if len(self.xs) < 2 or self.xs[0] != 0.0 or self.xs[-1] != 1.0:
             raise ProfileError("knots must run from 0.0 to 1.0")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ProfileError("knots must be strictly increasing")
-        expect = len(self.xs) - 1 if self.kind == "step" else len(self.xs)
-        if len(self.ys) != expect:
-            raise ProfileError(f"expected {expect} values for {self.kind} profile")
+        if len(self.ys) != len(self.xs) - 1:
+            raise ProfileError(f"expected {len(self.xs) - 1} values for step profile")
         if any(not (0.0 <= y <= 1.0) for y in self.ys):
             raise ProfileError("profile values must lie in [0, 1]")
 
     def __call__(self, t: float) -> float:
         if not (0.0 <= t <= 1.0):
             raise ProfileError(f"argument outside [0, 1]: {t}")
-        i = self._segment(t)
-        if self.kind == "step":
-            return self.ys[i]
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-
-    def _segment(self, t: float) -> int:
-        for i in range(len(self.xs) - 1):
-            if t < self.xs[i + 1]:
-                return i
-        return len(self.xs) - 2
-
-    def breaks(self) -> tuple[float, ...]:
-        return tuple(x for x in self.xs if 0.0 < x < 1.0)
-
-    def is_non_decreasing(self) -> bool:
-        return all(b >= a for a, b in zip(self.ys, self.ys[1:]))
-
-    def upper_inverse(self, x: float) -> float:
-        """sup{t : f(t) <= x} for a non-decreasing profile (0.0 if empty)."""
-        if self.kind == "step":
-            out = 0.0
-            for i, y in enumerate(self.ys):
-                if y <= x:
-                    out = self.xs[i + 1]
-                else:
-                    break
-            return out
-        if x >= self.ys[-1]:
-            return 1.0
-        if x < self.ys[0]:
-            return 0.0
-        for i in range(len(self.xs) - 2, -1, -1):
-            if self.ys[i] <= x:
-                y0, y1 = self.ys[i], self.ys[i + 1]
-                if y1 <= x:
-                    return self.xs[i + 1]
-                x0, x1 = self.xs[i], self.xs[i + 1]
-                return x0 + (x - y0) * (x1 - x0) / (y1 - y0)
-        return 0.0
+        return self.ys[min(bisect_right(self.xs, t), len(self.ys)) - 1]
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "x": list(self.xs), "y": list(self.ys)}
+        return {"kind": "step", "x": list(self.xs), "y": list(self.ys)}
 
 
 def piecewise_from_json(obj: Mapping) -> Piecewise:
@@ -301,33 +254,30 @@ def piecewise_from_json(obj: Mapping) -> Piecewise:
         if not all(isinstance(k, (list, tuple)) for k in knots):
             raise TypeError("profile x and y must be arrays, not strings")
         xs, ys = (tuple(as_real(t) for t in k) for k in knots)
-        kind = str(obj.get("kind", "step"))
+        kind = obj.get("kind", "step")
     except (KeyError, TypeError, ValueError, AttributeError):
-        raise ProfileError(f'malformed profile {obj!r}: want {{"kind": ..., '
+        raise ProfileError(f'malformed profile {obj!r}: want {{"kind": "step", '
                            '"x": [numbers], "y": [numbers]}') from None
-    return Piecewise(xs=xs, ys=ys, kind=kind)
+    if kind != "step":
+        raise ProfileError(f'unknown profile kind {kind!r}: profiles are "step" only')
+    return Piecewise(xs=xs, ys=ys)
 
 
 @dataclass(frozen=True)
 class StepProfiles:
     """A (theta, beta) profile pair feeding the ratio integral.
 
-    Pointwise 0 <= beta <= theta <= 1 and beta non-decreasing; checked on
-    the union of knots and segment midpoints, which is exact for affine
-    pieces.
+    Pointwise 0 <= beta <= theta <= 1 and beta non-decreasing. Both are
+    step functions, so one check per piece of the merged knots is exact.
     """
 
     theta_fn: Piecewise
     beta_fn: Piecewise
 
     def __post_init__(self):
-        if not self.beta_fn.is_non_decreasing():
+        if any(b < a for a, b in zip(self.beta_fn.ys, self.beta_fn.ys[1:])):
             raise ProfileError("beta profile must be non-decreasing")
-        knots = sorted(set(self.theta_fn.xs) | set(self.beta_fn.xs))
-        probes = list(knots)
-        probes += [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
-        probes += [min(1.0, k + 1e-12) for k in knots[1:-1]]
-        for t in probes:
+        for t in sorted(set(self.theta_fn.xs) | set(self.beta_fn.xs)):
             th, be = self.theta_fn(t), self.beta_fn(t)
             if not (0.0 <= be <= th + 1e-12 and th <= 1.0):
                 raise ProfileError(f"need 0 <= beta <= theta <= 1; at {t}: "
@@ -350,7 +300,7 @@ def profiles_from_json(obj: Mapping) -> StepProfiles:
 
 
 def integral_bound(spec: GainSpec, profiles: StepProfiles) -> float:
-    """Ratio lower bound from explicit threshold profiles.
+    """Ratio lower bound from explicit threshold profiles, in closed form.
 
     Integrates, over the online arrival time, the online side's floor gain
     outside the matched-to band, the full weight of the matched-to band,
@@ -358,35 +308,35 @@ def integral_bound(spec: GainSpec, profiles: StepProfiles) -> float:
     unmatched-after regions (credited at the inverse-beta marginal rank).
     Conventions: the inverse of beta extends to one at and above
     gamma = beta(1), and a share against a rank-one marginal counts as
-    zero, so profiles that never match contribute nothing. The outer
-    integral is taken to INTEGRAL_TOL, each inner one to a tenth of it.
+    zero, so profiles that never match contribute nothing.
+
+    On each piece of the merged knots theta and beta are constant, so each
+    term is exact through A = int a and B = int b.
     """
     theta_fn, beta_fn = profiles.theta_fn, profiles.beta_fn
-    gamma = beta_fn(1.0)
+    parts, a_int = spec.offer_parts_scalar, spec.rank_offer_antideriv
+    b_int = spec.time_offer_antideriv
+    # v_integral(t) is v's gain over the offline ranks [0, t]. Below gamma
+    # that gain is share(y, x_j) = 1 - a(y) - b(x_j), where beta's upper
+    # inverse is the knot x_j on [beta_{j-1}, beta_j) (x_0 = 0 below beta_0)
+    inverse = [(lo, hi, 1.0 - parts(x)[1])
+               for lo, hi, x in zip((0.0, *beta_fn.ys[:-1]), beta_fn.ys, beta_fn.xs)]
 
-    def u_floor(x: float, t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        return 1.0 - spec.share_scalar(t, x)
+    def v_integral(t: float) -> float:
+        total = 0.0
+        for lo, hi, kept in inverse:
+            hi = min(hi, t)
+            if hi > lo:
+                total += (hi - lo) * kept - (a_int(hi) - a_int(lo))
+        return total
 
-    def v_gain(y_v: float) -> float:
-        if y_v >= gamma:
-            return 0.0
-        b = beta_fn.upper_inverse(y_v)
-        if b >= 1.0:
-            return 0.0
-        return spec.share_scalar(y_v, b)
-
-    v_breaks = set(spec.curve_breakpoints) | {gamma} | set(beta_fn.ys)
-
-    def f(y_u: float) -> float:
-        th = theta_fn(y_u)
-        be = beta_fn(y_u)
-        val = (1.0 - th + be) * u_floor(y_u, th) + (th - be)
-        val += integrate(v_gain, 0.0, be, tol=0.1 * INTEGRAL_TOL, breakpoints=v_breaks)
-        val += integrate(v_gain, th, 1.0, tol=0.1 * INTEGRAL_TOL, breakpoints=v_breaks)
-        return val
-
-    outer_breaks = (set(theta_fn.breaks()) | set(beta_fn.breaks())
-                    | set(spec.curve_breakpoints))
-    return integrate(f, 0.0, 1.0, tol=INTEGRAL_TOL, breakpoints=outer_breaks)
+    v_all = v_integral(1.0)
+    knots = sorted(set(theta_fn.xs) | set(beta_fn.xs))
+    total = 0.0
+    for x0, x1 in zip(knots, knots[1:]):
+        th, be = theta_fn(x0), beta_fn(x0)
+        total += (x1 - x0) * ((th - be) + v_integral(be) + v_all - v_integral(th))
+        if th < 1.0:
+            total += (1.0 - th + be) * ((x1 - x0) * parts(th)[0]
+                                        + b_int(x1) - b_int(x0))
+    return total

@@ -26,7 +26,8 @@ weight split (its two shares do not sum to one). Only this module knows how
 a kind turns ranks into offers and shares: GainSpec.offer_parts(y) returns
 (a(y), b(y)) for scalars or arrays, offer_parts_scalar(y) the same pair for
 scalar hot paths, and the shares read the split from them;
-rank_offer_antideriv(t) is the antiderivative A of a.
+rank_offer_antideriv(t) and time_offer_antideriv(t) are the antiderivatives
+A of a and B of b.
 """
 
 from __future__ import annotations
@@ -185,6 +186,12 @@ class GainSpec:
         if self.kind == ADVERSARIAL:
             return t - math.exp(t - 1.0) + math.exp(-1.0)
         return 0.5 * (t - self.curve_antideriv(t))
+
+    def time_offer_antideriv(self, t: float) -> float:
+        """Exact antiderivative B of b, the arrival-time part, with B(0) = 0."""
+        if self.kind == ADVERSARIAL:
+            return 0.0
+        return 0.5 * self.curve_antideriv(t)
 
     # -- the two-dimensional share ------------------------------------
 

@@ -297,9 +297,9 @@ def test_thresholds_empty_middle_band():
     assert edge_status(inst, half_exp(), base, "u", "v", 0.5, 0.3) == UNMATCHED_AFTER
 
 
-def test_thresholds_make_one_sweep_run(monkeypatch):
-    # one PairSweep.run covers every grid point; its profile is the one a
-    # run per grid point gives
+@pytest.fixture
+def run_sizes(monkeypatch):
+    """Lane counts of every PairSweep.run call, and the unpatched run."""
     from rankmatch import analysis
 
     calls = []
@@ -310,6 +310,32 @@ def test_thresholds_make_one_sweep_run(monkeypatch):
         return run(self, y_u, y_v)
 
     monkeypatch.setattr(analysis.PairSweep, "run", spy)
+    return calls, run
+
+
+def per_grid_point_profile(run, inst, spec, base, u, v, grid, pts):
+    """(beta, theta) from one unpatched PairSweep run per grid point."""
+    from rankmatch import analysis
+
+    sweeper = PairSweep(inst, spec, base, u, v)
+    betas, thetas = [], []
+    for y in grid:
+        statuses = run(sweeper, np.full(pts.size, y), pts).status
+
+        def probe(y_v, _y=y):
+            return edge_status(inst, spec, base, u, v, _y, y_v)
+
+        betas.append(analysis._boundary(statuses, pts, lambda s: s == MATCHED_BEFORE,
+                                        probe, 1e-9))
+        thetas.append(analysis._boundary(statuses, pts, lambda s: s != UNMATCHED_AFTER,
+                                         probe, 1e-9))
+    return tuple(betas), tuple(thetas)
+
+
+def test_thresholds_make_one_sweep_run(run_sizes):
+    # one PairSweep.run covers every grid point; its profile is the one a
+    # run per grid point gives
+    calls, run = run_sizes
     rng = np.random.default_rng(24)
     grid = [0.0, 0.1, 0.35, 0.6, 0.85, 1.0]
     pts = (np.arange(64) + 0.5) / 64
@@ -323,21 +349,34 @@ def test_thresholds_make_one_sweep_run(monkeypatch):
         prof = compute_thresholds(inst, spec, base, u, v, grid,
                                   refine_tol=1e-9, sweep_points=64)
         assert calls == [len(grid) * 64]
+        assert (prof.beta, prof.theta) == per_grid_point_profile(
+            run, inst, spec, base, u, v, grid, pts)
 
-        sweeper = PairSweep(inst, spec, base, u, v)
-        betas, thetas = [], []
-        for y in grid:
-            statuses = run(sweeper, np.full(64, y), pts).status
 
-            def probe(y_v, _y=y):
-                return edge_status(inst, spec, base, u, v, _y, y_v)
-
-            betas.append(analysis._boundary(statuses, pts, lambda s: s == MATCHED_BEFORE,
-                                            probe, 1e-9))
-            thetas.append(analysis._boundary(statuses, pts, lambda s: s != UNMATCHED_AFTER,
-                                             probe, 1e-9))
-        assert prof.beta == tuple(betas)
-        assert prof.theta == tuple(thetas)
+@pytest.mark.parametrize("n_grid, sweep_points, runs", [
+    (7, 2500, [7500, 7500, 2500]),
+    (2, 9000, [9000, 9000]),
+], ids=["last-run-partial", "sweep-beyond-lane-block"])
+def test_thresholds_sweep_in_lane_block_runs(run_sizes, n_grid, sweep_points, runs):
+    # beyond LANE_BLOCK (8192) lanes, each run takes the most whole grid
+    # points that fit, or one grid point's sweep; the profile is the one a
+    # run per grid point gives
+    calls, run = run_sizes
+    rng = np.random.default_rng(25)
+    grid = np.linspace(0.0, 1.0, n_grid)
+    pts = (np.arange(sweep_points) + 0.5) / sweep_points
+    for trial in range(3):
+        inst = random_instance(rng, weighted=True)
+        spec = SPECS[trial % 3]
+        base = sample_ranks(inst, (25, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        calls.clear()
+        prof = compute_thresholds(inst, spec, base, u, v, grid,
+                                  refine_tol=1e-9, sweep_points=sweep_points)
+        assert calls == runs
+        assert (prof.beta, prof.theta) == per_grid_point_profile(
+            run, inst, spec, base, u, v, grid, pts)
 
 
 def test_thresholds_csv_and_json():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -323,10 +324,8 @@ def test_profiles_json_round_trip_property():
                                              exclude_max=True),
                                    max_size=5, unique=True))
         xs = (0.0, *sorted(inner), 1.0)
-        kind = data.draw(st.sampled_from(["step", "linear"]))
-        n = len(xs) - 1 if kind == "step" else len(xs)
-        ys = data.draw(st.lists(values, min_size=n, max_size=n))
-        return Piecewise(xs, tuple(sorted(ys) if non_decreasing else ys), kind)
+        ys = data.draw(st.lists(values, min_size=len(xs) - 1, max_size=len(xs) - 1))
+        return Piecewise(xs, tuple(sorted(ys) if non_decreasing else ys))
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
                          database=None)
@@ -341,15 +340,15 @@ def test_profiles_json_round_trip_property():
     check()
 
 
-def test_piecewise_step_and_linear_eval():
-    step = Piecewise((0.0, 0.4, 1.0), (0.2, 0.7), kind="step")
+def test_piecewise_step_eval():
+    step = Piecewise((0.0, 0.4, 1.0), (0.2, 0.7))
     assert step(0.0) == 0.2
     assert step(0.39999) == 0.2
     assert step(0.4) == 0.7
     assert step(1.0) == 0.7
-    lin = Piecewise((0.0, 0.5, 1.0), (0.0, 0.5, 0.5), kind="linear")
-    assert lin(0.25) == pytest.approx(0.25)
-    assert lin(0.75) == pytest.approx(0.5)
+    three = Piecewise((0.0, 0.25, 0.5, 1.0), (0.1, 0.3, 0.9))
+    assert [three(t) for t in (0.0, 0.25, 0.3, 0.5, 0.99, 1.0)] == [
+        0.1, 0.3, 0.3, 0.9, 0.9, 0.9]
 
 
 def test_piecewise_validation():
@@ -359,35 +358,17 @@ def test_piecewise_validation():
         Piecewise((0.0, 1.0), (0.5, 0.5))          # step wants len(xs)-1 values
     with pytest.raises(ProfileError):
         Piecewise((0.0, 1.0), (1.5,))              # out of range
-    with pytest.raises(ProfileError):
-        Piecewise((0.0, 1.0), (0.5,), kind="cubic")
-
-
-def test_piecewise_upper_inverse_step():
-    beta = Piecewise((0.0, 0.6, 1.0), (0.0, 0.3), kind="step")
-    assert beta.upper_inverse(0.0) == 0.6
-    assert beta.upper_inverse(0.1) == 0.6
-    assert beta.upper_inverse(0.3) == 1.0
-    assert beta.upper_inverse(0.9) == 1.0
-    high = Piecewise((0.0, 1.0), (0.5,), kind="step")
-    assert high.upper_inverse(0.2) == 0.0
-
-
-def test_piecewise_upper_inverse_linear_with_flats():
-    beta = Piecewise((0.0, 0.25, 0.75, 1.0), (0.0, 0.2, 0.2, 0.6), kind="linear")
-    assert beta.upper_inverse(0.1) == pytest.approx(0.125)
-    assert beta.upper_inverse(0.2) == pytest.approx(0.75)   # flat segment sup
-    assert beta.upper_inverse(0.4) == pytest.approx(0.875)
-    assert beta.upper_inverse(0.6) == 1.0
-    assert beta.upper_inverse(0.7) == 1.0
+    for kind in ("linear", 7):
+        with pytest.raises(ProfileError, match=f"unknown profile kind {kind!r}"):
+            piecewise_from_json({"kind": kind, "x": [0.0, 1.0], "y": [0.5]})
 
 
 def test_step_profiles_validation():
-    theta = Piecewise((0.0, 1.0), (0.4,), kind="step")
-    beta_bad = Piecewise((0.0, 1.0), (0.6,), kind="step")
+    theta = Piecewise((0.0, 1.0), (0.4,))
+    beta_bad = Piecewise((0.0, 1.0), (0.6,))
     with pytest.raises(ProfileError, match="beta <= theta"):
         StepProfiles(theta_fn=theta, beta_fn=beta_bad)
-    beta_dec = Piecewise((0.0, 0.5, 1.0), (0.3, 0.1), kind="step")
+    beta_dec = Piecewise((0.0, 0.5, 1.0), (0.3, 0.1))
     with pytest.raises(ProfileError, match="non-decreasing"):
         StepProfiles(theta_fn=Piecewise((0.0, 1.0), (1.0,)), beta_fn=beta_dec)
 
@@ -395,7 +376,7 @@ def test_step_profiles_validation():
 def test_integral_bound_full_band_is_one():
     prof = StepProfiles(theta_fn=Piecewise((0.0, 1.0), (1.0,)),
                         beta_fn=Piecewise((0.0, 1.0), (0.0,)))
-    assert integral_bound(half_exp(), prof) == pytest.approx(1.0, abs=1e-9)
+    assert integral_bound(half_exp(), prof) == 1.0
 
 
 def test_integral_bound_step_profiles_dominate_improved_bound():
@@ -403,8 +384,8 @@ def test_integral_bound_step_profiles_dominate_improved_bound():
     point = minimize_bound(h, "improved")
     t, g = point.tau, point.gamma
     t = min(max(t, 1e-6), 1.0 - 1e-6)
-    theta = Piecewise((0.0, t, 1.0), (g, 1.0), kind="step")
-    beta = Piecewise((0.0, t, 1.0), (0.0, g), kind="step")
+    theta = Piecewise((0.0, t, 1.0), (g, 1.0))
+    beta = Piecewise((0.0, t, 1.0), (0.0, g))
     val = integral_bound(h, StepProfiles(theta_fn=theta, beta_fn=beta))
     assert val >= point.value - 1e-6
 
@@ -414,43 +395,115 @@ def test_integral_bound_adversarial_static_marginal():
     # whose closed form int_0^c e^(y-1) dy + 1 - e^(c-1) = 1 - 1/e for all c
     adv = adversarial_baseline()
     for c in (0.2, 0.5, 0.8):
-        theta = Piecewise((0.0, 1.0), (c,), kind="step")
-        beta = Piecewise((0.0, 1.0), (c,), kind="step")
+        theta = Piecewise((0.0, 1.0), (c,))
+        beta = Piecewise((0.0, 1.0), (c,))
         val = integral_bound(adv, StepProfiles(theta_fn=theta, beta_fn=beta))
         closed = (math.exp(c - 1.0) - math.exp(-1.0)) + 1.0 - math.exp(c - 1.0)
         assert closed == pytest.approx(1.0 - 1.0 / math.e, abs=1e-15)
-        assert val == pytest.approx(closed, abs=1e-7)
+        assert val == pytest.approx(1.0 - 1.0 / math.e, abs=1e-15)
 
 
-def test_integral_bound_linear_beta_closed_form():
+def test_integral_bound_step_beta_closed_form():
     """Hand-integrated oracle with a kink-free table curve.
 
     Curve c(x) = 0.4 + 0.2 x, theta == 1 (so the online floor term is
-    zeroed by the rank-one convention), beta(y) = y/2. Then gamma = 1/2,
-    the inverse of beta is 2x, the offline gain below gamma is
-    share(t, 2t) = 1/2 - t/10, and
+    zeroed by the rank-one convention), beta = 0 on [0, 1/2) and 1/2 on
+    [1/2, 1]. Then gamma = 1/2, the inverse of beta is 1/2 below gamma,
+    the offline gain there is share(t, 1/2) = 0.45 + t/10, and
 
-        f(y_u) = (1 - y_u/2) + int_0^{y_u/2} (1/2 - t/10) dt
-               = 1 - y_u/4 - y_u^2/80,
+        f(y_u) = 1                                          on [0, 1/2),
+        f(y_u) = 1/2 + int_0^{1/2} (0.45 + t/10) dt = 0.7375  on [1/2, 1],
 
-    whose integral over [0, 1] is 1 - 1/8 - 1/240.
+    whose integral over [0, 1] is 139/160.
     """
     spec = piecewise_table((0.0, 1.0), (0.4, 0.6))
     prof = StepProfiles(
-        theta_fn=Piecewise((0.0, 1.0), (1.0,), kind="step"),
-        beta_fn=Piecewise((0.0, 1.0), (0.0, 0.5), kind="linear"))
-    want = 1.0 - 1.0 / 8.0 - 1.0 / 240.0
-    assert integral_bound(spec, prof) == pytest.approx(want, abs=1e-7)
+        theta_fn=Piecewise((0.0, 1.0), (1.0,)),
+        beta_fn=Piecewise((0.0, 0.5, 1.0), (0.0, 0.5)))
+    assert integral_bound(spec, prof) == 139.0 / 160.0
+
+
+def nested_integral(spec, profiles, tol=1e-9):
+    """The nested adaptive-quadrature form of integral_bound, with its own
+    step inverse of beta: an independent oracle for the closed form. Each
+    inner integral is computed once per pair of limits; the outer
+    integrand asks for the same ones on every point of a piece."""
+    theta_fn, beta_fn = profiles.theta_fn, profiles.beta_fn
+    gamma = beta_fn(1.0)
+
+    def upper_inverse(y):
+        # sup{t : beta(t) <= y}, 0.0 when beta(0) > y
+        out = 0.0
+        for x1, b in zip(beta_fn.xs[1:], beta_fn.ys):
+            if b > y:
+                break
+            out = x1
+        return out
+
+    def u_floor(x, t):
+        return 0.0 if t >= 1.0 else 1.0 - spec.share_scalar(t, x)
+
+    def v_gain(y_v):
+        if y_v >= gamma:
+            return 0.0
+        b = upper_inverse(y_v)
+        return 0.0 if b >= 1.0 else spec.share_scalar(y_v, b)
+
+    v_breaks = set(spec.curve_breakpoints) | set(beta_fn.ys)
+
+    @functools.cache
+    def v_integral(lo, hi):
+        return integrate(v_gain, lo, hi, tol=0.1 * tol, breakpoints=v_breaks)
+
+    def f(y_u):
+        th, be = theta_fn(y_u), beta_fn(y_u)
+        return ((1.0 - th + be) * u_floor(y_u, th) + (th - be)
+                + v_integral(0.0, be) + v_integral(th, 1.0))
+
+    breaks = set(theta_fn.xs) | set(beta_fn.xs) | set(spec.curve_breakpoints)
+    return integrate(f, 0.0, 1.0, tol=tol, breakpoints=breaks)
+
+
+def random_step_profiles(rng):
+    """Random admissible profiles: theta and beta on their own knots, beta
+    with repeated values and often beta(0) > 0, theta often at one."""
+    def knots(n):
+        inner = rng.choice(np.arange(1, 20) / 20, n - 1, replace=False)
+        return (0.0, *sorted(float(x) for x in inner), 1.0)
+
+    bx = knots(int(rng.integers(1, 7)))
+    by = tuple(sorted(float(b) for b in rng.choice([0.0, 0.15, 0.3, 0.3, 0.55, 0.7],
+                                                   len(bx) - 1)))
+    beta = Piecewise(bx, by)
+    tx = knots(int(rng.integers(1, 7)))
+    ty = []
+    for x1 in tx[1:]:
+        low = max(b for x, b in zip(bx, by) if x < x1)   # beta's top on the piece
+        ty.append(float(rng.choice([low, 1.0, low + (1.0 - low) * rng.random()])))
+    return StepProfiles(theta_fn=Piecewise(tx, tuple(ty)), beta_fn=beta)
+
+
+@pytest.mark.parametrize("seed, spec", enumerate([
+    half_exp(), simple_exp(), adversarial_baseline(),
+    piecewise_table((0.0, 0.3, 0.7, 1.0), (0.4, 0.5, 0.7, 0.9))]),
+    ids=["half-exp", "simple-exp", "adversarial", "table"])
+def test_integral_bound_matches_nested_quadrature(seed, spec):
+    rng = np.random.default_rng((11, seed))
+    for _ in range(20):
+        profiles = random_step_profiles(rng)
+        assert integral_bound(spec, profiles) == pytest.approx(
+            nested_integral(spec, profiles), abs=1e-8)
 
 
 def test_profiles_json_round_trip():
     prof = StepProfiles(
-        theta_fn=Piecewise((0.0, 0.3, 1.0), (0.5, 1.0), kind="step"),
-        beta_fn=Piecewise((0.0, 0.3, 1.0), (0.0, 0.4), kind="step"))
+        theta_fn=Piecewise((0.0, 0.3, 1.0), (0.5, 1.0)),
+        beta_fn=Piecewise((0.0, 0.3, 1.0), (0.0, 0.4)))
     back = profiles_from_json(json.loads(json.dumps(prof.to_json_dict())))
     assert back == prof
-    lin = piecewise_from_json({"kind": "linear", "x": [0, 0.5, 1], "y": [0, 0.2, 0.4]})
-    assert lin(0.25) == pytest.approx(0.1)
+    # a profile without a kind is a step profile
+    assert piecewise_from_json({"x": [0, 0.5, 1], "y": [0, 0.2]}) == Piecewise(
+        (0.0, 0.5, 1.0), (0.0, 0.2))
 
 
 def test_pair_gain_never_below_minimized_bound():

@@ -103,6 +103,12 @@ def test_integral_profiles_file(tmp_path, capsys):
                            "--profiles", str(path))
     assert code == 0
     assert abs(json.loads(out)["value"] - 1.0) < 1e-8
+    # a profile without a kind is read as a step profile
+    for side in prof.values():
+        del side["kind"]
+    path.write_text(json.dumps(prof))
+    assert run_cli(capsys, "integral", "--spec", "half-exp",
+                   "--profiles", str(path)) == (0, out, "")
 
 
 def test_verify_small_scale_passes(capsys):
@@ -162,7 +168,14 @@ def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
               {"offline": [["v", 1.0]], "online": [{"id": "u", "neighbors": "v"}]},
               "{'id': 'u', 'neighbors': 'v'}"),
              ("integral", "--profiles",
-              {"theta": {"kind": "step", "x": "01", "y": "1"}, "beta": step}, "'x': '01'"))
+              {"theta": {"kind": "step", "x": "01", "y": "1"}, "beta": step}, "'x': '01'"),
+             # profiles are step functions only
+             ("integral", "--profiles",
+              {"theta": step, "beta": {"kind": "linear", "x": [0.0, 1.0], "y": [0.0, 0.5]}},
+              "unknown profile kind 'linear'"),
+             ("integral", "--profiles",
+              {"theta": {"kind": 7, "x": [0.0, 1.0], "y": [1.0]}, "beta": step},
+              "unknown profile kind 7"))
     path = tmp_path / "input.json"
     for command, flag, payload, named in cases:
         path.write_text(json.dumps(payload))
@@ -337,7 +350,7 @@ def _scipy_modules_after(tmp_path, *commands):
 
 def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
     profiles = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
-                "beta": {"kind": "linear", "x": [0.0, 1.0], "y": [0.0, 0.5]}}
+                "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.5]}}
     (tmp_path / "profiles.json").write_text(json.dumps(profiles))
     codes, loaded = _scipy_modules_after(
         tmp_path,

@@ -86,11 +86,13 @@ def test_curve_integral_matches_quadrature():
 
 
 def test_rank_offer_antideriv_matches_quadrature():
+    # time_offer_antideriv too: A and B against midpoint sums of a and b
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
         n = 400_000
         xs = (np.arange(n) + 0.5) / n * 0.8
-        mid = float(np.sum(spec.offer_parts(xs)[0])) * 0.8 / n
-        assert spec.rank_offer_antideriv(0.8) == pytest.approx(mid, abs=5e-9)
+        a_mid, b_mid = (float(np.sum(part)) * 0.8 / n for part in spec.offer_parts(xs))
+        assert spec.rank_offer_antideriv(0.8) == pytest.approx(a_mid, abs=5e-9)
+        assert spec.time_offer_antideriv(0.8) == pytest.approx(b_mid, abs=5e-9)
 
 
 def test_derivative_bound_holds_for_builtin_curves():
