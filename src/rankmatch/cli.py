@@ -59,13 +59,24 @@ def _load_instance(args):
     raise ValueError("provide --instance FILE or --gen KIND --n N")
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy seeds are non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--gen", help="generator kind "
                    "(complete|upper_triangular|random|weighted_random)")
     p.add_argument("--n", type=int, default=10, help="generator size")
     p.add_argument("--p", type=float, default=None, help="edge probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_spec_flag(p: argparse.ArgumentParser) -> None:
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the quantified property suites")
     _add_spec_flag(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p, fmt=("json", "text"))
     p.add_argument("--scale", type=float, default=1.0,
                    help="scale all trial counts (e.g. 0.01 for a smoke run)")

@@ -111,6 +111,33 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
     return result, SimulationTrace(arrivals=tuple(records), match_time=match_time)
 
 
+def _top_offer(offers: np.ndarray, cand: np.ndarray, ranks: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One arrival's choice in every lane: the top offer among its
+    candidates, ties to the smaller rank, then the smaller row.
+
+    offers, cand and ranks are (rows, T) arrays over the same offline rows;
+    rows is the increasing column of their offline indices. offers holds
+    each candidate's offer w * (a + b) >= 0 and 0 off the candidates; its
+    buffer is overwritten. Returns the lanes that have a candidate and the
+    offline index each takes.
+    """
+    # offers are >= 0, so a non-candidate's 0 never beats a candidate,
+    # and a lane matches iff some candidate ties for the top offer
+    tied = offers == offers.max(axis=0)
+    tied &= cand
+    n_tied = tied.sum(axis=0)
+    # the tied row, where there is one; offers' buffer is free again
+    took = np.multiply(tied, rows, out=offers).sum(axis=0).astype(np.intp)
+    multi = np.flatnonzero(n_tied > 1)
+    if multi.size:
+        t, r = tied[:, multi], ranks[:, multi]
+        low = np.where(t, r, np.inf).min(axis=0)
+        took[multi] = np.where(t & (r == low), rows, np.iinfo(np.intp).max).min(axis=0)
+    hit = np.flatnonzero(n_tied > 0)
+    return hit, took[hit]
+
+
 def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
               on_offer: np.ndarray, off_offer: np.ndarray) -> np.ndarray:
     """run_ranking over T lanes at once; lanes are columns.
@@ -146,24 +173,12 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
         # np.take gathers two to three times faster than fancy indexing here
         arriving = np.take(flat_on_offer, j * n_lanes + lanes)
         np.logical_and(np.take(adj, j, axis=1), free, out=cand)
-        # offers are >= 0, so a non-candidate's 0 never beats a candidate,
-        # and a lane matches iff some candidate ties for the top offer
         np.add(off_offer, arriving, out=offers)
         offers *= w
         offers *= cand
-        tied = offers == offers.max(axis=0)
-        tied &= cand
-        n_tied = tied.sum(axis=0)
-        # the tied row, where there is one; offers' buffer is free again
-        took = np.multiply(tied, rows, out=offers).sum(axis=0).astype(np.intp)
-        multi = np.flatnonzero(n_tied > 1)
-        if multi.size:
-            t, r = tied[:, multi], off_ranks[:, multi]
-            low = np.where(t, r, np.inf).min(axis=0)
-            took[multi] = np.where(t & (r == low), rows, n_off).min(axis=0)
-        hit = np.flatnonzero(n_tied > 0)
-        partner[j[hit], hit] = took[hit]
-        free[took[hit], hit] = False
+        hit, took = _top_offer(offers, cand, off_ranks, rows)
+        partner[j[hit], hit] = took
+        free[took, hit] = False
     return partner
 
 

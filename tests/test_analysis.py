@@ -7,7 +7,7 @@ from rankmatch.analysis import (MATCHED_BEFORE, MATCHED_TO_U, UNMATCHED_AFTER,
                                 AnalysisError, PairSweep, compute_thresholds,
                                 edge_status, pair_gain, vary_two_ranks)
 from rankmatch.core import RankAssignment, build_instance, sample_ranks
-from rankmatch.gains import adversarial_baseline, half_exp, simple_exp
+from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
 from rankmatch.generators import random_instance
 from rankmatch.ranking import assign_duals, run_ranking
 
@@ -97,19 +97,31 @@ def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
 
 
 def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
-    # u2 is inserted among u1 (lower id, base rank 0.3), u3 (higher id, 0.6)
-    # and u4 (higher id, 1.0); at an equal arrival time the smaller id goes
-    # first, so u2 follows u1 at 0.3 and precedes u3 at 0.6 and u4 at 1.0
+    # the prefix runs the base order with u2 last; u's step and every class
+    # run place u2 among u1 (lower id, base rank 0.3), u3 (higher id, 0.6)
+    # and u4 (higher id, 1.0) as a stable sort does: at an equal arrival
+    # time the smaller id goes first, so u2 follows u1 at 0.3 and precedes
+    # u3 at 0.6 and u4 at 1.0
     from rankmatch import analysis
 
-    orders = []
-    run_lanes = analysis.run_lanes
+    calls, places = [], []
+    run_lanes, full_runs, u_step = analysis.run_lanes, PairSweep._full_runs, PairSweep._u_step
+
+    def spy_full_runs(self, pos, y_u, y_v):
+        calls.append([y_u.copy()])
+        return full_runs(self, pos, y_u, y_v)
 
     def spy(instance, order, *columns):
-        orders.append(order.copy())
+        calls[-1].append(order.copy())
         return run_lanes(instance, order, *columns)
 
+    def spy_u_step(self, y_u, y_v, pos, seen):
+        places.append(pos.copy())
+        return u_step(self, y_u, y_v, pos, seen)
+
     monkeypatch.setattr(analysis, "run_lanes", spy)
+    monkeypatch.setattr(PairSweep, "_full_runs", spy_full_runs)
+    monkeypatch.setattr(PairSweep, "_u_step", spy_u_step)
     inst = build_instance([("v1", 2.0), ("v2", 1.0)],
                           [("u1", ["v1"]), ("u2", ["v1", "v2"]), ("u3", ["v2"]),
                            ("u4", ["v2"])])
@@ -119,12 +131,21 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
     y_v = np.tile([0.0, 0.3, 0.6, 1.0], 5)
     on = np.repeat([[0.3], [0.8], [0.6], [1.0]], y_u.size, axis=1)
     on[1] = y_u
+    place = np.argmax(np.argsort(on, axis=0, kind="stable") == 1, axis=0)
+    class_runs = 0
     for spec in SPECS:
         for offline_id in ("v1", "v2"):
-            orders.clear()
+            calls.clear()
+            places.clear()
             res = PairSweep(inst, spec, base, "u2", offline_id).run(y_u, y_v)
-            assert len(orders) == 1
-            assert np.array_equal(orders[0], np.argsort(on, axis=0, kind="stable"))
+            assert np.array_equal(np.concatenate(places), place)
+            (_, prefix), *class_calls = calls
+            assert np.array_equal(prefix, np.repeat([[0], [2], [3], [1]], 4, axis=1))
+            for arrival, order in class_calls:
+                on = np.repeat([[0.3], [0.8], [0.6], [1.0]], arrival.size, axis=1)
+                on[1] = arrival
+                assert np.array_equal(order, np.argsort(on, axis=0, kind="stable"))
+                class_runs += arrival.size
             for i in range(y_u.size):
                 _, duals = vary_two_ranks(inst, spec, base, "u2", offline_id,
                                           y_u[i], y_v[i])
@@ -132,12 +153,179 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
                 assert res.alpha_v[i] == pytest.approx(duals.alpha[offline_id], abs=1e-12)
                 assert res.status[i] == edge_status(inst, spec, base, "u2",
                                                     offline_id, y_u[i], y_v[i])
+    assert class_runs > 0
     # the ties decide the run: at 0.3, u1 goes first and takes v1; at 0.6,
     # u2 goes before u3 and takes v2
     _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v1", 0.3, 0.5)
     assert duals.alpha["u1"] > 0.0
     _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v1", 0.6, 0.5)
     assert duals.alpha["u3"] == 0.0 and duals.alpha["u2"] > 0.0
+
+
+def all_lanes_sweep(sweep, y_u, y_v):
+    """Reference PairSweep.run without the shared runs: u inserted into
+    every lane's arrival order, and every lane through run_lanes."""
+    from rankmatch.analysis import LANE_BLOCK, SweepResult
+    from rankmatch.ranking import run_lanes
+
+    y_u = np.atleast_1d(np.asarray(y_u, dtype=float))
+    y_v = np.atleast_1d(np.asarray(y_v, dtype=float))
+    n = y_u.size
+    out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
+                      status=np.empty(n, dtype=np.int8))
+    b_u = np.asarray(sweep.spec.offer_parts(y_u)[1], dtype=float)
+    a_v = np.asarray(sweep.spec.offer_parts(y_v)[0], dtype=float)
+    u, v, w = sweep.u_idx, sweep.v_idx, sweep.w
+    k = np.arange(sweep.y_on.size)[:, None]
+    for start in range(0, n, LANE_BLOCK):
+        blk = slice(start, start + LANE_BLOCK)
+        lanes = np.arange(y_u[blk].size)
+        pos = (np.searchsorted(sweep.ranks_before, y_u[blk], "right")
+               + np.searchsorted(sweep.ranks_after, y_u[blk], "left"))
+        order = sweep.ext[k - (k > pos)]
+        order[pos, lanes] = u
+        off_ranks, on_offer, off_offer = (
+            np.repeat(col[:, None], lanes.size, axis=1)
+            for col in (sweep.y_off, sweep.b_on, sweep.a_off))
+        off_ranks[v] = y_v[blk]
+        on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
+        partner = run_lanes(sweep.instance, order, off_ranks, on_offer, off_offer)
+        p = partner[u]
+        kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])
+        out.alpha_u[blk] = np.where(p >= 0, w[p] - kept, 0.0)
+        took_v = partner == v
+        v_matched = took_v.any(axis=0)
+        by = (took_v * k).sum(axis=0)
+        b_by = np.take(on_offer.ravel(), by * lanes.size + lanes)
+        out.alpha_v[blk] = np.where(v_matched, w[v] * (1.0 - a_v[blk] - b_by), 0.0)
+        before = v_matched & (sweep.y_on[by] < y_u[blk])
+        out.status[blk] = np.where(took_v[u], MATCHED_TO_U, np.where(
+            before, MATCHED_BEFORE, UNMATCHED_AFTER))
+    return out
+
+
+def assert_sweeps_equal(got, want):
+    for field in ("alpha_u", "alpha_v", "status"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+ORACLE_SPECS = SPECS + (piecewise_table((0.0, 0.5, 1.0), (0.5, 0.5, 0.7)),)
+
+
+def oracle_lanes(rng, base, kind, n):
+    """(y_u, y_v): uniform, on {0, 1/2, 1}, or also at the base ranks."""
+    if kind == "uniform":
+        return rng.random(n), rng.random(n)
+    pool = [0.0, 0.5, 1.0]
+    if kind == "base-ranks":
+        pool += list(base.ranks.values())
+    return rng.choice(pool, n), rng.choice(pool, n)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["half-exp", "simple-exp",
+                                                    "adversarial", "table"])
+def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
+    # unit weights with simple-exp (saturated) and the table's flat part
+    # make offer ties; lanes on {0, 1/2, 1} or at base ranks tie arrivals
+    rng = np.random.default_rng(30)
+    for trial in range(30):
+        inst = random_instance(rng, weighted=weighted)
+        base = sample_ranks(inst, (30, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sweep = PairSweep(inst, spec, base, u, v)
+        for kind in ("uniform", "halves", "base-ranks"):
+            y_u, y_v = oracle_lanes(rng, base, kind, int(rng.integers(1, 300)))
+            assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
+
+
+def test_sweep_matches_all_lanes_oracle_at_the_edges():
+    rng = np.random.default_rng(31)
+    # beyond LANE_BLOCK lanes, the lanes of one class sit in several slices
+    for trial in range(6):
+        inst = random_instance(rng, weighted=trial % 2 == 0)
+        base = sample_ranks(inst, (31, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sweep = PairSweep(inst, ORACLE_SPECS[trial % 4], base, u, v)
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *rng.random(4)])
+        y_u, y_v = rng.choice(pool, 20000), rng.choice(pool, 20000)
+        assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
+    # no lanes; one online vertex; one offline vertex
+    one_online = build_instance([("v1", 1.0), ("v2", 3.0), ("v3", 1.0)],
+                                [("u1", ["v1", "v2", "v3"])])
+    one_offline = build_instance([("v1", 2.0)], [("u1", ["v1"]), ("u2", ["v1"]),
+                                                 ("u3", ["v1"])])
+    for inst, u, v in ((one_online, "u1", "v2"), (one_offline, "u2", "v1")):
+        base = sample_ranks(inst, 31)
+        for spec in ORACLE_SPECS:
+            sweep = PairSweep(inst, spec, base, u, v)
+            for n in (0, 1, 500):
+                y_u, y_v = oracle_lanes(rng, base, "base-ranks", n)
+                assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
+
+
+def test_sweep_class_runs_split_on_u_partner():
+    # u1 takes y below y_u ~ 0.336 and x above; u2 (0.95) then takes x, or
+    # v when x is gone. Lanes that share y_v and u1's position but not its
+    # partner end differently, so they must not share a class run
+    inst = build_instance([("v", 0.1), ("x", 2.46), ("y", 1.5)],
+                          [("u1", ["v", "x", "y"]), ("u2", ["v", "x"])])
+    base = RankAssignment({"v": 0.5, "x": 0.9, "y": 0.1, "u1": 0.2, "u2": 0.95})
+    y_u = np.repeat([0.1, 0.2, 0.5, 0.6, 0.97], 3)
+    y_v = np.tile([0.2, 0.5, 0.7], 5)
+    sweep = PairSweep(inst, half_exp(), base, "u1", "v")
+    res = sweep.run(y_u, y_v)
+    assert_sweeps_equal(res, all_lanes_sweep(sweep, y_u, y_v))
+    matched = res.alpha_v > 0.0
+    assert matched.tolist() == [False] * 6 + [True] * 6 + [False] * 3
+    for i in range(y_u.size):
+        _, duals = vary_two_ranks(inst, half_exp(), base, "u1", "v", y_u[i], y_v[i])
+        assert res.alpha_v[i] == pytest.approx(duals.alpha["v"], abs=1e-12)
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """Lane count of every run_lanes call PairSweep makes."""
+    from rankmatch import analysis
+
+    counts = []
+    run_lanes = analysis.run_lanes
+
+    def spy(instance, order, *columns):
+        counts.append(order.shape[1])
+        return run_lanes(instance, order, *columns)
+
+    monkeypatch.setattr(analysis, "run_lanes", spy)
+    return counts
+
+
+def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
+    from rankmatch.analysis import LANE_BLOCK
+
+    # u1 takes v1 whenever y_v > 1/2 and u2 (base rank 0.9) has not come
+    # yet, so v2 stays free and nearly half the lanes take class runs, each
+    # its own: 20,000 distinct y_v need three prefix runs and two class runs
+    inst = build_instance([("v1", 1.0), ("v2", 1.0)],
+                          [("u1", ["v1", "v2"]), ("u2", ["v2"])])
+    base = RankAssignment({"v1": 0.5, "v2": 0.5, "u1": 0.4, "u2": 0.9})
+    rng = np.random.default_rng(32)
+    y_u, y_v = rng.random(20000), rng.random(20000)
+    sweep = PairSweep(inst, half_exp(), base, "u1", "v2")
+    assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
+    assert max(lane_counts) == LANE_BLOCK and len(lane_counts) == 5
+    # the pair_gain grid shares runs: fewer lanes than its 200 x 200 cells
+    for trial in range(8):
+        inst = random_instance(rng, weighted=True)
+        base = sample_ranks(inst, (32, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        lane_counts.clear()
+        pair_gain(inst, SPECS[trial % 2], base, u, v, 200)
+        assert max(lane_counts) <= LANE_BLOCK
+        assert sum(lane_counts) < 200 * 200
 
 
 def test_three_interval_structure_random_probes():

@@ -184,6 +184,27 @@ def test_malformed_input_files_exit_two_naming_the_entry(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--gen", "complete", "--n", "2"),
+    ("pair-gain", "--gen", "complete", "--n", "2"),
+    ("thresholds", "--gen", "complete", "--n", "2"),
+    ("verify",),
+    ("generate", "--gen", "random", "--n", "3"),
+    ("generate", "--gen", "upper_triangular", "--n", "3"),
+], ids=["simulate", "pair-gain", "thresholds", "verify", "generate-random",
+        "generate-upper-triangular"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exits_two_naming_the_flag(capsys, argv, seed):
+    # numpy's own error named no flag, and upper_triangular took -1 silently
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("error:") == 1
+    assert (f"error: argument --seed: must be a non-negative integer, got '{seed}'\n"
+            in out.err)
+
+
 @pytest.mark.parametrize("payload, named", [
     ("", "gain spec file {path} is not valid JSON"),
     ("[1]", 'gain spec must be an object {"kind": ...}, got [1]'),
