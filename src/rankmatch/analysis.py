@@ -12,12 +12,13 @@ expected combined gain of the pair over uniformly random (y_u, y_v) by
 midpoint quadrature.
 
 Re-running the scalar simulation per grid cell would dominate everything,
-so PairSweep lays the (y_u, y_v) values out as lanes and simulates each
-distinct run once through ranking.run_lanes: the arrivals before u once
-per distinct y_v, u's own choice in every lane, and the rest of the run
-once per class of lanes that share y_v and u's partner. It then splits the
-pair's gains from the partners. compute_thresholds makes one PairSweep run
-per LANE_BLOCK lanes of its grid, and pair_gain one for its grid cells.
+so PairSweep lays the (y_u, y_v) values out as lanes. Once u has taken p,
+the other arrivals run as they would without u and with p gone from the
+start, so one table of runs through ranking.run_lanes, keyed by y_v and
+the vertex gone (none, or one of u's neighbors other than v), answers
+every lane; u's own choice and the split of the pair's gains are then
+per-lane arithmetic. compute_thresholds makes one PairSweep run per
+LANE_BLOCK lanes of its grid, and pair_gain one for its grid cells.
 Every lane follows run_ranking's rules, ties included; the scalar path
 (vary_two_ranks, edge_status) stays the reference, and tests cross-check
 the two.
@@ -39,8 +40,8 @@ MATCHED_BEFORE = 0
 MATCHED_TO_U = 1
 UNMATCHED_AFTER = 2
 
-# lanes per run_lanes call and per slice of PairSweep.run's per-lane steps:
-# bounds its working set
+# lanes per run_lanes call, per slice of PairSweep.run's per-lane pass and
+# per compute_thresholds run: bounds their working sets
 LANE_BLOCK = 8192
 # bisection tolerance of pair_gain's (tau, gamma) and compute_thresholds' default
 REFINE_TOL = 1e-9
@@ -103,29 +104,27 @@ class PairSweep:
     __init__ evaluates the spec once on the base ranks: a column of
     arrival times with their offer parts b, and a column of offline ranks
     with their offer parts a, and sorts the other online vertices into
-    their arrival order. A lane is one (y_u, y_v). Only u's and v's ranks
-    move, so run() simulates each distinct run once:
+    their arrival order. A lane is one (y_u, y_v). run() rests on one
+    fact: once u has taken p, the run of the other arrivals is their run
+    in base order with p gone from the start and u never arriving. Before
+    u, no arrival took p, and removing a vertex an arrival does not take
+    leaves its choice as it was; after u, the free sets are equal. So
+    every run depends only on (y_v, gone), gone being none or one of u's
+    neighbors other than v. A run costs deg(u) table runs per distinct
+    y_v, which suits its callers' grids, whose y_v take few values:
 
-    1. Prefix. The arrivals before u depend on y_v alone: one run per
-       distinct y_v, with u last, records the arrival position at which
-       each of u's neighbors is taken, so u's free neighbors before any
-       position are known.
-    2. u's step, in every lane, over u's neighbor rows only (the tie rule
-       is ranking._top_offer's). Where v went before u, or to u, v's
-       partner is now known.
-    3. Class runs. Once u has taken p, the rest of the run depends on y_v
-       and p alone, not on where u arrived: an arrival between two places
-       of u takes the same vertex either way, since it is not p (u takes
-       p after it) and removing a vertex it does not take leaves its
-       choice as it was. So for each (y_v, p) class whose v is still
-       free, one lane runs in full, u inserted into the arrival order at
-       its y_u, and every lane of the class reads v's partner from it.
-    4. Split. The gains of u and v come off the two partners, split
-       exactly as assign_duals splits them.
+    1. Table. For every distinct y_v and every gone, one run of the other
+       arrivals without u. The gone = none runs give the arrival position
+       at which each of u's neighbors is taken; every run gives v's
+       partner.
+    2. Per lane, LANE_BLOCK lanes at a time: u's step over u's neighbor
+       rows (the tie rule is ranking._top_offer's) gives p. v's partner
+       is u where p is v, and otherwise the table's at (y_v, gone = p, or
+       none where u took nothing). The gains of u and v come off the two
+       partners, split exactly as assign_duals splits them.
 
     So every lane is the run vary_two_ranks makes. Each ranking.run_lanes
-    call takes at most LANE_BLOCK lanes, and steps 2 and 4 go through the
-    lanes LANE_BLOCK at a time.
+    call takes at most LANE_BLOCK lanes.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -142,10 +141,9 @@ class PairSweep:
         self.y_off = np.array([rank_of[v] for v in instance.offline_ids], dtype=float)
         self.b_on = np.asarray(spec.offer_parts(self.y_on)[1], dtype=float)
         self.a_off = np.asarray(spec.offer_parts(self.y_off)[0], dtype=float)
-        # the arrival order of the other online vertices, by rank then id,
-        # with u appended; run() inserts u into it lane by lane
+        # the arrival order of the other online vertices, by rank then id
         rest = np.argsort(self.y_on, kind="stable")
-        self.ext = np.append(rest[rest != self.u_idx], self.u_idx)
+        self.rest = rest[rest != self.u_idx]
         self.ranks_before = np.sort(self.y_on[:self.u_idx])
         self.ranks_after = np.sort(self.y_on[self.u_idx + 1:])
         # u's neighbor rows, increasing, and v's place among them
@@ -153,79 +151,65 @@ class PairSweep:
                                     for x in instance.neighbors[online_id]))
         self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
 
-    def _full_runs(self, pos, y_u, y_v) -> np.ndarray:
-        """Full runs through run_lanes, one per lane: u arrives pos-th, at
-        time y_u, and v has rank y_v."""
-        lanes = np.arange(y_v.size)
-        k = np.arange(self.y_on.size)[:, None]
-        order = self.ext[k - (k > pos)]
-        order[pos, lanes] = self.u_idx
-        off_ranks, on_offer, off_offer = (
-            np.repeat(col[:, None], lanes.size, axis=1)
-            for col in (self.y_off, self.b_on, self.a_off))
-        off_ranks[self.v_idx] = y_v
-        on_offer[self.u_idx] = self.spec.offer_parts(y_u)[1]
-        off_offer[self.v_idx] = self.spec.offer_parts(y_v)[0]
-        return run_lanes(self.instance, order, off_ranks, on_offer, off_offer)
-
-    def _prefix(self, y_v, small):
-        """Step 1: (yv_of, taken). y_v[i] is the yv_of[i]-th distinct rank
-        of v, and taken[j, d] is the arrival position at which u's j-th
-        neighbor is taken when v has the d-th, n_on - 1 if never."""
-        # not np.unique: without an index output it loads numpy.ma on its
-        # first call, about 14 ms and 1.7 MB of peak RSS per process
-        y_vs = np.sort(y_v)
-        y_vs = np.append(y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]])
-        n_on = self.y_on.size
-        taken = np.empty((self.nbrs.size, y_vs.size), dtype=small)
-        for start in range(0, y_vs.size, LANE_BLOCK):
-            ys = y_vs[start:start + LANE_BLOCK]
-            # u arrives last, at its base time; its choice is dropped, and
-            # n_on - 1, its position, is one no arrival before u reaches
-            partner = self._full_runs(np.full(ys.size, n_on - 1),
-                                      np.full(ys.size, self.y_on[self.u_idx]), ys)
-            at = np.full((self.w.size + 1, ys.size), n_on - 1, dtype=small)
+    def _table(self, y_vs, small):
+        """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
+        taken[j, d] is the arrival position among the others at which u's
+        j-th neighbor is taken when v has rank y_vs[d], n_on - 1 if never;
+        v_by[g, d] is v's partner (an online index, -1 if none) when
+        offline vertex g is gone, and v_by[-1, d] when none is."""
+        n_on, n_off, n_vs = self.y_on.size, self.w.size, y_vs.size
+        gone = np.append(self.nbrs[self.nbrs != self.v_idx], -1)
+        taken = np.empty((self.nbrs.size, n_vs), dtype=small)
+        v_by = np.empty((n_off + 1, n_vs), dtype=small)
+        a_vs = self.spec.offer_parts(y_vs)[0]
+        k = np.arange(n_on)[:, None]
+        for start in range(0, gone.size * n_vs, LANE_BLOCK):
+            keys = np.arange(start, min(start + LANE_BLOCK, gone.size * n_vs))
+            g, d = gone[keys // n_vs], keys % n_vs
+            lanes = np.arange(keys.size)
+            free = np.ones((n_off, keys.size), dtype=bool)
+            free[g[g >= 0], lanes[g >= 0]] = False
+            off_ranks, on_offer, off_offer = (
+                np.repeat(col[:, None], keys.size, axis=1)
+                for col in (self.y_off, self.b_on, self.a_off))
+            off_ranks[self.v_idx] = y_vs[d]
+            off_offer[self.v_idx] = a_vs[d]
+            order = np.repeat(self.rest[:, None], keys.size, axis=1)
+            partner = run_lanes(self.instance, order, off_ranks, on_offer, off_offer, free)
+            # v has at most one partner per lane, so the row sum of the
+            # one-hot took_v is that partner's index
+            took_v = partner == self.v_idx
+            v_by[g, d] = np.where(took_v.any(axis=0), (took_v * k).sum(axis=0), -1)
+            none = np.flatnonzero(g < 0)
+            at = np.full((n_off + 1, none.size), n_on - 1, dtype=small)
             # a -1 partner (none) lands in the spare last row
-            at[partner[self.ext[:-1]], np.arange(ys.size)] = np.arange(n_on - 1)[:, None]
-            taken[:, start:start + ys.size] = at[self.nbrs]
-        # yv_of lives through the whole run, so in the narrowest type
-        return np.searchsorted(y_vs, y_v).astype(np.min_scalar_type(y_vs.size)), taken
+            at[partner[self.rest][:, none], np.arange(none.size)] = np.arange(n_on - 1)[:, None]
+            taken[:, d[none]] = at[self.nbrs]
+        return taken, v_by
 
-    def _u_step(self, y_u, y_v, pos, seen):
-        """Step 2 on at most LANE_BLOCK lanes, given when each of u's
-        neighbors is taken: (p, by), u's partner (an offline index, -1 if
-        none) and v's partner where it is known already (an online index),
-        -2 where it takes a class run."""
+    def _u_step(self, a_v, b_u, y_v, pos, seen):
+        """u's step on at most LANE_BLOCK lanes, given when each of u's
+        neighbors is taken: p, u's partner (an offline index, -1 if
+        none)."""
         rows = self.nbrs[:, None]
         cand = seen >= pos
-        offers = np.repeat(self.a_off[rows], y_u.size, axis=1)
-        offers[self.v_row] = self.spec.offer_parts(y_v)[0]
-        offers += self.spec.offer_parts(y_u)[1]
+        offers = np.repeat(self.a_off[rows], y_v.size, axis=1)
+        offers[self.v_row] = a_v
+        offers += b_u
         offers *= self.w[rows]
         offers *= cand
-        ranks = np.repeat(self.y_off[rows], y_u.size, axis=1)
+        ranks = np.repeat(self.y_off[rows], y_v.size, axis=1)
         ranks[self.v_row] = y_v
         hit, took = _top_offer(offers, cand, ranks, rows)
-        p = np.full(y_u.size, -1, dtype=pos.dtype)
+        p = np.full(y_v.size, -1, dtype=pos.dtype)
         p[hit] = took
-        v_at = seen[self.v_row]
-        by = np.where(v_at < pos, self.ext[v_at], np.where(p == self.v_idx, self.u_idx, -2))
-        return p, by
+        return p
 
-    def _v_partner(self, pos, y_u, y_v) -> np.ndarray:
-        """Step 3's full runs: v's partner in each, an online index, -1 if
-        none. v has at most one partner per lane, so the row sum of the
-        one-hot took_v is that partner's index."""
-        took_v = self._full_runs(pos, y_u, y_v) == self.v_idx
-        k = np.arange(self.y_on.size)[:, None]
-        return np.where(took_v.any(axis=0), (took_v * k).sum(axis=0), -1)
-
-    def _split(self, y_u, y_v, p, by):
-        """Step 4 on at most LANE_BLOCK lanes: (alpha_u, alpha_v, status).
-        Each matched offline endpoint q keeps w_q * (1 - a - b); the online
-        side gets the complement, exactly as in assign_duals."""
+    def _split(self, y_u, a_v, b_u, p, by):
+        """The gains on at most LANE_BLOCK lanes: (alpha_u, alpha_v,
+        status). Each matched offline endpoint q keeps w_q * (1 - a - b);
+        the online side gets the complement, exactly as in assign_duals."""
         u, v, w = self.u_idx, self.v_idx, self.w
-        a_v, b_u = self.spec.offer_parts(y_v)[0], self.spec.offer_parts(y_u)[1]
         kept = w[p] * (1.0 - np.where(p == v, a_v, self.a_off[p]) - b_u)
         alpha_u = np.where(p >= 0, w[p] - kept, 0.0)
         b_by = np.where(by == u, b_u, self.b_on[by])
@@ -242,40 +226,31 @@ class PairSweep:
         if y_u.shape != y_v.shape:
             raise AnalysisError("y_u and y_v must have equal shapes")
         n = y_u.size
-        # per-lane positions and indices, down to -2, fit this type
-        small = np.min_scalar_type(-max(self.y_on.size, self.w.size, 2))
-        yv_of, taken = self._prefix(y_v, small)
-
-        # u arrives after the lower-index others of rank <= y_u and the
-        # higher-index others of rank < y_u: a stable argsort's order
-        pos = (np.searchsorted(self.ranks_before, y_u, "right")
-               + np.searchsorted(self.ranks_after, y_u, "left")).astype(small)
-        p, by = np.empty(n, dtype=small), np.empty(n, dtype=small)
-        for start in range(0, n, LANE_BLOCK):
-            blk = slice(start, start + LANE_BLOCK)
-            # np.take keeps the gather C-contiguous, and fast to compare
-            p[blk], by[blk] = self._u_step(y_u[blk], y_v[blk], pos[blk],
-                                           np.take(taken, yv_of[blk], axis=1))
-
-        # the lanes that share y_v and u's partner end the same way: one
-        # class run, from any lane of the class, gives v's partner to all;
-        # classes[c] then becomes v's partner in class c
-        rest = by == -2
-        classes, cls = np.unique(yv_of[rest].astype(np.intp) * self.w.size + p[rest],
-                                 return_inverse=True)
-        rep = np.empty(classes.size, dtype=np.intp)
-        rep[cls] = np.flatnonzero(rest)
-        for start in range(0, rep.size, LANE_BLOCK):
-            r = rep[start:start + LANE_BLOCK]
-            classes[start:start + r.size] = self._v_partner(pos[r], y_u[r], y_v[r])
-        by[rest] = classes[cls]
+        # positions and indices, down to -1, fit this type
+        small = np.min_scalar_type(-max(self.y_on.size, self.w.size))
+        # not np.unique: without an index output it loads numpy.ma on its
+        # first call, about 14 ms and 1.7 MB of peak RSS per process
+        y_vs = np.sort(y_v)
+        y_vs = np.append(y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]])
+        # yv_of lives through the whole run, so in the narrowest type
+        yv_of = np.searchsorted(y_vs, y_v).astype(np.min_scalar_type(y_vs.size))
+        taken, v_by = self._table(y_vs, small)
 
         out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
                           status=np.empty(n, dtype=np.int8))
         for start in range(0, n, LANE_BLOCK):
             blk = slice(start, start + LANE_BLOCK)
+            yu, yv, d = y_u[blk], y_v[blk], yv_of[blk]
+            a_v, b_u = self.spec.offer_parts(yv)[0], self.spec.offer_parts(yu)[1]
+            # u arrives after the lower-index others of rank <= y_u and the
+            # higher-index others of rank < y_u: a stable argsort's order
+            pos = (np.searchsorted(self.ranks_before, yu, "right")
+                   + np.searchsorted(self.ranks_after, yu, "left")).astype(small)
+            # np.take keeps the gather C-contiguous, and fast to compare
+            p = self._u_step(a_v, b_u, yv, pos, np.take(taken, d, axis=1))
+            by = np.where(p == self.v_idx, self.u_idx, v_by[p, d])
             out.alpha_u[blk], out.alpha_v[blk], out.status[blk] = self._split(
-                y_u[blk], y_v[blk], p[blk], by[blk])
+                yu, a_v, b_u, p, by)
         return out
 
 
@@ -379,12 +354,13 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     pts = (np.arange(sweep_points) + 0.5) / sweep_points
 
-    # grid-major lanes, at most LANE_BLOCK per run (or one grid point's sweep)
-    per_run = max(1, LANE_BLOCK // pts.size)
+    # sweep-major lanes, at most LANE_BLOCK per run (or one sweep point
+    # across the grid), so each run tables only its own y_v
+    per_run = max(1, LANE_BLOCK // len(grid))
     sweeps = np.concatenate([
-        sweeper.run(np.repeat(chunk, pts.size), np.tile(pts, len(chunk))).status
-        for chunk in (grid[i:i + per_run] for i in range(0, len(grid), per_run))
-    ]).reshape(len(grid), pts.size)
+        sweeper.run(np.tile(grid, chunk.size), np.repeat(chunk, len(grid))).status
+        for chunk in (pts[i:i + per_run] for i in range(0, pts.size, per_run))
+    ]).reshape(pts.size, len(grid)).T
     betas: list[float] = []
     thetas: list[float] = []
     for y_u, statuses in zip(grid, sweeps):

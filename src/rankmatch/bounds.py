@@ -35,7 +35,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .gains import GainSpec
-from .numerics import as_real, bisect_root, golden_minimize, integrate
+from .numerics import as_real, bisect_boundary, golden_minimize, integrate
 
 
 # minimize_bound: scan grid size, quadrature tolerances of the scan and the
@@ -194,13 +194,13 @@ def heatmap_rows(spec: GainSpec, which: str,
 
 
 def solve_curve_equals_two_t(spec: GainSpec) -> float:
-    """Root of curve(t) = 2 t in [0, 1] by bracketed bisection.
+    """Root of curve(t) = 2 t in [0, 1], where curve(t) > 2 t stops
+    holding, by bisection to within ROOT_TOL.
 
     For both built-in exp curves the crossing exists and is unique:
     curve(0) > 0 and curve(1) <= 1 < 2.
     """
-    return bisect_root(lambda t: float(spec.curve(t)) - 2.0 * t, 0.0, 1.0,
-                       tol=ROOT_TOL)
+    return bisect_boundary(lambda t: float(spec.curve(t)) > 2.0 * t, 0.0, 1.0, ROOT_TOL)
 
 
 def stationary_tau(spec: GainSpec, gamma: float) -> tuple[float, float]:

@@ -35,6 +35,24 @@ def _edge_prob(params: Mapping) -> float:
     return p
 
 
+def _draw(rng: np.random.Generator, n_u: int, n_v: int, p: float,
+          weighted: bool, min_edges: int) -> Instance | None:
+    """n_u x n_v instance from rng: log-uniform weights in [0.1, 10] when
+    weighted (else 1), then each edge with probability p, then ids; None
+    when it has fewer than min_edges edges."""
+    if weighted:
+        weights = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=n_v))
+    else:
+        weights = np.ones(n_v)
+    adj = rng.random((n_u, n_v)) < p
+    if adj.sum() < min_edges:
+        return None
+    offl = _ids("v", n_v)
+    online = [(u, [offl[j] for j in range(n_v) if adj[i, j]])
+              for i, u in enumerate(_ids("u", n_u))]
+    return build_instance(list(zip(offl, (float(w) for w in weights))), online)
+
+
 def generate_instance(kind: str, params: Mapping, seed) -> Instance:
     """Deterministic instance from (kind, params, seed).
 
@@ -65,16 +83,8 @@ def generate_instance(kind: str, params: Mapping, seed) -> Instance:
     if kind in ("random", "weighted_random"):
         n_u, n_v = _sizes(params)
         p = _edge_prob(params)
-        rng = np.random.default_rng(seed)
-        if kind == "weighted_random":
-            weights = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=n_v))
-        else:
-            weights = np.ones(n_v)
-        adj = rng.random((n_u, n_v)) < p
-        offl = _ids("v", n_v)
-        online = [(u, [offl[j] for j in range(n_v) if adj[i, j]])
-                  for i, u in enumerate(_ids("u", n_u))]
-        return build_instance(list(zip(offl, (float(w) for w in weights))), online)
+        return _draw(np.random.default_rng(seed), n_u, n_v, p,
+                     kind == "weighted_random", min_edges=0)
     raise GeneratorError(f"unknown generator kind {kind!r}")
 
 
@@ -89,14 +99,6 @@ def random_instance(rng: np.random.Generator, max_side: int = 6,
     while True:
         n_u = int(rng.integers(1, max_side + 1))
         n_v = int(rng.integers(1, max_side + 1))
-        if weighted:
-            weights = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=n_v))
-        else:
-            weights = np.ones(n_v)
-        adj = rng.random((n_u, n_v)) < 0.5
-        if adj.sum() < min_edges:
-            continue
-        offl = _ids("v", n_v)
-        online = [(u, [offl[j] for j in range(n_v) if adj[i, j]])
-                  for i, u in enumerate(_ids("u", n_u))]
-        return build_instance(list(zip(offl, (float(w) for w in weights))), online)
+        instance = _draw(rng, n_u, n_v, 0.5, weighted, min_edges)
+        if instance is not None:
+            return instance

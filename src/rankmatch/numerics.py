@@ -107,28 +107,6 @@ def golden_minimize(f: Callable[[float], float], a: float, b: float,
     return x, f(x)
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> float:
-    """Root of f on [lo, hi]; f(lo) and f(hi) must have opposite signs."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float,
                     tol: float = 1e-9) -> float:
     """Boundary point of a monotone predicate: pred holds at lo, fails at hi.

@@ -139,21 +139,24 @@ def _top_offer(offers: np.ndarray, cand: np.ndarray, ranks: np.ndarray,
 
 
 def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
-              on_offer: np.ndarray, off_offer: np.ndarray) -> np.ndarray:
+              on_offer: np.ndarray, off_offer: np.ndarray,
+              free: np.ndarray) -> np.ndarray:
     """run_ranking over T lanes at once; lanes are columns.
 
-    order is the (n_online, T) arrival order: order[k, t] is the online
-    index arriving k-th in lane t, by arrival time, then id (a stable
-    argsort of the id-ordered arrival times gives it). on_offer is the
-    (n_online, T) array of the arrivals' offer parts b(y_u); off_ranks and
-    off_offer are (n_offline, T) arrays of offline ranks and their offer
-    parts a(y_v). Rows follow the instance's id order. Every offer
-    w_v * (a + b) must be >= 0, as it is for every GainSpec. Each lane
-    follows run_ranking's rules: offer ties go to the smaller offline
-    rank, then the smaller id. Returns the (n_online, T) array of the
-    offline index each arrival took, -1 if none.
+    order is the (k, T) arrival order: order[i, t] is the online index
+    arriving i-th in lane t, by arrival time, then id (a stable argsort of
+    the id-ordered arrival times gives it). It may leave online vertices
+    out; those never arrive. on_offer is the (n_online, T) array of the
+    arrivals' offer parts b(y_u); off_ranks and off_offer are (n_offline,
+    T) arrays of offline ranks and their offer parts a(y_v), and free is
+    the (n_offline, T) mask of offline vertices still free at the start
+    (copied, never written back). Rows follow the instance's id order.
+    Every offer w_v * (a + b) must be >= 0, as it is for every GainSpec.
+    Each lane follows run_ranking's rules: offer ties go to the smaller
+    offline rank, then the smaller id. Returns the (n_online, T) array of
+    the offline index each online vertex took, -1 if none.
     """
-    n_on, n_lanes = order.shape
+    n_on, n_lanes = len(instance.online), order.shape[1]
     n_off = len(instance.offline)
     partner = np.full((n_on, n_lanes), -1, dtype=np.intp)
     if n_off == 0:
@@ -166,7 +169,7 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     rows = np.arange(n_off)[:, None]
     lanes = np.arange(n_lanes)
     flat_on_offer = on_offer.ravel()
-    free = np.ones((n_off, n_lanes), dtype=bool)
+    free = free.copy()
     cand = np.empty((n_off, n_lanes), dtype=bool)
     offers = np.empty((n_off, n_lanes))
     for j in order:

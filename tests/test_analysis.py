@@ -97,30 +97,24 @@ def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
 
 
 def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
-    # the prefix runs the base order with u2 last; u's step and every class
-    # run place u2 among u1 (lower id, base rank 0.3), u3 (higher id, 0.6)
-    # and u4 (higher id, 1.0) as a stable sort does: at an equal arrival
-    # time the smaller id goes first, so u2 follows u1 at 0.3 and precedes
-    # u3 at 0.6 and u4 at 1.0
+    # every table run is the others' base order, u1 (0.3), u3 (0.6), u4
+    # (1.0), without u2; u's step places u2 among them as a stable sort
+    # does: at an equal arrival time the smaller id goes first, so u2
+    # follows u1 at 0.3 and precedes u3 at 0.6 and u4 at 1.0
     from rankmatch import analysis
 
-    calls, places = [], []
-    run_lanes, full_runs, u_step = analysis.run_lanes, PairSweep._full_runs, PairSweep._u_step
-
-    def spy_full_runs(self, pos, y_u, y_v):
-        calls.append([y_u.copy()])
-        return full_runs(self, pos, y_u, y_v)
+    orders, places = [], []
+    run_lanes, u_step = analysis.run_lanes, PairSweep._u_step
 
     def spy(instance, order, *columns):
-        calls[-1].append(order.copy())
+        orders.append(order.copy())
         return run_lanes(instance, order, *columns)
 
-    def spy_u_step(self, y_u, y_v, pos, seen):
+    def spy_u_step(self, a_v, b_u, y_v, pos, seen):
         places.append(pos.copy())
-        return u_step(self, y_u, y_v, pos, seen)
+        return u_step(self, a_v, b_u, y_v, pos, seen)
 
     monkeypatch.setattr(analysis, "run_lanes", spy)
-    monkeypatch.setattr(PairSweep, "_full_runs", spy_full_runs)
     monkeypatch.setattr(PairSweep, "_u_step", spy_u_step)
     inst = build_instance([("v1", 2.0), ("v2", 1.0)],
                           [("u1", ["v1"]), ("u2", ["v1", "v2"]), ("u3", ["v2"]),
@@ -132,20 +126,15 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
     on = np.repeat([[0.3], [0.8], [0.6], [1.0]], y_u.size, axis=1)
     on[1] = y_u
     place = np.argmax(np.argsort(on, axis=0, kind="stable") == 1, axis=0)
-    class_runs = 0
     for spec in SPECS:
         for offline_id in ("v1", "v2"):
-            calls.clear()
+            orders.clear()
             places.clear()
             res = PairSweep(inst, spec, base, "u2", offline_id).run(y_u, y_v)
             assert np.array_equal(np.concatenate(places), place)
-            (_, prefix), *class_calls = calls
-            assert np.array_equal(prefix, np.repeat([[0], [2], [3], [1]], 4, axis=1))
-            for arrival, order in class_calls:
-                on = np.repeat([[0.3], [0.8], [0.6], [1.0]], arrival.size, axis=1)
-                on[1] = arrival
-                assert np.array_equal(order, np.argsort(on, axis=0, kind="stable"))
-                class_runs += arrival.size
+            assert orders
+            for order in orders:
+                assert np.array_equal(order, np.repeat([[0], [2], [3]], order.shape[1], axis=1))
             for i in range(y_u.size):
                 _, duals = vary_two_ranks(inst, spec, base, "u2", offline_id,
                                           y_u[i], y_v[i])
@@ -153,7 +142,6 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
                 assert res.alpha_v[i] == pytest.approx(duals.alpha[offline_id], abs=1e-12)
                 assert res.status[i] == edge_status(inst, spec, base, "u2",
                                                     offline_id, y_u[i], y_v[i])
-    assert class_runs > 0
     # the ties decide the run: at 0.3, u1 goes first and takes v1; at 0.6,
     # u2 goes before u3 and takes v2
     _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v1", 0.3, 0.5)
@@ -182,14 +170,15 @@ def all_lanes_sweep(sweep, y_u, y_v):
         lanes = np.arange(y_u[blk].size)
         pos = (np.searchsorted(sweep.ranks_before, y_u[blk], "right")
                + np.searchsorted(sweep.ranks_after, y_u[blk], "left"))
-        order = sweep.ext[k - (k > pos)]
+        order = np.append(sweep.rest, u)[k - (k > pos)]
         order[pos, lanes] = u
         off_ranks, on_offer, off_offer = (
             np.repeat(col[:, None], lanes.size, axis=1)
             for col in (sweep.y_off, sweep.b_on, sweep.a_off))
         off_ranks[v] = y_v[blk]
         on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
-        partner = run_lanes(sweep.instance, order, off_ranks, on_offer, off_offer)
+        partner = run_lanes(sweep.instance, order, off_ranks, on_offer, off_offer,
+                            free=np.ones(off_ranks.shape, dtype=bool))
         p = partner[u]
         kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])
         out.alpha_u[blk] = np.where(p >= 0, w[p] - kept, 0.0)
@@ -267,10 +256,10 @@ def test_sweep_matches_all_lanes_oracle_at_the_edges():
                 assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
 
 
-def test_sweep_class_runs_split_on_u_partner():
+def test_sweep_reads_v_partner_by_y_v_and_u_partner():
     # u1 takes y below y_u ~ 0.336 and x above; u2 (0.95) then takes x, or
     # v when x is gone. Lanes that share y_v and u1's position but not its
-    # partner end differently, so they must not share a class run
+    # partner end differently, so they must not share a table run
     inst = build_instance([("v", 0.1), ("x", 2.46), ("y", 1.5)],
                           [("u1", ["v", "x", "y"]), ("u2", ["v", "x"])])
     base = RankAssignment({"v": 0.5, "x": 0.9, "y": 0.1, "u1": 0.2, "u2": 0.95})
@@ -305,9 +294,9 @@ def lane_counts(monkeypatch):
 def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
     from rankmatch.analysis import LANE_BLOCK
 
-    # u1 takes v1 whenever y_v > 1/2 and u2 (base rank 0.9) has not come
-    # yet, so v2 stays free and nearly half the lanes take class runs, each
-    # its own: 20,000 distinct y_v need three prefix runs and two class runs
+    # the table runs deg(u) lanes per distinct y_v: none gone, and each of
+    # u's neighbors other than v. 20,000 distinct y_v with deg(u1) = 2 need
+    # 40,000 table lanes, in five calls
     inst = build_instance([("v1", 1.0), ("v2", 1.0)],
                           [("u1", ["v1", "v2"]), ("u2", ["v2"])])
     base = RankAssignment({"v1": 0.5, "v2": 0.5, "u1": 0.4, "u2": 0.9})
@@ -316,7 +305,8 @@ def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
     sweep = PairSweep(inst, half_exp(), base, "u1", "v2")
     assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
     assert max(lane_counts) == LANE_BLOCK and len(lane_counts) == 5
-    # the pair_gain grid shares runs: fewer lanes than its 200 x 200 cells
+    assert sum(lane_counts) == 2 * 20000
+    # the pair_gain grid has 200 distinct y_v
     for trial in range(8):
         inst = random_instance(rng, weighted=True)
         base = sample_ranks(inst, (32, trial))
@@ -325,7 +315,7 @@ def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
         lane_counts.clear()
         pair_gain(inst, SPECS[trial % 2], base, u, v, 200)
         assert max(lane_counts) <= LANE_BLOCK
-        assert sum(lane_counts) < 200 * 200
+        assert sum(lane_counts) == len(inst.neighbors[u]) * 200
 
 
 def test_three_interval_structure_random_probes():
@@ -542,13 +532,13 @@ def test_thresholds_make_one_sweep_run(run_sizes):
 
 
 @pytest.mark.parametrize("n_grid, sweep_points, runs", [
-    (7, 2500, [7500, 7500, 2500]),
-    (2, 9000, [9000, 9000]),
+    (7, 2500, [8190, 8190, 1120]),
+    (2, 9000, [8192, 8192, 1616]),
 ], ids=["last-run-partial", "sweep-beyond-lane-block"])
 def test_thresholds_sweep_in_lane_block_runs(run_sizes, n_grid, sweep_points, runs):
-    # beyond LANE_BLOCK (8192) lanes, each run takes the most whole grid
-    # points that fit, or one grid point's sweep; the profile is the one a
-    # run per grid point gives
+    # beyond LANE_BLOCK (8192) lanes, each run takes the most whole sweep
+    # points across the grid that fit, or one sweep point; the profile is
+    # the one a run per grid point gives
     calls, run = run_sizes
     rng = np.random.default_rng(25)
     grid = np.linspace(0.0, 1.0, n_grid)

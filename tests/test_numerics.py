@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from rankmatch.numerics import (bisect_boundary, bisect_root, golden_minimize,
-                                integrate, split_points)
+from rankmatch.numerics import bisect_boundary, golden_minimize, integrate, split_points
 
 
 def test_split_points_orders_and_filters():
@@ -44,16 +43,6 @@ def test_golden_minimize_quadratic():
 def test_golden_minimize_boundary_minimum():
     x, _ = golden_minimize(lambda t: t, 0.0, 1.0, tol=1e-8)
     assert x == pytest.approx(0.0, abs=1e-6)
-
-
-def test_bisect_root_sqrt2():
-    r = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-
-def test_bisect_root_requires_sign_change():
-    with pytest.raises(ValueError):
-        bisect_root(lambda x: x * x + 1.0, 0.0, 1.0)
 
 
 def test_bisect_boundary_step():

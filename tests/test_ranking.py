@@ -199,15 +199,18 @@ def test_trace_json_lines_schema():
     assert isinstance(first["offers"], list)
 
 
-def lane_partners(instance, spec, lanes):
+def lane_partners(instance, spec, lanes, free=None):
     """run_lanes over a list of RankAssignments, with the offer parts
-    evaluated exactly as run_ranking evaluates them."""
+    evaluated exactly as run_ranking evaluates them; every offline vertex
+    starts free unless a free mask is given."""
     on = np.array([[r.ranks[u] for r in lanes] for u in instance.online_ids])
     off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
     b = np.vectorize(lambda y: spec.offer_parts_scalar(y)[1], otypes=[float])(on)
     a = np.vectorize(lambda y: spec.offer_parts_scalar(y)[0], otypes=[float])(off)
     order = np.argsort(on, axis=0, kind="stable")
-    return run_lanes(instance, order, off, b, a)
+    if free is None:
+        free = np.ones(off.shape, dtype=bool)
+    return run_lanes(instance, order, off, b, a, free=free)
 
 
 def scalar_partners(instance, spec, ranks):
@@ -253,6 +256,39 @@ def test_run_lanes_matches_run_ranking_lane_for_lane(regime):
             tied_offers += offer_ties(inst, spec, ranks)
     if regime == "grid":
         assert arrival_ties > 0 and tied_offers > 0
+    if regime == "offer-ties":
+        assert tied_offers > 0
+
+
+@pytest.mark.parametrize("regime", ["continuous", "offer-ties"])
+def test_run_lanes_without_a_gone_vertex_matches_run_ranking_without_it(regime):
+    # free marks one offline vertex per lane as taken before the first
+    # arrival: each lane must be run_ranking on the instance without it
+    rng = np.random.default_rng(6)
+    tied_offers = 0
+    for trial in range(60):
+        if regime == "offer-ties":
+            spec, weighted = simple_exp(), False
+        else:
+            spec, weighted = ALL_KINDS[trial % 4], trial % 3 != 0
+        inst = random_instance(rng, weighted=weighted)
+        lanes = [sample_ranks(inst, rng) for _ in range(8)]
+        gone = rng.integers(len(inst.offline), size=len(lanes))
+        free = np.ones((len(inst.offline), len(lanes)), dtype=bool)
+        free[gone, np.arange(len(lanes))] = False
+        kept = free.copy()
+        partner = lane_partners(inst, spec, lanes, free)
+        assert np.array_equal(free, kept)
+        for t, ranks in enumerate(lanes):
+            g = inst.offline_ids[gone[t]]
+            without = build_instance([(v, w) for v, w in inst.offline if v != g],
+                                     [(u, [v for v in nbs if v != g])
+                                      for u, nbs in inst.online])
+            result, _ = run_ranking(without, spec, ranks, collect_offers=False)
+            took = dict(result.pairs)
+            assert [inst.offline_ids[p] if p >= 0 else None for p in partner[:, t]] == [
+                took.get(u) for u in inst.online_ids]
+            tied_offers += offer_ties(without, spec, ranks)
     if regime == "offer-ties":
         assert tied_offers > 0
 
