@@ -3,15 +3,18 @@
 No algorithmic logic lives here, only validated immutable data and its JSON
 round-trips. Ids are opaque strings; every deterministic iteration in the
 package walks vertices in lexicographic id order so downstream tie-breaking
-is reproducible.
+is reproducible. The mappings these types expose (`Instance.weights`,
+`Instance.neighbors`, `RankAssignment.ranks`, `DualShares.alpha`) are
+read-only views built at construction, and every type pickles.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,30 +37,37 @@ class RankError(ValueError):
 class Instance:
     """A bipartite instance: weighted offline vertices, online adjacency.
 
-    offline: ((id, weight), ...) sorted by id; weights are non-negative.
-    online: ((id, neighbor_ids), ...) sorted by id; neighbor tuples are
-    sorted and only reference offline ids, so the edge set is bipartite by
-    construction. Instances are immutable and safe to share across workers.
+    offline: ((id, weight), ...) sorted by id; weights are finite and
+    non-negative. online: ((id, neighbor_ids), ...) sorted by id; neighbor
+    tuples are sorted, unique and only reference offline ids, so the edge
+    set is bipartite by construction. The constructor trusts its caller to
+    pass this canonical form; `validate_instance` and `build_instance`
+    produce it from outside data.
+
+    The views offline_ids, online_ids, weights (id -> weight) and neighbors
+    (online id -> neighbor tuple) are built once, at construction; weights
+    and neighbors are read-only mappings. edges is built on first use.
+    Instances are immutable, pickle, and are safe to share across workers.
     """
 
     offline: tuple[tuple[str, float], ...]
     online: tuple[tuple[str, tuple[str, ...]], ...]
+    offline_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    online_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    weights: Mapping[str, float] = field(init=False, repr=False, compare=False)
+    neighbors: Mapping[str, tuple[str, ...]] = field(init=False, repr=False,
+                                                     compare=False)
 
-    @cached_property
-    def offline_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.offline)
+    def __post_init__(self):
+        set_view = object.__setattr__
+        set_view(self, "offline_ids", tuple([v for v, _ in self.offline]))
+        set_view(self, "online_ids", tuple([u for u, _ in self.online]))
+        set_view(self, "weights", MappingProxyType(dict(self.offline)))
+        set_view(self, "neighbors", MappingProxyType(dict(self.online)))
 
-    @cached_property
-    def online_ids(self) -> tuple[str, ...]:
-        return tuple(u for u, _ in self.online)
-
-    @cached_property
-    def weights(self) -> dict[str, float]:
-        return {v: w for v, w in self.offline}
-
-    @cached_property
-    def neighbors(self) -> dict[str, tuple[str, ...]]:
-        return {u: nbs for u, nbs in self.online}
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the views are rebuilt on load
+        return Instance, (self.offline, self.online)
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -170,20 +180,25 @@ def build_instance(offline: Iterable[tuple[str, float]],
 class RankAssignment:
     """Rank (offline) or arrival time (online) for every vertex, in [0, 1].
 
-    Treat as immutable after construction. Construction only range-checks;
-    coverage and distinctness are enforced by validate_rank_assignment, the
-    entry point for user-supplied assignments. Internally derived
-    assignments (grid sweeps overriding two ranks) skip the distinctness
-    check because equal ranks across the two sides are harmless: arrival
-    order ties break by id and offer ties break by (rank, id).
+    ranks is a read-only copy of the mapping passed in, so the assignment
+    is immutable and pickles. Construction only range-checks; coverage and
+    distinctness are enforced by validate_rank_assignment, the entry point
+    for user-supplied assignments. Internally derived assignments (grid
+    sweeps overriding two ranks) skip the distinctness check because equal
+    ranks across the two sides are harmless: arrival order ties break by id
+    and offer ties break by (rank, id).
     """
 
-    ranks: dict[str, float]
+    ranks: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "ranks", MappingProxyType(dict(self.ranks)))
         for vid, r in self.ranks.items():
             if not (0.0 <= r <= 1.0):
                 raise RankError(f"rank of {vid} outside [0, 1]: {r}")
+
+    def __reduce__(self):
+        return RankAssignment, (dict(self.ranks),)
 
     def override(self, changes: Mapping[str, float]) -> "RankAssignment":
         """New assignment with some ranks replaced (no distinctness check)."""
@@ -235,8 +250,7 @@ def sample_ranks(instance: Instance, seed) -> RankAssignment:
     """
     rng = np.random.default_rng(seed)
     ids = instance.all_ids()
-    vals = rng.random(len(ids))
-    return RankAssignment({vid: float(r) for vid, r in zip(ids, vals)})
+    return RankAssignment(dict(zip(ids, rng.random(len(ids)).tolist())))
 
 
 @dataclass(frozen=True)
@@ -276,10 +290,17 @@ class DualShares:
     """Per-vertex gain split of a matching: alpha[id] for every vertex.
 
     Unmatched vertices hold exactly zero; within each matched pair the two
-    shares sum to the full edge weight.
+    shares sum to the full edge weight. alpha is a read-only copy of the
+    mapping passed in.
     """
 
-    alpha: dict[str, float]
+    alpha: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", MappingProxyType(dict(self.alpha)))
+
+    def __reduce__(self):
+        return DualShares, (dict(self.alpha),)
 
     def total(self) -> float:
         return math.fsum(self.alpha.values())

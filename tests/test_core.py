@@ -1,10 +1,11 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from rankmatch.core import (DualShares, InstanceError, RankError,
+from rankmatch.core import (DualShares, InstanceError, RankAssignment, RankError,
                             build_instance, check_dual_shares, matching_result,
                             sample_ranks, validate_instance,
                             validate_rank_assignment)
@@ -197,3 +198,42 @@ def test_instance_and_rank_json_round_trip_property():
         assert validate_rank_assignment(inst, json.loads(json.dumps(ranks.to_json_dict()))) == ranks
 
     check()
+
+
+def test_views_are_read_only():
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)], [("u1", ["v1", "v2"])])
+    ranks = sample_ranks(inst, 3)
+    shares = DualShares(alpha={"v1": 0.5, "v2": 0.0, "u1": 0.5})
+    for view, key in ((inst.weights, "v1"), (inst.neighbors, "u1"),
+                      (ranks.ranks, "v1"), (shares.alpha, "v1")):
+        with pytest.raises(TypeError):
+            view[key] = 5.0
+        with pytest.raises(TypeError):
+            del view[key]
+    assert inst.weights == {"v1": 1.0, "v2": 2.0}
+
+
+def test_caller_dicts_are_copied():
+    given = {"v1": 0.25, "u1": 0.75}
+    ranks = RankAssignment(given)
+    alpha = {"v1": 1.2, "u1": 1.8}
+    shares = DualShares(alpha=alpha)
+    given["v1"] = 0.5
+    alpha["u1"] = 0.0
+    assert ranks.ranks == {"v1": 0.25, "u1": 0.75}
+    assert shares.alpha == {"v1": 1.2, "u1": 1.8}
+
+
+def test_pickle_round_trip():
+    inst = build_instance([("v1", 1 / 3), ("v2", 2.0)],
+                          [("u1", ["v1", "v2"]), ("u2", ["v2"])])
+    assert inst.has_edge("u2", "v2")    # builds the lazy edge set first
+    ranks = sample_ranks(inst, 8)
+    shares = DualShares(alpha={"v1": 0.1, "v2": 0.0, "u1": 0.2, "u2": 0.0})
+    for obj in (inst, ranks, shares):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and back is not obj
+    back = pickle.loads(pickle.dumps(inst))
+    assert back.weights == inst.weights and back.neighbors == inst.neighbors
+    assert back.offline_ids == inst.offline_ids and back.online_ids == inst.online_ids
+    assert back.edges == inst.edges

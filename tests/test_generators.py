@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from rankmatch.generators import GeneratorError, generate_instance, random_instance
+from rankmatch import generators
+from rankmatch.core import validate_instance
+from rankmatch.generators import (MAX_CELLS, GeneratorError, generate_instance,
+                                  random_instance)
 
 
 def test_complete_two_has_four_edges():
@@ -96,3 +99,71 @@ def test_seeded_draws_are_pinned():
         "3c6e884e1d345006", "d1d4e2553b5f7f19"]
     # at most 9 possible edges, so most draws are redrawn
     assert _digest(random_instance(rng, max_side=3, min_edges=7)) == "08a745a7ff4dd135"
+
+
+def _generated():
+    """Instances of every generator kind and shape, with one- and two-digit
+    ids, and many random_instance draws, weighted and unweighted."""
+    for n in (1, 3, 9, 10, 12, 23):
+        yield generate_instance("complete", {"n": n}, 0)
+        yield generate_instance("upper_triangular", {"n": n}, 0)
+    for kind in ("random", "weighted_random"):
+        for params in ({"n": 4}, {"n": 11, "p": 0.3}, {"n_online": 2, "n_offline": 12},
+                       {"n_online": 13, "n_offline": 3, "p": 0.8}, {"n": 10, "p": 0.0}):
+            for seed in range(3):
+                yield generate_instance(kind, params, seed)
+    yield generate_instance("complete", {"n_online": 3, "n_offline": 10}, 0)
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        yield random_instance(rng, max_side=12 if i % 4 == 0 else 6,
+                              weighted=i % 2 == 0)
+
+
+def test_generated_instances_are_canonical():
+    # generators build Instance directly; the result must be exactly what
+    # validate_instance makes of the same data, views included
+    for inst in _generated():
+        assert validate_instance(json.loads(json.dumps(inst.to_json_dict()))) == inst
+        assert all(type(v) is str and type(w) is float for v, w in inst.offline)
+        assert inst.offline_ids == tuple(v for v, _ in inst.offline)
+        assert inst.online_ids == tuple(u for u, _ in inst.online)
+        assert inst.weights == dict(inst.offline)
+        assert inst.neighbors == dict(inst.online)
+        assert inst.edges == {(u, v) for u, nbs in inst.online for v in nbs}
+
+
+class _NoDraws:
+    """An rng stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the rng ({name}) before checking arguments")
+
+
+def test_random_instance_rejects_impossible_edge_counts():
+    # one cell cannot hold two edges: without the check this redraws forever
+    with pytest.raises(GeneratorError, match="min_edges = 2.*max_side = 1"):
+        random_instance(_NoDraws(), max_side=1, min_edges=2)
+    with pytest.raises(GeneratorError, match="min_edges = 10"):
+        random_instance(_NoDraws(), max_side=3, min_edges=10)
+
+
+def test_random_instance_rejects_empty_sides():
+    for side in (0, -2):
+        with pytest.raises(GeneratorError, match=f"max_side >= 1, got {side}"):
+            random_instance(_NoDraws(), max_side=side)
+
+
+def test_size_cap_fails_before_allocating(monkeypatch):
+    # any id list or random draw means the cap was checked too late
+    def allocated(*args):
+        raise AssertionError("allocated before checking the size cap")
+    monkeypatch.setattr(generators, "_ids", allocated)
+    monkeypatch.setattr(generators.np.random, "default_rng", allocated)
+    for kind in ("complete", "upper_triangular", "random", "weighted_random"):
+        with pytest.raises(GeneratorError, match="MAX_CELLS"):
+            generate_instance(kind, {"n": 100_000}, 0)
+    with pytest.raises(GeneratorError, match="MAX_CELLS"):
+        generate_instance("random", {"n_online": 2, "n_offline": MAX_CELLS // 2 + 1}, 0)
+    with pytest.raises(GeneratorError, match="MAX_CELLS"):
+        random_instance(_NoDraws(), max_side=10**4)
+
