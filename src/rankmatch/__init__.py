@@ -22,8 +22,7 @@ from .core import (DualShares, Instance, InstanceError, MatchingResult,
 from .experiments import (ConfigError, DegenerateInstanceError,
                           ExperimentConfig, PropertyReport, RatioReport,
                           run_property_suite, run_ratio_experiment)
-from .gains import (LN2, DerivativeBoundReport, GainSpec, GainSpecError,
-                    adversarial_baseline, check_share_derivative_bound,
+from .gains import (LN2, GainSpec, GainSpecError, adversarial_baseline,
                     gain_spec_from_json, half_exp, named_spec,
                     piecewise_table, simple_exp)
 from .generators import GeneratorError, generate_instance, random_instance

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
-from .bounds import (BoundPoint, bound_function, heatmap_rows, integral_bound,
+from .bounds import (bound_function, heatmap_rows, integral_bound,
                      minimize_bound, profiles_from_json)
 from .core import sample_ranks, validate_instance
 from .experiments import (ExperimentConfig, run_property_suite,
@@ -159,9 +159,8 @@ def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec)
     if args.action == "evaluate":
         value = bound_function(args.which)(spec, args.tau, args.gamma)
-        point = BoundPoint(tau=args.tau, gamma=args.gamma, value=value)
-        _emit(_json_text({"which": args.which, "tau": point.tau,
-                          "gamma": point.gamma, "value": point.value}), args.out)
+        _emit(_json_text({"which": args.which, "tau": args.tau,
+                          "gamma": args.gamma, "value": value}), args.out)
         return 0
     if args.action == "minimize":
         point = minimize_bound(spec, args.which)
@@ -231,14 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate/minimize/heatmap a bound surface "
                        "(evaluate and minimize print JSON, heatmap CSV)")
-    p.add_argument("action", choices=("evaluate", "minimize", "heatmap"))
-    _add_spec_flag(p)
-    _add_output_flags(p)
-    p.add_argument("--which", choices=("simple", "improved"), default="improved")
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=64)
-    p.set_defaults(func=cmd_bounds)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("evaluate", "minimize", "heatmap"):
+        a = actions.add_parser(action)
+        _add_spec_flag(a)
+        _add_output_flags(a)
+        a.add_argument("--which", choices=("simple", "improved"), default="improved")
+        a.set_defaults(func=cmd_bounds)
+    actions.choices["evaluate"].add_argument("--tau", type=float, default=0.0)
+    actions.choices["evaluate"].add_argument("--gamma", type=float, default=0.0)
+    actions.choices["heatmap"].add_argument("--grid", type=int, default=64)
 
     p = sub.add_parser("integral", help="ratio integral over threshold profiles")
     _add_spec_flag(p)

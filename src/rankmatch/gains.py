@@ -16,7 +16,11 @@ curve kinds are built from a non-decreasing curve c on [0, 1] with
 
 so that share(x, y) = (c(x) + 1 - c(y)) / 2 and share(x, y) + share(y, x) = 1.
 Two closed-form curves are provided ("simple-exp" and "half-exp"), plus
-monotone piecewise-linear tables for experimentation. The "adversarial"
+monotone piecewise-linear tables for experimentation. Every curve kind
+has c' <= c, enforced at construction: the exp curves meet it analytically
+(c' = c below the kink, 0 above it), and a table is refused if a segment
+climbs faster than the curve value at its left knot. It gives the share
+inequality d share/dy = -c'(y)/2 >= share - 1. The "adversarial"
 kind is the static-price baseline
 
     a(y) = 1 - e^(y-1),    b(y) = 0,
@@ -47,8 +51,6 @@ ADVERSARIAL = "adversarial"
 TABLE = "table"
 
 LN2 = math.log(2.0)
-# largest defect DerivativeBoundReport.holds() accepts
-DERIVATIVE_BOUND_TOL = 1e-6
 
 
 class GainSpecError(ValueError):
@@ -91,6 +93,13 @@ class GainSpec:
             _check_unit("table values", ys)
             if any(b < a for a, b in zip(ys, ys[1:])):
                 raise GainSpecError("table values must be non-decreasing")
+            for (x0, x1, y0, y1) in zip(xs, xs[1:], ys, ys[1:]):
+                slope = (y1 - y0) / (x1 - x0)
+                # the curve is non-decreasing, so its minimum on the segment is y0
+                if slope > y0 + 1e-12:
+                    raise GainSpecError(
+                        f"table slope {slope:.6g} exceeds curve value {y0:.6g} "
+                        f"on [{x0:.6g}, {x1:.6g}]")
         elif self.breakpoints or self.values:
             raise GainSpecError(f"{self.kind} takes no breakpoints/values")
 
@@ -231,24 +240,9 @@ def adversarial_baseline() -> GainSpec:
 
 
 def piecewise_table(breakpoints, values) -> GainSpec:
-    """Monotone piecewise-linear curve from knots.
-
-    Rejects tables whose segment slope exceeds the curve value anywhere:
-    such curves break the share-derivative bound and the analysis built on
-    it. GainSpec(TABLE, ...) builds one without this check, for diagnostic
-    use such as showing that check_share_derivative_bound flags it.
-    """
-    spec = GainSpec(TABLE, tuple(float(x) for x in breakpoints),
+    """Monotone piecewise-linear curve from knots, converted to floats."""
+    return GainSpec(TABLE, tuple(float(x) for x in breakpoints),
                     tuple(float(v) for v in values))
-    for (x0, x1, y0, y1) in zip(spec.breakpoints, spec.breakpoints[1:],
-                                spec.values, spec.values[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        # the curve is non-decreasing, so its minimum on the segment is y0
-        if slope > y0 + 1e-12:
-            raise GainSpecError(
-                f"table slope {slope:.6g} exceeds curve value {y0:.6g} "
-                f"on [{x0:.6g}, {x1:.6g}]")
-    return spec
 
 
 _NAMED = {SIMPLE_EXP: simple_exp, HALF_EXP: half_exp, ADVERSARIAL: adversarial_baseline}
@@ -283,62 +277,3 @@ def named_spec(name: str) -> GainSpec:
     if name not in _NAMED:
         raise GainSpecError(f"unknown gain spec name {name!r}")
     return _NAMED[name]()
-
-
-@dataclass(frozen=True)
-class DerivativeBoundReport:
-    """Result of the finite-difference sweep of d share/d y >= share - 1."""
-
-    grid_n: int
-    max_violation: float
-    worst_x: float
-    worst_y: float
-
-    def holds(self) -> bool:
-        return self.max_violation <= DERIVATIVE_BOUND_TOL
-
-
-def check_share_derivative_bound(spec: GainSpec, grid_n: int) -> DerivativeBoundReport:
-    """Sweep a grid_n x grid_n grid checking d share(x,y)/dy >= share(x,y) - 1.
-
-    Central differences are used away from curve kinks; next to a kink (or a
-    domain edge) the difference is taken one-sided, away from the kink, so no
-    stencil ever straddles a non-smooth point. Returns the largest value of
-    (share - 1) - d share/dy seen; positive means the bound failed somewhere.
-    """
-    if spec.kind == ADVERSARIAL:
-        raise GainSpecError("derivative bound applies to weight-splitting specs only")
-    if grid_n < 2:
-        raise GainSpecError("grid_n must be >= 2")
-    pts = (np.arange(grid_n) + 0.5) / grid_n
-    d = 0.25 / grid_n
-    bps = np.array(spec.curve_breakpoints)
-
-    cy = spec.curve(pts)
-    cy_plus = spec.curve(np.minimum(pts + d, 1.0))
-    cy_minus = spec.curve(np.maximum(pts - d, 0.0))
-
-    # one-sided stencil wherever (y-d, y+d) contains a kink or leaves [0, 1]
-    def crosses(lo, hi):
-        if bps.size == 0:
-            return np.zeros_like(lo, dtype=bool)
-        return np.any((bps[None, :] > lo[:, None]) & (bps[None, :] <= hi[:, None]), axis=1)
-
-    central = (~crosses(pts - d, pts + d)) & (pts - d >= 0.0) & (pts + d <= 1.0)
-    use_backward = crosses(pts, pts + d) | (pts + d > 1.0)
-
-    dshare_dy = np.where(
-        central,
-        -0.5 * (cy_plus - cy_minus) / (2 * d),
-        np.where(use_backward,
-                 -0.5 * (cy - cy_minus) / d,
-                 -0.5 * (cy_plus - cy) / d))
-
-    # share(x, y) - 1 - d share/dy, maximized over the grid (x and y share pts)
-    defect = 0.5 * (cy[:, None] + 1.0 - cy[None, :]) - 1.0 - dshare_dy[None, :]
-    flat = int(np.argmax(defect))
-    i, j = divmod(flat, grid_n)
-    return DerivativeBoundReport(grid_n=grid_n,
-                                 max_violation=float(defect[i, j]),
-                                 worst_x=float(pts[i]),
-                                 worst_y=float(pts[j]))

@@ -19,6 +19,8 @@ from .core import Instance
 
 # most adjacency cells (n_online x n_offline) a generator will allocate
 MAX_CELLS = 10**7
+# most draws random_instance makes before giving up on min_edges
+MAX_DRAWS = 10_000
 
 
 class GeneratorError(ValueError):
@@ -120,7 +122,8 @@ def random_instance(rng: np.random.Generator, max_side: int = 6,
     1/2; weights log-uniform in [0.1, 10] when weighted, else 1. Driven by
     the caller's rng, so sequences of draws are reproducible from one seed.
     Raises GeneratorError, before any draw, when max_side < 1 or when
-    min_edges exceeds the max_side x max_side edges a draw can have.
+    min_edges exceeds the max_side x max_side edges a draw can have, and
+    after MAX_DRAWS draws that all fall short of min_edges.
     """
     if max_side < 1:
         raise GeneratorError(f"need max_side >= 1, got {max_side}")
@@ -129,9 +132,11 @@ def random_instance(rng: np.random.Generator, max_side: int = 6,
         raise GeneratorError(f"min_edges = {min_edges} exceeds the "
                              f"{max_side * max_side} edges of a "
                              f"max_side = {max_side} instance")
-    while True:
+    for _ in range(MAX_DRAWS):
         n_u = int(rng.integers(1, max_side + 1))
         n_v = int(rng.integers(1, max_side + 1))
         instance = _draw(rng, n_u, n_v, 0.5, weighted, min_edges)
         if instance is not None:
             return instance
+    raise GeneratorError(f"no draw reached min_edges = {min_edges} with "
+                         f"max_side = {max_side} in {MAX_DRAWS} draws")

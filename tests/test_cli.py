@@ -212,8 +212,10 @@ def test_bad_seed_exits_two_naming_the_flag(capsys, argv, seed):
      "table spec breakpoints must be a list of numbers, got 5"),
     ('{"kind": "table", "breakpoints": "01", "values": "11"}',
      "table spec breakpoints must be a list of numbers, got '01'"),
+    ('{"kind": "table", "breakpoints": [0, 0.5, 0.55, 1], "values": [0.2, 0.2, 0.9, 0.9]}',
+     "table slope 14 exceeds curve value 0.2 on [0.5, 0.55]"),
 ], ids=["not-json", "not-an-object", "table-breakpoints-not-a-list",
-        "table-breakpoints-a-string"])
+        "table-breakpoints-a-string", "table-too-steep"])
 def test_malformed_spec_files_exit_two_with_one_error_line(tmp_path, capsys,
                                                            payload, named):
     path = tmp_path / "spec.json"
@@ -308,8 +310,15 @@ def test_input_files_that_are_not_json_are_named(tmp_path, capsys, command, flag
     ("bounds", "evaluate", "--format", "json"),
     ("integral", "--profiles", "profiles.json", "--seed", "1"),
     ("integral", "--profiles", "profiles.json", "--format", "json"),
+    ("bounds", "minimize", "--tau", "0.3"),
+    ("bounds", "minimize", "--gamma", "0.9"),
+    ("bounds", "minimize", "--grid", "7"),
+    ("bounds", "evaluate", "--grid", "5"),
+    ("bounds", "heatmap", "--tau", "0.3"),
+    ("bounds", "heatmap", "--gamma", "0.9"),
 ], ids=["generate-spec", "generate-format", "bounds-seed", "bounds-format",
-        "integral-seed", "integral-format"])
+        "integral-seed", "integral-format", "minimize-tau", "minimize-gamma",
+        "minimize-grid", "evaluate-grid", "heatmap-tau", "heatmap-gamma"])
 def test_flags_a_command_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

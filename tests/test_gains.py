@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rankmatch.gains import (ADVERSARIAL, LN2, TABLE, GainSpec, GainSpecError,
-                             adversarial_baseline, check_share_derivative_bound,
-                             gain_spec_from_json, half_exp, named_spec,
-                             piecewise_table, simple_exp)
+                             adversarial_baseline, gain_spec_from_json, half_exp,
+                             named_spec, piecewise_table, simple_exp)
 
 ALL_SPLIT_SPECS = [simple_exp(), half_exp(),
                    piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))]
@@ -95,25 +94,64 @@ def test_rank_offer_antideriv_matches_quadrature():
         assert spec.time_offer_antideriv(0.8) == pytest.approx(b_mid, abs=5e-9)
 
 
-def test_derivative_bound_holds_for_builtin_curves():
-    for spec in (simple_exp(), half_exp()):
-        report = check_share_derivative_bound(spec, grid_n=1000)
-        assert report.max_violation <= 1e-6
-        assert report.holds()
+STEEP = ((0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9))
 
 
-def test_derivative_bound_flags_steep_table():
-    # slope 14 on [0.5, 0.55] far exceeds the curve value there
-    steep = GainSpec(TABLE, (0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9))
-    report = check_share_derivative_bound(steep, grid_n=1000)
-    assert report.max_violation > 0.1
-    assert not report.holds()
-    assert 0.5 <= report.worst_y <= 0.55
+def share_inequality_defect(curve, kinks, rng):
+    """Largest (share(x, y) - 1) - d share/dy over a grid of x and random y,
+    for share = (c(x) + 1 - c(y)) / 2, with d share/dy = -c'(y) / 2 from a
+    one-sided difference that never crosses a kink."""
+    h = 1e-7
+    ys = rng.uniform(h, 1.0 - h, 400)
+    ys = ys[[all(abs(y - k) > 2 * h for k in kinks) for y in ys]]
+    dshare_dy = -0.5 * (curve(ys + h) - curve(ys)) / h
+    xs = np.linspace(0.0, 1.0, 101)
+    share = 0.5 * (curve(xs)[:, None] + 1.0 - curve(ys)[None, :])
+    return float(np.max(share - 1.0 - dshare_dy[None, :]))
+
+
+def slope_valid_table(rng):
+    """Random table whose every segment climbs at most its left-knot value,
+    some right at that limit; many end below 1."""
+    xs = [0.0, *np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 5))).tolist(), 1.0]
+    ys = [float(rng.uniform(0.0, 1.0))]
+    for x0, x1 in zip(xs, xs[1:]):
+        slope = ys[-1] if rng.random() < 0.3 else rng.uniform(0.0, ys[-1])
+        ys.append(min(1.0, ys[-1] + slope * (x1 - x0)))
+    return GainSpec(TABLE, tuple(xs), tuple(ys))
+
+
+def test_share_inequality_holds_on_every_accepted_curve():
+    rng = np.random.default_rng(15)
+    tables = [slope_valid_table(rng) for _ in range(250)]
+    assert sum(t.values[-1] < 1.0 for t in tables) >= 50
+    for spec in [simple_exp(), half_exp(), *tables]:
+        assert share_inequality_defect(spec.curve, spec.curve_breakpoints, rng) <= 1e-6
+    # the oracle does see a curve that climbs faster than its own value
+    def steep(y):
+        return np.interp(y, *STEEP)
+    assert share_inequality_defect(steep, STEEP[0][1:-1], rng) > 0.1
 
 
 def test_table_slope_check_rejects_by_default():
-    with pytest.raises(GainSpecError):
-        piecewise_table((0.0, 0.5, 0.55, 1.0), (0.2, 0.2, 0.9, 0.9))
+    # every way in refuses the steep table with the same message
+    message = r"table slope 14 exceeds curve value 0\.2 on \[0\.5, 0\.55\]"
+    with pytest.raises(GainSpecError, match=message):
+        piecewise_table(*STEEP)
+    with pytest.raises(GainSpecError, match=message):
+        GainSpec(TABLE, *STEEP)
+    with pytest.raises(GainSpecError, match=message):
+        gain_spec_from_json({"kind": "table", "breakpoints": list(STEEP[0]),
+                             "values": list(STEEP[1])})
+
+
+def test_table_slope_is_checked_against_the_left_knot_value():
+    # slope 0.5 on [0, 0.5] equals the value 0.5 at its left knot
+    assert GainSpec(TABLE, (0.0, 0.5, 1.0), (0.5, 0.75, 1.0)).values == (0.5, 0.75, 1.0)
+    # slope 0.6 lies between the values 0.4 and 0.7 at the segment's two ends
+    with pytest.raises(GainSpecError,
+                       match=r"table slope 0\.6 exceeds curve value 0\.4 on \[0, 0\.5\]"):
+        GainSpec(TABLE, (0.0, 0.5, 1.0), (0.4, 0.7, 0.7))
 
 
 def test_table_validation():

@@ -147,6 +147,15 @@ def test_random_instance_rejects_impossible_edge_counts():
         random_instance(_NoDraws(), max_side=3, min_edges=10)
 
 
+def test_random_instance_gives_up_on_an_improbable_edge_count():
+    # 36 edges are reachable at max_side = 6, but a draw has them with
+    # probability 2^-36 / 36; without the cap this redraws for months
+    rng = np.random.default_rng(0)
+    with pytest.raises(GeneratorError, match=f"min_edges = 36 with max_side = 6 "
+                                             f"in {generators.MAX_DRAWS} draws"):
+        random_instance(rng, max_side=6, min_edges=36)
+
+
 def test_random_instance_rejects_empty_sides():
     for side in (0, -2):
         with pytest.raises(GeneratorError, match=f"max_side >= 1, got {side}"):
