@@ -37,5 +37,6 @@ except GainSpecError as exc:
 print()
 print("shares stay monotone on a grid (up in own rank, down in partner's):")
 pts = np.linspace(0.0, 1.0, 5)
-grid = half_exp().share(pts[:, None], pts[None, :])
-print(np.array_str(np.asarray(grid), precision=3))
+a, b = half_exp().offer_parts(pts)
+grid = 1.0 - a[:, None] - b[None, :]
+print(np.array_str(grid, precision=3))

@@ -22,8 +22,7 @@ instance = build_instance(
 )
 base = RankAssignment({"z": 0.4, "b": 0.05, "u": 0.9, "v": 0.5})
 grid = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
-profile = compute_thresholds(instance, half_exp(), base, "u", "v", grid,
-                             refine_tol=1e-9, sweep_points=500)
+profile = compute_thresholds(instance, half_exp(), base, "u", "v", grid)
 print("edge (u, v) with a competitor arriving at 0.4:")
 print(profile.to_csv())
 print(f"tau = {profile.tau:.6f}, gamma = {profile.gamma:.6f}")
@@ -36,8 +35,7 @@ instance2 = build_instance(
 )
 base2 = RankAssignment({"u": 0.5, "v": 0.5, "z": math.log(1.8)})
 grid2 = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
-profile2 = compute_thresholds(instance2, half_exp(), base2, "u", "v", grid2,
-                              refine_tol=1e-9, sweep_points=500)
+profile2 = compute_thresholds(instance2, half_exp(), base2, "u", "v", grid2)
 curve = half_exp().curve_scalar
 print("heavier competitor: theta(y_u) falls as u arrives later")
 print("y_u      theta     closed form")

@@ -5,11 +5,12 @@ neighbor v, the run outcome as a function of (y_u, y_v) has a rigid
 structure: for each arrival time y_u, the offline rank axis splits into
 three intervals (v already matched when u arrives / v matched to u /
 v unmatched right after u's arrival) delimited by thresholds beta(y_u) and
-theta(y_u); (tau, gamma) is the corner of that split. Each of the four is
-where a monotone status flips, and one search (_boundary) finds them all.
-This module locates those thresholds numerically and estimates the
-expected combined gain of the pair over uniformly random (y_u, y_v) by
-midpoint quadrature.
+theta(y_u); (tau, gamma) is the corner of that split. Along either axis,
+with the other rank fixed, the run changes only where two offers cross, at
+a tie-breaking rank or arrival time, or at a curve kink, so the four
+thresholds are piece ends read off one scalar edge_status call per piece.
+This module locates those thresholds and estimates the expected combined
+gain of the pair over uniformly random (y_u, y_v) by midpoint quadrature.
 
 Re-running the scalar simulation per grid cell would dominate everything,
 so PairSweep lays the (y_u, y_v) values out as lanes. Once u has taken p,
@@ -17,8 +18,7 @@ the other arrivals run as they would without u and with p gone from the
 start, so one table of runs through ranking.run_lanes, keyed by y_v and
 the vertex gone (none, or one of u's neighbors other than v), answers
 every lane; u's own choice and the split of the pair's gains are then
-per-lane arithmetic. compute_thresholds makes one PairSweep run per
-LANE_BLOCK lanes of its grid, and pair_gain one for its grid cells.
+per-lane arithmetic. pair_gain makes one PairSweep run for its grid cells.
 Every lane follows run_ranking's rules, ties included; the scalar path
 (vary_two_ranks, edge_status) stays the reference, and tests cross-check
 the two.
@@ -26,25 +26,22 @@ the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DualShares, Instance, MatchingResult, RankAssignment
 from .gains import GainSpec
-from .numerics import bisect_boundary
+from .generators import MAX_CELLS
 from .ranking import _top_offer, assign_duals, run_lanes, run_ranking
 
 MATCHED_BEFORE = 0
 MATCHED_TO_U = 1
 UNMATCHED_AFTER = 2
 
-# lanes per run_lanes call, per slice of PairSweep.run's per-lane pass and
-# per compute_thresholds run: bounds their working sets
+# lanes per run_lanes call and per slice of PairSweep.run's per-lane pass:
+# bounds their working sets
 LANE_BLOCK = 8192
-# bisection tolerance of pair_gain's (tau, gamma) and compute_thresholds' default
-REFINE_TOL = 1e-9
 
 
 class AnalysisError(ValueError):
@@ -54,7 +51,7 @@ class AnalysisError(ValueError):
 class ThreeIntervalError(AssertionError):
     """The matched-before / matched-to / unmatched-after pattern broke.
 
-    Raised when a rank sweep does not split into three contiguous intervals;
+    Raised when the pieces of an axis do not split into contiguous intervals;
     this signals an engine bug (or a falsified structural property), so it
     is an assertion-level failure rather than an input error.
     """
@@ -294,96 +291,105 @@ class ThresholdProfile:
         }
 
 
-def _boundary(statuses: np.ndarray, pts: np.ndarray, is_left_side, status_at,
-              refine_tol: float) -> float:
-    """Refine the point in [0, 1] where is_left_side(status) flips to False.
+def _pieces(spec: GainSpec, cuts, status_at) -> tuple[list[float], list[int]]:
+    """Piece ends (0, 1, the curve kinks and every cut strictly inside) and
+    status_at at the midpoint of each piece."""
+    ends = sorted({0.0, 1.0, *spec.curve_breakpoints, *(y for y in cuts if 0.0 < y < 1.0)})
+    return ends, [status_at(0.5 * (lo + hi)) for lo, hi in zip(ends, ends[1:])]
 
-    The one flip-point search here: beta and theta start from a coarse
-    sweep, tau and gamma from an empty one. statuses/pts are the sweep,
-    left-side lanes first; status_at(y) is the scalar probe. An end of
-    [0, 1] the sweep does not bracket is probed, then bisection runs
-    between the nearest bracketing points or domain ends.
+
+def _flip(ends: list[float], left: list[bool], where: str) -> float:
+    """The piece end where the per-piece flags turn from True to False;
+    a True after a False breaks the three intervals."""
+    k = sum(left)
+    if not all(left[:k]):
+        raise ThreeIntervalError(f"status interleaving {where}, before {ends[k]:.6f}")
+    return ends[k]
+
+
+def _rank_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
+                 online_id: str, offline_id: str, y_u: float):
+    """_pieces along y_v at arrival time y_u.
+
+    y_v moves the run only where v's offer to one of its neighbors j
+    crosses that of another neighbor q of j, w_v (a(y_v) + b(y_j)) =
+    w_q (a(y_q) + b(y_j)); at y_q, where tied offers go to the smaller
+    rank; and at the curve kinks. With w_q = w_v the offers cross at y_q.
     """
-    k = int(np.count_nonzero(is_left_side(statuses)))
-    if k == len(pts) and is_left_side(status_at(1.0)):
-        return 1.0
-    if k == 0 and not is_left_side(status_at(0.0)):
-        return 0.0
-    lo = float(pts[k - 1]) if k else 0.0
-    hi = float(pts[k]) if k < len(pts) else 1.0
-    return bisect_boundary(lambda y: is_left_side(status_at(y)), lo, hi, refine_tol)
+    rank_of, w, parts = base_ranks.ranks, instance.weights, spec.offer_parts_scalar
+    w_v = w[offline_id]
+    cuts, targets = [], []
+    for j, nbrs in instance.neighbors.items():
+        if offline_id in nbrs:
+            b_j = parts(y_u if j == online_id else rank_of[j])[1]
+            for q in nbrs:
+                if q != offline_id:
+                    cuts.append(rank_of[q])
+                    if w[q] != w_v and w_v > 0.0:
+                        targets.append(w[q] * (parts(rank_of[q])[0] + b_j) / w_v - b_j)
+    cuts += spec.offer_inverse(targets, 0).tolist()
+    return _pieces(spec, cuts, lambda y_v: edge_status(
+        instance, spec, base_ranks, online_id, offline_id, y_u, y_v))
+
+
+def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
+                 online_id: str, offline_id: str):
+    """_pieces along y_u with v at rank one.
+
+    y_u moves the run only where u passes another arrival, where the
+    offers of two of u's neighbors q, s cross, w_q (a_q + b(y_u)) =
+    w_s (a_s + b(y_u)), and at the curve kinks.
+    """
+    rank_of = base_ranks.override({offline_id: 1.0}).ranks
+    w, nbrs = instance.weights, instance.neighbors[online_id]
+    a = {q: spec.offer_parts_scalar(rank_of[q])[0] for q in nbrs}
+    targets = [(w[s] * a[s] - w[q] * a[q]) / (w[q] - w[s])
+               for i, q in enumerate(nbrs) for s in nbrs[i + 1:] if w[q] != w[s]]
+    cuts = [rank_of[j] for j in instance.online_ids if j != online_id]
+    cuts += spec.offer_inverse(targets, 1).tolist()
+    return _pieces(spec, cuts, lambda y_u: edge_status(
+        instance, spec, base_ranks, online_id, offline_id, y_u, 1.0))
 
 
 def _tau_gamma(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-               online_id: str, offline_id: str, refine_tol: float) -> tuple[float, float]:
+               online_id: str, offline_id: str) -> tuple[float, float]:
     """(tau, gamma): the earliest arrival time whose theta is one (v at rank
     one no longer left unmatched), and beta at arrival time one."""
-    def status(y_u, y_v):
-        return edge_status(instance, spec, base_ranks, online_id, offline_id, y_u, y_v)
-
-    none = np.empty(0)
-    return (_boundary(none, none, lambda s: s == UNMATCHED_AFTER,
-                      lambda y: status(y, 1.0), refine_tol),
-            _boundary(none, none, lambda s: s == MATCHED_BEFORE,
-                      lambda y: status(1.0, y), refine_tol))
+    ends, statuses = _time_pieces(instance, spec, base_ranks, online_id, offline_id)
+    tau = _flip(ends, [s == UNMATCHED_AFTER for s in statuses], "along y_u at y_v=1")
+    ends, statuses = _rank_pieces(instance, spec, base_ranks, online_id, offline_id, 1.0)
+    gamma = _flip(ends, [s == MATCHED_BEFORE for s in statuses], "along y_v at y_u=1")
+    return tau, gamma
 
 
 def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-                       online_id: str, offline_id: str, y_u_grid,
-                       refine_tol: float = REFINE_TOL, sweep_points: int = 1000,
-                       ) -> ThresholdProfile:
+                       online_id: str, offline_id: str, y_u_grid) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
-    PairSweep runs of at most LANE_BLOCK lanes classify v's status on a
-    coarse sweep of y_v at every grid point. Per grid point, the sweep is
-    checked to split into the three contiguous intervals, and each
-    boundary is refined by bisection down to refine_tol. Raises
-    ThreeIntervalError when a sweep interleaves statuses, and AnalysisError
-    when a profile invariant (beta <= theta, beta non-decreasing, theta
-    absorbing at one) fails; theta itself need not be monotone.
+    At each grid point the run is constant between the exact cuts of
+    _rank_pieces, so one scalar edge_status call per piece classifies
+    the whole y_v axis, and beta and theta are piece ends. Raises
+    ThreeIntervalError when the pieces interleave statuses, and
+    AnalysisError when beta decreases or theta leaves one after
+    saturating; theta itself need not be monotone.
     """
     grid = [float(y) for y in y_u_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise AnalysisError("y_u grid must be strictly increasing")
     if not grid or grid[0] < 0.0 or grid[-1] > 1.0:
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise AnalysisError("refine_tol must be positive")
-    if sweep_points < 1:
-        raise AnalysisError("sweep_points must be >= 1")
-    sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
-    pts = (np.arange(sweep_points) + 0.5) / sweep_points
-
-    # sweep-major lanes, at most LANE_BLOCK per run (or one sweep point
-    # across the grid), so each run tables only its own y_v
-    per_run = max(1, LANE_BLOCK // len(grid))
-    sweeps = np.concatenate([
-        sweeper.run(np.tile(grid, chunk.size), np.repeat(chunk, len(grid))).status
-        for chunk in (pts[i:i + per_run] for i in range(0, pts.size, per_run))
-    ]).reshape(pts.size, len(grid)).T
+    if not instance.has_edge(online_id, offline_id):
+        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
     betas: list[float] = []
     thetas: list[float] = []
-    for y_u, statuses in zip(grid, sweeps):
-        if np.any(np.diff(statuses) < 0):
-            bad = int(np.nonzero(np.diff(statuses) < 0)[0][0])
-            raise ThreeIntervalError(
-                f"status interleaving at y_u={y_u}: status {statuses[bad]} then "
-                f"{statuses[bad + 1]} around y_v={pts[bad]:.6f}")
+    for y_u in grid:
+        ends, statuses = _rank_pieces(instance, spec, base_ranks, online_id, offline_id, y_u)
+        where = f"along y_v at y_u={y_u}"
+        betas.append(_flip(ends, [s == MATCHED_BEFORE for s in statuses], where))
+        thetas.append(_flip(ends, [s != UNMATCHED_AFTER for s in statuses], where))
 
-        def probe(y_v, _y=y_u):
-            return edge_status(instance, spec, base_ranks, online_id, offline_id, _y, y_v)
-
-        beta = _boundary(statuses, pts, lambda s: s == MATCHED_BEFORE, probe, refine_tol)
-        theta = _boundary(statuses, pts, lambda s: s != UNMATCHED_AFTER, probe, refine_tol)
-        betas.append(beta)
-        thetas.append(theta)
-
-    slack = 4.0 * refine_tol
-    for y, b, t in zip(grid, betas, thetas):
-        if not (0.0 <= b <= t + slack and t <= 1.0):
-            raise AnalysisError(f"threshold order violated at y_u={y}: beta={b}, theta={t}")
     for (y0, b0), (y1, b1) in zip(zip(grid, betas), zip(grid[1:], betas[1:])):
-        if b1 < b0 - slack:
+        if b1 < b0:
             raise AnalysisError(f"beta decreased from {b0} (y_u={y0}) to {b1} (y_u={y1})")
     saturated = False
     for y, t in zip(grid, thetas):
@@ -391,7 +397,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
             raise AnalysisError(f"theta left 1.0 at y_u={y} after saturating")
         saturated = saturated or t == 1.0
 
-    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id, refine_tol)
+    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id)
     return ThresholdProfile(online_id=online_id, offline_id=offline_id,
                             y_u_grid=tuple(grid), beta=tuple(betas),
                             theta=tuple(thetas), tau=tau, gamma=gamma)
@@ -442,12 +448,15 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
 
     Midpoint rule on a grid_n x grid_n grid of full re-simulations; the gain
     surface is piecewise smooth, so the quadrature error decays like
-    1/grid_n along the status boundaries; tau and gamma are bisected down
-    to REFINE_TOL. Requires w_v > 0 (the estimate is normalized by the
-    offline weight).
+    1/grid_n along the status boundaries; tau and gamma are exact piece
+    ends. Requires w_v > 0 (the estimate is normalized by the offline
+    weight) and grid_n**2 <= generators.MAX_CELLS.
     """
     if grid_n < 2:
         raise AnalysisError("grid_n must be >= 2")
+    if grid_n * grid_n > MAX_CELLS:
+        raise AnalysisError(f"grid_n = {grid_n} makes {grid_n * grid_n} cells, "
+                            f"more than MAX_CELLS = {MAX_CELLS}")
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)
     w_v = instance.weights[offline_id]
     if w_v == 0.0:
@@ -458,7 +467,7 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     y_v = np.tile(mids, grid_n)
     res = sweeper.run(y_u, y_v)
 
-    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id, REFINE_TOL)
+    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id)
 
     cu = y_u > tau
     cv = y_v > gamma

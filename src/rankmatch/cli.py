@@ -146,8 +146,7 @@ def cmd_thresholds(args) -> int:
     ranks = sample_ranks(instance, (args.seed, 0))
     u, v = _first_edge(instance) if args.edge is None else _parse_edge(args.edge)
     grid = [(i + 0.5) / args.grid for i in range(args.grid)]
-    profile = compute_thresholds(instance, spec, ranks, u, v, grid,
-                                 refine_tol=args.refine_tol)
+    profile = compute_thresholds(instance, spec, ranks, u, v, grid)
     if args.format == "csv":
         _emit(profile.to_csv(), args.out)
     else:
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, fmt=("csv", "json"))
     p.add_argument("--edge", help="ONLINE,OFFLINE ids (default: first edge)")
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--refine-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("bounds", help="evaluate/minimize/heatmap a bound surface "

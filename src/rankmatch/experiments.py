@@ -240,8 +240,8 @@ def check_accounting_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
 def check_structure_probe(seed: int, trial: int, spec: GainSpec) -> str | None:
     """One threshold-structure probe of a random edge.
 
-    compute_thresholds itself enforces the three-interval sweep pattern,
-    the beta <= theta ordering, beta's monotonicity and theta's absorbing
+    compute_thresholds itself enforces the three-interval pattern on every
+    piece of the rank axis, beta's monotonicity and theta's absorbing
     saturation, so any structural break surfaces as an exception here.
     """
     rng = _trial_rng(seed, 404, trial)
@@ -252,8 +252,7 @@ def check_structure_probe(seed: int, trial: int, spec: GainSpec) -> str | None:
     u, v = edges[int(rng.integers(len(edges)))]
     grid = [(i + 0.5) / 12 for i in range(12)]
     try:
-        compute_thresholds(instance, spec, ranks, u, v, grid,
-                           refine_tol=1e-7, sweep_points=256)
+        compute_thresholds(instance, spec, ranks, u, v, grid)
     except (ThreeIntervalError, AnalysisError) as exc:
         return f"trial={trial}: {exc} (seed={seed})"
     return None

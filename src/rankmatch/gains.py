@@ -29,9 +29,9 @@ so share(x, y) = e^(x-1) ignores the partner's rank entirely; it is not a
 weight split (its two shares do not sum to one). Only this module knows how
 a kind turns ranks into offers and shares: GainSpec.offer_parts(y) returns
 (a(y), b(y)) for scalars or arrays, offer_parts_scalar(y) the same pair for
-scalar hot paths, and the shares read the split from them;
-rank_offer_antideriv(t) and time_offer_antideriv(t) are the antiderivatives
-A of a and B of b.
+scalar hot paths, and share_scalar reads the split from them;
+offer_inverse(z, part) inverts a or b, and rank_offer_antideriv(t) and
+time_offer_antideriv(t) are the antiderivatives A of a and B of b.
 """
 
 from __future__ import annotations
@@ -190,6 +190,22 @@ class GainSpec:
         c = self.curve_scalar(y)
         return 0.5 * (1.0 - c), 0.5 * c
 
+    def offer_inverse(self, z, part: int):
+        """The y with offer_parts(y)[part] = z: a^-1 for part 0, b^-1 for
+        part 1, over scalars or numpy arrays. A value taken on a flat
+        stretch of the curve maps onto an end of the stretch; one no y in
+        [0, 1] gives maps to nan, outside (0, 1), or, past the top of an exp
+        curve, onto its kink. The adversarial b is constant: nan."""
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == ADVERSARIAL:
+                return np.full(z.shape, np.nan) if part else 1.0 + np.log(1.0 - z)
+            c = 2.0 * z if part else 1.0 - 2.0 * z
+            if self.kind == TABLE:
+                return np.interp(c, self.values, self.breakpoints)
+            log_c = np.log(np.minimum(c, 1.0))
+            return log_c + 0.5 if self.kind == SIMPLE_EXP else log_c + LN2
+
     def rank_offer_antideriv(self, t: float) -> float:
         """Exact antiderivative A of a, the rank part of the offer, with A(0) = 0."""
         if self.kind == ADVERSARIAL:
@@ -204,14 +220,9 @@ class GainSpec:
 
     # -- the two-dimensional share ------------------------------------
 
-    def share(self, x, y):
-        """Fraction of the matched weight kept by the rank-x endpoint when
-        its partner has rank y. Scalar or numpy-array arguments."""
-        out = 1.0 - self.offer_parts(x)[0] - self.offer_parts(y)[1]
-        return float(out) if np.ndim(out) == 0 else out
-
     def share_scalar(self, x: float, y: float) -> float:
-        """share() for scalar hot paths: plain math, no domain validation."""
+        """Fraction of the matched weight kept by the rank-x endpoint when
+        its partner has rank y: plain math, no domain validation."""
         return 1.0 - self.offer_parts_scalar(x)[0] - self.offer_parts_scalar(y)[1]
 
     # -- serialization --------------------------------------------------

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rankmatch.analysis import (MATCHED_BEFORE, MATCHED_TO_U, UNMATCHED_AFTER,
-                                AnalysisError, PairSweep, compute_thresholds,
-                                edge_status, pair_gain, vary_two_ranks)
+                                AnalysisError, PairSweep, ThreeIntervalError,
+                                compute_thresholds, edge_status, pair_gain,
+                                vary_two_ranks)
 from rankmatch.core import RankAssignment, build_instance, sample_ranks
-from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
+from rankmatch.gains import (LN2, adversarial_baseline, half_exp, piecewise_table,
+                             simple_exp)
 from rankmatch.generators import random_instance
 from rankmatch.ranking import assign_duals, run_ranking
 
@@ -336,35 +338,14 @@ def test_three_interval_structure_random_probes():
 def test_thresholds_single_edge():
     inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
     base = sample_ranks(inst, 2)
-    prof = compute_thresholds(inst, half_exp(), base, "u1", "v1",
-                              [0.2, 0.5, 0.8], sweep_points=64)
+    prof = compute_thresholds(inst, half_exp(), base, "u1", "v1", [0.2, 0.5, 0.8])
     assert prof.beta == (0.0, 0.0, 0.0)
     assert prof.theta == (1.0, 1.0, 1.0)
     assert prof.tau == 0.0
     assert prof.gamma == 0.0
 
 
-@pytest.mark.parametrize("refine_tol", [0.0, -1e-9, math.nan, math.inf])
-def test_thresholds_reject_bad_refine_tol(refine_tol):
-    # NaN fails every comparison, so a bare `refine_tol <= 0` check lets it by
-    inst = build_instance([("v1", 1.0), ("v2", 1.0)], [("u1", ["v1", "v2"])])
-    with pytest.raises(AnalysisError, match="refine_tol must be positive"):
-        compute_thresholds(inst, half_exp(), sample_ranks(inst, 2), "u1", "v1",
-                           [0.25, 0.75], refine_tol=refine_tol, sweep_points=64)
-
-
-@pytest.mark.parametrize("sweep_points", [0, -1])
-def test_thresholds_reject_empty_sweep(sweep_points):
-    # an empty sweep used to fail with a bare IndexError on some edges and
-    # skip the interleaving check on others
-    inst = build_instance([("v1", 1.0), ("v2", 2.0)],
-                          [("u1", ["v1", "v2"]), ("u2", ["v1"])])
-    with pytest.raises(AnalysisError, match="sweep_points must be >= 1"):
-        compute_thresholds(inst, half_exp(), sample_ranks(inst, 0), "u2", "v1",
-                           [0.25, 0.75], sweep_points=sweep_points)
-
-
-def _flip_point(left_at, tol=1e-9):
+def _flip_point(left_at, tol=1e-10):
     """Reference flip point of a monotone predicate on [0, 1]: ends first."""
     from rankmatch.numerics import bisect_boundary
 
@@ -376,7 +357,7 @@ def _flip_point(left_at, tol=1e-9):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["half-exp", "simple-exp", "adversarial"])
-def test_tau_gamma_match_scalar_bisection_bit_for_bit(spec):
+def test_tau_gamma_match_scalar_bisection_within_1e_9(spec):
     # tau: v at rank one flips from unmatched-after to not; gamma: beta at
     # arrival time one. The draws cover both at 0, at 1 and inside (0, 1).
     seen_tau, seen_gamma = set(), set()
@@ -389,14 +370,114 @@ def test_tau_gamma_match_scalar_bisection_bit_for_bit(spec):
                     return edge_status(inst, spec, base, u, v, y_u, y_v)
                 tau = _flip_point(lambda y: status(y, 1.0) == UNMATCHED_AFTER)
                 gamma = _flip_point(lambda y: status(1.0, y) == MATCHED_BEFORE)
-                prof = compute_thresholds(inst, spec, base, u, v, [0.5],
-                                          refine_tol=1e-9, sweep_points=8)
+                prof = compute_thresholds(inst, spec, base, u, v, [0.5])
                 est = pair_gain(inst, spec, base, u, v, grid_n=4)
-                assert prof.tau == est.tau == tau
-                assert prof.gamma == est.gamma == gamma
+                assert prof.tau == est.tau == pytest.approx(tau, abs=1e-9)
+                assert prof.gamma == est.gamma == pytest.approx(gamma, abs=1e-9)
                 seen_tau.add(tau if tau in (0.0, 1.0) else "inside")
                 seen_gamma.add(gamma if gamma in (0.0, 1.0) else "inside")
     assert seen_tau == seen_gamma == {0.0, 1.0, "inside"}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.kind for s in ORACLE_SPECS])
+def test_thresholds_match_scalar_bisection_on_random_edges(spec):
+    # 250 edges per kind, every other one on unit weights, where saturated
+    # offers tie: beta, theta, tau and gamma within 1e-9 of the oracle
+    rng = np.random.default_rng(30)
+    for trial in range(250):
+        inst = random_instance(rng, weighted=trial % 2 == 1)
+        base = sample_ranks(inst, rng)
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        y_u = float(rng.random())
+
+        def status(y_u, y_v):
+            return edge_status(inst, spec, base, u, v, y_u, y_v)
+
+        prof = compute_thresholds(inst, spec, base, u, v, [y_u])
+        want = (_flip_point(lambda y: status(y_u, y) == MATCHED_BEFORE),
+                _flip_point(lambda y: status(y_u, y) != UNMATCHED_AFTER),
+                _flip_point(lambda y: status(y, 1.0) == UNMATCHED_AFTER),
+                _flip_point(lambda y: status(1.0, y) == MATCHED_BEFORE))
+        got = (prof.beta[0], prof.theta[0], prof.tau, prof.gamma)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def assert_constant_inside_pieces(ends, statuses, status_at):
+    """status_at equals each piece's status at points strictly inside it.
+    Points that round onto a piece end are skipped: where offers of equal
+    weights tie, the status flips within a few ulps of a rank."""
+    for lo, hi, want in zip(ends, ends[1:], statuses):
+        for t in (0.01, 0.3, 0.7, 0.99):
+            y = lo + t * (hi - lo)
+            if lo < y < hi:
+                assert status_at(y) == want, (lo, hi, y)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[s.kind for s in ORACLE_SPECS])
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+def test_status_is_constant_inside_every_piece(spec, weighted):
+    # the cuts are complete: along y_v at a random y_u, and along y_u with
+    # v at rank one, nothing between two cuts changes v's status
+    from rankmatch.analysis import _rank_pieces, _time_pieces
+
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        inst = random_instance(rng, weighted=weighted)
+        base = sample_ranks(inst, rng)
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        y_u = float(rng.random())
+        assert_constant_inside_pieces(
+            *_rank_pieces(inst, spec, base, u, v, y_u),
+            lambda y: edge_status(inst, spec, base, u, v, y_u, y))
+        assert_constant_inside_pieces(
+            *_time_pieces(inst, spec, base, u, v),
+            lambda y: edge_status(inst, spec, base, u, v, y, 1.0))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["half-exp", "simple-exp", "adversarial"])
+def test_thresholds_hold_on_unit_weight_edges(spec):
+    # equal weights cross at the rank itself; an inverted crossing lands a
+    # few ulps off it, and beta then seems to fall between grid points
+    # (draws 40 and 96 under half-exp, 68 under simple-exp)
+    grid = [(i + 0.5) / 64 for i in range(64)]
+    for trial in range(100):
+        rng = np.random.default_rng((40, trial))
+        inst = random_instance(rng, weighted=False)
+        base = sample_ranks(inst, rng)
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        compute_thresholds(inst, spec, base, u, v, grid)
+
+
+def test_tau_where_two_offers_to_u_cross():
+    # with v at rank one, a(1) = 0, so u takes z until 1.5 b(y_u) reaches
+    # a(y_z) + b(y_u): random edges rarely need this b^-1 cut
+    from rankmatch.analysis import _time_pieces
+
+    inst = build_instance([("v", 1.5), ("z", 1.0)], [("u", ["v", "z"])])
+    base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
+    spec = half_exp()
+    assert_constant_inside_pieces(
+        *_time_pieces(inst, spec, base, "u", "v"),
+        lambda y: edge_status(inst, spec, base, "u", "v", y, 1.0))
+    b_tau = spec.offer_parts_scalar(0.3)[0] / 0.5
+    prof = compute_thresholds(inst, spec, base, "u", "v", [0.5])
+    assert prof.tau == pytest.approx(math.log(4.0 * b_tau), abs=1e-12)
+    assert 0.0 < prof.tau < LN2
+
+
+def test_thresholds_refuse_interleaved_pieces(monkeypatch):
+    # matched-to below y_z and matched-before above it: not three intervals
+    from rankmatch import analysis
+
+    inst = build_instance([("v", 1.0), ("z", 1.0)], [("u", ["v", "z"])])
+    base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
+    monkeypatch.setattr(analysis, "edge_status", lambda *args: (
+        MATCHED_TO_U if args[-1] < 0.3 else MATCHED_BEFORE))
+    with pytest.raises(ThreeIntervalError, match="interleaving along y_v at y_u=0.5"):
+        compute_thresholds(inst, half_exp(), base, "u", "v", [0.5])
 
 
 def test_thresholds_beta_jumps_at_competitor_arrival():
@@ -406,14 +487,13 @@ def test_thresholds_beta_jumps_at_competitor_arrival():
     y_z, y_b = 0.4, 0.05
     base = RankAssignment({"z": y_z, "b": y_b, "u": 0.9, "v": 0.5})
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-    prof = compute_thresholds(inst, half_exp(), base, "u", "v", grid,
-                              refine_tol=1e-9, sweep_points=500)
+    prof = compute_thresholds(inst, half_exp(), base, "u", "v", grid)
     assert prof.theta == (1.0,) * 5          # u has no other option
     assert prof.beta[0] == 0.0               # u before z: v never pre-matched
     assert prof.beta[1] == 0.0
-    for later in prof.beta[2:]:              # u after z: pre-matched iff y_v < y_b
-        assert later == pytest.approx(y_b, abs=1e-8)
-    assert prof.gamma == pytest.approx(y_b, abs=1e-8)
+    # u after z: pre-matched iff y_v < y_b; equal weights cross at the rank
+    assert prof.beta[2:] == (y_b,) * 3
+    assert prof.gamma == y_b
     assert prof.tau == 0.0
     # spot-check the raw statuses against the profile's story
     assert edge_status(inst, half_exp(), base, "u", "v", 0.6, 0.02) == MATCHED_BEFORE
@@ -429,8 +509,7 @@ def test_thresholds_beta_monotone_on_random_probes():
         base = sample_ranks(inst, (23, trial))
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
-        prof = compute_thresholds(inst, half_exp(), base, u, v, grid,
-                                  refine_tol=1e-7, sweep_points=200)
+        prof = compute_thresholds(inst, half_exp(), base, u, v, grid)
         assert all(b2 >= b1 - 1e-6 for b1, b2 in zip(prof.beta, prof.beta[1:]))
         assert all(0.0 <= b <= t + 1e-6 <= 1.0 + 1e-6
                    for b, t in zip(prof.beta, prof.theta))
@@ -449,8 +528,7 @@ def test_theta_need_not_be_monotone_regression():
     y_z = math.log(1.8)  # curve value 0.9
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": y_z})
     grid = [0.05, 0.25, 0.45, 0.65, 0.8, 0.95]
-    prof = compute_thresholds(inst, half_exp(), base, "u", "v", grid,
-                              refine_tol=1e-9, sweep_points=400)
+    prof = compute_thresholds(inst, half_exp(), base, "u", "v", grid)
     curve = half_exp().curve_scalar
     expected = [math.log(2 * (0.88 - 0.2 * curve(y))) for y in grid]
     for got, want in zip(prof.theta, expected):
@@ -467,100 +545,16 @@ def test_thresholds_empty_middle_band():
     # empty and beta meets theta
     inst = build_instance([("v", 0.01), ("z", 10.0)], [("u", ["v", "z"])])
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.9})
-    prof = compute_thresholds(inst, half_exp(), base, "u", "v",
-                              [0.2, 0.5, 0.8], sweep_points=200)
+    prof = compute_thresholds(inst, half_exp(), base, "u", "v", [0.2, 0.5, 0.8])
     assert prof.beta == (0.0, 0.0, 0.0)
     assert prof.theta == (0.0, 0.0, 0.0)
     assert prof.tau == 1.0 and prof.gamma == 0.0
     assert edge_status(inst, half_exp(), base, "u", "v", 0.5, 0.3) == UNMATCHED_AFTER
 
 
-@pytest.fixture
-def run_sizes(monkeypatch):
-    """Lane counts of every PairSweep.run call, and the unpatched run."""
-    from rankmatch import analysis
-
-    calls = []
-    run = analysis.PairSweep.run
-
-    def spy(self, y_u, y_v):
-        calls.append(np.size(y_u))
-        return run(self, y_u, y_v)
-
-    monkeypatch.setattr(analysis.PairSweep, "run", spy)
-    return calls, run
-
-
-def per_grid_point_profile(run, inst, spec, base, u, v, grid, pts):
-    """(beta, theta) from one unpatched PairSweep run per grid point."""
-    from rankmatch import analysis
-
-    sweeper = PairSweep(inst, spec, base, u, v)
-    betas, thetas = [], []
-    for y in grid:
-        statuses = run(sweeper, np.full(pts.size, y), pts).status
-
-        def probe(y_v, _y=y):
-            return edge_status(inst, spec, base, u, v, _y, y_v)
-
-        betas.append(analysis._boundary(statuses, pts, lambda s: s == MATCHED_BEFORE,
-                                        probe, 1e-9))
-        thetas.append(analysis._boundary(statuses, pts, lambda s: s != UNMATCHED_AFTER,
-                                         probe, 1e-9))
-    return tuple(betas), tuple(thetas)
-
-
-def test_thresholds_make_one_sweep_run(run_sizes):
-    # one PairSweep.run covers every grid point; its profile is the one a
-    # run per grid point gives
-    calls, run = run_sizes
-    rng = np.random.default_rng(24)
-    grid = [0.0, 0.1, 0.35, 0.6, 0.85, 1.0]
-    pts = (np.arange(64) + 0.5) / 64
-    for trial in range(12):
-        inst = random_instance(rng, weighted=True)
-        spec = SPECS[trial % 3]
-        base = sample_ranks(inst, (24, trial))
-        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
-        u, v = edges[int(rng.integers(len(edges)))]
-        calls.clear()
-        prof = compute_thresholds(inst, spec, base, u, v, grid,
-                                  refine_tol=1e-9, sweep_points=64)
-        assert calls == [len(grid) * 64]
-        assert (prof.beta, prof.theta) == per_grid_point_profile(
-            run, inst, spec, base, u, v, grid, pts)
-
-
-@pytest.mark.parametrize("n_grid, sweep_points, runs", [
-    (7, 2500, [8190, 8190, 1120]),
-    (2, 9000, [8192, 8192, 1616]),
-], ids=["last-run-partial", "sweep-beyond-lane-block"])
-def test_thresholds_sweep_in_lane_block_runs(run_sizes, n_grid, sweep_points, runs):
-    # beyond LANE_BLOCK (8192) lanes, each run takes the most whole sweep
-    # points across the grid that fit, or one sweep point; the profile is
-    # the one a run per grid point gives
-    calls, run = run_sizes
-    rng = np.random.default_rng(25)
-    grid = np.linspace(0.0, 1.0, n_grid)
-    pts = (np.arange(sweep_points) + 0.5) / sweep_points
-    for trial in range(3):
-        inst = random_instance(rng, weighted=True)
-        spec = SPECS[trial % 3]
-        base = sample_ranks(inst, (25, trial))
-        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
-        u, v = edges[int(rng.integers(len(edges)))]
-        calls.clear()
-        prof = compute_thresholds(inst, spec, base, u, v, grid,
-                                  refine_tol=1e-9, sweep_points=sweep_points)
-        assert calls == runs
-        assert (prof.beta, prof.theta) == per_grid_point_profile(
-            run, inst, spec, base, u, v, grid, pts)
-
-
 def test_thresholds_csv_and_json():
     inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
-    prof = compute_thresholds(inst, half_exp(), sample_ranks(inst, 3),
-                              "u1", "v1", [0.5], sweep_points=32)
+    prof = compute_thresholds(inst, half_exp(), sample_ranks(inst, 3), "u1", "v1", [0.5])
     csv = prof.to_csv()
     assert csv.splitlines()[0] == "y_u,beta,theta"
     assert len(csv.splitlines()) == 2

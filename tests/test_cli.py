@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import rankmatch
 from rankmatch.analysis import ThreeIntervalError
-from rankmatch.cli import main
+from rankmatch.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -77,8 +79,7 @@ def test_bounds_heatmap_csv(capsys):
 
 def test_thresholds_csv(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--gen", "complete", "--n", "2",
-                           "--grid", "4", "--refine-tol", "1e-6",
-                           "--seed", "2", "--format", "csv")
+                           "--grid", "4", "--seed", "2", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "y_u,beta,theta"
@@ -316,9 +317,11 @@ def test_input_files_that_are_not_json_are_named(tmp_path, capsys, command, flag
     ("bounds", "evaluate", "--grid", "5"),
     ("bounds", "heatmap", "--tau", "0.3"),
     ("bounds", "heatmap", "--gamma", "0.9"),
+    ("thresholds", "--gen", "complete", "--n", "2", "--refine-tol", "1e-9"),
 ], ids=["generate-spec", "generate-format", "bounds-seed", "bounds-format",
         "integral-seed", "integral-format", "minimize-tau", "minimize-gamma",
-        "minimize-grid", "evaluate-grid", "heatmap-tau", "heatmap-gamma"])
+        "minimize-grid", "evaluate-grid", "heatmap-tau", "heatmap-gamma",
+        "thresholds-refine-tol"])
 def test_flags_a_command_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -326,12 +329,30 @@ def test_flags_a_command_ignores_are_rejected(capsys, argv):
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
-def test_thresholds_refine_tol_below_float_spacing_terminates(capsys):
-    code, out, _ = run_cli(capsys, "thresholds", "--gen", "weighted_random",
-                           "--n", "4", "--seed", "3", "--grid", "2",
-                           "--refine-tol", "1e-300")
-    assert code == 0
-    assert out.startswith("y_u,beta,theta\n")
+def _parser_flags(parser, name=""):
+    """{subcommand: its long flags}, nested ones named like "bounds evaluate"."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {name: {o for a in parser._actions for o in a.option_strings
+                       if o.startswith("--") and o != "--help"}}
+    out = {}
+    for child, sub in subs[0].choices.items():
+        out.update(_parser_flags(sub, f"{name} {child}".strip()))
+    return out
+
+
+def test_readme_flag_table_lists_exactly_the_parser_flags():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = text.split("| subcommand | flags (default) |\n|---|---|\n")[1].split("\n\n")[0]
+    instance = set(re.findall(r"--[a-z-]+", text.split("Instance flags:")[1].split(". ")[0]))
+    assert "Every subcommand takes `--out FILE`" in text
+    readme = {}
+    for row in table.splitlines():
+        name, flags = re.fullmatch(r"\| `([a-z -]+)` \| (.*) \|", row).groups()
+        readme[name] = set(re.findall(r"--[a-z-]+", flags)) | {"--out"}
+        if "instance flags" in flags:
+            readme[name] |= instance
+    assert readme == _parser_flags(build_parser())
 
 
 def test_three_interval_violation_exits_one(monkeypatch, capsys):
@@ -348,10 +369,10 @@ def test_three_interval_violation_exits_one(monkeypatch, capsys):
     (("bounds", "heatmap", "--grid", "0"), "grid_n must be >= 2, got 0"),
     (("verify", "--scale", "inf"), "scale must be positive and finite, got inf"),
     (("verify", "--scale", "nan"), "scale must be positive and finite, got nan"),
-    (("thresholds", "--gen", "complete", "--n", "2", "--refine-tol", "nan"),
-     "refine_tol must be positive"),
+    (("pair-gain", "--gen", "complete", "--n", "2", "--grid", "100000"),
+     "grid_n = 100000 makes 10000000000 cells, more than MAX_CELLS = 10000000"),
 ], ids=["heatmap-grid-1", "heatmap-grid-0", "verify-scale-inf", "verify-scale-nan",
-        "thresholds-refine-tol-nan"])
+        "pair-gain-grid-cells"])
 def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -387,8 +408,7 @@ def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
         ["generate", "--gen", "upper_triangular", "--n", "3", "--out", "inst.json"],
         ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"],
         ["pair-gain", "--instance", "inst.json", "--grid", "8", "--out", "pg.json"],
-        ["thresholds", "--instance", "inst.json", "--grid", "2",
-         "--refine-tol", "1e-6", "--out", "th.csv"],
+        ["thresholds", "--instance", "inst.json", "--grid", "2", "--out", "th.csv"],
         ["integral", "--profiles", "profiles.json", "--out", "int.json"],
         ["verify", "--scale", "0.002", "--out", "verify.json"])
     assert codes == [0] * 6

@@ -37,19 +37,24 @@ def test_share_example_half_exp():
     assert half_exp().share_scalar(0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
 
+def share_grid(spec, pts):
+    """share(x, y) = 1 - a(x) - b(y) from offer_parts, x down the rows and
+    y along the columns."""
+    a, b = spec.offer_parts(pts)
+    return 1.0 - a[:, None] - b[None, :]
+
+
 def test_share_symmetry_identity_on_grid():
     pts = np.linspace(0.0, 1.0, 200)
     for spec in ALL_SPLIT_SPECS:
-        g = spec.share(pts[:, None], pts[None, :])
-        gt = spec.share(pts[None, :], pts[:, None])
-        assert np.max(np.abs(g + gt - 1.0)) <= 1e-15
+        g = share_grid(spec, pts)
+        assert np.max(np.abs(g + g.T - 1.0)) <= 1e-15
 
 
 def test_share_monotone_and_in_range_on_grid():
     pts = np.linspace(0.0, 1.0, 200)
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
-        g = np.asarray(spec.share(pts[:, None], pts[None, :]))
-        g = np.broadcast_to(g, (200, 200))
+        g = share_grid(spec, pts)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
         assert np.all(np.diff(g, axis=0) >= -1e-15)   # non-decreasing in x
         assert np.all(np.diff(g, axis=1) <= 1e-15)    # non-increasing in y
@@ -70,7 +75,7 @@ def test_domain_validation():
     with pytest.raises(GainSpecError):
         s.curve(1.5)
     with pytest.raises(GainSpecError):
-        s.share(-0.1, 0.5)
+        s.offer_parts(-0.1)
 
 
 def test_curve_integral_matches_quadrature():
@@ -199,11 +204,32 @@ def test_scalar_paths_match_array_paths():
             assert np.max(np.abs(cs - spec.curve(xs))) <= 2e-16
         ss = np.array([spec.share_scalar(float(x), float(y))
                        for x, y in zip(xs, ys)])
-        assert np.max(np.abs(ss - spec.share(xs, ys))) <= 5e-16
+        a, b = spec.offer_parts(xs)[0], spec.offer_parts(ys)[1]
+        assert np.max(np.abs(ss - (1.0 - a - b))) <= 5e-16
         parts = spec.offer_parts(xs)
         parts_scalar = np.array([spec.offer_parts_scalar(float(x)) for x in xs])
         for k in (0, 1):
             assert np.max(np.abs(parts_scalar[:, k] - parts[k])) <= 2e-16
+
+
+def test_offer_inverse_undoes_offer_parts():
+    ys = np.linspace(0.0, 1.0, 257)
+    for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
+        for part in (0, 1):
+            z = spec.offer_parts(ys)[part]
+            y = spec.offer_inverse(z, part)
+            if spec.kind == ADVERSARIAL and part == 1:
+                assert np.all(np.isnan(y))     # b = 0 is constant
+                continue
+            # on a flat stretch y is an end of it; elsewhere y is ys
+            again = spec.offer_parts(np.clip(y, 0.0, 1.0))[part]
+            assert np.max(np.abs(again - z)) <= 1e-15
+            moving = (np.diff(z, prepend=np.nan) != 0) & (np.diff(z, append=np.nan) != 0)
+            assert np.max(np.abs(y - ys)[moving]) <= 1e-13
+            # values no rank gives land where a cut changes nothing
+            lo, hi = np.min(z), np.max(z)
+            for far in spec.offer_inverse(np.array([lo - 0.01, hi + 0.01]), part):
+                assert not 0.0 < far < 1.0 or far in spec.curve_breakpoints
 
 
 def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
