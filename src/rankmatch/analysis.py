@@ -8,7 +8,7 @@ v unmatched right after u's arrival) delimited by thresholds beta(y_u) and
 theta(y_u); (tau, gamma) is the corner of that split. Along either axis,
 with the other rank fixed, the run changes only where two offers cross, at
 a tie-breaking rank or arrival time, or at a curve kink, so the four
-thresholds are piece ends read off one scalar edge_status call per piece.
+thresholds are piece ends read off one status per piece.
 This module locates those thresholds and estimates the expected combined
 gain of the pair over uniformly random (y_u, y_v) by midpoint quadrature.
 
@@ -18,10 +18,11 @@ the other arrivals run as they would without u and with p gone from the
 start, so one table of runs through ranking.run_lanes, keyed by y_v and
 the vertex gone (none, or one of u's neighbors other than v), answers
 every lane; u's own choice and the split of the pair's gains are then
-per-lane arithmetic. pair_gain makes one PairSweep run for its grid cells.
-Every lane follows run_ranking's rules, ties included; the scalar path
-(vary_two_ranks, edge_status) stays the reference, and tests cross-check
-the two.
+per-lane arithmetic. pair_gain makes one PairSweep run for its grid cells,
+compute_thresholds one for all pieces of its grid; tau and gamma classify
+their pieces with edge_status. Every lane follows run_ranking's rules,
+ties included; the scalar path (vary_two_ranks, edge_status) stays the
+reference, and tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -108,15 +109,16 @@ class PairSweep:
     leaves its choice as it was; after u, the free sets are equal. So
     every run depends only on (y_v, gone), gone being none or one of u's
     neighbors other than v. A run costs deg(u) table runs per distinct
-    y_v, which suits its callers' grids, whose y_v take few values:
+    key, a rank of v at which those runs are the lane's (y_v itself by
+    default), which suits its callers, whose keys take few values:
 
-    1. Table. For every distinct y_v and every gone, one run of the other
+    1. Table. For every distinct key and every gone, one run of the other
        arrivals without u. The gone = none runs give the arrival position
        at which each of u's neighbors is taken; every run gives v's
        partner.
     2. Per lane, LANE_BLOCK lanes at a time: u's step over u's neighbor
        rows (the tie rule is ranking._top_offer's) gives p. v's partner
-       is u where p is v, and otherwise the table's at (y_v, gone = p, or
+       is u where p is v, and otherwise the table's at (key, gone = p, or
        none where u took nothing). The gains of u and v come off the two
        partners, split exactly as assign_duals splits them.
 
@@ -216,21 +218,22 @@ class PairSweep:
             before, MATCHED_BEFORE, UNMATCHED_AFTER))
         return alpha_u, alpha_v, status
 
-    def run(self, y_u, y_v) -> SweepResult:
-        """Simulate all lanes; y_u and y_v are equal-length 1-d arrays."""
+    def run(self, y_u, y_v, key=None) -> SweepResult:
+        """Simulate all lanes; y_u, y_v and key are equal-length 1-d arrays."""
         y_u = np.atleast_1d(np.asarray(y_u, dtype=float))
         y_v = np.atleast_1d(np.asarray(y_v, dtype=float))
-        if y_u.shape != y_v.shape:
-            raise AnalysisError("y_u and y_v must have equal shapes")
+        key = y_v if key is None else np.atleast_1d(np.asarray(key, dtype=float))
+        if not y_u.shape == y_v.shape == key.shape:
+            raise AnalysisError("y_u, y_v and key must have equal shapes")
         n = y_u.size
         # positions and indices, down to -1, fit this type
         small = np.min_scalar_type(-max(self.y_on.size, self.w.size))
         # not np.unique: without an index output it loads numpy.ma on its
         # first call, about 14 ms and 1.7 MB of peak RSS per process
-        y_vs = np.sort(y_v)
+        y_vs = np.sort(key)
         y_vs = np.append(y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]])
         # yv_of lives through the whole run, so in the narrowest type
-        yv_of = np.searchsorted(y_vs, y_v).astype(np.min_scalar_type(y_vs.size))
+        yv_of = np.searchsorted(y_vs, key).astype(np.min_scalar_type(y_vs.size))
         taken, v_by = self._table(y_vs, small)
 
         out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
@@ -291,11 +294,10 @@ class ThresholdProfile:
         }
 
 
-def _pieces(spec: GainSpec, cuts, status_at) -> tuple[list[float], list[int]]:
-    """Piece ends (0, 1, the curve kinks and every cut strictly inside) and
-    status_at at the midpoint of each piece."""
+def _pieces(spec: GainSpec, cuts) -> tuple[list[float], list[float]]:
+    """Piece ends (0, 1, the curve kinks and the cuts inside) and midpoints."""
     ends = sorted({0.0, 1.0, *spec.curve_breakpoints, *(y for y in cuts if 0.0 < y < 1.0)})
-    return ends, [status_at(0.5 * (lo + hi)) for lo, hi in zip(ends, ends[1:])]
+    return ends, [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def _flip(ends: list[float], left: list[bool], where: str) -> float:
@@ -307,9 +309,10 @@ def _flip(ends: list[float], left: list[bool], where: str) -> float:
     return ends[k]
 
 
-def _rank_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-                 online_id: str, offline_id: str, y_u: float):
-    """_pieces along y_v at arrival time y_u.
+def _rank_cuts(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
+               online_id: str, offline_id: str, y_us) -> tuple[list[float], list[list[float]]]:
+    """The cuts along y_v: those shared by every arrival time, and per y_u
+    in y_us the crossings of v's offer to u.
 
     y_v moves the run only where v's offer to one of its neighbors j
     crosses that of another neighbor q of j, w_v (a(y_v) + b(y_j)) =
@@ -318,18 +321,21 @@ def _rank_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     """
     rank_of, w, parts = base_ranks.ranks, instance.weights, spec.offer_parts_scalar
     w_v = w[offline_id]
-    cuts, targets = [], []
+
+    def crossings(j, b_j):
+        return [w[q] * (parts(rank_of[q])[0] + b_j) / w_v - b_j for q in instance.neighbors[j]
+                if q != offline_id and w[q] != w_v and w_v > 0.0]
+
+    shared, targets = [], []
     for j, nbrs in instance.neighbors.items():
         if offline_id in nbrs:
-            b_j = parts(y_u if j == online_id else rank_of[j])[1]
-            for q in nbrs:
-                if q != offline_id:
-                    cuts.append(rank_of[q])
-                    if w[q] != w_v and w_v > 0.0:
-                        targets.append(w[q] * (parts(rank_of[q])[0] + b_j) / w_v - b_j)
-    cuts += spec.offer_inverse(targets, 0).tolist()
-    return _pieces(spec, cuts, lambda y_v: edge_status(
-        instance, spec, base_ranks, online_id, offline_id, y_u, y_v))
+            shared += [rank_of[q] for q in nbrs if q != offline_id]
+            targets += crossings(j, parts(rank_of[j])[1]) if j != online_id else []
+    # one inverse for all: u's rows are equally long, one per y_u
+    own = [z for y in y_us for z in crossings(online_id, parts(y)[1])]
+    inverse = spec.offer_inverse(targets + own, 0)
+    return (shared + inverse[:len(targets)].tolist(),
+            inverse[len(targets):].reshape(len(y_us), -1).tolist())
 
 
 def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
@@ -346,19 +352,22 @@ def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     targets = [(w[s] * a[s] - w[q] * a[q]) / (w[q] - w[s])
                for i, q in enumerate(nbrs) for s in nbrs[i + 1:] if w[q] != w[s]]
     cuts = [rank_of[j] for j in instance.online_ids if j != online_id]
-    cuts += spec.offer_inverse(targets, 1).tolist()
-    return _pieces(spec, cuts, lambda y_u: edge_status(
-        instance, spec, base_ranks, online_id, offline_id, y_u, 1.0))
+    return _pieces(spec, cuts + spec.offer_inverse(targets, 1).tolist())
 
 
 def _tau_gamma(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                online_id: str, offline_id: str) -> tuple[float, float]:
     """(tau, gamma): the earliest arrival time whose theta is one (v at rank
-    one no longer left unmatched), and beta at arrival time one."""
-    ends, statuses = _time_pieces(instance, spec, base_ranks, online_id, offline_id)
-    tau = _flip(ends, [s == UNMATCHED_AFTER for s in statuses], "along y_u at y_v=1")
-    ends, statuses = _rank_pieces(instance, spec, base_ranks, online_id, offline_id, 1.0)
-    gamma = _flip(ends, [s == MATCHED_BEFORE for s in statuses], "along y_v at y_u=1")
+    one no longer left unmatched), and beta at arrival time one, from one
+    scalar edge_status call per piece."""
+    edge = (instance, spec, base_ranks, online_id, offline_id)
+    ends, mids = _time_pieces(*edge)
+    tau = _flip(ends, [edge_status(*edge, y, 1.0) == UNMATCHED_AFTER for y in mids],
+                "along y_u at y_v=1")
+    shared, (own,) = _rank_cuts(*edge, [1.0])
+    ends, mids = _pieces(spec, shared + own)
+    gamma = _flip(ends, [edge_status(*edge, 1.0, y) == MATCHED_BEFORE for y in mids],
+                  "along y_v at y_u=1")
     return tau, gamma
 
 
@@ -367,26 +376,33 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
     At each grid point the run is constant between the exact cuts of
-    _rank_pieces, so one scalar edge_status call per piece classifies
-    the whole y_v axis, and beta and theta are piece ends. Raises
-    ThreeIntervalError when the pieces interleave statuses, and
-    AnalysisError when beta decreases or theta leaves one after
-    saturating; theta itself need not be monotone.
+    _rank_cuts, so one PairSweep lane per piece, at its midpoint,
+    classifies the whole y_v axis, and beta and theta are piece ends. One
+    run takes every lane of the grid; without u, the other arrivals change
+    only at the shared cuts, so a lane is tabled at the midpoint of the
+    shared piece it lies in. Raises ThreeIntervalError when the pieces
+    interleave statuses, and AnalysisError when beta decreases or theta
+    leaves one after saturating; theta itself need not be monotone.
     """
     grid = [float(y) for y in y_u_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise AnalysisError("y_u grid must be strictly increasing")
     if not grid or grid[0] < 0.0 or grid[-1] > 1.0:
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
-    if not instance.has_edge(online_id, offline_id):
-        raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
+    sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)  # checks the edge
+    shared, own = _rank_cuts(instance, spec, base_ranks, online_id, offline_id, grid)
+    pieces = [_pieces(spec, shared + cuts) for cuts in own]
+    keys, key_mids = _pieces(spec, shared)
+    sizes = [len(mids) for _, mids in pieces]
+    at = np.searchsorted(keys, [lo for ends, _ in pieces for lo in ends[:-1]], "right") - 1
+    statuses = sweeper.run(np.repeat(grid, sizes), [y for _, mids in pieces for y in mids],
+                           np.take(key_mids, at)).status
     betas: list[float] = []
     thetas: list[float] = []
-    for y_u in grid:
-        ends, statuses = _rank_pieces(instance, spec, base_ranks, online_id, offline_id, y_u)
+    for y_u, (ends, _), s in zip(grid, pieces, np.split(statuses, np.cumsum(sizes)[:-1])):
         where = f"along y_v at y_u={y_u}"
-        betas.append(_flip(ends, [s == MATCHED_BEFORE for s in statuses], where))
-        thetas.append(_flip(ends, [s != UNMATCHED_AFTER for s in statuses], where))
+        betas.append(_flip(ends, (s == MATCHED_BEFORE).tolist(), where))
+        thetas.append(_flip(ends, (s != UNMATCHED_AFTER).tolist(), where))
 
     for (y0, b0), (y1, b1) in zip(zip(grid, betas), zip(grid[1:], betas[1:])):
         if b1 < b0:

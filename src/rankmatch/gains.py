@@ -193,9 +193,10 @@ class GainSpec:
     def offer_inverse(self, z, part: int):
         """The y with offer_parts(y)[part] = z: a^-1 for part 0, b^-1 for
         part 1, over scalars or numpy arrays. A value taken on a flat
-        stretch of the curve maps onto an end of the stretch; one no y in
-        [0, 1] gives maps to nan, outside (0, 1), or, past the top of an exp
-        curve, onto its kink. The adversarial b is constant: nan."""
+        stretch of the curve maps onto an end of the stretch. A value that
+        no y in [0, 1] gives maps to nan, to a point outside (0, 1), or,
+        past the top of an exp curve, onto its kink. The adversarial b is
+        constant: nan."""
         z = np.asarray(z, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == ADVERSARIAL:

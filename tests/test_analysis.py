@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rankmatch.analysis import (MATCHED_BEFORE, MATCHED_TO_U, UNMATCHED_AFTER,
-                                AnalysisError, PairSweep, ThreeIntervalError,
+                                AnalysisError, PairSweep, SweepResult,
+                                ThreeIntervalError,
                                 compute_thresholds, edge_status, pair_gain,
                                 vary_two_ranks)
 from rankmatch.core import RankAssignment, build_instance, sample_ranks
@@ -403,11 +404,13 @@ def test_thresholds_match_scalar_bisection_on_random_edges(spec):
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def assert_constant_inside_pieces(ends, statuses, status_at):
-    """status_at equals each piece's status at points strictly inside it.
-    Points that round onto a piece end are skipped: where offers of equal
-    weights tie, the status flips within a few ulps of a rank."""
-    for lo, hi, want in zip(ends, ends[1:], statuses):
+def assert_constant_inside_pieces(ends, status_at):
+    """status_at at points strictly inside each piece equals its value at
+    the piece's midpoint. Points that round onto a piece end are skipped:
+    where offers of equal weights tie, the status flips within a few ulps
+    of a rank."""
+    for lo, hi in zip(ends, ends[1:]):
+        want = status_at(0.5 * (lo + hi))
         for t in (0.01, 0.3, 0.7, 0.99):
             y = lo + t * (hi - lo)
             if lo < y < hi:
@@ -419,7 +422,7 @@ def assert_constant_inside_pieces(ends, statuses, status_at):
 def test_status_is_constant_inside_every_piece(spec, weighted):
     # the cuts are complete: along y_v at a random y_u, and along y_u with
     # v at rank one, nothing between two cuts changes v's status
-    from rankmatch.analysis import _rank_pieces, _time_pieces
+    from rankmatch.analysis import _pieces, _rank_cuts, _time_pieces
 
     rng = np.random.default_rng(31)
     for _ in range(120):
@@ -428,11 +431,12 @@ def test_status_is_constant_inside_every_piece(spec, weighted):
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
         y_u = float(rng.random())
+        shared, (own,) = _rank_cuts(inst, spec, base, u, v, [y_u])
         assert_constant_inside_pieces(
-            *_rank_pieces(inst, spec, base, u, v, y_u),
+            _pieces(spec, shared + own)[0],
             lambda y: edge_status(inst, spec, base, u, v, y_u, y))
         assert_constant_inside_pieces(
-            *_time_pieces(inst, spec, base, u, v),
+            _time_pieces(inst, spec, base, u, v)[0],
             lambda y: edge_status(inst, spec, base, u, v, y, 1.0))
 
 
@@ -460,7 +464,7 @@ def test_tau_where_two_offers_to_u_cross():
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
     spec = half_exp()
     assert_constant_inside_pieces(
-        *_time_pieces(inst, spec, base, "u", "v"),
+        _time_pieces(inst, spec, base, "u", "v")[0],
         lambda y: edge_status(inst, spec, base, "u", "v", y, 1.0))
     b_tau = spec.offer_parts_scalar(0.3)[0] / 0.5
     prof = compute_thresholds(inst, spec, base, "u", "v", [0.5])
@@ -474,10 +478,73 @@ def test_thresholds_refuse_interleaved_pieces(monkeypatch):
 
     inst = build_instance([("v", 1.0), ("z", 1.0)], [("u", ["v", "z"])])
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
-    monkeypatch.setattr(analysis, "edge_status", lambda *args: (
-        MATCHED_TO_U if args[-1] < 0.3 else MATCHED_BEFORE))
+    monkeypatch.setattr(PairSweep, "run", lambda self, y_u, y_v, key: SweepResult(
+        alpha_u=None, alpha_v=None,
+        status=np.where(np.asarray(y_v) < 0.3, MATCHED_TO_U, MATCHED_BEFORE)))
     with pytest.raises(ThreeIntervalError, match="interleaving along y_v at y_u=0.5"):
         compute_thresholds(inst, half_exp(), base, "u", "v", [0.5])
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+def test_threshold_table_keys_change_no_lane(monkeypatch, weighted):
+    # compute_thresholds tables each lane at the midpoint of its shared
+    # piece; running the same lanes keyed by their own y_v changes nothing.
+    # Unit weights make no crossings at u, so there every key is the y_v.
+    run, seen = PairSweep.run, []
+
+    def both(self, y_u, y_v, key=None):
+        got = run(self, y_u, y_v, key)
+        want = run(self, y_u, y_v)
+        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.alpha_u, want.alpha_u)
+        assert np.array_equal(got.alpha_v, want.alpha_v)
+        seen.append(np.unique(key).size < np.unique(y_v).size)
+        return got
+
+    monkeypatch.setattr(PairSweep, "run", both)
+    grid = [(i + 0.5) / 12 for i in range(12)]
+    rng = np.random.default_rng(32)
+    for trial in range(60):
+        inst = random_instance(rng, weighted=weighted)
+        base = sample_ranks(inst, rng)
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        compute_thresholds(inst, SPECS[trial % 3], base, u, v, grid)
+    assert len(seen) == 60 and any(seen) == weighted
+
+
+def test_thresholds_make_one_sweep_run(monkeypatch):
+    # one PairSweep.run takes one lane per piece of every grid point; its
+    # profile is the one a scalar edge_status call per piece gives
+    from rankmatch.analysis import _flip, _pieces, _rank_cuts
+
+    calls, run = [], PairSweep.run
+
+    def spy(self, y_u, y_v, key=None):
+        calls.append(np.size(y_u))
+        return run(self, y_u, y_v, key)
+
+    monkeypatch.setattr(PairSweep, "run", spy)
+    rng = np.random.default_rng(24)
+    grid = [0.0, 0.1, 0.35, 0.6, 0.85, 1.0]
+    for trial in range(12):
+        inst = random_instance(rng, weighted=True)
+        spec = SPECS[trial % 3]
+        base = sample_ranks(inst, (24, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        calls.clear()
+        prof = compute_thresholds(inst, spec, base, u, v, grid)
+        shared, own = _rank_cuts(inst, spec, base, u, v, grid)
+        lanes, betas, thetas = 0, [], []
+        for y_u, cuts in zip(grid, own):
+            ends, mids = _pieces(spec, shared + cuts)
+            st = [edge_status(inst, spec, base, u, v, y_u, y) for y in mids]
+            lanes += len(mids)
+            betas.append(_flip(ends, [x == MATCHED_BEFORE for x in st], ""))
+            thetas.append(_flip(ends, [x != UNMATCHED_AFTER for x in st], ""))
+        assert calls == [lanes]
+        assert (prof.beta, prof.theta) == (tuple(betas), tuple(thetas))
 
 
 def test_thresholds_beta_jumps_at_competitor_arrival():
