@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rankmatch.bounds import improved_bound
 from rankmatch.gains import (ADVERSARIAL, LN2, TABLE, GainSpec, GainSpecError,
                              adversarial_baseline, gain_spec_from_json, half_exp,
                              named_spec, piecewise_table, simple_exp)
@@ -136,6 +137,25 @@ def test_share_inequality_holds_on_every_accepted_curve():
     def steep(y):
         return np.interp(y, *STEEP)
     assert share_inequality_defect(steep, STEEP[0][1:-1], rng) > 0.1
+
+
+def test_improved_bound_at_the_corner_is_set_by_the_curve_integral():
+    # improved_bound(spec, 0, 1) = 1/2 + (int c - c(0))/2 <= 1 - ln2/2, with
+    # equality for half-exp: no curve beats half-exp at this corner
+    rng = np.random.default_rng(16)
+    closed = [(simple_exp(), math.exp(-0.5), (1.0 - math.exp(-0.5)) + 0.5),
+              (half_exp(), 0.5, 0.5 + (1.0 - LN2))]
+    for _ in range(250):
+        t = slope_valid_table(rng)
+        area = sum(0.5 * (y0 + y1) * (x1 - x0) for x0, x1, y0, y1 in
+                   zip(t.breakpoints, t.breakpoints[1:], t.values, t.values[1:]))
+        closed.append((t, t.values[0], area))
+    ceiling = 1.0 - LN2 / 2.0
+    for spec, c0, area in closed:
+        value = improved_bound(spec, 0.0, 1.0)
+        assert value == pytest.approx(0.5 + (area - c0) / 2.0, abs=1e-15)
+        assert value <= ceiling + 1e-15
+    assert improved_bound(half_exp(), 0.0, 1.0) == pytest.approx(ceiling, abs=1e-15)
 
 
 def test_table_slope_check_rejects_by_default():
@@ -305,3 +325,53 @@ def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
         spec.offer_parts(np.array([0.5, 1.5]))
     with pytest.raises(GainSpecError):
         spec.offer_parts(math.nan)
+
+
+def written_out_antiderivs(kind, t):
+    """(A(t), B(t)) written out per kind, as the closed forms read."""
+    if kind == ADVERSARIAL:
+        return t - math.exp(t - 1.0) + math.exp(-1.0), 0.0
+    if kind == "simple-exp":
+        if t <= 0.5:
+            c_int = math.exp(t - 0.5) - math.exp(-0.5)
+        else:
+            c_int = (1.0 - math.exp(-0.5)) + (t - 0.5)
+    elif t <= LN2:
+        c_int = 0.5 * (math.exp(t) - 1.0)
+    else:
+        c_int = 0.5 + (t - LN2)
+    return 0.5 * (t - c_int), 0.5 * c_int
+
+
+def written_out_inverse(kind, z, part):
+    """offer_inverse(z, part) written out per kind, as the closed forms read."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == ADVERSARIAL:
+            return np.full(z.shape, np.nan) if part else 1.0 + np.log(1.0 - z)
+        log_c = np.log(np.minimum(2.0 * z if part else 1.0 - 2.0 * z, 1.0))
+        return log_c + 0.5 if kind == "simple-exp" else log_c + LN2
+
+
+EXP_KINDS = [simple_exp(), half_exp(), adversarial_baseline()]
+
+
+@pytest.mark.parametrize("spec", EXP_KINDS, ids=lambda spec: spec.kind)
+def test_antiderivs_are_the_closed_forms_bit_for_bit(spec):
+    for t in unit_grid_with_kinks(spec):
+        got = (spec.rank_offer_antideriv(t), spec.time_offer_antideriv(t))
+        want = written_out_antiderivs(spec.kind, t)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("spec", EXP_KINDS, ids=lambda spec: spec.kind)
+def test_offer_inverse_is_the_closed_form_bit_for_bit(spec):
+    # offers taken on the grid, and values no rank gives, on both sides
+    ys = np.array(unit_grid_with_kinks(spec))
+    stray = np.random.default_rng(5).uniform(-0.3, 1.3, 200)
+    for part in (0, 1):
+        for z in (spec.offer_parts(ys)[part], stray, 0.2):
+            got, want = spec.offer_inverse(z, part), written_out_inverse(spec.kind, z, part)
+            assert np.shape(got) == np.shape(want)
+            assert ([float(v).hex() for v in np.ravel(got)]
+                    == [float(v).hex() for v in np.ravel(want)])
