@@ -40,9 +40,10 @@ MATCHED_BEFORE = 0
 MATCHED_TO_U = 1
 UNMATCHED_AFTER = 2
 
-# lanes per run_lanes call and per slice of PairSweep.run's per-lane pass:
-# bounds their working sets
+# lanes per run_lanes call and per slice of PairSweep.run's per-lane pass,
+# and array cells (lanes x instance rows) per block: bound their working sets
 LANE_BLOCK = 8192
+CELL_BLOCK = 8 * LANE_BLOCK
 
 
 class AnalysisError(ValueError):
@@ -116,14 +117,15 @@ class PairSweep:
        arrivals without u. The gone = none runs give the arrival position
        at which each of u's neighbors is taken; every run gives v's
        partner.
-    2. Per lane, LANE_BLOCK lanes at a time: u's step over u's neighbor
+    2. Per lane, one block of lanes at a time: u's step over u's neighbor
        rows (the tie rule is ranking._top_offer's) gives p. v's partner
        is u where p is v, and otherwise the table's at (key, gone = p, or
        none where u took nothing). The gains of u and v come off the two
        partners, split exactly as assign_duals splits them.
 
-    So every lane is the run vary_two_ranks makes. Each ranking.run_lanes
-    call takes at most LANE_BLOCK lanes.
+    So every lane is the run vary_two_ranks makes. A block, of table runs
+    in a ranking.run_lanes call or of lanes in step 2, holds at most
+    LANE_BLOCK lanes and CELL_BLOCK lanes x instance rows.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -149,6 +151,7 @@ class PairSweep:
         self.nbrs = np.array(sorted(instance.offline_ids.index(x)
                                     for x in instance.neighbors[online_id]))
         self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
+        self.block = min(LANE_BLOCK, CELL_BLOCK // max(self.y_on.size, self.w.size))
 
     def _table(self, y_vs, small):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
@@ -162,8 +165,8 @@ class PairSweep:
         v_by = np.empty((n_off + 1, n_vs), dtype=small)
         a_vs = self.spec.offer_parts(y_vs)[0]
         k = np.arange(n_on)[:, None]
-        for start in range(0, gone.size * n_vs, LANE_BLOCK):
-            keys = np.arange(start, min(start + LANE_BLOCK, gone.size * n_vs))
+        for start in range(0, gone.size * n_vs, self.block):
+            keys = np.arange(start, min(start + self.block, gone.size * n_vs))
             g, d = gone[keys // n_vs], keys % n_vs
             lanes = np.arange(keys.size)
             free = np.ones((n_off, keys.size), dtype=bool)
@@ -187,7 +190,7 @@ class PairSweep:
         return taken, v_by
 
     def _u_step(self, a_v, b_u, y_v, pos, seen):
-        """u's step on at most LANE_BLOCK lanes, given when each of u's
+        """u's step on one block of lanes, given when each of u's
         neighbors is taken: p, u's partner (an offline index, -1 if
         none)."""
         rows = self.nbrs[:, None]
@@ -205,7 +208,7 @@ class PairSweep:
         return p
 
     def _split(self, y_u, a_v, b_u, p, by):
-        """The gains on at most LANE_BLOCK lanes: (alpha_u, alpha_v,
+        """The gains on one block of lanes: (alpha_u, alpha_v,
         status). Each matched offline endpoint q keeps w_q * (1 - a - b);
         the online side gets the complement, exactly as in assign_duals."""
         u, v, w = self.u_idx, self.v_idx, self.w
@@ -238,8 +241,8 @@ class PairSweep:
 
         out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
                           status=np.empty(n, dtype=np.int8))
-        for start in range(0, n, LANE_BLOCK):
-            blk = slice(start, start + LANE_BLOCK)
+        for start in range(0, n, self.block):
+            blk = slice(start, start + self.block)
             yu, yv, d = y_u[blk], y_v[blk], yv_of[blk]
             a_v, b_u = self.spec.offer_parts(yv)[0], self.spec.offer_parts(yu)[1]
             # u arrives after the lower-index others of rank <= y_u and the

@@ -9,29 +9,27 @@ y_u the amount
 
 where a is the part set by the offline rank and b the part set by the
 arrival time, and share is the fraction the offline endpoint keeps. The
-curve kinds are built from a non-decreasing curve c on [0, 1] with
-0 <= c <= 1 and c' <= c:
+curve kinds split by a non-decreasing curve c on [0, 1] with 0 <= c <= 1
+and c' <= c, a(y) = (1 - c(y)) / 2 and b(y) = c(y) / 2, so that
+share(x, y) + share(y, x) = 1: two closed-form curves ("simple-exp",
+"half-exp") and monotone piecewise-linear tables for experimentation. The
+"adversarial" kind is the static-price baseline a(y) = 1 - e^(y-1),
+b(y) = 0, so share(x, y) = e^(x-1) ignores the partner's rank; it is not a
+weight split (its two shares do not sum to one).
 
-    a(y) = (1 - c(y)) / 2,    b(y) = c(y) / 2,
-
-so that share(x, y) = (c(x) + 1 - c(y)) / 2 and share(x, y) + share(y, x) = 1.
-Two closed-form curves are provided ("simple-exp" and "half-exp"), plus
-monotone piecewise-linear tables for experimentation. Every curve kind
-has c' <= c, enforced at construction: the exp curves meet it analytically
-(c' = c below the kink, 0 above it), and a table is refused if a segment
-climbs faster than the curve value at its left knot. It gives the share
-inequality d share/dy = -c'(y)/2 >= share - 1. The "adversarial"
-kind is the static-price baseline
-
-    a(y) = 1 - e^(y-1),    b(y) = 0,
-
-so share(x, y) = e^(x-1) ignores the partner's rank entirely; it is not a
-weight split (its two shares do not sum to one). Only this module knows how
-a kind turns ranks into offers and shares: GainSpec.offer_parts(y) returns
-(a(y), b(y)) for scalars or arrays, offer_parts_scalar(y) the same pair for
-scalar hot paths, and share_scalar reads the split from them;
-offer_inverse(z, part) inverts a or b, and rank_offer_antideriv(t) and
-time_offer_antideriv(t) are the antiderivatives A of a and B of b.
+Each kind is written once, as the pieces (x0, s, r, p, t) of one function
+f, equal to s + r (y - x0) + p e^(y + t) from x0 to the next piece's x0,
+plus a map a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an
+exp curve is one exp piece and then the constant 1, a table one affine
+piece per segment with np.interp's slope. For the adversarial kind f is a,
+one exp piece, and b = 0. Everything else is generic: offer_parts and
+offer_parts_scalar give (a(y), b(y)), rank_offer_antideriv and
+time_offer_antideriv give A = int a and B = int b from per-piece integrals
+and a running total at each piece start, offer_inverse gives a^-1 and
+b^-1, and curve_breakpoints are the piece starts inside (0, 1). c' <= c,
+which gives the share inequality d share/dy = -c'(y)/2 >= share - 1, is
+r <= s on every piece, checked when a spec is built: a table is refused
+if a segment climbs faster than the curve value at its left knot.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +49,18 @@ TABLE = "table"
 
 LN2 = math.log(2.0)
 
+# f's pieces (x0, s, r, p, t) for the closed-form kinds. Every piece is
+# affine (p = 0) or s + p e^(y + t) (r = 0), and the piece starts' values
+# increase (the decreasing adversarial a is one piece).
+_PIECES = {
+    SIMPLE_EXP: ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 1.0, 0.0, 0.0, 0.0)),
+    HALF_EXP: ((0.0, 0.0, 0.0, 0.5, 0.0), (LN2, 1.0, 0.0, 0.0, 0.0)),
+    ADVERSARIAL: ((0.0, 1.0, 0.0, -1.0, -1.0),),
+}
+# ((a0, a1), (b0, b1)), for a = a0 + a1 f and b = b0 + b1 f
+_CURVE_SPLIT = ((0.5, -0.5), (0.0, 0.5))
+_SPLITS = {ADVERSARIAL: ((0.0, 1.0), (0.0, 0.0))}
+
 
 class GainSpecError(ValueError):
     """Invalid gain specification or out-of-domain evaluation."""
@@ -59,8 +68,34 @@ class GainSpecError(ValueError):
 
 def _check_unit(name: str, value) -> None:
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():     # nan fails both
         raise GainSpecError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _affine(k0: float, k1: float, x):
+    """k0 + k1 x over an array, skipping an add of 0 or a multiply by 1:
+    a pass over the array that changes no value."""
+    x = x if k1 == 1.0 else k1 * x
+    return k0 + x if k0 else x
+
+
+def _antiderivative(part: int, doc: str):
+    """GainSpec's A (part 0) or B (part 1): k0 y + k1 int_0^y f for the
+    part's (k0, k1). One method body for both, and one call per value."""
+    def antideriv(self, y: float) -> float:
+        for row in self._rows:
+            if y < row[0]:
+                break
+        _, x0, s, r, p, t, _, _, _, _, a0, a1, b0, b1, total, q = row
+        h = y - x0
+        f_int = total + s * h
+        if r:
+            f_int = f_int + 0.5 * r * h * h
+        if p:
+            f_int = f_int + p * math.exp(y + t) - q
+        return a0 * y + a1 * f_int if part == 0 else b0 * y + b1 * f_int
+    antideriv.__doc__ = doc
+    return antideriv
 
 
 @dataclass(frozen=True)
@@ -71,6 +106,11 @@ class GainSpec:
     breakpoints/values: only used by the "table" kind: knot positions
     (must start at 0 and end at 1) and curve values at the knots, with
     linear interpolation in between.
+
+    Built once with the spec, as tuples of floats: pieces, f's pieces by
+    increasing x0 from 0, and curve_breakpoints, the curve's interior
+    kinks, where quadrature must split. A spec compares by its three
+    fields and pickles with its pieces.
     """
 
     kind: str
@@ -80,8 +120,8 @@ class GainSpec:
     def __post_init__(self):
         if self.kind not in (SIMPLE_EXP, HALF_EXP, ADVERSARIAL, TABLE):
             raise GainSpecError(f"unknown gain spec kind {self.kind!r}")
+        xs, ys = self.breakpoints, self.values
         if self.kind == TABLE:
-            xs, ys = self.breakpoints, self.values
             if len(xs) < 2 or len(xs) != len(ys):
                 raise GainSpecError("table needs matching breakpoints/values, >= 2 knots")
             if not all(math.isfinite(x) for x in xs):
@@ -93,102 +133,88 @@ class GainSpec:
             _check_unit("table values", ys)
             if any(b < a for a, b in zip(ys, ys[1:])):
                 raise GainSpecError("table values must be non-decreasing")
-            for (x0, x1, y0, y1) in zip(xs, xs[1:], ys, ys[1:]):
-                slope = (y1 - y0) / (x1 - x0)
-                # the curve is non-decreasing, so its minimum on the segment is y0
-                if slope > y0 + 1e-12:
-                    raise GainSpecError(
-                        f"table slope {slope:.6g} exceeds curve value {y0:.6g} "
-                        f"on [{x0:.6g}, {x1:.6g}]")
-        elif self.breakpoints or self.values:
+            # np.interp's slope per segment, and its last value from 1 on
+            pieces = (*((x0, y0, (y1 - y0) / (x1 - x0), 0.0, 0.0)
+                        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])),
+                      (1.0, ys[-1], 0.0, 0.0, 0.0))
+        elif xs or ys:
             raise GainSpecError(f"{self.kind} takes no breakpoints/values")
+        else:
+            pieces = _PIECES[self.kind]
+        ends = (*(x0 for x0, *_ in pieces[1:]), 1.0)
+        for (x0, s, r, _, _), x1 in zip(pieces, ends):
+            if r > s + 1e-12:      # f is non-decreasing, so s is its minimum
+                raise GainSpecError(f"table slope {r:.6g} exceeds curve value {s:.6g} "
+                                    f"on [{x0:.6g}, {x1:.6g}]")
+        # per piece, for the scalar paths (which take the last piece past
+        # its end): its end, the piece, a's and b's own constant and exp coefficients, the
+        # map, and for int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q
+        # (h = y - x0) the running total F0 and q = p e^(x0 + t)
+        split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
+        rows, total = [], 0.0
+        for (x0, s, r, p, t), x1 in zip(pieces, ends):
+            q = p * math.exp(x0 + t)
+            rows.append((x1, x0, s, r, p, t, a0 + a1 * s, a1 * p, b0 + b1 * s, b1 * p,
+                         a0, a1, b0, b1, total, q))
+            h = x1 - x0
+            total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
+        kinks = tuple(x0 for x0, *_ in pieces if 0.0 < x0 < 1.0)
+        for name, value in (("pieces", pieces), ("curve_breakpoints", kinks),
+                            ("_split", split), ("_rows", tuple(rows))):
+            object.__setattr__(self, name, value)
 
-    # -- the one-dimensional curve ------------------------------------
+    def _f(self, y: np.ndarray):
+        """f over an array in [0, 1]: the first piece's expression, then
+        each later piece's from its start on."""
+        for x0, s, r, p, t in self.pieces:
+            if p:
+                g = _affine(s, p, np.exp(y + t))
+            else:
+                g = _affine(s, r, y - x0) if r else s
+            f = np.where(y >= x0, g, f) if x0 else g
+        return f
 
-    @cached_property
-    def curve_breakpoints(self) -> tuple[float, ...]:
-        """Interior kinks of the curve; quadrature must split here."""
-        if self.kind == SIMPLE_EXP:
-            return (0.5,)
-        if self.kind == HALF_EXP:
-            return (LN2,)
-        if self.kind == TABLE:
-            return tuple(x for x in self.breakpoints if 0.0 < x < 1.0)
-        return ()
+    # -- the curve ----------------------------------------------------
 
     def curve(self, x):
         """Curve value c(x); accepts scalars or numpy arrays in [0, 1]."""
+        if self.kind == ADVERSARIAL:
+            raise GainSpecError("the adversarial baseline has no underlying curve")
         _check_unit("curve argument", x)
-        if self.kind == SIMPLE_EXP:
-            return np.minimum(1.0, np.exp(np.asarray(x, dtype=float) - 0.5))
-        if self.kind == HALF_EXP:
-            return np.minimum(1.0, 0.5 * np.exp(np.asarray(x, dtype=float)))
-        if self.kind == TABLE:
-            return np.interp(np.asarray(x, dtype=float), self.breakpoints, self.values)
-        raise GainSpecError("the adversarial baseline has no underlying curve")
+        return self._f(np.asarray(x, dtype=float))
 
     def curve_scalar(self, x: float) -> float:
-        """curve() for scalar hot paths: plain math, no domain validation.
-
-        The exp curves saturate through a conditional rather than min(): the
-        same value, without a builtin call per quadrature point.
-        """
-        if self.kind == SIMPLE_EXP:
-            c = math.exp(x - 0.5)
-            return c if c < 1.0 else 1.0
-        if self.kind == HALF_EXP:
-            c = 0.5 * math.exp(x)
-            return c if c < 1.0 else 1.0
-        if self.kind == TABLE:
-            return float(np.interp(x, self.breakpoints, self.values))
-        raise GainSpecError("the adversarial baseline has no underlying curve")
-
-    @cached_property
-    def _table_cums(self) -> tuple[float, ...]:
-        # exact trapezoid cumulative integral of the table curve at the knots
-        cums = [0.0]
-        for (x0, x1, y0, y1) in zip(self.breakpoints, self.breakpoints[1:],
-                                    self.values, self.values[1:]):
-            cums.append(cums[-1] + 0.5 * (y0 + y1) * (x1 - x0))
-        return tuple(cums)
-
-    def curve_antideriv(self, t: float) -> float:
-        """Exact antiderivative of the curve with value 0 at t = 0."""
-        if self.kind == SIMPLE_EXP:
-            if t <= 0.5:
-                return math.exp(t - 0.5) - math.exp(-0.5)
-            return (1.0 - math.exp(-0.5)) + (t - 0.5)
-        if self.kind == HALF_EXP:
-            if t <= LN2:
-                return 0.5 * (math.exp(t) - 1.0)
-            return 0.5 + (t - LN2)
-        # table: cumulative at the enclosing knot plus a partial trapezoid
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        i = min(max(i, 0), len(self.breakpoints) - 2)
-        x0, x1 = self.breakpoints[i], self.breakpoints[i + 1]
-        y0, y1 = self.values[i], self.values[i + 1]
-        frac = (t - x0) / (x1 - x0)
-        yt = y0 + (y1 - y0) * frac
-        return self._table_cums[i] + 0.5 * (y0 + yt) * (t - x0)
+        """curve() for scalar paths: plain math, no domain validation."""
+        if self.kind == ADVERSARIAL:
+            raise GainSpecError("the adversarial baseline has no underlying curve")
+        return 2.0 * self.offer_parts_scalar(x)[1]      # b = c / 2
 
     # -- the additive offer split -------------------------------------
 
     def offer_parts(self, y):
         """(a(y), b(y)): the parts of the offer set by the offline rank y
         and by the arrival time y; accepts scalars or numpy arrays in [0, 1]."""
-        if self.kind == ADVERSARIAL:
-            _check_unit("offer argument", y)
-            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0), np.zeros(np.shape(y))
-        c = self.curve(y)
-        return 0.5 * (1.0 - c), 0.5 * c
+        _check_unit("offer argument", y)
+        f = self._f(np.asarray(y, dtype=float))
+        (a0, a1), (b0, b1) = self._split
+        return _affine(a0, a1, f), _affine(b0, b1, f)
 
     def offer_parts_scalar(self, y: float) -> tuple[float, float]:
-        """offer_parts() for scalar hot paths: one curve evaluation, plain
-        math, no domain validation."""
-        if self.kind == ADVERSARIAL:
-            return 1.0 - math.exp(y - 1.0), 0.0
-        c = self.curve_scalar(y)
-        return 0.5 * (1.0 - c), 0.5 * c
+        """offer_parts() for scalar hot paths: one piece evaluation, plain
+        math, no domain validation. An exp piece takes a's and b's own
+        coefficients; an affine one goes through f, rounded as np.interp
+        rounds it."""
+        for row in self._rows:
+            if y < row[0]:
+                break
+        _, x0, s, r, p, t, sa, pa, sb, pb, a0, a1, b0, b1, _, _ = row
+        if p:
+            e = math.exp(y + t)
+            return sa + pa * e, sb + pb * e
+        if r:
+            f = s + r * (y - x0)
+            return a0 + a1 * f, b0 + b1 * f
+        return sa, sb
 
     def offer_inverse(self, z, part: int):
         """The y with offer_parts(y)[part] = z: a^-1 for part 0, b^-1 for
@@ -198,26 +224,24 @@ class GainSpec:
         past the top of an exp curve, onto its kink. The adversarial b is
         constant: nan."""
         z = np.asarray(z, dtype=float)
+        k0, k1 = self._split[part]
+        if not k1:
+            return np.full(z.shape, np.nan)
+        x0, s, r, p, t = np.array(self.pieces).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.kind == ADVERSARIAL:
-                return np.full(z.shape, np.nan) if part else 1.0 + np.log(1.0 - z)
-            c = 2.0 * z if part else 1.0 - 2.0 * z
-            if self.kind == TABLE:
-                return np.interp(c, self.values, self.breakpoints)
-            log_c = np.log(np.minimum(c, 1.0))
-            return log_c + 0.5 if self.kind == SIMPLE_EXP else log_c + LN2
+            # an affine piece inverts with np.interp's slope between its ends
+            slope = np.where(r != 0.0, (np.append(x0[1:], 1.0) - x0)
+                             / (np.append(s[1:], s[-1]) - s), 0.0)
+            f = (z - k0) / k1
+            i = np.clip(np.searchsorted(s, f, "right") - 1, 0, s.size - 1)
+            d = f - s[i]
+            at_exp = np.log(d * np.sign(p[i])) - (np.log(np.abs(p[i])) + t[i])
+            return np.where(p[i] != 0.0, at_exp, slope[i] * d + x0[i])
 
-    def rank_offer_antideriv(self, t: float) -> float:
-        """Exact antiderivative A of a, the rank part of the offer, with A(0) = 0."""
-        if self.kind == ADVERSARIAL:
-            return t - math.exp(t - 1.0) + math.exp(-1.0)
-        return 0.5 * (t - self.curve_antideriv(t))
-
-    def time_offer_antideriv(self, t: float) -> float:
-        """Exact antiderivative B of b, the arrival-time part, with B(0) = 0."""
-        if self.kind == ADVERSARIAL:
-            return 0.0
-        return 0.5 * self.curve_antideriv(t)
+    rank_offer_antideriv = _antiderivative(
+        0, "Exact antiderivative A of a, the rank part of the offer, with A(0) = 0.")
+    time_offer_antideriv = _antiderivative(
+        1, "Exact antiderivative B of b, the arrival-time part, with B(0) = 0.")
 
     # -- the two-dimensional share ------------------------------------
 

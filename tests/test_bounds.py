@@ -188,22 +188,22 @@ def test_improved_bound_matches_two_call_integrand_bit_for_bit(spec, tol):
 
 
 @pytest.mark.parametrize("spec, tau, gamma, per_point, fixed", [
-    # per call: b(tau) once, then b at 0, gamma and any kink below gamma;
-    # the adversarial offers use no curve
+    # per call: the parts at tau once, then at 0, gamma and any kink below gamma
     (half_exp(), 0.7, 0.9, 1, 4),
     (half_exp(), 0.7, 0.5, 1, 3),
     (simple_exp(), 0.3, 0.8, 1, 4),
     (MILD_TABLE, 0.9, 0.4, 1, 3),
-    (adversarial_baseline(), 0.7, 0.9, 0, 0),
+    (adversarial_baseline(), 0.7, 0.9, 1, 3),
 ], ids=["half-exp-kink-below-gamma", "half-exp", "simple-exp", "table", "adversarial"])
 def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
         monkeypatch, spec, tau, gamma, per_point, fixed):
-    calls = {"curve": 0, "integrand": 0}
-    curve_scalar = GainSpec.curve_scalar
+    # one piece evaluation, one offer_parts_scalar call, per integrand point
+    calls = {"parts": 0, "integrand": 0}
+    offer_parts_scalar = GainSpec.offer_parts_scalar
 
-    def counted_curve(self, x):
-        calls["curve"] += 1
-        return curve_scalar(self, x)
+    def counted_parts(self, x):
+        calls["parts"] += 1
+        return offer_parts_scalar(self, x)
 
     def counted_integrate(f, *args, **kwargs):
         def counted(x):
@@ -211,11 +211,11 @@ def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
             return f(x)
         return integrate(counted, *args, **kwargs)
 
-    monkeypatch.setattr(GainSpec, "curve_scalar", counted_curve)
+    monkeypatch.setattr(GainSpec, "offer_parts_scalar", counted_parts)
     monkeypatch.setattr(bounds, "integrate", counted_integrate)
     improved_bound(spec, tau, gamma, tol=1e-9)
     assert calls["integrand"] > 0
-    assert calls["curve"] == per_point * calls["integrand"] + fixed
+    assert calls["parts"] == per_point * calls["integrand"] + fixed
 
 
 def test_improved_bound_named_values():

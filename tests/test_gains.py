@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -80,13 +81,13 @@ def test_domain_validation():
 
 
 def test_curve_integral_matches_quadrature():
-    # independent oracle: high-resolution midpoint sums
+    # independent oracle: high-resolution midpoint sums; int c = 2 B
     for spec in ALL_SPLIT_SPECS:
         for a, b in [(0.0, 1.0), (0.2, 0.9), (0.45, 0.55)]:
             n = 400_000
             xs = a + (np.arange(n) + 0.5) * (b - a) / n
             mid = float(np.sum(spec.curve(xs))) * (b - a) / n
-            exact = spec.curve_antideriv(b) - spec.curve_antideriv(a)
+            exact = 2.0 * (spec.time_offer_antideriv(b) - spec.time_offer_antideriv(a))
             assert exact == pytest.approx(mid, abs=5e-9)
 
 
@@ -375,3 +376,23 @@ def test_offer_inverse_is_the_closed_form_bit_for_bit(spec):
             assert np.shape(got) == np.shape(want)
             assert ([float(v).hex() for v in np.ravel(got)]
                     == [float(v).hex() for v in np.ravel(want)])
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
+def test_spec_pickles_with_its_pieces(spec):
+    # every path has read the piece data before the round trip
+    ys = unit_grid_with_kinks(spec)
+    z = np.array([spec.offer_parts_scalar(y)[0] for y in ys])
+
+    def values(s):
+        out = [v for y in ys for v in (*s.offer_parts_scalar(y), s.rank_offer_antideriv(y),
+                                       s.time_offer_antideriv(y))]
+        out += [*s.offer_inverse(z, 0), *s.offer_inverse(0.5 * z, 1), *s.offer_parts(ys)[0]]
+        return [float(v).hex() for v in out]
+
+    before = values(spec)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec)
+    assert back.pieces == spec.pieces and back.curve_breakpoints == spec.curve_breakpoints
+    assert values(back) == before
