@@ -123,9 +123,8 @@ class PairSweep:
        none where u took nothing). The gains of u and v come off the two
        partners, split exactly as assign_duals splits them.
 
-    So every lane is the run vary_two_ranks makes. A block, of table runs
-    in a ranking.run_lanes call or of lanes in step 2, holds at most
-    LANE_BLOCK lanes and CELL_BLOCK lanes x instance rows.
+    So every lane is the run vary_two_ranks makes. A block (one run_lanes
+    call, or a slice of step 2) has at most LANE_BLOCK lanes and CELL_BLOCK cells.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,

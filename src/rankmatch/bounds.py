@@ -18,7 +18,7 @@ its candidates; it is found exactly from a finite candidate set (the
 endpoints and the curve kinks), and the outer integral uses adaptive
 Simpson quadrature with panels forced apart at curve kinks. improved_bound
 sets up b(tau), A(gamma) and the candidates once per point and hands a
-nested integrand to integrate; each quadrature point costs one curve
+nested integrand to integrate; each quadrature point costs one piece
 evaluation, which gives both a(x) and b(x), and a fold over the at most
 three candidates. minimize_bound scans a coarse grid and polishes with
 alternating golden-section line searches, reproducing the worst-case
@@ -93,7 +93,7 @@ def improved_bound(spec: GainSpec, tau: float, gamma: float,
     the constant adversarial b), so the objective is concave in theta there
     and its minimum sits at 0, gamma, or a kink inside (0, gamma). b(tau),
     A(gamma) and the candidates' b values are set up once per point; each
-    integrand call evaluates the curve once, through offer_parts_scalar, and
+    integrand call evaluates one piece, through offer_parts_scalar, and
     folds the candidates in order keeping the first minimum. The outer
     integral uses adaptive quadrature, so the absolute error is bounded by
     tol.

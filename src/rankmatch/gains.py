@@ -7,29 +7,24 @@ y_u the amount
 
     offer = w_v * (a(y_v) + b(y_u)),    share(x, y) = 1 - a(x) - b(y),
 
-where a is the part set by the offline rank and b the part set by the
-arrival time, and share is the fraction the offline endpoint keeps. The
-curve kinds split by a non-decreasing curve c on [0, 1] with 0 <= c <= 1
-and c' <= c, a(y) = (1 - c(y)) / 2 and b(y) = c(y) / 2, so that
-share(x, y) + share(y, x) = 1: two closed-form curves ("simple-exp",
-"half-exp") and monotone piecewise-linear tables for experimentation. The
-"adversarial" kind is the static-price baseline a(y) = 1 - e^(y-1),
-b(y) = 0, so share(x, y) = e^(x-1) ignores the partner's rank; it is not a
-weight split (its two shares do not sum to one).
+where share is the fraction the offline endpoint keeps. The curve kinds
+("simple-exp", "half-exp" and monotone piecewise-linear tables) take
+a = (1 - c) / 2 and b = c / 2 for a non-decreasing curve c on [0, 1] with
+0 <= c <= 1 and c' <= c, so share(x, y) + share(y, x) = 1. The
+"adversarial" static-price baseline takes a(y) = 1 - e^(y-1) and b = 0:
+share(x, y) = e^(x-1) ignores the partner's rank and is no weight split.
 
 Each kind is written once, as the pieces (x0, s, r, p, t) of one function
-f, equal to s + r (y - x0) + p e^(y + t) from x0 to the next piece's x0,
-plus a map a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an
-exp curve is one exp piece and then the constant 1, a table one affine
-piece per segment with np.interp's slope. For the adversarial kind f is a,
-one exp piece, and b = 0. Everything else is generic: offer_parts and
-offer_parts_scalar give (a(y), b(y)), rank_offer_antideriv and
-time_offer_antideriv give A = int a and B = int b from per-piece integrals
-and a running total at each piece start, offer_inverse gives a^-1 and
-b^-1, and curve_breakpoints are the piece starts inside (0, 1). c' <= c,
-which gives the share inequality d share/dy = -c'(y)/2 >= share - 1, is
-r <= s on every piece, checked when a spec is built: a table is refused
-if a segment climbs faster than the curve value at its left knot.
+f, s + r (y - x0) + p e^(y + t) from x0 to the next piece, and a map
+a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an exp curve is
+one exp piece and then the constant 1, a table one affine piece per
+segment with np.interp's slope. For the adversarial kind f is a, one exp
+piece. The rest is generic: a and b (offer_parts, offer_parts_scalar),
+A = int a and B = int b from a running total at each piece start
+(rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
+(offer_inverse), the kinks (curve_breakpoints), and c' <= c, which gives
+d share/dy = -c'(y)/2 >= share - 1: r <= s on every piece, so a table is
+refused if a segment climbs faster than its left-knot value.
 """
 
 from __future__ import annotations
@@ -49,9 +44,8 @@ TABLE = "table"
 
 LN2 = math.log(2.0)
 
-# f's pieces (x0, s, r, p, t) for the closed-form kinds. Every piece is
-# affine (p = 0) or s + p e^(y + t) (r = 0), and the piece starts' values
-# increase (the decreasing adversarial a is one piece).
+# f's pieces (x0, s, r, p, t) for the closed-form kinds: each is affine
+# (p = 0) or s + p e^(y + t) (r = 0), and f increases over the piece starts
 _PIECES = {
     SIMPLE_EXP: ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 1.0, 0.0, 0.0, 0.0)),
     HALF_EXP: ((0.0, 0.0, 0.0, 0.5, 0.0), (LN2, 1.0, 0.0, 0.0, 0.0)),
@@ -73,15 +67,13 @@ def _check_unit(name: str, value) -> None:
 
 
 def _affine(k0: float, k1: float, x):
-    """k0 + k1 x over an array, skipping an add of 0 or a multiply by 1:
-    a pass over the array that changes no value."""
+    """k0 + k1 x over an array, without the passes that change no value."""
     x = x if k1 == 1.0 else k1 * x
     return k0 + x if k0 else x
 
 
 def _antiderivative(part: int, doc: str):
-    """GainSpec's A (part 0) or B (part 1): k0 y + k1 int_0^y f for the
-    part's (k0, k1). One method body for both, and one call per value."""
+    """The GainSpec method A (part 0) or B (part 1): one body, one call."""
     def antideriv(self, y: float) -> float:
         for row in self._rows:
             if y < row[0]:
@@ -107,10 +99,8 @@ class GainSpec:
     (must start at 0 and end at 1) and curve values at the knots, with
     linear interpolation in between.
 
-    Built once with the spec, as tuples of floats: pieces, f's pieces by
-    increasing x0 from 0, and curve_breakpoints, the curve's interior
-    kinks, where quadrature must split. A spec compares by its three
-    fields and pickles with its pieces.
+    Built with it, as tuples of floats that pickle with it: pieces, f's by
+    increasing x0 from 0, and curve_breakpoints, where quadrature must split.
     """
 
     kind: str
@@ -141,36 +131,29 @@ class GainSpec:
             raise GainSpecError(f"{self.kind} takes no breakpoints/values")
         else:
             pieces = _PIECES[self.kind]
-        ends = (*(x0 for x0, *_ in pieces[1:]), 1.0)
-        for (x0, s, r, _, _), x1 in zip(pieces, ends):
+        # per piece, for the scalar paths: its end, the piece, a's and b's own
+        # constant and exp coefficients, the map, and F0 = int_0^x0 f and
+        # q = p e^(x0 + t): int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q
+        split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
+        rows, total = [], 0.0
+        for (x0, s, r, p, t), x1 in zip(pieces, (*(x0 for x0, *_ in pieces[1:]), 1.0)):
             if r > s + 1e-12:      # f is non-decreasing, so s is its minimum
                 raise GainSpecError(f"table slope {r:.6g} exceeds curve value {s:.6g} "
                                     f"on [{x0:.6g}, {x1:.6g}]")
-        # per piece, for the scalar paths (which take the last piece past
-        # its end): its end, the piece, a's and b's own constant and exp coefficients, the
-        # map, and for int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q
-        # (h = y - x0) the running total F0 and q = p e^(x0 + t)
-        split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
-        rows, total = [], 0.0
-        for (x0, s, r, p, t), x1 in zip(pieces, ends):
             q = p * math.exp(x0 + t)
             rows.append((x1, x0, s, r, p, t, a0 + a1 * s, a1 * p, b0 + b1 * s, b1 * p,
                          a0, a1, b0, b1, total, q))
             h = x1 - x0
             total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
-        kinks = tuple(x0 for x0, *_ in pieces if 0.0 < x0 < 1.0)
-        for name, value in (("pieces", pieces), ("curve_breakpoints", kinks),
-                            ("_split", split), ("_rows", tuple(rows))):
+        for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
+                            ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
     def _f(self, y: np.ndarray):
         """f over an array in [0, 1]: the first piece's expression, then
         each later piece's from its start on."""
         for x0, s, r, p, t in self.pieces:
-            if p:
-                g = _affine(s, p, np.exp(y + t))
-            else:
-                g = _affine(s, r, y - x0) if r else s
+            g = _affine(s, p, np.exp(y + t)) if p else _affine(s, r, y - x0) if r else s
             f = np.where(y >= x0, g, f) if x0 else g
         return f
 
@@ -200,10 +183,8 @@ class GainSpec:
         return _affine(a0, a1, f), _affine(b0, b1, f)
 
     def offer_parts_scalar(self, y: float) -> tuple[float, float]:
-        """offer_parts() for scalar hot paths: one piece evaluation, plain
-        math, no domain validation. An exp piece takes a's and b's own
-        coefficients; an affine one goes through f, rounded as np.interp
-        rounds it."""
+        """offer_parts() for scalar hot paths, no domain validation: an exp
+        piece by a's and b's own coefficients, an affine one through f."""
         for row in self._rows:
             if y < row[0]:
                 break
@@ -217,12 +198,10 @@ class GainSpec:
         return sa, sb
 
     def offer_inverse(self, z, part: int):
-        """The y with offer_parts(y)[part] = z: a^-1 for part 0, b^-1 for
-        part 1, over scalars or numpy arrays. A value taken on a flat
-        stretch of the curve maps onto an end of the stretch. A value that
-        no y in [0, 1] gives maps to nan, to a point outside (0, 1), or,
-        past the top of an exp curve, onto its kink. The adversarial b is
-        constant: nan."""
+        """The y with offer_parts(y)[part] = z (a^-1, b^-1) over scalars or
+        arrays. A value taken on a flat stretch maps onto an end of it; one
+        no y in [0, 1] gives, to nan, outside (0, 1), or, past the top of an
+        exp curve, onto its kink. The adversarial b is constant: nan."""
         z = np.asarray(z, dtype=float)
         k0, k1 = self._split[part]
         if not k1:
@@ -243,21 +222,16 @@ class GainSpec:
     time_offer_antideriv = _antiderivative(
         1, "Exact antiderivative B of b, the arrival-time part, with B(0) = 0.")
 
-    # -- the two-dimensional share ------------------------------------
-
     def share_scalar(self, x: float, y: float) -> float:
         """Fraction of the matched weight kept by the rank-x endpoint when
         its partner has rank y: plain math, no domain validation."""
         return 1.0 - self.offer_parts_scalar(x)[0] - self.offer_parts_scalar(y)[1]
 
-    # -- serialization --------------------------------------------------
-
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
         if self.kind == TABLE:
-            out["breakpoints"] = list(self.breakpoints)
-            out["values"] = list(self.values)
-        return out
+            return {"kind": TABLE, "breakpoints": list(self.breakpoints),
+                    "values": list(self.values)}
+        return {"kind": self.kind}
 
 
 def simple_exp() -> GainSpec:
