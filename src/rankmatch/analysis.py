@@ -150,7 +150,7 @@ class PairSweep:
         self.nbrs = np.array(sorted(instance.offline_ids.index(x)
                                     for x in instance.neighbors[online_id]))
         self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
-        self.block = min(LANE_BLOCK, CELL_BLOCK // max(self.y_on.size, self.w.size))
+        self.block = max(1, min(LANE_BLOCK, CELL_BLOCK // max(self.y_on.size, self.w.size)))
 
     def _table(self, y_vs, small):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).

@@ -67,13 +67,13 @@ def _check_unit(name: str, value) -> None:
 
 
 def _affine(k0: float, k1: float, x):
-    """k0 + k1 x over an array, without the passes that change no value."""
+    """k0 + k1 x over an array, skipping an add of 0 and a multiply by 1."""
     x = x if k1 == 1.0 else k1 * x
     return k0 + x if k0 else x
 
 
 def _antiderivative(part: int, doc: str):
-    """The GainSpec method A (part 0) or B (part 1): one body, one call."""
+    """GainSpec's A (part 0) or B (part 1): one body, no inner call."""
     def antideriv(self, y: float) -> float:
         for row in self._rows:
             if y < row[0]:
@@ -99,8 +99,8 @@ class GainSpec:
     (must start at 0 and end at 1) and curve values at the knots, with
     linear interpolation in between.
 
-    Built with it, as tuples of floats that pickle with it: pieces, f's by
-    increasing x0 from 0, and curve_breakpoints, where quadrature must split.
+    Built with the spec, as float tuples that pickle with it: pieces (f's, by
+    increasing x0 from 0) and curve_breakpoints (where quadrature must split).
     """
 
     kind: str
@@ -199,9 +199,9 @@ class GainSpec:
 
     def offer_inverse(self, z, part: int):
         """The y with offer_parts(y)[part] = z (a^-1, b^-1) over scalars or
-        arrays. A value taken on a flat stretch maps onto an end of it; one
-        no y in [0, 1] gives, to nan, outside (0, 1), or, past the top of an
-        exp curve, onto its kink. The adversarial b is constant: nan."""
+        arrays. A flat stretch's value maps onto an end of it. A value no y in
+        [0, 1] gives maps to nan, outside (0, 1), or, past the top of an exp
+        curve, onto its kink. The adversarial b is constant: nan."""
         z = np.asarray(z, dtype=float)
         k0, k1 = self._split[part]
         if not k1:
