@@ -12,6 +12,8 @@ import pytest
 from rankmatch.cli import main
 
 EDGE = ("--gen", "weighted_random", "--n", "5", "--seed", "3", "--edge", "u4,v4")
+UT100 = ("simulate", "--gen", "upper_triangular", "--n", "100", "--trials", "200",
+         "--seed", "42")
 
 
 def _evaluate(spec, which, tau, gamma):
@@ -54,6 +56,14 @@ GOLDEN = {
         "61f9f2b8ba6007d3e9687c1845a41147058ad7a54ae17a5c28f78621c242efa2",
     ("simulate", "--gen", "weighted_random", "--n", "6", "--p", "0.5", "--trials", "50"):
         "0283c640c2444664b5967ca1faac51a73d489d0227b83d2e0e80721ca731b055",
+    (*UT100, "--spec", "half-exp"):
+        "904902f10d950fea61c3758b11b208a299659b2557249cc16ffc92926fc86973",
+    (*UT100, "--spec", "adversarial"):
+        "8aa9f5d2f85bf99cd3ff603ea6db99e3d161d1b416648acd35d68a0385b807a0",
+    # unit weights and a saturating curve: offers tie exactly
+    ("simulate", "--gen", "upper_triangular", "--n", "30", "--trials", "200",
+     "--seed", "42", "--spec", "simple-exp"):
+        "3ef78e75024644004ea13bce3784e2f30ebf32e284ebe4b8d1f7559f7bec98b7",
     ("verify", "--scale", "0.002"):
         "b663db99f7f65c4a6dd00cef4724e1c888ec187d98e92d68298039f888ae563f",
 }
