@@ -34,16 +34,11 @@ import numpy as np
 from .core import DualShares, Instance, MatchingResult, RankAssignment
 from .gains import GainSpec
 from .generators import MAX_CELLS
-from .ranking import _top_offer, assign_duals, run_lanes, run_ranking
+from .ranking import _top_offer, assign_duals, lane_block, run_lanes, run_ranking
 
 MATCHED_BEFORE = 0
 MATCHED_TO_U = 1
 UNMATCHED_AFTER = 2
-
-# lanes per run_lanes call and per slice of PairSweep.run's per-lane pass,
-# and array cells (lanes x instance rows) per block: bound their working sets
-LANE_BLOCK = 8192
-CELL_BLOCK = 8 * LANE_BLOCK
 
 
 class AnalysisError(ValueError):
@@ -124,7 +119,7 @@ class PairSweep:
        partners, split exactly as assign_duals splits them.
 
     So every lane is the run vary_two_ranks makes. A block (one run_lanes
-    call, or a slice of step 2) has at most LANE_BLOCK lanes and CELL_BLOCK cells.
+    call, or a slice of step 2) has ranking.lane_block(rows) lanes at most.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -150,7 +145,7 @@ class PairSweep:
         self.nbrs = np.array(sorted(instance.offline_ids.index(x)
                                     for x in instance.neighbors[online_id]))
         self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
-        self.block = max(1, min(LANE_BLOCK, CELL_BLOCK // max(self.y_on.size, self.w.size)))
+        self.block = lane_block(max(self.y_on.size, self.w.size))
 
     def _table(self, y_vs, small):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).

@@ -3,8 +3,8 @@
 Subcommands: generate, simulate, pair-gain, thresholds, bounds, integral,
 verify. Every run is reproducible: the same arguments and seed produce
 byte-identical output except for the timestamp field of simulate/verify
-reports. Exit codes: 0 success, 1 property violation, 2 configuration
-error.
+reports. Exit codes: 0 success, 1 property violation or engine check
+failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
 from .bounds import (bound_function, heatmap_rows, integral_bound,
                      minimize_bound, profiles_from_json)
 from .core import sample_ranks, validate_instance
-from .experiments import (ExperimentConfig, run_property_suite,
+from .experiments import (ExperimentConfig, LaneCheckError, run_property_suite,
                           run_ratio_experiment)
 from .gains import GainSpec, gain_spec_from_json, named_spec
 from .generators import generate_instance
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ThreeIntervalError as exc:
+    except (ThreeIntervalError, LaneCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

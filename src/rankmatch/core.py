@@ -75,7 +75,7 @@ class Instance:
         return frozenset((u, v) for u, nbs in self.online for v in nbs)
 
     def has_edge(self, online_id: str, offline_id: str) -> bool:
-        return (online_id, offline_id) in self.edges
+        return offline_id in self.neighbors.get(online_id, ())
 
     def all_ids(self) -> tuple[str, ...]:
         return self.offline_ids + self.online_ids
@@ -239,18 +239,20 @@ def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment
     return RankAssignment({vid: r for r, vid in by_value.items()})
 
 
-def sample_ranks(instance: Instance, seed) -> RankAssignment:
-    """Independent uniform [0, 1] ranks for every vertex.
-
-    Deterministic function of (instance, seed): vertices are filled in
-    sorted id order (offline first) from a PCG64 stream seeded with seed.
-    seed may be an int or a tuple of ints (stream splitting for trials), or
-    a numpy Generator, which is drawn from (and advanced) directly.
-    Sampled ranks carry 53 bits, so ties effectively never occur.
+def rank_draws(instance: Instance, seed) -> np.ndarray:
+    """The rank stream of (instance, seed): one uniform [0, 1) draw per
+    vertex, in all_ids() order (offline first), from a PCG64 stream seeded
+    with seed. seed may be an int or a tuple of ints (stream splitting for
+    trials), or a numpy Generator, which is drawn from (and advanced)
+    directly. Draws carry 53 bits, so ties effectively never occur.
     """
-    rng = np.random.default_rng(seed)
-    ids = instance.all_ids()
-    return RankAssignment(dict(zip(ids, rng.random(len(ids)).tolist())))
+    return np.random.default_rng(seed).random(len(instance.offline) + len(instance.online))
+
+
+def sample_ranks(instance: Instance, seed) -> RankAssignment:
+    """Independent uniform [0, 1] ranks for every vertex: rank_draws(instance,
+    seed) by id. The Monte-Carlo trials draw the same streams as arrays."""
+    return RankAssignment(dict(zip(instance.all_ids(), rank_draws(instance, seed).tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Monte-Carlo ratio experiments and the quantified property suite.
 
 Per-trial randomness comes from numpy SeedSequence streams keyed by
-(master seed, suite tag, trial index), so any single trial reproduces in
+(master seed, trial index) for ratio experiments and (master seed, suite
+tag, trial index) for the suites, so any single trial reproduces in
 isolation and parallel or serial execution order cannot change results.
+
+A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
+them at a time, and re-runs trial 0 through the scalar run_ranking as a
+check; the property suites call run_ranking trial by trial.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .analysis import AnalysisError, ThreeIntervalError, compute_thresholds
-from .core import Instance, check_dual_shares, sample_ranks
+from .core import Instance, check_dual_shares, rank_draws, sample_ranks
 from .gains import GainSpec, simple_exp
 from .generators import random_instance
 from .offline import solve_opt
-from .ranking import assign_duals, run_ranking
+from .ranking import assign_duals, lane_block, run_lanes, run_ranking
 
 
 class ConfigError(ValueError):
@@ -27,6 +32,13 @@ class ConfigError(ValueError):
 
 class DegenerateInstanceError(ValueError):
     """The offline optimum is zero, so the ratio is undefined."""
+
+
+class LaneCheckError(AssertionError):
+    """The lane engine and the scalar run_ranking disagree on trial 0.
+
+    This signals an engine bug, not bad input, so it is an assertion-level
+    failure."""
 
 
 def _timestamp() -> str:
@@ -86,17 +98,63 @@ class RatioReport:
         return "\n".join(lines) + "\n"
 
 
+def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
+                    trials: range) -> np.ndarray:
+    """run_lanes with one lane per trial: trial t's ranks are the
+    rank_draws(instance, (seed, t)) sample_ranks assigns, and the offer
+    parts are offer_parts_scalar's, as in run_ranking, so every lane makes
+    run_ranking's choices. Returns the (n_online, T) partner indices."""
+    n_off = len(instance.offline)
+    parts = spec.offer_parts_scalar
+    ranks = np.empty((n_off + len(instance.online), len(trials)))
+    offer = np.empty(ranks.shape)
+    for k, t in enumerate(trials):
+        ranks[:, k] = rank_draws(instance, (seed, t))
+        ys = ranks[:, k].tolist()
+        offer[:n_off, k] = [parts(y)[0] for y in ys[:n_off]]
+        offer[n_off:, k] = [parts(y)[1] for y in ys[n_off:]]
+    off, on = ranks[:n_off], ranks[n_off:]
+    order = np.argsort(on, axis=0, kind="stable")
+    return run_lanes(instance, order, off, offer[n_off:], offer[:n_off],
+                     np.ones(off.shape, dtype=bool))
+
+
+def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,
+                      lane: list[int]) -> None:
+    """Raise LaneCheckError unless run_ranking on trial 0 matches every
+    online vertex to the partner lane 0 gave it."""
+    result, _ = run_ranking(instance, spec, sample_ranks(instance, (seed, 0)),
+                            collect_offers=False)
+    took = dict(result.pairs)
+    for u, p in zip(instance.online_ids, lane):
+        lane_v = instance.offline_ids[p] if p >= 0 else None
+        if took.get(u) != lane_v:
+            raise LaneCheckError(
+                f"trial 0 (seed={seed}): {u} took {lane_v} in run_lanes "
+                f"but {took.get(u)} in run_ranking")
+
+
 def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
-    """Mean ALG/OPT over sampled rank assignments; OPT computed once."""
-    opt = solve_opt(config.instance)
+    """Mean ALG/OPT over sampled rank assignments; OPT computed once.
+
+    Trial t runs on sample_ranks(instance, (seed, t)) as one run_lanes
+    lane, in blocks of lane_block(rows) lanes; its ALG is the fsum of its
+    matched weights, as in matching_result. Trial 0 is also run through
+    run_ranking, and LaneCheckError is raised if the two disagree."""
+    instance, spec, seed = config.instance, config.spec, config.seed
+    opt = solve_opt(instance)
     if opt.value == 0.0:
         raise DegenerateInstanceError("optimal value is zero; ratio undefined")
+    weights = [w for _, w in instance.offline]
+    block = lane_block(max(len(instance.online), len(instance.offline)))
     alg = []
-    for t in range(config.trials):
-        ranks = sample_ranks(config.instance, (config.seed, t))
-        result, _ = run_ranking(config.instance, config.spec, ranks,
-                                collect_offers=False)
-        alg.append(result.total_weight)
+    for start in range(0, config.trials, block):
+        partner = _trial_partners(instance, spec, seed,
+                                  range(start, min(start + block, config.trials)))
+        if start == 0:
+            _check_trial_zero(instance, spec, seed, partner[:, 0].tolist())
+        alg += [math.fsum([weights[p] for p in lane if p >= 0])
+                for lane in partner.T.tolist()]
     ratios = [a / opt.value for a in alg]
     mean_ratio = math.fsum(ratios) / len(ratios)
     if len(ratios) > 1:
@@ -104,8 +162,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
         std_error = math.sqrt(var / len(ratios))
     else:
         std_error = 0.0
-    echo = {"label": config.label, "trials": config.trials, "seed": config.seed,
-            "spec": config.spec.to_json_dict()}
+    echo = {"label": config.label, "trials": config.trials, "seed": seed,
+            "spec": spec.to_json_dict()}
     return RatioReport(alg_values=tuple(alg), opt_value=opt.value,
                        mean_ratio=mean_ratio, std_error=std_error,
                        config_echo=echo, timestamp=_timestamp())

@@ -10,7 +10,8 @@ saturates) break toward the smaller offline rank, then the smaller id.
 
 run_ranking is the scalar engine: one run, with an optional arrival trace.
 run_lanes runs the same rules over many rank assignments at once, one
-lane per assignment, in lockstep with numpy.
+lane per assignment, in lockstep with numpy; its callers hand it blocks of
+at most lane_block(rows) lanes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .core import DualShares, Instance, MatchingResult, RankAssignment, matching
 from .gains import GainSpec
 
 UNMATCHED = math.inf
+
+# lanes per block of a run_lanes caller, and array cells (lanes x instance
+# rows) per block: they bound a block's working set
+LANE_BLOCK = 8192
+CELL_BLOCK = 8 * LANE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,12 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
         partner[j[hit], hit] = took
         free[took, hit] = False
     return partner
+
+
+def lane_block(rows: int) -> int:
+    """Lanes per block for an instance whose larger side has `rows` rows:
+    at most LANE_BLOCK lanes and CELL_BLOCK cells, and at least one lane."""
+    return max(1, min(LANE_BLOCK, CELL_BLOCK // max(rows, 1)))
 
 
 def assign_duals(instance: Instance, result: MatchingResult, spec: GainSpec,

@@ -156,7 +156,8 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
 def all_lanes_sweep(sweep, y_u, y_v):
     """Reference PairSweep.run without the shared runs: u inserted into
     every lane's arrival order, and every lane through run_lanes."""
-    from rankmatch.analysis import LANE_BLOCK, SweepResult
+    from rankmatch.analysis import SweepResult
+    from rankmatch.ranking import LANE_BLOCK
     from rankmatch.ranking import run_lanes
 
     y_u = np.atleast_1d(np.asarray(y_u, dtype=float))
@@ -295,7 +296,7 @@ def lane_counts(monkeypatch):
 
 
 def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
-    from rankmatch.analysis import LANE_BLOCK
+    from rankmatch.ranking import LANE_BLOCK
 
     # the table runs deg(u) lanes per distinct y_v: none gone, and each of
     # u's neighbors other than v. 20,000 distinct y_v with deg(u1) = 2 need

@@ -364,6 +364,23 @@ def test_three_interval_violation_exits_one(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "error: status interleaving at y_u=0.5\n")
 
 
+def test_lane_check_failure_exits_one(monkeypatch, capsys):
+    from rankmatch import experiments
+    from rankmatch.core import matching_result
+
+    engine = experiments.run_ranking
+
+    def drop_last_match(instance, spec, ranks, collect_offers=True):
+        result, trace = engine(instance, spec, ranks, collect_offers)
+        return matching_result(instance, result.pairs[:-1]), trace
+
+    monkeypatch.setattr(experiments, "run_ranking", drop_last_match)
+    code, out, err = run_cli(capsys, "simulate", "--gen", "complete", "--n", "2",
+                             "--trials", "5", "--seed", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: trial 0 (seed=4): ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, named", [
     (("bounds", "heatmap", "--grid", "1"), "grid_n must be >= 2, got 1"),
     (("bounds", "heatmap", "--grid", "0"), "grid_n must be >= 2, got 0"),

@@ -7,7 +7,7 @@ import pytest
 
 from rankmatch.core import (DualShares, InstanceError, RankAssignment, RankError,
                             build_instance, check_dual_shares, matching_result,
-                            sample_ranks, validate_instance,
+                            rank_draws, sample_ranks, validate_instance,
                             validate_rank_assignment)
 
 
@@ -117,6 +117,17 @@ def test_sample_ranks_deterministic():
     assert sample_ranks(inst, np.random.default_rng(123)).ranks == a.ranks
 
 
+def test_sample_ranks_assigns_rank_draws_by_id():
+    # one stream contract: offline ids first, then online, in id order
+    inst = build_instance([("v2", 1.0), ("v1", 2.0)],
+                          [("u1", ["v1"]), ("u3", ["v2"]), ("u2", [])])
+    for seed in (0, 7, (7, 0), (7, 41)):
+        draws = rank_draws(inst, seed)
+        assert draws.shape == (5,)
+        ranks = sample_ranks(inst, seed).ranks
+        assert [ranks[i].hex() for i in inst.all_ids()] == [x.hex() for x in draws.tolist()]
+
+
 def test_sample_ranks_uniform_mean():
     # Monte-Carlo oracle: 1e5 draws of one vertex's rank
     inst = tiny()
@@ -145,6 +156,17 @@ def test_matching_result_validation():
         matching_result(inst, [("u1", "v1"), ("u2", "v1")])
     with pytest.raises(InstanceError, match="not an edge"):
         matching_result(inst, [("u2", "v2")])
+
+
+def test_has_edge_leaves_the_edge_set_unbuilt():
+    inst = build_instance([("v1", 3.0), ("v2", 2.0)],
+                          [("u1", ["v1", "v2"]), ("u2", ["v1"])])
+    assert inst.has_edge("u1", "v2") and inst.has_edge("u2", "v1")
+    assert not inst.has_edge("u2", "v2") and not inst.has_edge("v1", "u1")
+    assert not inst.has_edge("u9", "v1")
+    matching_result(inst, [("u1", "v2"), ("u2", "v1")])
+    assert "edges" not in vars(inst)
+    assert inst.edges == {("u1", "v1"), ("u1", "v2"), ("u2", "v1")}
 
 
 def test_check_dual_shares_accepts_exact_split():
@@ -227,7 +249,8 @@ def test_caller_dicts_are_copied():
 def test_pickle_round_trip():
     inst = build_instance([("v1", 1 / 3), ("v2", 2.0)],
                           [("u1", ["v1", "v2"]), ("u2", ["v2"])])
-    assert inst.has_edge("u2", "v2")    # builds the lazy edge set first
+    assert inst.edges                   # builds the lazy edge set first
+    assert inst.has_edge("u2", "v2")
     ranks = sample_ranks(inst, 8)
     shares = DualShares(alpha={"v1": 0.1, "v2": 0.0, "u1": 0.2, "u2": 0.0})
     for obj in (inst, ranks, shares):

@@ -1,16 +1,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from rankmatch import experiments
-from rankmatch.core import build_instance, matching_result
+from rankmatch import experiments, ranking
+from rankmatch.core import build_instance, matching_result, sample_ranks
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
-                                   ExperimentConfig, check_monotonicity_trial,
+                                   ExperimentConfig, LaneCheckError,
+                                   check_monotonicity_trial,
                                    run_property_suite, run_ratio_experiment)
-from rankmatch.gains import half_exp, simple_exp
-from rankmatch.generators import generate_instance
-from rankmatch.ranking import SimulationTrace
+from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
+from rankmatch.generators import generate_instance, random_instance
+from rankmatch.ranking import SimulationTrace, run_lanes, run_ranking
+
+ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
+             piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6)))
 
 
 def test_single_edge_ratio_is_one():
@@ -55,6 +60,115 @@ def test_report_reproducible_modulo_timestamp():
     da.pop("timestamp")
     db.pop("timestamp")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def scalar_alg_values(instance, spec, trials, seed):
+    """The per-trial loop the lanes replace: sample_ranks + run_ranking."""
+    return tuple(run_ranking(instance, spec, sample_ranks(instance, (seed, t)),
+                             collect_offers=False)[0].total_weight
+                 for t in range(trials))
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def lane_instances():
+    rng = np.random.default_rng(11)
+    # rectangular: 5 offline, 4 online; u3 has no neighbours, v5 weighs 0
+    odd = build_instance([("v1", 2.5), ("v2", 1.0), ("v3", 0.75), ("v4", 1.0),
+                          ("v5", 0.0)],
+                         [("u1", ["v1", "v2", "v5"]), ("u2", ["v2", "v3", "v5"]),
+                          ("u3", []), ("u4", ["v4", "v5"])])
+    return {"weighted-random": random_instance(rng, weighted=True),
+            "unit-random": random_instance(rng, weighted=False),
+            "rectangular": generate_instance("weighted_random",
+                                             {"n_offline": 7, "n_online": 4, "p": 0.6}, 2),
+            "isolated-and-zero-weight": odd}
+
+
+@pytest.mark.parametrize("name", list(lane_instances()))
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+def test_alg_values_equal_scalar_loop_bit_for_bit(spec, name):
+    inst = lane_instances()[name]
+    report = run_ratio_experiment(ExperimentConfig(inst, spec, 150, 9))
+    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 150, 9))
+
+
+def spy_run_lanes(monkeypatch):
+    """Record every experiments.run_lanes call's arguments."""
+    calls = []
+
+    def spy(instance, order, off_ranks, on_offer, off_offer, free):
+        calls.append((order, off_ranks, on_offer, off_offer))
+        return run_lanes(instance, order, off_ranks, on_offer, off_offer, free)
+
+    monkeypatch.setattr(experiments, "run_lanes", spy)
+    return calls
+
+
+def test_lane_columns_are_sample_ranks_streams(monkeypatch):
+    # column t carries sample_ranks(instance, (seed, t)) bit for bit: the
+    # offline ranks, the arrival order and both offer parts
+    inst = generate_instance("weighted_random", {"n_offline": 6, "n_online": 5, "p": 0.5}, 4)
+    spec = half_exp()
+    calls = spy_run_lanes(monkeypatch)
+    run_ratio_experiment(ExperimentConfig(inst, spec, 40, 13))
+    (order, off_ranks, on_offer, off_offer), = calls
+    for t in range(40):
+        rank_of = sample_ranks(inst, (13, t)).ranks
+        off = [rank_of[v] for v in inst.offline_ids]
+        on = [rank_of[u] for u in inst.online_ids]
+        assert hexes(off_ranks[:, t]) == hexes(off)
+        assert hexes(off_offer[:, t]) == hexes(spec.offer_parts_scalar(y)[0] for y in off)
+        assert hexes(on_offer[:, t]) == hexes(spec.offer_parts_scalar(y)[1] for y in on)
+        arrivals = sorted(inst.online_ids, key=lambda u: (rank_of[u], u))
+        assert order[:, t].tolist() == [inst.online_ids.index(u) for u in arrivals]
+
+
+def test_trials_span_blocks(monkeypatch):
+    # UT(100) blocks hold CELL_BLOCK // 100 = 655 lanes, so 700 trials
+    # take two run_lanes calls
+    inst = generate_instance("upper_triangular", {"n": 100}, 0)
+    calls = spy_run_lanes(monkeypatch)
+    report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 700, 3))
+    assert [c[0].shape[1] for c in calls] == [655, 45]
+    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, half_exp(), 700, 3))
+
+
+def test_small_cell_block_splits_trials_into_many_blocks(monkeypatch):
+    inst = lane_instances()["isolated-and-zero-weight"]
+    monkeypatch.setattr(ranking, "CELL_BLOCK", 5 * 7)
+    calls = spy_run_lanes(monkeypatch)
+    report = run_ratio_experiment(ExperimentConfig(inst, simple_exp(), 30, 1))
+    assert [c[0].shape[1] for c in calls] == [7, 7, 7, 7, 2]
+    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, simple_exp(), 30, 1))
+
+
+def drop_last_match_engine(instance, spec, ranks, collect_offers=True):
+    """Deliberately broken engine: every run loses its last match."""
+    result, trace = run_ranking(instance, spec, ranks, collect_offers=collect_offers)
+    return matching_result(instance, result.pairs[:-1]), trace
+
+
+def test_broken_scalar_engine_fails_the_lane_check(monkeypatch):
+    monkeypatch.setattr(experiments, "run_ranking", drop_last_match_engine)
+    inst = generate_instance("complete", {"n": 3}, 0)
+    with pytest.raises(LaneCheckError, match=r"trial 0 \(seed=5\): u\d took v\d in "
+                                             r"run_lanes but None in run_ranking"):
+        run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))
+
+
+def test_broken_lane_engine_fails_the_lane_check(monkeypatch):
+    def last_arrival_unmatched(instance, order, *columns):
+        partner = run_lanes(instance, order, *columns)
+        partner[order[-1], np.arange(order.shape[1])] = -1
+        return partner
+
+    monkeypatch.setattr(experiments, "run_lanes", last_arrival_unmatched)
+    inst = generate_instance("complete", {"n": 3}, 0)
+    with pytest.raises(LaneCheckError, match="took None in run_lanes but v"):
+        run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))
 
 
 def test_property_suite_passes_at_small_scale():
