@@ -192,9 +192,10 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
 
 
 def lane_block(rows: int) -> int:
-    """Lanes per block for an instance whose larger side has `rows` rows:
-    at most LANE_BLOCK lanes and CELL_BLOCK cells, and at least one lane."""
-    return max(1, min(LANE_BLOCK, CELL_BLOCK // max(rows, 1)))
+    """Lanes per block for an instance whose larger side has `rows` >= 1
+    rows: at most LANE_BLOCK lanes and CELL_BLOCK cells, and at least one
+    lane."""
+    return max(1, min(LANE_BLOCK, CELL_BLOCK // rows))
 
 
 def assign_duals(instance: Instance, result: MatchingResult, spec: GainSpec,

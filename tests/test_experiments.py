@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rankmatch import experiments, ranking
+from rankmatch import experiments
 from rankmatch.core import build_instance, matching_result, sample_ranks
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
                                    ExperimentConfig, LaneCheckError,
@@ -134,15 +134,6 @@ def test_trials_span_blocks(monkeypatch):
     report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 700, 3))
     assert [c[0].shape[1] for c in calls] == [655, 45]
     assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, half_exp(), 700, 3))
-
-
-def test_small_cell_block_splits_trials_into_many_blocks(monkeypatch):
-    inst = lane_instances()["isolated-and-zero-weight"]
-    monkeypatch.setattr(ranking, "CELL_BLOCK", 5 * 7)
-    calls = spy_run_lanes(monkeypatch)
-    report = run_ratio_experiment(ExperimentConfig(inst, simple_exp(), 30, 1))
-    assert [c[0].shape[1] for c in calls] == [7, 7, 7, 7, 2]
-    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, simple_exp(), 30, 1))
 
 
 def drop_last_match_engine(instance, spec, ranks, collect_offers=True):
