@@ -6,8 +6,10 @@ tag, trial index) for the suites, so any single trial reproduces in
 isolation and parallel or serial execution order cannot change results.
 
 A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
-them at a time, and re-runs trial 0 through the scalar run_ranking as a
-check; the property suites call run_ranking trial by trial.
+them at a time, with offer parts from GainSpec.offer_parts_exact (bit for
+bit the scalar ones), and re-runs trial 0 through the scalar run_ranking
+as a check of its partners and its ALG; the property suites call
+run_ranking trial by trial.
 """
 
 from __future__ import annotations
@@ -102,27 +104,24 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
                     trials: range) -> np.ndarray:
     """run_lanes with one lane per trial: trial t's ranks are the
     rank_draws(instance, (seed, t)) sample_ranks assigns, and the offer
-    parts are offer_parts_scalar's, as in run_ranking, so every lane makes
-    run_ranking's choices. Returns the (n_online, T) partner indices."""
+    parts are offer_parts_exact's, bit for bit run_ranking's
+    offer_parts_scalar values, so every lane makes run_ranking's choices.
+    Returns the (n_online, T) partner indices."""
     n_off = len(instance.offline)
-    parts = spec.offer_parts_scalar
     ranks = np.empty((n_off + len(instance.online), len(trials)))
-    offer = np.empty(ranks.shape)
     for k, t in enumerate(trials):
         ranks[:, k] = rank_draws(instance, (seed, t))
-        ys = ranks[:, k].tolist()
-        offer[:n_off, k] = [parts(y)[0] for y in ys[:n_off]]
-        offer[n_off:, k] = [parts(y)[1] for y in ys[n_off:]]
     off, on = ranks[:n_off], ranks[n_off:]
     order = np.argsort(on, axis=0, kind="stable")
-    return run_lanes(instance, order, off, offer[n_off:], offer[:n_off],
-                     np.ones(off.shape, dtype=bool))
+    return run_lanes(instance, order, off, spec.offer_parts_exact(on)[1],
+                     spec.offer_parts_exact(off)[0], np.ones(off.shape, dtype=bool))
 
 
 def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,
-                      lane: list[int]) -> None:
+                      lane: list[int], alg: float) -> None:
     """Raise LaneCheckError unless run_ranking on trial 0 matches every
-    online vertex to the partner lane 0 gave it."""
+    online vertex to the partner lane 0 gave it and its total_weight is
+    lane 0's ALG, exactly: both are fsums, so their order cannot matter."""
     result, _ = run_ranking(instance, spec, sample_ranks(instance, (seed, 0)),
                             collect_offers=False)
     took = dict(result.pairs)
@@ -132,6 +131,10 @@ def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,
             raise LaneCheckError(
                 f"trial 0 (seed={seed}): {u} took {lane_v} in run_lanes "
                 f"but {took.get(u)} in run_ranking")
+    if alg != result.total_weight:
+        raise LaneCheckError(
+            f"trial 0 (seed={seed}): ALG {alg!r} in run_lanes "
+            f"but {result.total_weight!r} in run_ranking")
 
 
 def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
@@ -140,7 +143,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
     Trial t runs on sample_ranks(instance, (seed, t)) as one run_lanes
     lane, in blocks of lane_block(rows) lanes; its ALG is the fsum of its
     matched weights, as in matching_result. Trial 0 is also run through
-    run_ranking, and LaneCheckError is raised if the two disagree."""
+    run_ranking, and LaneCheckError is raised if the two disagree on a
+    partner or on ALG."""
     instance, spec, seed = config.instance, config.spec, config.seed
     opt = solve_opt(instance)
     if opt.value == 0.0:
@@ -151,10 +155,10 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
     for start in range(0, config.trials, block):
         partner = _trial_partners(instance, spec, seed,
                                   range(start, min(start + block, config.trials)))
-        if start == 0:
-            _check_trial_zero(instance, spec, seed, partner[:, 0].tolist())
         alg += [math.fsum([weights[p] for p in lane if p >= 0])
                 for lane in partner.T.tolist()]
+        if start == 0:
+            _check_trial_zero(instance, spec, seed, partner[:, 0].tolist(), alg[0])
     ratios = [a / opt.value for a in alg]
     mean_ratio = math.fsum(ratios) / len(ratios)
     if len(ratios) > 1:

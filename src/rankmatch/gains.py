@@ -19,8 +19,8 @@ f, s + r (y - x0) + p e^(y + t) from x0 to the next piece, and a map
 a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an exp curve is
 one exp piece and then the constant 1, a table one affine piece per
 segment with np.interp's slope. For the adversarial kind f is a, one exp
-piece. The rest is generic: a and b (offer_parts, offer_parts_scalar),
-A = int a and B = int b from a running total at each piece start
+piece. The rest is generic: a and b (offer_parts, offer_parts_scalar
+and offer_parts_exact, the scalar values over arrays), A = int a and B = int b from a running total at each piece start
 (rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
 (offer_inverse), the kinks (curve_breakpoints), and c' <= c, which gives
 d share/dy = -c'(y)/2 >= share - 1: r <= s on every piece, so a table is
@@ -54,6 +54,9 @@ _PIECES = {
 # ((a0, a1), (b0, b1)), for a = a0 + a1 f and b = b0 + b1 f
 _CURVE_SPLIT = ((0.5, -0.5), (0.0, 0.5))
 _SPLITS = {ADVERSARIAL: ((0.0, 1.0), (0.0, 0.0))}
+# values per math.exp pass of offer_parts_exact: each pass makes one list of
+# Python floats, so a chunk bounds that list's memory
+EXP_CHUNK = 4096
 
 
 class GainSpecError(ValueError):
@@ -133,7 +136,8 @@ class GainSpec:
             pieces = _PIECES[self.kind]
         # per piece, for the scalar paths: its end, the piece, a's and b's own
         # constant and exp coefficients, the map, and F0 = int_0^x0 f and
-        # q = p e^(x0 + t): int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q
+        # q = p e^(x0 + t): int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q;
+        # _cols holds the first ten as arrays, for offer_parts_exact
         split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
         rows, total = [], 0.0
         for (x0, s, r, p, t), x1 in zip(pieces, (*(x0 for x0, *_ in pieces[1:]), 1.0)):
@@ -146,6 +150,7 @@ class GainSpec:
             h = x1 - x0
             total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
+                            ("_cols", np.array(rows)[:, :10].T),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
@@ -196,6 +201,35 @@ class GainSpec:
             f = s + r * (y - x0)
             return a0 + a1 * f, b0 + b1 * f
         return sa, sb
+
+    def offer_parts_exact(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """offer_parts_scalar over an array, bit for bit, no domain
+        validation: each value's piece by the scalar y < end rule, affine
+        maps by numpy + and * (rounded as Python floats are), and math.exp,
+        EXP_CHUNK values at a time, on exp pieces only, as numpy's exp can
+        differ from it by an ulp."""
+        y = np.asarray(y, dtype=float)
+        flat = y.ravel()
+        ends, x0, s, r, p, t, sa, pa, sb, pb = self._cols
+        i = np.searchsorted(ends, flat, "right")
+        np.minimum(i, ends.size - 1, out=i)
+        (a0, a1), (b0, b1) = self._split
+        # in place, as + and * commute exactly: a = a0 + a1 f and b = b0 +
+        # b1 f for f = s + r (y - x0)
+        a = flat - x0[i]
+        a *= r[i]
+        a += s[i]
+        b = b1 * a
+        b += b0
+        a *= a1
+        a += a0
+        for c in range(0, flat.size, EXP_CHUNK):
+            at = c + np.flatnonzero(p[i[c:c + EXP_CHUNK]])
+            k = i[at]
+            e = np.fromiter(map(math.exp, (flat[at] + t[k]).tolist()), float, at.size)
+            a[at] = sa[k] + pa[k] * e
+            b[at] = sb[k] + pb[k] * e
+        return a.reshape(y.shape), b.reshape(y.shape)
 
     def offer_inverse(self, z, part: int):
         """The y with offer_parts(y)[part] = z (a^-1, b^-1) over scalars or

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,8 @@ from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
                                    ExperimentConfig, LaneCheckError,
                                    check_monotonicity_trial,
                                    run_property_suite, run_ratio_experiment)
-from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
+from rankmatch.gains import (GainSpec, adversarial_baseline, half_exp, piecewise_table,
+                             simple_exp)
 from rankmatch.generators import generate_instance, random_instance
 from rankmatch.ranking import SimulationTrace, run_lanes, run_ranking
 
@@ -251,3 +253,37 @@ def test_property_report_serialization():
     assert set(d) == {"seed", "passed", "suites", "timestamp"}
     text = report.to_text()
     assert "monotonicity" in text and "overall" in text
+
+
+def test_only_the_trial_zero_check_calls_offer_parts_scalar(monkeypatch):
+    # the lanes take their offer parts from offer_parts_exact: a T-trial
+    # experiment makes exactly the scalar calls of one run_ranking
+    inst = generate_instance("upper_triangular", {"n": 12}, 0)
+    calls = []
+    offer_parts_scalar = GainSpec.offer_parts_scalar
+
+    def counted(self, y):
+        calls.append(y)
+        return offer_parts_scalar(self, y)
+
+    monkeypatch.setattr(GainSpec, "offer_parts_scalar", counted)
+    run_ranking(inst, half_exp(), sample_ranks(inst, (4, 0)), collect_offers=False)
+    one_run = len(calls)
+    assert one_run == len(inst.offline) + len(inst.online)
+    calls.clear()
+    run_ratio_experiment(ExperimentConfig(inst, half_exp(), 50, 4))
+    assert len(calls) == one_run
+
+
+def test_broken_weight_sum_fails_the_lane_check(monkeypatch):
+    # same partners, total_weight one ulp off: the check compares ALG too
+    def off_by_one_ulp(instance, spec, ranks, collect_offers=True):
+        result, trace = run_ranking(instance, spec, ranks, collect_offers=collect_offers)
+        return dataclasses.replace(result, total_weight=math.nextafter(
+            result.total_weight, math.inf)), trace
+
+    monkeypatch.setattr(experiments, "run_ranking", off_by_one_ulp)
+    inst = generate_instance("weighted_random", {"n": 6, "p": 0.5}, 3)
+    with pytest.raises(LaneCheckError, match=r"trial 0 \(seed=5\): ALG \S+ in run_lanes "
+                                             r"but \S+ in run_ranking"):
+        run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankmatch.bounds import improved_bound
-from rankmatch.gains import (ADVERSARIAL, LN2, TABLE, GainSpec, GainSpecError,
+from rankmatch.gains import (ADVERSARIAL, EXP_CHUNK, LN2, TABLE, GainSpec, GainSpecError,
                              adversarial_baseline, gain_spec_from_json, half_exp,
                              named_spec, piecewise_table, simple_exp)
 
@@ -308,6 +308,22 @@ def test_offer_parts_scalar_is_both_offer_parts_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
                          ids=lambda spec: spec.kind)
+def test_offer_parts_exact_is_offer_parts_scalar_bit_for_bit(spec):
+    # the grid with its kinks, every table knot and the top float below 1,
+    # then random values up to three math.exp chunks, so chunk seams fall
+    # inside the array; once flat and once as a 2-D block
+    ys = unit_grid_with_kinks(spec) + [*spec.breakpoints, math.nextafter(1.0, 0.0)]
+    ys += np.random.default_rng(6).random(3 * EXP_CHUNK - len(ys)).tolist()
+    want = [[v.hex() for v in spec.offer_parts_scalar(y)] for y in ys]
+    for y in (np.array(ys), np.array(ys).reshape(96, -1)):
+        a, b = spec.offer_parts_exact(y)
+        assert a.shape == b.shape == y.shape
+        assert [[x.hex(), z.hex()] for x, z in zip(a.ravel().tolist(),
+                                                   b.ravel().tolist())] == want
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
 def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
     # reference: a(y) and b(y) written out per kind for arrays, each on its own
     if spec.kind == ADVERSARIAL:
@@ -388,7 +404,8 @@ def test_spec_pickles_with_its_pieces(spec):
     def values(s):
         out = [v for y in ys for v in (*s.offer_parts_scalar(y), s.rank_offer_antideriv(y),
                                        s.time_offer_antideriv(y))]
-        out += [*s.offer_inverse(z, 0), *s.offer_inverse(0.5 * z, 1), *s.offer_parts(ys)[0]]
+        out += [*s.offer_inverse(z, 0), *s.offer_inverse(0.5 * z, 1), *s.offer_parts(ys)[0],
+                *s.offer_parts_exact(ys)[1]]
         return [float(v).hex() for v in out]
 
     before = values(spec)

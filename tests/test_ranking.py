@@ -347,3 +347,41 @@ def test_run_lanes_breaks_a_zero_offer_tie_by_rank_then_id():
             assert one_lane(inst, spec, ranks) == ["v0", want]
             took = scalar_partners(inst, spec, ranks)
             assert [inst.offline_ids[p] for p in took] == ["v0", want]
+
+
+def hand_lanes(instance, off_ranks, off_offer, on_offer, free=None):
+    """run_lanes on hand-built (rows, T) arrays, arrivals in id order."""
+    off_ranks, off_offer, on_offer = (np.array(x, dtype=float)
+                                      for x in (off_ranks, off_offer, on_offer))
+    order = np.tile(np.arange(len(instance.online))[:, None], (1, off_ranks.shape[1]))
+    if free is None:
+        free = np.ones(off_ranks.shape, dtype=bool)
+    return run_lanes(instance, order, off_ranks, on_offer, off_offer, np.array(free))
+
+
+def test_run_lanes_breaks_a_positive_offer_tie_by_rank_not_row():
+    # unit weights, a = 0 for both (half-exp saturates from ln 2) and
+    # b = 0.25: the offers tie, and lane 0's smaller rank sits at the larger row
+    spec = half_exp()
+    assert [spec.offer_parts_scalar(y)[0] for y in (0.8, 0.9)] == [0.0, 0.0]
+    assert spec.offer_parts_scalar(0.0)[1] == 0.25
+    inst = build_instance([("v0", 1.0), ("v1", 1.0)], [("u1", ["v0", "v1"])])
+    partner = hand_lanes(inst, [[0.9, 0.8], [0.8, 0.9]], [[0.0, 0.0], [0.0, 0.0]],
+                         [[0.25, 0.25]])
+    assert partner.tolist() == [[1, 0]]
+    for t, (r0, r1) in enumerate(((0.9, 0.8), (0.8, 0.9))):
+        ranks = RankAssignment({"v0": r0, "v1": r1, "u1": 0.0})
+        assert scalar_partners(inst, spec, ranks) == partner[:, t].tolist()
+
+
+def test_run_lanes_breaks_an_exact_rank_tie_by_row():
+    # v1 and v2 share a rank and an offer; v0 ranks first but is no
+    # neighbor. validate_rank_assignment refuses tied user ranks, so this
+    # pins the rule on hand-built arrays: lane 0 takes v1, lane 1 (v1
+    # already taken) v2
+    inst = build_instance([("v0", 1.0), ("v1", 1.0), ("v2", 1.0)],
+                          [("u1", ["v1", "v2"])])
+    ranks = [[0.1, 0.1], [0.8, 0.8], [0.8, 0.8]]
+    offer = [[0.3, 0.3], [0.0, 0.0], [0.0, 0.0]]
+    free = [[True, True], [True, False], [True, True]]
+    assert hand_lanes(inst, ranks, offer, [[0.5, 0.5]], free).tolist() == [[1, 2]]
