@@ -10,6 +10,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -191,7 +192,12 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; main reuses it.
+
+    Each subcommand's func is a cmd_* function, which looks up the names it
+    calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="rankmatch",
         description="Weighted online bipartite matching under random arrivals: "

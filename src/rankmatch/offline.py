@@ -1,21 +1,31 @@
 """Exact offline optimum: the benchmark the online algorithm is measured against.
 
-solve_opt computes a maximum-weight matching (unmatched vertices allowed,
-matching the <= constraints of the assignment LP) via the Jonker-Volgenant
-solver in scipy. Since weights live on the offline side only, the profit of
-edge (u, v) is just w_v, and missing edges enter the dense profit matrix at
-zero profit: zero-profit fake pairs never change the optimal value and are
-dropped from the reported matching. brute_force_opt is an independent
-second opinion by exhaustive enumeration, for cross-validation on tiny
-instances.
+solve_opt computes a maximum-weight matching (unmatched vertices allowed)
+when weights live on the offline side only, so a matching is worth the
+total weight of the offline vertices it covers. The sets of offline
+vertices that one matching can cover are the independent sets of a
+transversal matroid, and on a matroid the greedy choice by non-negative
+weight is optimal: take the offline vertices heaviest first, ties in id
+order, and keep each one if an augmenting path from it reaches a free
+online vertex. An augmentation keeps every offline vertex already covered
+matched. The greedy only compares weights and adds none, so the optimum
+is exact.
+
+Each search is an iterative depth-first search (a path can be about n
+long) that marks the online vertices it enters with one stamp per search,
+so it enters each vertex at most once and costs O(E); a solve is
+O(n_off * E) in the worst case. Before entering any offline vertex, the
+start included, the search looks for a free neighbour of it, which ends
+most searches at once.
+
+brute_force_opt is an independent second opinion by exhaustive
+enumeration, for cross-validation on tiny instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import Instance, InstanceError
 
@@ -29,32 +39,64 @@ class OptResult:
 
 
 def solve_opt(instance: Instance) -> OptResult:
-    """Maximum-weight offline matching; exact within double precision.
+    """Maximum-weight offline matching by the matroid greedy; exact.
 
-    scipy is imported here, not at module level, so that only a process
-    that solves an offline optimum pays its start-up time and memory.
+    Pairs are in online id order and value is the fsum of their weights.
+    Zero-weight offline vertices add nothing and are left unmatched.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    n_u = len(instance.online)
-    n_v = len(instance.offline)
-    if n_u == 0 or n_v == 0:
-        return OptResult(pairs=(), value=0.0)
     off_index = {v: j for j, v in enumerate(instance.offline_ids)}
-    w = np.array([wt for _, wt in instance.offline], dtype=float)
-    profit = np.zeros((n_u, n_v), dtype=float)
-    for i, (u, nbs) in enumerate(instance.online):
+    adj = [[] for _ in instance.offline]     # offline index -> online indices
+    for i, (_, nbs) in enumerate(instance.online):
         for v in nbs:
-            profit[i, off_index[v]] = w[off_index[v]]
-    rows, cols = linear_sum_assignment(profit, maximize=True)
-    pairs = []
-    for i, j in zip(rows, cols):
-        u = instance.online_ids[i]
-        v = instance.offline_ids[j]
-        if instance.has_edge(u, v):
-            pairs.append((u, v))
-    value = math.fsum(instance.weights[v] for _, v in pairs)
-    return OptResult(pairs=tuple(pairs), value=value)
+            adj[off_index[v]].append(i)
+    weights = [w for _, w in instance.offline]
+    partner = [-1] * len(instance.online)    # online index -> offline index
+    seen = [0] * len(instance.online)
+    # sorted is stable, so equal weights stay in id order
+    order = sorted(range(len(weights)), key=lambda j: -weights[j])
+    for stamp, j in enumerate(order, 1):
+        if weights[j] == 0.0:
+            break
+        _augment(j, adj, partner, seen, stamp)
+    off_ids = instance.offline_ids
+    pairs = tuple((u, off_ids[j]) for u, j in zip(instance.online_ids, partner)
+                  if j >= 0)
+    value = math.fsum(weights[j] for j in partner if j >= 0)
+    return OptResult(pairs=pairs, value=value)
+
+
+def _augment(start: int, adj: list[list[int]], partner: list[int],
+             seen: list[int], stamp: int) -> None:
+    """Match offline vertex start along an augmenting path, if there is one.
+
+    path holds the offline vertices of the current alternating path and
+    via the online vertices between them: path[k + 1] is partner[via[k]].
+    todo holds, per path vertex, an iterator over its neighbours not yet
+    tried. Online vertices entered are marked seen[i] = stamp.
+    """
+    path, via, todo = [start], [], [iter(adj[start])]
+    x = start
+    while True:
+        for i in adj[x]:
+            if partner[i] < 0:
+                # flip the path: x takes i, each path vertex takes its via
+                partner[i] = x
+                for i_k, x_k in zip(via, path):
+                    partner[i_k] = x_k
+                return
+        i = next((i for i in todo[-1] if seen[i] != stamp), -1)
+        while i < 0:
+            todo.pop()
+            if not todo:
+                return
+            path.pop()
+            via.pop()
+            i = next((i for i in todo[-1] if seen[i] != stamp), -1)
+        seen[i] = stamp
+        x = partner[i]
+        path.append(x)
+        via.append(i)
+        todo.append(iter(adj[x]))
 
 
 BRUTE_FORCE_LIMIT = 10

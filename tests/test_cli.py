@@ -521,28 +521,40 @@ def _scipy_modules_after(tmp_path, *commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     profiles = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
                 "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.5]}}
     (tmp_path / "profiles.json").write_text(json.dumps(profiles))
     codes, loaded = _scipy_modules_after(
         tmp_path,
         ["generate", "--gen", "upper_triangular", "--n", "3", "--out", "inst.json"],
+        ["simulate", "--instance", "inst.json", "--trials", "5", "--out", "sim.json"],
         ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"],
         ["pair-gain", "--instance", "inst.json", "--grid", "8", "--out", "pg.json"],
         ["thresholds", "--instance", "inst.json", "--grid", "2", "--out", "th.csv"],
         ["integral", "--profiles", "profiles.json", "--out", "int.json"],
         ["verify", "--scale", "0.002", "--out", "verify.json"])
-    assert codes == [0] * 6
+    assert codes == [0] * 7
     assert loaded == []
 
 
-def test_simulate_imports_scipy_for_the_offline_optimum(tmp_path):
-    codes, loaded = _scipy_modules_after(
-        tmp_path, ["simulate", "--gen", "complete", "--n", "3", "--trials", "5",
-                   "--out", "sim.json"])
-    assert codes == [0]
-    assert "scipy.optimize" in loaded
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for n in ("2", "3"):
+        assert run_cli(capsys, "generate", "--gen", "complete", "--n", n)[0] == 0
+    assert len(used) == 2 and used[0] is used[1] is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run_cli(capsys, "generate", "--gen", "complete", "--n", "2")[0] == 0
 
 
 def _cli_in_subprocess(tmp_path, *argv):
