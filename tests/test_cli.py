@@ -521,21 +521,29 @@ def _scipy_modules_after(tmp_path, *commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_no_command_imports_scipy(tmp_path):
+def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
     profiles = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
                 "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.5]}}
     (tmp_path / "profiles.json").write_text(json.dumps(profiles))
     codes, loaded = _scipy_modules_after(
         tmp_path,
         ["generate", "--gen", "upper_triangular", "--n", "3", "--out", "inst.json"],
-        ["simulate", "--instance", "inst.json", "--trials", "5", "--out", "sim.json"],
         ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"],
         ["pair-gain", "--instance", "inst.json", "--grid", "8", "--out", "pg.json"],
         ["thresholds", "--instance", "inst.json", "--grid", "2", "--out", "th.csv"],
         ["integral", "--profiles", "profiles.json", "--out", "int.json"],
         ["verify", "--scale", "0.002", "--out", "verify.json"])
-    assert codes == [0] * 7
+    assert codes == [0] * 6
     assert loaded == []
+
+
+def test_simulate_computes_the_offline_optimum_without_scipy(tmp_path):
+    codes, loaded = _scipy_modules_after(
+        tmp_path, ["simulate", "--gen", "complete", "--n", "3", "--trials", "5",
+                   "--out", "sim.json"])
+    assert codes == [0]
+    assert loaded == []
+    assert json.loads((tmp_path / "sim.json").read_text())["opt_value"] == 3.0
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
