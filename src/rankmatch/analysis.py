@@ -18,15 +18,22 @@ the other arrivals run as they would without u and with p gone from the
 start, so one table of runs through ranking.run_lanes, keyed by y_v and
 the vertex gone (none, or one of u's neighbors other than v), answers
 every lane; u's own choice and the split of the pair's gains are then
-per-lane arithmetic. pair_gain makes one PairSweep run for its grid cells,
-compute_thresholds one for all pieces of its grid; tau and gamma classify
-their pieces with edge_status. Every lane follows run_ranking's rules,
-ties included; the scalar path (vary_two_ranks, edge_status) stays the
-reference, and tests cross-check the two.
+per-lane arithmetic. PairSweep.run takes lanes in any shape its inputs
+broadcast to, and reads a zero-stride axis (a np.broadcast_to view) as one
+value, so what depends on y_u or y_v alone costs one evaluation per value.
+pair_gain makes one run over its grid_n x grid_n cells, passing full-shape
+views of one midpoint column and one row: run does per-axis work on grid_n
+values, and a caller that counts lanes by the inputs' size still sees one
+per cell. compute_thresholds makes one run over flat lanes, one per piece
+of its grid; tau and gamma classify their pieces with edge_status. Every
+lane follows run_ranking's rules, ties included; the scalar path
+(vary_two_ranks, edge_status) stays the reference, and tests cross-check
+the two.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +92,7 @@ def edge_status(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-lane outcome of a batched two-rank sweep."""
+    """Per-lane outcome of a batched two-rank sweep, in the lane shape."""
 
     alpha_u: np.ndarray    # online endpoint's gain
     alpha_v: np.ndarray    # offline endpoint's gain
@@ -114,12 +121,17 @@ class PairSweep:
        partner.
     2. Per lane, one block of lanes at a time: u's step over u's neighbor
        rows (the tie rule is ranking._top_offer's) gives p. v's partner
-       is u where p is v, and otherwise the table's at (key, gone = p, or
-       none where u took nothing). The gains of u and v come off the two
-       partners, split exactly as assign_duals splits them.
+       is the table's at (key, p): u where p is v, and otherwise v's
+       partner with p, or none where u took nothing, gone. The gains of u
+       and v come off the two partners, split exactly as assign_duals
+       splits them.
 
-    So every lane is the run vary_two_ranks makes. A block (one run_lanes
-    call, or a slice of step 2) has ranking.lane_block(rows) lanes at most.
+    So every lane is the run vary_two_ranks makes. Lanes may form any
+    shape (see run); what depends on one axis alone (the offer parts b(y_u)
+    and a(y_v), u's arrival position, the key's table column, the offers
+    of u's other neighbors) is computed on that axis and broadcast. A block
+    (one run_lanes call, or a slice of step 2) has ranking.lane_block(rows)
+    lanes at most.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -151,12 +163,14 @@ class PairSweep:
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
         taken[j, d] is the arrival position among the others at which u's
         j-th neighbor is taken when v has rank y_vs[d], n_on - 1 if never;
-        v_by[g, d] is v's partner (an online index, -1 if none) when
-        offline vertex g is gone, and v_by[-1, d] when none is."""
+        v_by[d, g + 1] is v's partner (an online index, -1 if none) when
+        offline vertex g is gone, v_by[d, 0] when none is, and u where g
+        is v, which only u takes."""
         n_on, n_off, n_vs = self.y_on.size, self.w.size, y_vs.size
         gone = np.append(self.nbrs[self.nbrs != self.v_idx], -1)
         taken = np.empty((self.nbrs.size, n_vs), dtype=small)
-        v_by = np.empty((n_off + 1, n_vs), dtype=small)
+        v_by = np.empty((n_vs, n_off + 1), dtype=np.intp)
+        v_by[:, self.v_idx + 1] = self.u_idx
         a_vs = self.spec.offer_parts(y_vs)[0]
         k = np.arange(n_on)[:, None]
         for start in range(0, gone.size * n_vs, self.block):
@@ -175,7 +189,7 @@ class PairSweep:
             # v has at most one partner per lane, so the row sum of the
             # one-hot took_v is that partner's index
             took_v = partner == self.v_idx
-            v_by[g, d] = np.where(took_v.any(axis=0), (took_v * k).sum(axis=0), -1)
+            v_by[d, g + 1] = np.where(took_v.any(axis=0), (took_v * k).sum(axis=0), -1)
             none = np.flatnonzero(g < 0)
             at = np.full((n_off + 1, none.size), n_on - 1, dtype=small)
             # a -1 partner (none) lands in the spare last row
@@ -186,69 +200,115 @@ class PairSweep:
     def _u_step(self, a_v, b_u, y_v, pos, seen):
         """u's step on one block of lanes, given when each of u's
         neighbors is taken: p, u's partner (an offline index, -1 if
-        none)."""
-        rows = self.nbrs[:, None]
-        cand = seen >= pos
-        offers = np.repeat(self.a_off[rows], y_v.size, axis=1)
-        offers[self.v_row] = a_v
-        offers += b_u
-        offers *= self.w[rows]
+        none). The arguments broadcast to the block's lane shape (seen
+        after its leading neighbor axis), and so does p. The offers of
+        u's other neighbors vary with b_u alone, so they are made on its
+        shape and broadcast; v's ranks enter only where offers tie."""
+        shape = np.broadcast(a_v, b_u, y_v, pos, seen[0]).shape
+        rows = self.nbrs.reshape((-1,) + (1,) * len(shape))
+        w = self.w[rows]
+        cand = np.greater_equal(seen, pos, out=np.empty((rows.size, *shape), dtype=bool))
+        offers = np.multiply(self.a_off[rows] + b_u, w, out=np.empty(cand.shape))
+        np.multiply(a_v + b_u, w[self.v_row], out=offers[self.v_row])
         offers *= cand
-        ranks = np.repeat(self.y_off[rows], y_v.size, axis=1)
-        ranks[self.v_row] = y_v
-        hit, took = _top_offer(offers, cand, ranks, rows)
-        p = np.full(y_v.size, -1, dtype=pos.dtype)
-        p[hit] = took
-        return p
+
+        def ranks(lanes):
+            r = np.repeat(self.y_off[self.nbrs][:, None], lanes.size, axis=1)
+            r[self.v_row] = np.broadcast_to(y_v, shape)[np.unravel_index(lanes, shape)]
+            return r
+
+        return _top_offer(offers.reshape(rows.size, -1), cand.reshape(rows.size, -1),
+                          ranks, self.nbrs[:, None]).reshape(shape)
 
     def _split(self, y_u, a_v, b_u, p, by):
         """The gains on one block of lanes: (alpha_u, alpha_v,
         status). Each matched offline endpoint q keeps w_q * (1 - a - b);
-        the online side gets the complement, exactly as in assign_duals."""
+        the online side gets the complement, exactly as in assign_duals.
+        p and by hold a -1 where there is no partner, which take reads as
+        the last entry, and np.where then masks."""
         u, v, w = self.u_idx, self.v_idx, self.w
-        kept = w[p] * (1.0 - np.where(p == v, a_v, self.a_off[p]) - b_u)
-        alpha_u = np.where(p >= 0, w[p] - kept, 0.0)
-        b_by = np.where(by == u, b_u, self.b_on[by])
-        alpha_v = np.where(by >= 0, w[v] * (1.0 - a_v - b_by), 0.0)
-        before = (by >= 0) & (self.y_on[by] < y_u)
-        status = np.where(p == v, MATCHED_TO_U, np.where(
-            before, MATCHED_BEFORE, UNMATCHED_AFTER))
+        w_p, to_v, v_matched = w.take(p), p == v, by >= 0
+        kept = w_p * (1.0 - np.where(to_v, a_v, self.a_off.take(p)) - b_u)
+        alpha_u = np.where(p >= 0, w_p - kept, 0.0)
+        b_by = np.where(by == u, b_u, self.b_on.take(by))
+        alpha_v = np.where(v_matched, w[v] * (1.0 - a_v - b_by), 0.0)
+        before = v_matched & (self.y_on.take(by) < y_u)
+        status = np.where(to_v, np.int8(MATCHED_TO_U), np.where(
+            before, np.int8(MATCHED_BEFORE), np.int8(UNMATCHED_AFTER)))
         return alpha_u, alpha_v, status
 
     def run(self, y_u, y_v, key=None) -> SweepResult:
-        """Simulate all lanes; y_u, y_v and key are equal-length 1-d arrays."""
-        y_u = np.atleast_1d(np.asarray(y_u, dtype=float))
-        y_v = np.atleast_1d(np.asarray(y_v, dtype=float))
+        """Simulate every lane of the shape that y_u, y_v and key (y_v
+        when None) broadcast to, and return results in that shape; a
+        scalar is one lane of shape (1,). Shapes that do not broadcast
+        raise AnalysisError.
+
+        Each input is first cut back to the values it holds: an axis of
+        stride zero, as in a np.broadcast_to view, is read as length one.
+        So a (n, m) view of an (n, 1) column costs n offer-part
+        evaluations and n arrival positions, not n * m. Flat 1-d inputs
+        take one value per lane, as before. Blocks tile the lane shape
+        with whole trailing axes where they fit, slicing axis 0 (and
+        further axes only when one row exceeds a block)."""
+        y_u, y_v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (y_u, y_v))
         key = y_v if key is None else np.atleast_1d(np.asarray(key, dtype=float))
-        if not y_u.shape == y_v.shape == key.shape:
-            raise AnalysisError("y_u, y_v and key must have equal shapes")
-        n = y_u.size
+        try:
+            shape = np.broadcast(y_u, y_v, key).shape
+        except ValueError:
+            raise AnalysisError(f"y_u, y_v and key have shapes {y_u.shape}, {y_v.shape} "
+                                f"and {key.shape}, which do not broadcast") from None
+        y_u, y_v, key = (_compact(x, len(shape)) for x in (y_u, y_v, key))
         # positions and indices, down to -1, fit this type
         small = np.min_scalar_type(-max(self.y_on.size, self.w.size))
         # not np.unique: without an index output it loads numpy.ma on its
         # first call, about 14 ms and 1.7 MB of peak RSS per process
-        y_vs = np.sort(key)
-        y_vs = np.append(y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]])
+        y_vs = np.sort(key, axis=None)
+        y_vs = np.concatenate((y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]]))
         # yv_of lives through the whole run, so in the narrowest type
         yv_of = np.searchsorted(y_vs, key).astype(np.min_scalar_type(y_vs.size))
         taken, v_by = self._table(y_vs, small)
+        a_v, b_u = self.spec.offer_parts(y_v)[0], self.spec.offer_parts(y_u)[1]
+        # u arrives after the lower-index others of rank <= y_u and the
+        # higher-index others of rank < y_u: a stable argsort's order
+        pos = (np.searchsorted(self.ranks_before, y_u, "right")
+               + np.searchsorted(self.ranks_after, y_u, "left")).astype(small)
 
-        out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
-                          status=np.empty(n, dtype=np.int8))
-        for start in range(0, n, self.block):
-            blk = slice(start, start + self.block)
-            yu, yv, d = y_u[blk], y_v[blk], yv_of[blk]
-            a_v, b_u = self.spec.offer_parts(yv)[0], self.spec.offer_parts(yu)[1]
-            # u arrives after the lower-index others of rank <= y_u and the
-            # higher-index others of rank < y_u: a stable argsort's order
-            pos = (np.searchsorted(self.ranks_before, yu, "right")
-                   + np.searchsorted(self.ranks_after, yu, "left")).astype(small)
-            # np.take keeps the gather C-contiguous, and fast to compare
-            p = self._u_step(a_v, b_u, yv, pos, np.take(taken, d, axis=1))
-            by = np.where(p == self.v_idx, self.u_idx, v_by[p, d])
+        out = SweepResult(alpha_u=np.empty(shape), alpha_v=np.empty(shape),
+                          status=np.empty(shape, dtype=np.int8))
+        for blk in _blocks(shape, self.block):
+            # a compact axis of length one is taken whole, not sliced
+            yu, yv, d, av, bu, at = (x[blk] if x.shape == shape else x[tuple(
+                s if n > 1 else slice(None) for s, n in zip(blk, x.shape))]
+                for x in (y_u, y_v, yv_of, a_v, b_u, pos))
+            # take keeps the gather C-contiguous, and fast to compare
+            p = self._u_step(av, bu, yv, at, taken.take(d, axis=1))
+            # v's partner: the table's row d, column p + 1 (0: u took nothing)
+            by = v_by.take(p + (d.astype(np.intp) * v_by.shape[1] + 1))
             out.alpha_u[blk], out.alpha_v[blk], out.status[blk] = self._split(
-                yu, a_v, b_u, p, by)
+                yu, av, bu, p, by)
         return out
+
+
+def _compact(x: np.ndarray, ndim: int) -> np.ndarray:
+    """x with ndim axes, leading ones added, and every zero-stride axis
+    cut to length one: the values of a np.broadcast_to view, once."""
+    if x.ndim == ndim and all(x.strides):
+        return x
+    x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+    return x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)]
+
+
+def _blocks(shape: tuple[int, ...], block: int):
+    """Index tuples that tile `shape` with blocks of at most `block`
+    lanes: whole trailing axes first, then slices along the next one."""
+    lengths = []
+    for n in reversed(shape):
+        lengths.append(max(1, min(n, block)))
+        block //= lengths[-1]
+    lengths.reverse()
+    starts = [range(0, n, k) for n, k in zip(shape, lengths)]
+    for corner in itertools.product(*starts):
+        yield tuple(slice(i, i + k) for i, k in zip(corner, lengths))
 
 
 # -- thresholds -----------------------------------------------------------
@@ -476,19 +536,21 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
         raise AnalysisError(f"pair gain of zero-weight vertex {offline_id} is undefined")
 
     mids = (np.arange(grid_n) + 0.5) / grid_n
-    y_u = np.repeat(mids, grid_n)
-    y_v = np.tile(mids, grid_n)
-    res = sweeper.run(y_u, y_v)
+    # full-shape views of one column and one row: run reads them once per
+    # grid value, and they still have grid_n**2 elements, one per lane
+    cells = (grid_n, grid_n)
+    res = sweeper.run(np.broadcast_to(mids[:, None], cells), np.broadcast_to(mids, cells))
 
     tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id)
 
-    cu = y_u > tau
-    cv = y_v > gamma
+    cu = mids[:, None] > tau
+    cv = mids > gamma
     norm = 1.0 / (grid_n * grid_n * w_v)
-    corner = float(np.sum((res.alpha_u + res.alpha_v) * (cu & cv))) * norm
+    both = res.alpha_u + res.alpha_v
+    corner = float(np.sum(both * (cu & cv))) * norm
     v_side = float(np.sum(res.alpha_v * ~cv) + np.sum(res.alpha_u * (~cv & cu))) * norm
     u_side = float(np.sum(res.alpha_u * ~cu) + np.sum(res.alpha_v * (~cu & cv))) * norm
-    estimate = float(np.sum(res.alpha_u + res.alpha_v)) * norm
+    estimate = float(np.sum(both)) * norm
     return PairGainEstimate(online_id=online_id, offline_id=offline_id,
                             grid_n=grid_n, estimate=estimate, corner=corner,
                             v_side=v_side, u_side=u_side, tau=tau, gamma=gamma)

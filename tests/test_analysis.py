@@ -322,6 +322,113 @@ def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
         assert sum(lane_counts) == len(inst.neighbors[u]) * 200
 
 
+def assert_grid_equals_flat(sweep, col, row, key_row=None):
+    """run on full-shape views of a column and a row equals run on the
+    repeated column and tiled row, bit for bit, in the views' shape."""
+    cells = (col.size, row.size)
+    views = [np.broadcast_to(col[:, None], cells), np.broadcast_to(row, cells)]
+    flat = [np.repeat(col, row.size), np.tile(row, col.size)]
+    if key_row is not None:
+        views.append(np.broadcast_to(key_row, cells))
+        flat.append(np.tile(key_row, col.size))
+    got, want = sweep.run(*views), sweep.run(*flat)
+    for field in ("alpha_u", "alpha_v", "status"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == cells and g.dtype == w.dtype, field
+        assert np.array_equal(g.ravel(), w), field
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["half-exp", "simple-exp",
+                                                    "adversarial", "table"])
+def test_sweep_on_broadcast_views_matches_repeat_and_tile(spec, weighted):
+    # axis values at 0, 1/2, 1 and the base ranks tie arrivals and ranks;
+    # unit weights with simple-exp and the table's flat part tie offers
+    rng = np.random.default_rng(33)
+    for trial in range(12):
+        inst = random_instance(rng, weighted=weighted)
+        base = sample_ranks(inst, (33, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sweep = PairSweep(inst, spec, base, u, v)
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values()])
+        col = np.concatenate([pool, rng.random(int(rng.integers(1, 20)))])
+        row = np.concatenate([rng.permutation(pool), rng.random(int(rng.integers(1, 20)))])
+        assert_grid_equals_flat(sweep, col, row)
+        assert_grid_equals_flat(sweep, col, row, key_row=rng.choice(pool, row.size))
+
+
+def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
+    # (300, 200) and (3, 20000) grids exceed one block; the second also
+    # exceeds it along a row, so blocks slice both axes
+    shapes = []
+    u_step = PairSweep._u_step
+
+    def spy_u_step(self, a_v, b_u, y_v, pos, seen):
+        shapes.append(np.broadcast(a_v, b_u, y_v, pos, seen[0]).shape)
+        return u_step(self, a_v, b_u, y_v, pos, seen)
+
+    monkeypatch.setattr(PairSweep, "_u_step", spy_u_step)
+    rng = np.random.default_rng(34)
+    for trial in range(4):
+        inst = random_instance(rng, weighted=trial % 2 == 0)
+        base = sample_ranks(inst, (34, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sweep = PairSweep(inst, ORACLE_SPECS[trial], base, u, v)
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *rng.random(6)])
+        for n_col, n_row in ((300, 200), (3, 20000)):
+            col, row = rng.choice(pool, n_col), rng.choice(pool, n_row)
+            assert_grid_equals_flat(sweep, col, row)
+            shapes.clear()
+            cells = (n_col, n_row)
+            sweep.run(np.broadcast_to(col[:, None], cells), np.broadcast_to(row, cells))
+            assert len(shapes) > 1
+            assert max(math.prod(s) for s in shapes) <= sweep.block
+            assert sum(math.prod(s) for s in shapes) == n_col * n_row
+    # three axes fold the same way
+    y_u, y_v = rng.random((4, 1, 1)), rng.random((1, 5, 6))
+    res = sweep.run(np.broadcast_to(y_u, (4, 5, 6)), np.broadcast_to(y_v, (4, 5, 6)))
+    flat = sweep.run(*(np.broadcast_to(y, (4, 5, 6)).ravel() for y in (y_u, y_v)))
+    assert res.alpha_u.shape == (4, 5, 6)
+    assert_sweeps_equal(SweepResult(*(x.ravel() for x in (res.alpha_u, res.alpha_v,
+                                                         res.status))), flat)
+
+
+def test_sweep_rejects_lane_shapes_that_do_not_broadcast():
+    inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
+    sweep = PairSweep(inst, half_exp(), sample_ranks(inst, 0), "u1", "v1")
+    for args in ((np.zeros(3), np.zeros(4)), (np.zeros(3), np.zeros(3), np.zeros(2)),
+                 (np.zeros((2, 3)), np.zeros((3, 2)))):
+        with pytest.raises(AnalysisError, match="do not broadcast"):
+            sweep.run(*args)
+    # a scalar broadcasts against anything
+    assert sweep.run(0.5, np.full((2, 3), 0.25)).status.shape == (2, 3)
+
+
+def test_pair_gain_evaluates_offer_parts_once_per_axis_value(monkeypatch):
+    from rankmatch.gains import GainSpec
+
+    sizes = []
+    offer_parts = GainSpec.offer_parts
+
+    def spy(self, y):
+        sizes.append(np.size(y))
+        return offer_parts(self, y)
+
+    monkeypatch.setattr(GainSpec, "offer_parts", spy)
+    rng = np.random.default_rng(35)
+    for trial in range(6):
+        inst = random_instance(rng, weighted=True)
+        base = sample_ranks(inst, (35, trial))
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sizes.clear()
+        est = pair_gain(inst, SPECS[trial % 3], base, u, v, 120)
+        assert est.estimate >= 0.0
+        assert sizes and max(sizes) <= 120
+
+
 def test_three_interval_structure_random_probes():
     rng = np.random.default_rng(22)
     pts = (np.arange(400) + 0.5) / 400

@@ -365,7 +365,7 @@ def test_three_interval_violation_exits_one(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "error: status interleaving at y_u=0.5\n")
 
 
-def test_lane_check_failure_exits_one(monkeypatch, capsys):
+def test_lane_check_error_exits_one_with_its_message(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise LaneCheckError("trial 0 (seed=4): u1 took v1 in run_lanes but None in run_ranking")
 
@@ -373,100 +373,6 @@ def test_lane_check_failure_exits_one(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "simulate", "--gen", "complete", "--n", "2")
     assert (code, out) == (1, "")
     assert err == "error: trial 0 (seed=4): u1 took v1 in run_lanes but None in run_ranking\n"
-
-
-@pytest.mark.parametrize("argv, named", [
-    (("bounds", "evaluate", "--spec"), 'gain spec must be an object {"kind": ...}'),
-    (("simulate", "--instance"), "instance description must be a mapping"),
-    (("integral", "--profiles"), "profiles must be a mapping"),
-], ids=["spec", "instance", "profiles"])
-@pytest.mark.parametrize("document", [
-    "half-exp",
-    '{"kind": "half-exp", "offline": [], "online": [], "theta": {}, "beta": {}}',
-], ids=["string", "string-holding-an-object"])
-def test_input_files_holding_a_json_string_are_rejected(tmp_path, capsys, argv,
-                                                        named, document):
-    # the file is parsed once; a top-level string is never parsed again
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(document))
-    code, out, err = run_cli(capsys, *argv, str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: " + named)
-    assert err.count("\n") == 1 and err.count("error:") == 1
-
-
-@pytest.mark.parametrize("command, flag, what", [
-    ("integral", "--profiles", "profiles"),
-    ("generate", "--instance", "instance"),
-])
-def test_input_files_that_are_not_json_are_named(tmp_path, capsys, command, flag,
-                                                 what):
-    path = tmp_path / "empty.json"
-    path.write_text("")
-    code, out, err = run_cli(capsys, command, flag, str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {what} file {path} is not valid JSON: ")
-    assert err.count("\n") == 1 and err.count("error:") == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ("generate", "--gen", "complete", "--n", "2", "--spec", "half-exp"),
-    ("generate", "--gen", "complete", "--n", "2", "--format", "json"),
-    ("bounds", "evaluate", "--seed", "1"),
-    ("bounds", "evaluate", "--format", "json"),
-    ("integral", "--profiles", "profiles.json", "--seed", "1"),
-    ("integral", "--profiles", "profiles.json", "--format", "json"),
-    ("bounds", "minimize", "--tau", "0.3"),
-    ("bounds", "minimize", "--gamma", "0.9"),
-    ("bounds", "minimize", "--grid", "7"),
-    ("bounds", "evaluate", "--grid", "5"),
-    ("bounds", "heatmap", "--tau", "0.3"),
-    ("bounds", "heatmap", "--gamma", "0.9"),
-    ("thresholds", "--gen", "complete", "--n", "2", "--refine-tol", "1e-9"),
-], ids=["generate-spec", "generate-format", "bounds-seed", "bounds-format",
-        "integral-seed", "integral-format", "minimize-tau", "minimize-gamma",
-        "minimize-grid", "evaluate-grid", "heatmap-tau", "heatmap-gamma",
-        "thresholds-refine-tol"])
-def test_flags_a_command_ignores_are_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
-
-
-def _parser_flags(parser, name=""):
-    """{subcommand: its long flags}, nested ones named like "bounds evaluate"."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        return {name: {o for a in parser._actions for o in a.option_strings
-                       if o.startswith("--") and o != "--help"}}
-    out = {}
-    for child, sub in subs[0].choices.items():
-        out.update(_parser_flags(sub, f"{name} {child}".strip()))
-    return out
-
-
-def test_readme_flag_table_lists_exactly_the_parser_flags():
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = text.split("| subcommand | flags (default) |\n|---|---|\n")[1].split("\n\n")[0]
-    instance = set(re.findall(r"--[a-z-]+", text.split("Instance flags:")[1].split(". ")[0]))
-    assert "Every subcommand takes `--out FILE`" in text
-    readme = {}
-    for row in table.splitlines():
-        name, flags = re.fullmatch(r"\| `([a-z -]+)` \| (.*) \|", row).groups()
-        readme[name] = set(re.findall(r"--[a-z-]+", flags)) | {"--out"}
-        if "instance flags" in flags:
-            readme[name] |= instance
-    assert readme == _parser_flags(build_parser())
-
-
-def test_three_interval_violation_exits_one(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise ThreeIntervalError("status interleaving at y_u=0.5")
-
-    monkeypatch.setattr("rankmatch.cli.compute_thresholds", broken)
-    code, out, err = run_cli(capsys, "thresholds", "--gen", "complete", "--n", "2")
-    assert (code, out, err) == (1, "", "error: status interleaving at y_u=0.5\n")
 
 
 def test_lane_check_failure_exits_one(monkeypatch, capsys):

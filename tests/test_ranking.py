@@ -385,3 +385,37 @@ def test_run_lanes_breaks_an_exact_rank_tie_by_row():
     offer = [[0.3, 0.3], [0.0, 0.0], [0.0, 0.0]]
     free = [[True, True], [True, False], [True, True]]
     assert hand_lanes(inst, ranks, offer, [[0.5, 0.5]], free).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("n_rows, n_off", [(5, 8), (300, 400)], ids=["narrow", "wide"])
+def test_top_offer_applies_the_tie_rule_row_by_row(n_rows, n_off):
+    # offers spread out on half the lanes, so one row tops each, and on a
+    # coarse grid on the other half, where ranks on a coarser one break
+    # many ties and rows the rest; 300 rows need counts and row indices
+    # wider than a byte
+    from rankmatch.ranking import _top_offer
+
+    rng = np.random.default_rng(40)
+    rows = np.sort(rng.choice(n_off, n_rows, replace=False))[:, None]
+    cand = rng.random((n_rows, 500)) < 0.7
+    cand[:, :20] = False
+    # lane 20: 256 rows (all, when fewer) tie, a count that wraps a byte
+    cand[:, 20] = np.arange(n_rows) < 256
+    offers = np.where(np.arange(500) < 250, rng.random(cand.shape),
+                      rng.integers(0, 3, cand.shape) * 0.5) * cand
+    offers[:, 20] = 0.5 * cand[:, 20]
+    ranks = rng.integers(0, 3, cand.shape) / 2.0
+    asked = []
+
+    def ranks_of(lanes):
+        asked.append(lanes)
+        return ranks[:, lanes]
+
+    took = _top_offer(offers.copy(), cand, ranks_of, rows)
+    for t in range(cand.shape[1]):
+        best = min((-offers[i, t], ranks[i, t], rows[i, 0])
+                   for i in range(n_rows) if cand[i, t]) if cand[:, t].any() else None
+        assert took[t] == (-1 if best is None else best[2])
+    # ranks are read only where two or more candidates tie for the top
+    tied = (offers == offers.max(axis=0)) & cand
+    assert np.array_equal(np.concatenate(asked), np.flatnonzero(tied.sum(axis=0) > 1))
