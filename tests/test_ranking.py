@@ -411,7 +411,7 @@ def test_top_offer_applies_the_tie_rule_row_by_row(n_rows, n_off):
         asked.append(lanes)
         return ranks[:, lanes]
 
-    took = _top_offer(offers.copy(), cand, ranks_of, rows)
+    took = _top_offer(offers, cand, ranks_of, rows)
     for t in range(cand.shape[1]):
         best = min((-offers[i, t], ranks[i, t], rows[i, 0])
                    for i in range(n_rows) if cand[i, t]) if cand[:, t].any() else None
