@@ -52,6 +52,12 @@ GOLDEN = {
         "d2de538c2608bb25a07913bad1f0d871fccc0a063155327b2cde3d224144f9aa",
     ("pair-gain", *EDGE, "--grid", "40"):
         "28257671197b679f3efbf77caa249731e91490b1b601739be20caa965d2f9f89",
+    ("pair-gain", *EDGE, "--spec", "adversarial", "--grid", "40"):
+        "02a55b657ecf03c225f809ec31d2ea3ec025fb67dd84078e90365e05b7994b61",
+    # unit weights and a saturating curve: u's offers tie exactly
+    ("pair-gain", "--gen", "upper_triangular", "--n", "6", "--spec", "simple-exp",
+     "--grid", "40"):
+        "13e99ae49c4d756e4b51e493f35dca8fcdc15fc7447731085df6cf66b76e4033",
     ("thresholds", *EDGE, "--grid", "16", "--format", "csv"):
         "61f9f2b8ba6007d3e9687c1845a41147058ad7a54ae17a5c28f78621c242efa2",
     ("simulate", "--gen", "weighted_random", "--n", "6", "--p", "0.5", "--trials", "50"):
