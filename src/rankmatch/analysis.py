@@ -146,8 +146,8 @@ class PairSweep:
         rank_of = base_ranks.ranks
         self.y_on = np.array([rank_of[u] for u in instance.online_ids], dtype=float)
         self.y_off = np.array([rank_of[v] for v in instance.offline_ids], dtype=float)
-        self.b_on = np.asarray(spec.offer_parts(self.y_on)[1], dtype=float)
-        self.a_off = np.asarray(spec.offer_parts(self.y_off)[0], dtype=float)
+        self.b_on = spec.offer_parts(self.y_on)[1]
+        self.a_off = spec.offer_parts(self.y_off)[0]
         # the arrival order of the other online vertices, by rank then id
         rest = np.argsort(self.y_on, kind="stable")
         self.rest = rest[rest != self.u_idx]

@@ -200,7 +200,7 @@ def solve_curve_equals_two_t(spec: GainSpec) -> float:
     For both built-in exp curves the crossing exists and is unique:
     curve(0) > 0 and curve(1) <= 1 < 2.
     """
-    return bisect_boundary(lambda t: float(spec.curve(t)) > 2.0 * t, 0.0, 1.0, ROOT_TOL)
+    return bisect_boundary(lambda t: spec.curve_scalar(t) > 2.0 * t, 0.0, 1.0, ROOT_TOL)
 
 
 def stationary_tau(spec: GainSpec, gamma: float) -> tuple[float, float]:

@@ -6,8 +6,8 @@ tag, trial index) for the suites, so any single trial reproduces in
 isolation and parallel or serial execution order cannot change results.
 
 A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
-them at a time, with offer parts from GainSpec.offer_parts_exact (bit for
-bit the scalar ones), and re-runs trial 0 through the scalar run_ranking
+them at a time, with offer parts from GainSpec.offer_parts (bit for bit
+the scalar ones), and re-runs trial 0 through the scalar run_ranking
 as a check of its partners and its ALG; the property suites call
 run_ranking trial by trial.
 """
@@ -104,7 +104,7 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
                     trials: range) -> np.ndarray:
     """run_lanes with one lane per trial: trial t's ranks are the
     rank_draws(instance, (seed, t)) sample_ranks assigns, and the offer
-    parts are offer_parts_exact's, bit for bit run_ranking's
+    parts come from offer_parts, bit for bit run_ranking's
     offer_parts_scalar values, so every lane makes run_ranking's choices.
     Returns the (n_online, T) partner indices."""
     n_off = len(instance.offline)
@@ -113,8 +113,8 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
         ranks[:, k] = rank_draws(instance, (seed, t))
     off, on = ranks[:n_off], ranks[n_off:]
     order = np.argsort(on, axis=0, kind="stable")
-    return run_lanes(instance, order, off, spec.offer_parts_exact(on)[1],
-                     spec.offer_parts_exact(off)[0], np.ones(off.shape, dtype=bool))
+    return run_lanes(instance, order, off, spec.offer_parts(on)[1],
+                     spec.offer_parts(off)[0], np.ones(off.shape, dtype=bool))
 
 
 def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,

@@ -19,8 +19,9 @@ f, s + r (y - x0) + p e^(y + t) from x0 to the next piece, and a map
 a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an exp curve is
 one exp piece and then the constant 1, a table one affine piece per
 segment with np.interp's slope. For the adversarial kind f is a, one exp
-piece. The rest is generic: a and b (offer_parts, offer_parts_scalar
-and offer_parts_exact, the scalar values over arrays), A = int a and B = int b from a running total at each piece start
+piece. The rest is generic: a and b by two evaluators (offer_parts_scalar,
+the reference, and offer_parts, its values over arrays bit for bit; curve
+is 2 b), A = int a and B = int b from a running total at each piece start
 (rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
 (offer_inverse), the kinks (curve_breakpoints), and c' <= c, which gives
 d share/dy = -c'(y)/2 >= share - 1: r <= s on every piece, so a table is
@@ -54,7 +55,7 @@ _PIECES = {
 # ((a0, a1), (b0, b1)), for a = a0 + a1 f and b = b0 + b1 f
 _CURVE_SPLIT = ((0.5, -0.5), (0.0, 0.5))
 _SPLITS = {ADVERSARIAL: ((0.0, 1.0), (0.0, 0.0))}
-# values per math.exp pass of offer_parts_exact: each pass makes one list of
+# values per math.exp pass of offer_parts: each pass makes one list of
 # Python floats, so a chunk bounds that list's memory
 EXP_CHUNK = 4096
 
@@ -63,16 +64,12 @@ class GainSpecError(ValueError):
     """Invalid gain specification or out-of-domain evaluation."""
 
 
-def _check_unit(name: str, value) -> None:
+def _check_unit(name: str, value) -> np.ndarray:
+    """value as a float array, refused unless every entry lies in [0, 1]."""
     arr = np.asarray(value, dtype=float)
     if not ((arr >= 0.0) & (arr <= 1.0)).all():     # nan fails both
         raise GainSpecError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _affine(k0: float, k1: float, x):
-    """k0 + k1 x over an array, skipping an add of 0 and a multiply by 1."""
-    x = x if k1 == 1.0 else k1 * x
-    return k0 + x if k0 else x
+    return arr
 
 
 def _antiderivative(part: int, doc: str):
@@ -137,7 +134,7 @@ class GainSpec:
         # per piece, for the scalar paths: its end, the piece, a's and b's own
         # constant and exp coefficients, the map, and F0 = int_0^x0 f and
         # q = p e^(x0 + t): int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q;
-        # _cols holds the first ten as arrays, for offer_parts_exact
+        # _cols holds the first ten as arrays, for offer_parts
         split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
         rows, total = [], 0.0
         for (x0, s, r, p, t), x1 in zip(pieces, (*(x0 for x0, *_ in pieces[1:]), 1.0)):
@@ -154,22 +151,13 @@ class GainSpec:
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
-    def _f(self, y: np.ndarray):
-        """f over an array in [0, 1]: the first piece's expression, then
-        each later piece's from its start on."""
-        for x0, s, r, p, t in self.pieces:
-            g = _affine(s, p, np.exp(y + t)) if p else _affine(s, r, y - x0) if r else s
-            f = np.where(y >= x0, g, f) if x0 else g
-        return f
-
     # -- the curve ----------------------------------------------------
 
     def curve(self, x):
         """Curve value c(x); accepts scalars or numpy arrays in [0, 1]."""
         if self.kind == ADVERSARIAL:
             raise GainSpecError("the adversarial baseline has no underlying curve")
-        _check_unit("curve argument", x)
-        return self._f(np.asarray(x, dtype=float))
+        return 2.0 * self.offer_parts(x)[1]      # b = c / 2
 
     def curve_scalar(self, x: float) -> float:
         """curve() for scalar paths: plain math, no domain validation."""
@@ -178,14 +166,6 @@ class GainSpec:
         return 2.0 * self.offer_parts_scalar(x)[1]      # b = c / 2
 
     # -- the additive offer split -------------------------------------
-
-    def offer_parts(self, y):
-        """(a(y), b(y)): the parts of the offer set by the offline rank y
-        and by the arrival time y; accepts scalars or numpy arrays in [0, 1]."""
-        _check_unit("offer argument", y)
-        f = self._f(np.asarray(y, dtype=float))
-        (a0, a1), (b0, b1) = self._split
-        return _affine(a0, a1, f), _affine(b0, b1, f)
 
     def offer_parts_scalar(self, y: float) -> tuple[float, float]:
         """offer_parts() for scalar hot paths, no domain validation: an exp
@@ -202,13 +182,15 @@ class GainSpec:
             return a0 + a1 * f, b0 + b1 * f
         return sa, sb
 
-    def offer_parts_exact(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """offer_parts_scalar over an array, bit for bit, no domain
-        validation: each value's piece by the scalar y < end rule, affine
-        maps by numpy + and * (rounded as Python floats are), and math.exp,
-        EXP_CHUNK values at a time, on exp pieces only, as numpy's exp can
-        differ from it by an ulp."""
-        y = np.asarray(y, dtype=float)
+    def offer_parts(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(a(y), b(y)): the parts of the offer set by the offline rank y
+        and by the arrival time y, as float arrays of y's shape; y is a
+        scalar or a numpy array in [0, 1]. Bit for bit offer_parts_scalar:
+        each value's piece by the scalar y < end rule, affine maps by numpy
+        + and * (rounded as Python floats are), and math.exp, EXP_CHUNK
+        values at a time, on exp pieces only, as numpy's exp can differ
+        from it by an ulp."""
+        y = _check_unit("rank or time", y)
         flat = y.ravel()
         ends, x0, s, r, p, t, sa, pa, sb, pb = self._cols
         i = np.searchsorted(ends, flat, "right")

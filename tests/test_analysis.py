@@ -45,8 +45,8 @@ def test_sweep_matches_scalar_engine():
         res = sweep.run(y_u, y_v)
         for i in range(25):
             _, duals = vary_two_ranks(inst, spec, base, u, v, y_u[i], y_v[i])
-            assert duals.alpha[u] == pytest.approx(res.alpha_u[i], abs=1e-12)
-            assert duals.alpha[v] == pytest.approx(res.alpha_v[i], abs=1e-12)
+            assert duals.alpha[u] == res.alpha_u[i]
+            assert duals.alpha[v] == res.alpha_v[i]
             st = edge_status(inst, spec, base, u, v, y_u[i], y_v[i])
             assert st == res.status[i]
 
@@ -63,7 +63,7 @@ def test_sweep_handles_equal_rank_pairs_on_diagonal():
     res = PairSweep(inst, half_exp(), base, u, v).run(pts, pts)
     for i, y in enumerate(pts):
         _, duals = vary_two_ranks(inst, half_exp(), base, u, v, y, y)
-        assert duals.alpha[u] == pytest.approx(res.alpha_u[i], abs=1e-12)
+        assert duals.alpha[u] == res.alpha_u[i]
 
 
 def test_sweep_matches_scalar_engine_with_zero_weight_vertex():
@@ -80,8 +80,8 @@ def test_sweep_matches_scalar_engine_with_zero_weight_vertex():
     for i in range(30):
         _, duals = vary_two_ranks(inst, half_exp(), base, "u2", "v3",
                                   y_u[i], y_v[i])
-        assert duals.alpha["u2"] == pytest.approx(res.alpha_u[i], abs=1e-12)
-        assert duals.alpha["v3"] == pytest.approx(res.alpha_v[i], abs=1e-12)
+        assert duals.alpha["u2"] == res.alpha_u[i]
+        assert duals.alpha["v3"] == res.alpha_v[i]
 
 
 def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
@@ -96,7 +96,7 @@ def test_sweep_orders_arrival_ties_by_id_like_the_scalar_engine():
     assert status == UNMATCHED_AFTER
     assert res.status[0] == status
     assert res.alpha_u[0] == duals.alpha["u2"] == 0.0
-    assert res.alpha_v[0] == pytest.approx(duals.alpha["v2"], abs=1e-12)
+    assert res.alpha_v[0] == duals.alpha["v2"]
 
 
 def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
@@ -141,8 +141,8 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
             for i in range(y_u.size):
                 _, duals = vary_two_ranks(inst, spec, base, "u2", offline_id,
                                           y_u[i], y_v[i])
-                assert res.alpha_u[i] == pytest.approx(duals.alpha["u2"], abs=1e-12)
-                assert res.alpha_v[i] == pytest.approx(duals.alpha[offline_id], abs=1e-12)
+                assert res.alpha_u[i] == duals.alpha["u2"]
+                assert res.alpha_v[i] == duals.alpha[offline_id]
                 assert res.status[i] == edge_status(inst, spec, base, "u2",
                                                     offline_id, y_u[i], y_v[i])
     # the ties decide the run: at 0.3, u1 goes first and takes v1; at 0.6,
@@ -165,8 +165,8 @@ def all_lanes_sweep(sweep, y_u, y_v):
     n = y_u.size
     out = SweepResult(alpha_u=np.empty(n), alpha_v=np.empty(n),
                       status=np.empty(n, dtype=np.int8))
-    b_u = np.asarray(sweep.spec.offer_parts(y_u)[1], dtype=float)
-    a_v = np.asarray(sweep.spec.offer_parts(y_v)[0], dtype=float)
+    b_u = sweep.spec.offer_parts(y_u)[1]
+    a_v = sweep.spec.offer_parts(y_v)[0]
     u, v, w = sweep.u_idx, sweep.v_idx, sweep.w
     k = np.arange(sweep.y_on.size)[:, None]
     for start in range(0, n, LANE_BLOCK):
@@ -221,7 +221,9 @@ def oracle_lanes(rng, base, kind, n):
                                                     "adversarial", "table"])
 def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
     # unit weights with simple-exp (saturated) and the table's flat part
-    # make offer ties; lanes on {0, 1/2, 1} or at base ranks tie arrivals
+    # make offer ties; lanes on {0, 1/2, 1} or at base ranks tie arrivals.
+    # The first base-rank lanes are also re-run through the scalar engine,
+    # which must give the same alpha_u, alpha_v and status bit for bit
     rng = np.random.default_rng(30)
     for trial in range(30):
         inst = random_instance(rng, weighted=weighted)
@@ -231,7 +233,12 @@ def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
         sweep = PairSweep(inst, spec, base, u, v)
         for kind in ("uniform", "halves", "base-ranks"):
             y_u, y_v = oracle_lanes(rng, base, kind, int(rng.integers(1, 300)))
-            assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
+            res = sweep.run(y_u, y_v)
+            assert_sweeps_equal(res, all_lanes_sweep(sweep, y_u, y_v))
+        for i in range(min(12, y_u.size)):
+            _, duals = vary_two_ranks(inst, spec, base, u, v, y_u[i], y_v[i])
+            assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha[u], duals.alpha[v])
+            assert res.status[i] == edge_status(inst, spec, base, u, v, y_u[i], y_v[i])
 
 
 def test_sweep_matches_all_lanes_oracle_at_the_edges():
@@ -276,7 +283,7 @@ def test_sweep_reads_v_partner_by_y_v_and_u_partner():
     assert matched.tolist() == [False] * 6 + [True] * 6 + [False] * 3
     for i in range(y_u.size):
         _, duals = vary_two_ranks(inst, half_exp(), base, "u1", "v", y_u[i], y_v[i])
-        assert res.alpha_v[i] == pytest.approx(duals.alpha["v"], abs=1e-12)
+        assert res.alpha_v[i] == duals.alpha["v"]
 
 
 @pytest.fixture

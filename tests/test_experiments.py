@@ -256,7 +256,7 @@ def test_property_report_serialization():
 
 
 def test_only_the_trial_zero_check_calls_offer_parts_scalar(monkeypatch):
-    # the lanes take their offer parts from offer_parts_exact: a T-trial
+    # the lanes take their offer parts from the array offer_parts: a T-trial
     # experiment makes exactly the scalar calls of one run_ranking
     inst = generate_instance("upper_triangular", {"n": 12}, 0)
     calls = []

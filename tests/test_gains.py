@@ -264,7 +264,7 @@ def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
             want_scalar = [wi * 0.5 * (1.0 - spec.curve_scalar(a) + spec.curve_scalar(b))
                            for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
         else:
-            want = w * (1.0 - np.exp(y_v - 1.0))
+            want = w * np.array([1.0 - math.exp(a - 1.0) for a in y_v.tolist()])
             want_scalar = [wi * (1.0 - math.exp(a - 1.0)) for wi, a in
                            zip(w.tolist(), y_v.tolist())]
         got = w * (spec.offer_parts(y_v)[0] + spec.offer_parts(y_u)[1])
@@ -308,36 +308,21 @@ def test_offer_parts_scalar_is_both_offer_parts_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
                          ids=lambda spec: spec.kind)
-def test_offer_parts_exact_is_offer_parts_scalar_bit_for_bit(spec):
-    # the grid with its kinks, every table knot and the top float below 1,
-    # then random values up to three math.exp chunks, so chunk seams fall
-    # inside the array; once flat and once as a 2-D block
+def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
+    # reference: offer_parts_scalar value by value, on the grid with its
+    # kinks, every table knot and the top float below 1, then random values
+    # up to three math.exp chunks, so chunk seams fall inside the array;
+    # flat, as a 2-D block, as a column, 0-d and np.float64
     ys = unit_grid_with_kinks(spec) + [*spec.breakpoints, math.nextafter(1.0, 0.0)]
     ys += np.random.default_rng(6).random(3 * EXP_CHUNK - len(ys)).tolist()
-    want = [[v.hex() for v in spec.offer_parts_scalar(y)] for y in ys]
-    for y in (np.array(ys), np.array(ys).reshape(96, -1)):
-        a, b = spec.offer_parts_exact(y)
-        assert a.shape == b.shape == y.shape
+    for y in (np.array(ys), np.array(ys).reshape(96, -1), np.array(ys).reshape(-1, 1),
+              0.25, np.float64(LN2)):
+        a, b = spec.offer_parts(y)
+        assert a.dtype == b.dtype == float
+        assert a.shape == b.shape == np.shape(y)
+        want = [[v.hex() for v in spec.offer_parts_scalar(x)] for x in np.ravel(y).tolist()]
         assert [[x.hex(), z.hex()] for x, z in zip(a.ravel().tolist(),
                                                    b.ravel().tolist())] == want
-
-
-@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
-                         ids=lambda spec: spec.kind)
-def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
-    # reference: a(y) and b(y) written out per kind for arrays, each on its own
-    if spec.kind == ADVERSARIAL:
-        def want(y):
-            return 1.0 - np.exp(np.asarray(y, dtype=float) - 1.0), np.zeros(np.shape(y))
-    else:
-        def want(y):
-            return 0.5 * (1.0 - spec.curve(y)), 0.5 * spec.curve(y)
-    ys = np.array(unit_grid_with_kinks(spec))
-    for y in (ys, ys.reshape(-1, 1), 0.25, np.float64(LN2)):
-        got, expected = spec.offer_parts(y), want(y)
-        for part, ref in zip(got, expected):
-            assert np.shape(part) == np.shape(ref)
-            assert np.array_equal(part, ref)
     with pytest.raises(GainSpecError):
         spec.offer_parts(np.array([0.5, 1.5]))
     with pytest.raises(GainSpecError):
@@ -404,8 +389,8 @@ def test_spec_pickles_with_its_pieces(spec):
     def values(s):
         out = [v for y in ys for v in (*s.offer_parts_scalar(y), s.rank_offer_antideriv(y),
                                        s.time_offer_antideriv(y))]
-        out += [*s.offer_inverse(z, 0), *s.offer_inverse(0.5 * z, 1), *s.offer_parts(ys)[0],
-                *s.offer_parts_exact(ys)[1]]
+        out += [*s.offer_inverse(z, 0), *s.offer_inverse(0.5 * z, 1),
+                *np.ravel(s.offer_parts(ys))]
         return [float(v).hex() for v in out]
 
     before = values(spec)
