@@ -134,7 +134,7 @@ class GainSpec:
         # per piece, for the scalar paths: its end, the piece, a's and b's own
         # constant and exp coefficients, the map, and F0 = int_0^x0 f and
         # q = p e^(x0 + t): int_0^y f = F0 + s h + r h^2 / 2 + p e^(y + t) - q;
-        # _cols holds the first ten as arrays, for offer_parts
+        # _cols holds the first ten as contiguous arrays, for offer_parts
         split = (a0, a1), (b0, b1) = _SPLITS.get(self.kind, _CURVE_SPLIT)
         rows, total = [], 0.0
         for (x0, s, r, p, t), x1 in zip(pieces, (*(x0 for x0, *_ in pieces[1:]), 1.0)):
@@ -147,7 +147,7 @@ class GainSpec:
             h = x1 - x0
             total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
-                            ("_cols", np.array(rows)[:, :10].T),
+                            ("_cols", tuple(map(np.array, zip(*rows)))[:10]),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
