@@ -308,15 +308,29 @@ def test_offer_parts_scalar_is_both_offer_parts_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
                          ids=lambda spec: spec.kind)
-def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
-    # reference: offer_parts_scalar value by value, on the grid with its
-    # kinks, every table knot and the top float below 1, then random values
-    # up to three math.exp chunks, so chunk seams fall inside the array;
-    # flat, as a 2-D block, as a column, 0-d and np.float64
+def test_offer_parts_exact_is_offer_parts_scalar_bit_for_bit(spec):
+    # offer_parts, the exact array evaluator, is offer_parts_scalar value by
+    # value: on the grid with its kinks, every table knot and the top float
+    # below 1, then random values up to three math.exp chunks, so chunk seams
+    # fall inside the array; once flat and once as a 2-D block
     ys = unit_grid_with_kinks(spec) + [*spec.breakpoints, math.nextafter(1.0, 0.0)]
     ys += np.random.default_rng(6).random(3 * EXP_CHUNK - len(ys)).tolist()
-    for y in (np.array(ys), np.array(ys).reshape(96, -1), np.array(ys).reshape(-1, 1),
-              0.25, np.float64(LN2)):
+    want = [[v.hex() for v in spec.offer_parts_scalar(y)] for y in ys]
+    for y in (np.array(ys), np.array(ys).reshape(96, -1)):
+        a, b = spec.offer_parts(y)
+        assert a.shape == b.shape == y.shape
+        assert [[x.hex(), z.hex()] for x, z in zip(a.ravel().tolist(),
+                                                   b.ravel().tolist())] == want
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
+def test_offer_parts_is_both_offer_parts_bit_for_bit(spec):
+    # reference: offer_parts_scalar value by value on the grid with its
+    # kinks; float arrays of the input's shape for a column, 0-d and
+    # np.float64; the [0, 1] domain check on 1.5 and on nan
+    ys = np.array(unit_grid_with_kinks(spec))
+    for y in (ys, ys.reshape(-1, 1), 0.25, np.float64(LN2)):
         a, b = spec.offer_parts(y)
         assert a.dtype == b.dtype == float
         assert a.shape == b.shape == np.shape(y)
