@@ -11,18 +11,16 @@ saturates) break toward the smaller offline rank, then the smaller id.
 run_ranking is the scalar engine: one run, with an optional arrival trace.
 run_lanes runs the same rules over many rank assignments at once, one
 lane per assignment, in lockstep with numpy; its callers hand it blocks of
-at most lane_block(rows) lanes. The tie rule has two array forms:
-run_lanes puts each lane's offline vertices in rank order once, so that
-every choice is the first maximum, and _top_offer applies the rule to rows
-in id order, for a caller with one choice per lane (PairSweep's u step),
-and asks for ranks only on lanes where two rows tie for the top offer.
+at most lane_block(rows) lanes. run_lanes puts each lane's offline vertices
+in rank order once, so that every choice is the first maximum; PairSweep
+in analysis applies the rule to u's single step itself, over rows in id
+order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,46 +118,6 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
 
     result = matching_result(instance, pairs)
     return result, SimulationTrace(arrivals=tuple(records), match_time=match_time)
-
-
-def _top_offer(offers: np.ndarray, cand: np.ndarray,
-               ranks: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """One arrival's choice in every lane: the top offer among its
-    candidates, ties to the smaller rank, then the smaller row.
-
-    This is the tie rule over rows in index order, for a caller that makes
-    one choice per lane: run_lanes sorts each lane's rows by rank instead,
-    which pays back only over many arrivals. (In PairSweep's u step, where
-    the rank order of u's neighbors depends on y_v alone, sorting them once
-    per y_v value and taking the first maximum of the offers in that order
-    cut the pair-gain-corpus benchmark from 220 and 214 to 133 and 131
-    estimates/s, in two paired 9-s runs on a 2-vCPU host.)
-
-    offers and cand are (rows, T) arrays over the same offline rows; rows
-    is the increasing (rows, 1) column of their offline indices. offers
-    holds each candidate's offer w * (a + b) >= 0 and 0 off the
-    candidates. ranks(lanes) gives the (rows, lanes.size) offline ranks of
-    the given lanes; it is called only on lanes where two or more rows tie
-    for the top offer. Returns the offline index each lane takes, -1 where
-    it has no candidate.
-    """
-    # offers are >= 0, so a non-candidate's 0 never beats a candidate,
-    # and a lane matches iff some candidate ties for the top offer
-    tied = offers == offers.max(axis=0)
-    tied &= cand
-    # the 0/1 bytes of tied sum and weigh without a cast; on a lane with
-    # one tied row, the weighted sum is that row's index
-    ones = tied.view(np.uint8)
-    n_tied = ones.sum(axis=0, dtype=np.min_scalar_type(rows.size))
-    narrow = rows.astype(np.min_scalar_type(int(rows[-1, 0])))
-    took = np.where(n_tied > 0, (ones * narrow).sum(axis=0, dtype=narrow.dtype),
-                    np.intp(-1))
-    multi = np.flatnonzero(n_tied > 1)
-    if multi.size:
-        t, r = tied[:, multi], ranks(multi)
-        low = np.where(t, r, np.inf).min(axis=0)
-        took[multi] = np.where(t & (r == low), rows, np.iinfo(np.intp).max).min(axis=0)
-    return took
 
 
 def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,

@@ -286,6 +286,28 @@ def test_sweep_reads_v_partner_by_y_v_and_u_partner():
         assert res.alpha_v[i] == duals.alpha["v"]
 
 
+def test_sweep_breaks_wide_ties_like_the_scalar_engine():
+    # u has 256 unit-weight neighbors of base rank >= 1/2, where simple-exp's
+    # a is 0, so their offers tie; v is the highest-index one. u0 (0.2)
+    # takes another, so a y_u = 0.05 lane sees 256 ties, a count that
+    # wraps a byte; y_v < 1/2 lanes see v alone on top, at a row index
+    # wider than a byte
+    rng = np.random.default_rng(41)
+    ids = [f"v{i:03d}" for i in range(400)]
+    nbrs = [ids[i] for i in np.sort(rng.choice(400, 256, replace=False))]
+    inst = build_instance([(x, 1.0) for x in ids], [("u0", [nbrs[0]]), ("u", nbrs)])
+    ranks = dict(zip(ids, rng.random(400)))
+    ranks.update({x: 0.5 + rng.random() / 2 for x in nbrs}, u0=0.2, u=0.6)
+    base, v = RankAssignment(ranks), nbrs[-1]
+    grid = [0.05, 0.3, 0.55, 0.7, 0.95, 1.0]
+    y_u, y_v = np.repeat(grid, 6), np.tile(grid, 6)
+    res = PairSweep(inst, simple_exp(), base, "u", v).run(y_u, y_v)
+    for i in range(y_u.size):
+        _, duals = vary_two_ranks(inst, simple_exp(), base, "u", v, y_u[i], y_v[i])
+        assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha["u"], duals.alpha[v])
+        assert res.status[i] == edge_status(inst, simple_exp(), base, "u", v, y_u[i], y_v[i])
+
+
 @pytest.fixture
 def lane_counts(monkeypatch):
     """Lane count of every run_lanes call PairSweep makes."""
@@ -660,6 +682,18 @@ def test_thresholds_make_one_sweep_run(monkeypatch):
             thetas.append(_flip(ends, [x != UNMATCHED_AFTER for x in st], ""))
         assert calls == [lanes]
         assert (prof.beta, prof.theta) == (tuple(betas), tuple(thetas))
+
+
+@pytest.mark.parametrize("grid, named", [
+    ([], "nonempty and inside"), ([-0.1, 0.5], "nonempty and inside"),
+    ([0.5, 1.5], "nonempty and inside"), ([0.2, math.nan], "nonempty and inside"),
+    ([math.nan], "nonempty and inside"), ([0.5, 0.5], "strictly increasing"),
+    ([0.6, 0.4], "strictly increasing"),
+], ids=["empty", "below-0", "above-1", "trailing-nan", "nan", "repeat", "decreasing"])
+def test_thresholds_reject_bad_grids(grid, named):
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)], [("u1", ["v1", "v2"])])
+    with pytest.raises(AnalysisError, match=f"y_u grid must be {named}"):
+        compute_thresholds(inst, half_exp(), sample_ranks(inst, 0), "u1", "v1", grid)
 
 
 def test_thresholds_beta_jumps_at_competitor_arrival():

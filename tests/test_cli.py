@@ -399,8 +399,10 @@ def test_lane_check_failure_exits_one(monkeypatch, capsys):
     (("verify", "--scale", "nan"), "scale must be positive and finite, got nan"),
     (("pair-gain", "--gen", "complete", "--n", "2", "--grid", "100000"),
      "grid_n = 100000 makes 10000000000 cells, more than MAX_CELLS = 10000000"),
+    (("thresholds", "--gen", "complete", "--n", "2", "--grid", "0"),
+     "y_u grid must be nonempty and inside [0, 1]"),
 ], ids=["heatmap-grid-1", "heatmap-grid-0", "verify-scale-inf", "verify-scale-nan",
-        "pair-gain-grid-cells"])
+        "pair-gain-grid-cells", "thresholds-grid-0"])
 def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

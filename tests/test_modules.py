@@ -19,7 +19,19 @@ def top_level_repeats(path: Path) -> list[str]:
     return sorted(name for name, count in names.items() if count > 1)
 
 
-MODULES = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("src/rankmatch/*.py")])
+def private_imports(path: Path) -> list[str]:
+    """Leading-underscore names a module imports from a sibling package
+    module (a relative import): a private helper with a caller outside
+    its module belongs with that caller, or is public."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted("." * node.level + (f"{node.module}." if node.module else "") + alias.name
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level >= 1
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+PACKAGE = sorted(ROOT.glob("src/rankmatch/*.py"))
+MODULES = sorted([*ROOT.glob("tests/*.py"), *PACKAGE])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
@@ -32,3 +44,16 @@ def test_repeat_check_sees_a_shadowed_definition(tmp_path):
     path.write_text("def test_a():\n    pass\n\n\nclass B:\n    pass\n\n\n"
                     "def test_a():\n    assert False\n\n\nasync def c():\n    pass\n")
     assert top_level_repeats(path) == ["test_a"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_package_module_imports_a_private_name(path):
+    assert private_imports(path) == []
+
+
+def test_private_import_check_sees_relative_imports_only(tmp_path):
+    path = tmp_path / "importer.py"
+    path.write_text("from .ranking import _top, run\nfrom . import _util\n"
+                    "from numpy import _core\nimport os\n\n\n"
+                    "def f():\n    from ..core import _hidden as h\n    return h\n")
+    assert private_imports(path) == ["..core._hidden", "._util", ".ranking._top"]
