@@ -15,8 +15,9 @@ gain of the pair over uniformly random (y_u, y_v) by midpoint quadrature.
 Re-running the scalar simulation per grid cell would dominate everything,
 so PairSweep lays the (y_u, y_v) values out as lanes. Once u has taken p,
 the other arrivals run as they would without u and with p gone from the
-start, so one table of runs through ranking.run_lanes, keyed by y_v and
-the vertex gone (none, or one of u's neighbors other than v), answers
+start, and y_v moves that run only at the edge's shared cuts, so one table
+of runs through ranking.run_lanes, keyed by the shared piece holding y_v
+and the vertex gone (none, or one of u's neighbors other than v), answers
 every lane; u's own choice and the split of the pair's gains are then
 per-lane arithmetic. PairSweep.run takes lanes in any shape its inputs
 broadcast to, and reads a zero-stride axis (a np.broadcast_to view) as one
@@ -25,10 +26,10 @@ pair_gain makes one run over its grid_n x grid_n cells, passing full-shape
 views of one midpoint column and one row: run does per-axis work on grid_n
 values, and a caller that counts lanes by the inputs' size still sees one
 per cell. compute_thresholds makes one run over flat lanes, one per piece
-of its grid; tau and gamma classify their pieces with edge_status. Every
-lane follows run_ranking's rules, ties included; the scalar path
-(vary_two_ranks, edge_status) stays the reference, and tests cross-check
-the two.
+of its grid, cut by the shared cuts and u's own; tau and gamma classify
+their pieces with edge_status. Every lane follows run_ranking's rules,
+ties included; the scalar path (vary_two_ranks, edge_status) stays the
+reference, and tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -104,16 +105,20 @@ class PairSweep:
 
     __init__ evaluates the spec once on the base ranks: a column of
     arrival times with their offer parts b, and a column of offline ranks
-    with their offer parts a, and sorts the other online vertices into
-    their arrival order. A lane is one (y_u, y_v). run() rests on one
-    fact: once u has taken p, the run of the other arrivals is their run
-    in base order with p gone from the start and u never arriving. Before
-    u, no arrival took p, and removing a vertex an arrival does not take
-    leaves its choice as it was; after u, the free sets are equal. So
-    every run depends only on (y_v, gone), gone being none or one of u's
-    neighbors other than v. A run costs deg(u) table runs per distinct
-    key, a rank of v at which those runs are the lane's (y_v itself by
-    default), which suits its callers, whose keys take few values:
+    with their offer parts a; it sorts the other online vertices into
+    their arrival order and computes the shared cuts. A lane is one
+    (y_u, y_v). run() rests on one fact: once u has taken p, the run of
+    the other arrivals is their run in base order with p gone from the
+    start and u never arriving. Before u, no arrival took p, and removing
+    a vertex an arrival does not take leaves its choice as it was; after
+    u, the free sets are equal. So every run depends only on (y_v, gone),
+    gone being none or one of u's neighbors other than v, and on y_v only
+    through the piece of the shared cuts that holds it: without u, y_v
+    moves the run only where v's offer to an arrival j crosses a rival's,
+    w_v (a(y_v) + b(y_j)) = w_q (a(y_q) + b(y_j)), at the rivals' ranks
+    y_q, where tied offers go to the smaller rank, and at the curve kinks.
+    A lane's key is its piece's midpoint, or y_v itself on a piece end; a
+    run costs deg(u) table runs per distinct key:
 
     1. Table. For every distinct key and every gone, one run of the other
        arrivals without u. The gone = none runs give the arrival position
@@ -137,8 +142,8 @@ class PairSweep:
                  base_ranks: RankAssignment, online_id: str, offline_id: str):
         if not instance.has_edge(online_id, offline_id):
             raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
-        self.instance = instance
-        self.spec = spec
+        self.edge = (instance, spec, base_ranks, online_id, offline_id)
+        self.instance, self.spec = instance, spec
         self.u_idx = instance.online_ids.index(online_id)
         self.v_idx = instance.offline_ids.index(offline_id)
         self.w = np.array([w for _, w in instance.offline], dtype=float)
@@ -157,6 +162,32 @@ class PairSweep:
                                     for x in instance.neighbors[online_id]))
         self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
         self.block = lane_block(max(self.y_on.size, self.w.size))
+        # the shared cuts: v's rivals' ranks at every neighbor of v, u
+        # included, and v's crossings at the others, inverted at once
+        shared, targets = [], []
+        for j, nbrs in instance.neighbors.items():
+            if offline_id in nbrs:
+                shared += [rank_of[q] for q in nbrs if q != offline_id]
+                targets += self._crossings(j, spec.offer_parts_scalar(
+                    rank_of[j])[1]) if j != online_id else []
+        self.shared_cuts = shared + spec.offer_inverse(targets, 0).tolist()
+        self.ends, self.mids = map(np.array, _pieces(spec, self.shared_cuts))
+
+    def _crossings(self, online_id, b) -> list[float]:
+        """The a(y_v) at which v's offer to online_id, of time part b,
+        crosses that of another of its neighbors q, w_v (a(y_v) + b) =
+        w_q (a(y_q) + b). With w_q = w_v they cross at y_q, a shared cut."""
+        instance, spec, base_ranks, _, v = self.edge
+        w = instance.weights
+        return [w[q] * (spec.offer_parts_scalar(base_ranks.ranks[q])[0] + b) / w[v] - b
+                for q in instance.neighbors[online_id] if q != v and w[q] != w[v] > 0.0]
+
+    def own_cuts(self, y_us) -> list[list[float]]:
+        """Per arrival time y in y_us, u's own cuts along y_v: the crossings
+        of v's offer to u, in one inverse, as u's rows are equally long."""
+        targets = [z for y in y_us for z in self._crossings(
+            self.edge[3], self.spec.offer_parts_scalar(y)[1])]
+        return self.spec.offer_inverse(targets, 0).reshape(len(y_us), -1).tolist()
 
     def _table(self, y_vs, small):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
@@ -256,29 +287,31 @@ class PairSweep:
             before, np.int8(MATCHED_BEFORE), np.int8(UNMATCHED_AFTER)))
         return alpha_u, alpha_v, status
 
-    def run(self, y_u, y_v, key=None) -> SweepResult:
-        """Simulate every lane of the shape that y_u, y_v and key (y_v
-        when None) broadcast to, and return results in that shape; a
-        scalar is one lane of shape (1,). Shapes that do not broadcast
-        raise AnalysisError.
+    def run(self, y_u, y_v) -> SweepResult:
+        """Simulate every lane of the shape that y_u and y_v broadcast to,
+        and return results in that shape; a scalar is one lane of shape
+        (1,). Shapes that do not broadcast raise AnalysisError.
 
         Each input is first cut back to the values it holds: an axis of
         stride zero, as in a np.broadcast_to view, is read as length one.
         So a (n, m) view of an (n, 1) column costs n offer-part
-        evaluations and n arrival positions, not n * m. Flat 1-d inputs
-        take one value per lane, as before. Blocks tile the lane shape
-        with whole trailing axes where they fit, slicing axis 0 (and
-        further axes only when one row exceeds a block)."""
+        evaluations and n arrival positions, not n * m. Blocks tile the
+        lane shape with whole trailing axes where they fit, slicing axis 0
+        (and further axes only when one row exceeds a block)."""
         y_u, y_v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (y_u, y_v))
-        key = y_v if key is None else np.atleast_1d(np.asarray(key, dtype=float))
         try:
-            shape = np.broadcast(y_u, y_v, key).shape
+            shape = np.broadcast(y_u, y_v).shape
         except ValueError:
-            raise AnalysisError(f"y_u, y_v and key have shapes {y_u.shape}, {y_v.shape} "
-                                f"and {key.shape}, which do not broadcast") from None
-        y_u, y_v, key = (_compact(x, len(shape)) for x in (y_u, y_v, key))
+            raise AnalysisError(f"y_u and y_v have shapes {y_u.shape} and {y_v.shape}, "
+                                "which do not broadcast") from None
+        y_u, y_v = (_compact(x, len(shape)) for x in (y_u, y_v))
         # positions and indices, down to -1, fit this type
         small = np.min_scalar_type(-max(self.y_on.size, self.w.size))
+        a_v, b_u = self.spec.offer_parts(y_v)[0], self.spec.offer_parts(y_u)[1]
+        # the table key: the midpoint of y_v's shared piece, or y_v on a
+        # piece end, where the run can differ from both sides'
+        end = np.searchsorted(self.ends, y_v)
+        key = np.where(self.ends[end] == y_v, y_v, self.mids[end - 1])
         # not np.unique: without an index output it loads numpy.ma on its
         # first call, about 14 ms and 1.7 MB of peak RSS per process
         y_vs = np.sort(key, axis=None)
@@ -286,7 +319,6 @@ class PairSweep:
         # yv_of lives through the whole run, so in the narrowest type
         yv_of = np.searchsorted(y_vs, key).astype(np.min_scalar_type(y_vs.size))
         taken, v_by = self._table(y_vs, small)
-        a_v, b_u = self.spec.offer_parts(y_v)[0], self.spec.offer_parts(y_u)[1]
         # u arrives after the lower-index others of rank <= y_u and the
         # higher-index others of rank < y_u: a stable argsort's order
         pos = (np.searchsorted(self.ranks_before, y_u, "right")
@@ -385,35 +417,6 @@ def _flip(ends: list[float], left: list[bool], where: str) -> float:
     return ends[k]
 
 
-def _rank_cuts(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-               online_id: str, offline_id: str, y_us) -> tuple[list[float], list[list[float]]]:
-    """The cuts along y_v: those shared by every arrival time, and per y_u
-    in y_us the crossings of v's offer to u.
-
-    y_v moves the run only where v's offer to one of its neighbors j
-    crosses that of another neighbor q of j, w_v (a(y_v) + b(y_j)) =
-    w_q (a(y_q) + b(y_j)); at y_q, where tied offers go to the smaller
-    rank; and at the curve kinks. With w_q = w_v the offers cross at y_q.
-    """
-    rank_of, w, parts = base_ranks.ranks, instance.weights, spec.offer_parts_scalar
-    w_v = w[offline_id]
-
-    def crossings(j, b_j):
-        return [w[q] * (parts(rank_of[q])[0] + b_j) / w_v - b_j for q in instance.neighbors[j]
-                if q != offline_id and w[q] != w_v and w_v > 0.0]
-
-    shared, targets = [], []
-    for j, nbrs in instance.neighbors.items():
-        if offline_id in nbrs:
-            shared += [rank_of[q] for q in nbrs if q != offline_id]
-            targets += crossings(j, parts(rank_of[j])[1]) if j != online_id else []
-    # one inverse for all: u's rows are equally long, one per y_u
-    own = [z for y in y_us for z in crossings(online_id, parts(y)[1])]
-    inverse = spec.offer_inverse(targets + own, 0)
-    return (shared + inverse[:len(targets)].tolist(),
-            inverse[len(targets):].reshape(len(y_us), -1).tolist())
-
-
 def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                  online_id: str, offline_id: str):
     """_pieces along y_u with v at rank one.
@@ -431,17 +434,15 @@ def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     return _pieces(spec, cuts + spec.offer_inverse(targets, 1).tolist())
 
 
-def _tau_gamma(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-               online_id: str, offline_id: str) -> tuple[float, float]:
+def _tau_gamma(sweep: PairSweep) -> tuple[float, float]:
     """(tau, gamma): the earliest arrival time whose theta is one (v at rank
     one no longer left unmatched), and beta at arrival time one, from one
     scalar edge_status call per piece."""
-    edge = (instance, spec, base_ranks, online_id, offline_id)
+    edge = sweep.edge
     ends, mids = _time_pieces(*edge)
     tau = _flip(ends, [edge_status(*edge, y, 1.0) == UNMATCHED_AFTER for y in mids],
                 "along y_u at y_v=1")
-    shared, (own,) = _rank_cuts(*edge, [1.0])
-    ends, mids = _pieces(spec, shared + own)
+    ends, mids = _pieces(sweep.spec, sweep.shared_cuts + sweep.own_cuts([1.0])[0])
     gamma = _flip(ends, [edge_status(*edge, 1.0, y) == MATCHED_BEFORE for y in mids],
                   "along y_v at y_u=1")
     return tau, gamma
@@ -451,14 +452,12 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
                        online_id: str, offline_id: str, y_u_grid) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
-    At each grid point the run is constant between the exact cuts of
-    _rank_cuts, so one PairSweep lane per piece, at its midpoint,
-    classifies the whole y_v axis, and beta and theta are piece ends. One
-    run takes every lane of the grid; without u, the other arrivals change
-    only at the shared cuts, so a lane is tabled at the midpoint of the
-    shared piece it lies in. Raises ThreeIntervalError when the pieces
-    interleave statuses, and AnalysisError when beta decreases or theta
-    leaves one after saturating; theta itself need not be monotone.
+    At each grid point the run is constant between the shared cuts and
+    u's own (PairSweep.own_cuts), so one lane per piece, at its midpoint,
+    classifies the whole y_v axis, and beta and theta are piece ends; one
+    run takes every lane of the grid. Raises ThreeIntervalError when the
+    pieces interleave statuses, and AnalysisError when beta decreases or
+    theta leaves one after saturating; theta itself need not be monotone.
     """
     grid = [float(y) for y in y_u_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -466,13 +465,10 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     if not grid or not all(0.0 <= y <= 1.0 for y in grid):   # NaN fails too
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)  # checks the edge
-    shared, own = _rank_cuts(instance, spec, base_ranks, online_id, offline_id, grid)
-    pieces = [_pieces(spec, shared + cuts) for cuts in own]
-    keys, key_mids = _pieces(spec, shared)
+    pieces = [_pieces(spec, sweeper.shared_cuts + cuts) for cuts in sweeper.own_cuts(grid)]
     sizes = [len(mids) for _, mids in pieces]
-    at = np.searchsorted(keys, [lo for ends, _ in pieces for lo in ends[:-1]], "right") - 1
-    statuses = sweeper.run(np.repeat(grid, sizes), [y for _, mids in pieces for y in mids],
-                           np.take(key_mids, at)).status
+    statuses = sweeper.run(np.repeat(grid, sizes),
+                           [y for _, mids in pieces for y in mids]).status
     betas: list[float] = []
     thetas: list[float] = []
     for y_u, (ends, _), s in zip(grid, pieces, np.split(statuses, np.cumsum(sizes)[:-1])):
@@ -489,7 +485,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
             raise AnalysisError(f"theta left 1.0 at y_u={y} after saturating")
         saturated = saturated or t == 1.0
 
-    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id)
+    tau, gamma = _tau_gamma(sweeper)
     return ThresholdProfile(online_id=online_id, offline_id=offline_id,
                             y_u_grid=tuple(grid), beta=tuple(betas),
                             theta=tuple(thetas), tau=tau, gamma=gamma)
@@ -542,7 +538,8 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     surface is piecewise smooth, so the quadrature error decays like
     1/grid_n along the status boundaries; tau and gamma are exact piece
     ends. Requires w_v > 0 (the estimate is normalized by the offline
-    weight) and grid_n**2 <= generators.MAX_CELLS.
+    weight) and grid_n**2 <= generators.MAX_CELLS; an estimate that
+    overflows raises AnalysisError.
     """
     if grid_n < 2:
         raise AnalysisError("grid_n must be >= 2")
@@ -560,16 +557,19 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     cells = (grid_n, grid_n)
     res = sweeper.run(np.broadcast_to(mids[:, None], cells), np.broadcast_to(mids, cells))
 
-    tau, gamma = _tau_gamma(instance, spec, base_ranks, online_id, offline_id)
+    tau, gamma = _tau_gamma(sweeper)
 
     cu = mids[:, None] > tau
     cv = mids > gamma
     norm = 1.0 / (grid_n * grid_n * w_v)
-    both = res.alpha_u + res.alpha_v
-    corner = float(np.sum(both * (cu & cv))) * norm
-    v_side = float(np.sum(res.alpha_v * ~cv) + np.sum(res.alpha_u * (~cv & cu))) * norm
-    u_side = float(np.sum(res.alpha_u * ~cu) + np.sum(res.alpha_v * (~cu & cv))) * norm
-    estimate = float(np.sum(both)) * norm
+    with np.errstate(over="ignore", invalid="ignore"):   # huge weights: refused below
+        both = res.alpha_u + res.alpha_v
+        corner = float(np.sum(both * (cu & cv))) * norm
+        v_side = float(np.sum(res.alpha_v * ~cv) + np.sum(res.alpha_u * (~cv & cu))) * norm
+        u_side = float(np.sum(res.alpha_u * ~cu) + np.sum(res.alpha_v * (~cu & cv))) * norm
+        estimate = float(np.sum(both)) * norm
+    if not np.isfinite([estimate, corner, v_side, u_side]).all():
+        raise AnalysisError(f"pair gain of ({online_id}, {offline_id}) overflows")
     return PairGainEstimate(online_id=online_id, offline_id=offline_id,
                             grid_n=grid_n, estimate=estimate, corner=corner,
                             v_side=v_side, u_side=u_side, tau=tau, gamma=gamma)

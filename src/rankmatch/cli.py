@@ -4,7 +4,7 @@ Subcommands: generate, simulate, pair-gain, thresholds, bounds, integral,
 verify. Every run is reproducible: the same arguments and seed produce
 byte-identical output except for the timestamp field of simulate/verify
 reports. Exit codes: 0 success, 1 property violation or engine check
-failure, 2 configuration error.
+failure, 2 configuration error or arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _read_json(path: str, what: str):
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ThreeIntervalError, LaneCheckError) as exc:

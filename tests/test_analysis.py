@@ -206,13 +206,14 @@ def assert_sweeps_equal(got, want):
 ORACLE_SPECS = SPECS + (piecewise_table((0.0, 0.5, 1.0), (0.5, 0.5, 0.7)),)
 
 
-def oracle_lanes(rng, base, kind, n):
-    """(y_u, y_v): uniform, on {0, 1/2, 1}, or also at the base ranks."""
+def oracle_lanes(rng, sweep, base, kind, n):
+    """(y_u, y_v): uniform, on {0, 1/2, 1}, or also at the base ranks and
+    on every end of the sweep's shared pieces, offer crossings included."""
     if kind == "uniform":
         return rng.random(n), rng.random(n)
     pool = [0.0, 0.5, 1.0]
     if kind == "base-ranks":
-        pool += list(base.ranks.values())
+        pool += [*base.ranks.values(), *sweep.ends]
     return rng.choice(pool, n), rng.choice(pool, n)
 
 
@@ -221,7 +222,8 @@ def oracle_lanes(rng, base, kind, n):
                                                     "adversarial", "table"])
 def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
     # unit weights with simple-exp (saturated) and the table's flat part
-    # make offer ties; lanes on {0, 1/2, 1} or at base ranks tie arrivals.
+    # make offer ties; lanes on {0, 1/2, 1} or at base ranks tie arrivals,
+    # and lanes on a shared piece end are tabled there, not at a midpoint.
     # The first base-rank lanes are also re-run through the scalar engine,
     # which must give the same alpha_u, alpha_v and status bit for bit
     rng = np.random.default_rng(30)
@@ -232,7 +234,7 @@ def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
         u, v = edges[int(rng.integers(len(edges)))]
         sweep = PairSweep(inst, spec, base, u, v)
         for kind in ("uniform", "halves", "base-ranks"):
-            y_u, y_v = oracle_lanes(rng, base, kind, int(rng.integers(1, 300)))
+            y_u, y_v = oracle_lanes(rng, sweep, base, kind, int(rng.integers(1, 300)))
             res = sweep.run(y_u, y_v)
             assert_sweeps_equal(res, all_lanes_sweep(sweep, y_u, y_v))
         for i in range(min(12, y_u.size)):
@@ -250,7 +252,7 @@ def test_sweep_matches_all_lanes_oracle_at_the_edges():
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
         sweep = PairSweep(inst, ORACLE_SPECS[trial % 4], base, u, v)
-        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *rng.random(4)])
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *sweep.ends, *rng.random(4)])
         y_u, y_v = rng.choice(pool, 20000), rng.choice(pool, 20000)
         assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
     # no lanes; one online vertex; one offline vertex
@@ -263,7 +265,7 @@ def test_sweep_matches_all_lanes_oracle_at_the_edges():
         for spec in ORACLE_SPECS:
             sweep = PairSweep(inst, spec, base, u, v)
             for n in (0, 1, 500):
-                y_u, y_v = oracle_lanes(rng, base, "base-ranks", n)
+                y_u, y_v = oracle_lanes(rng, sweep, base, "base-ranks", n)
                 assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
 
 
@@ -324,22 +326,35 @@ def lane_counts(monkeypatch):
     return counts
 
 
+def table_keys(sweep, y_v):
+    """The distinct table keys of y_v: one per shared piece that holds a
+    value inside it, and one per value on a piece end."""
+    on_end = np.isin(y_v, sweep.ends)
+    return (np.unique(np.searchsorted(sweep.ends, y_v[~on_end])).size
+            + np.unique(y_v[on_end]).size)
+
+
 def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
     from rankmatch.ranking import LANE_BLOCK
 
-    # the table runs deg(u) lanes per distinct y_v: none gone, and each of
-    # u's neighbors other than v. 20,000 distinct y_v with deg(u1) = 2 need
-    # 40,000 table lanes, in five calls
+    # the table runs deg(u) lanes per distinct key, the shared piece that
+    # holds y_v: none gone, and each of u's neighbors other than v. A
+    # table of 10,001 knots makes 10,000 shared pieces, so 20,000 random
+    # y_v with deg(u1) = 2 need more than LANE_BLOCK table lanes
     inst = build_instance([("v1", 1.0), ("v2", 1.0)],
                           [("u1", ["v1", "v2"]), ("u2", ["v2"])])
     base = RankAssignment({"v1": 0.5, "v2": 0.5, "u1": 0.4, "u2": 0.9})
     rng = np.random.default_rng(32)
     y_u, y_v = rng.random(20000), rng.random(20000)
-    sweep = PairSweep(inst, half_exp(), base, "u1", "v2")
+    knots = np.linspace(0.0, 1.0, 10001)
+    sweep = PairSweep(inst, piecewise_table(knots, 0.5 + 0.1 * knots), base, "u1", "v2")
     assert_sweeps_equal(sweep.run(y_u, y_v), all_lanes_sweep(sweep, y_u, y_v))
-    assert max(lane_counts) == LANE_BLOCK and len(lane_counts) == 5
-    assert sum(lane_counts) == 2 * 20000
-    # the pair_gain grid has 200 distinct y_v
+    lanes = 2 * table_keys(sweep, y_v)
+    assert lanes > LANE_BLOCK
+    assert max(lane_counts) == LANE_BLOCK and len(lane_counts) == -(-lanes // LANE_BLOCK)
+    assert sum(lane_counts) == lanes
+    # the pair_gain grid has 200 distinct y_v, but fewer shared pieces
+    mids = (np.arange(200) + 0.5) / 200
     for trial in range(8):
         inst = random_instance(rng, weighted=True)
         base = sample_ranks(inst, (32, trial))
@@ -347,20 +362,18 @@ def test_sweep_hands_run_lanes_at_most_lane_block_lanes(lane_counts):
         u, v = edges[int(rng.integers(len(edges)))]
         lane_counts.clear()
         pair_gain(inst, SPECS[trial % 2], base, u, v, 200)
+        keys = table_keys(PairSweep(inst, SPECS[trial % 2], base, u, v), mids)
         assert max(lane_counts) <= LANE_BLOCK
-        assert sum(lane_counts) == len(inst.neighbors[u]) * 200
+        assert keys < 200
+        assert sum(lane_counts) == len(inst.neighbors[u]) * keys
 
 
-def assert_grid_equals_flat(sweep, col, row, key_row=None):
+def assert_grid_equals_flat(sweep, col, row):
     """run on full-shape views of a column and a row equals run on the
     repeated column and tiled row, bit for bit, in the views' shape."""
     cells = (col.size, row.size)
-    views = [np.broadcast_to(col[:, None], cells), np.broadcast_to(row, cells)]
-    flat = [np.repeat(col, row.size), np.tile(row, col.size)]
-    if key_row is not None:
-        views.append(np.broadcast_to(key_row, cells))
-        flat.append(np.tile(key_row, col.size))
-    got, want = sweep.run(*views), sweep.run(*flat)
+    got = sweep.run(np.broadcast_to(col[:, None], cells), np.broadcast_to(row, cells))
+    want = sweep.run(np.repeat(col, row.size), np.tile(row, col.size))
     for field in ("alpha_u", "alpha_v", "status"):
         g, w = getattr(got, field), getattr(want, field)
         assert g.shape == cells and g.dtype == w.dtype, field
@@ -384,7 +397,6 @@ def test_sweep_on_broadcast_views_matches_repeat_and_tile(spec, weighted):
         col = np.concatenate([pool, rng.random(int(rng.integers(1, 20)))])
         row = np.concatenate([rng.permutation(pool), rng.random(int(rng.integers(1, 20)))])
         assert_grid_equals_flat(sweep, col, row)
-        assert_grid_equals_flat(sweep, col, row, key_row=rng.choice(pool, row.size))
 
 
 def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
@@ -427,8 +439,7 @@ def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
 def test_sweep_rejects_lane_shapes_that_do_not_broadcast():
     inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
     sweep = PairSweep(inst, half_exp(), sample_ranks(inst, 0), "u1", "v1")
-    for args in ((np.zeros(3), np.zeros(4)), (np.zeros(3), np.zeros(3), np.zeros(2)),
-                 (np.zeros((2, 3)), np.zeros((3, 2)))):
+    for args in ((np.zeros(3), np.zeros(4)), (np.zeros((2, 3)), np.zeros((3, 2)))):
         with pytest.raises(AnalysisError, match="do not broadcast"):
             sweep.run(*args)
     # a scalar broadcasts against anything
@@ -438,11 +449,13 @@ def test_sweep_rejects_lane_shapes_that_do_not_broadcast():
 def test_pair_gain_evaluates_offer_parts_once_per_axis_value(monkeypatch):
     from rankmatch.gains import GainSpec
 
-    sizes = []
+    # b on the y_u column and a on the y_v row: the table's keys are the
+    # few shared pieces, not the grid's y_v again
+    shapes = []
     offer_parts = GainSpec.offer_parts
 
     def spy(self, y):
-        sizes.append(np.size(y))
+        shapes.append(np.shape(y))
         return offer_parts(self, y)
 
     monkeypatch.setattr(GainSpec, "offer_parts", spy)
@@ -452,10 +465,10 @@ def test_pair_gain_evaluates_offer_parts_once_per_axis_value(monkeypatch):
         base = sample_ranks(inst, (35, trial))
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
-        sizes.clear()
+        shapes.clear()
         est = pair_gain(inst, SPECS[trial % 3], base, u, v, 120)
         assert est.estimate >= 0.0
-        assert sizes and max(sizes) <= 120
+        assert sorted(x for x in shapes if math.prod(x) >= 120) == [(1, 120), (120, 1)]
 
 
 def test_three_interval_structure_random_probes():
@@ -559,7 +572,7 @@ def assert_constant_inside_pieces(ends, status_at):
 def test_status_is_constant_inside_every_piece(spec, weighted):
     # the cuts are complete: along y_v at a random y_u, and along y_u with
     # v at rank one, nothing between two cuts changes v's status
-    from rankmatch.analysis import _pieces, _rank_cuts, _time_pieces
+    from rankmatch.analysis import _pieces, _time_pieces
 
     rng = np.random.default_rng(31)
     for _ in range(120):
@@ -568,9 +581,9 @@ def test_status_is_constant_inside_every_piece(spec, weighted):
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
         y_u = float(rng.random())
-        shared, (own,) = _rank_cuts(inst, spec, base, u, v, [y_u])
+        sweep = PairSweep(inst, spec, base, u, v)
         assert_constant_inside_pieces(
-            _pieces(spec, shared + own)[0],
+            _pieces(spec, sweep.shared_cuts + sweep.own_cuts([y_u])[0])[0],
             lambda y: edge_status(inst, spec, base, u, v, y_u, y))
         assert_constant_inside_pieces(
             _time_pieces(inst, spec, base, u, v)[0],
@@ -615,51 +628,23 @@ def test_thresholds_refuse_interleaved_pieces(monkeypatch):
 
     inst = build_instance([("v", 1.0), ("z", 1.0)], [("u", ["v", "z"])])
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
-    monkeypatch.setattr(PairSweep, "run", lambda self, y_u, y_v, key: SweepResult(
+    monkeypatch.setattr(PairSweep, "run", lambda self, y_u, y_v: SweepResult(
         alpha_u=None, alpha_v=None,
         status=np.where(np.asarray(y_v) < 0.3, MATCHED_TO_U, MATCHED_BEFORE)))
     with pytest.raises(ThreeIntervalError, match="interleaving along y_v at y_u=0.5"):
         compute_thresholds(inst, half_exp(), base, "u", "v", [0.5])
 
 
-@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
-def test_threshold_table_keys_change_no_lane(monkeypatch, weighted):
-    # compute_thresholds tables each lane at the midpoint of its shared
-    # piece; running the same lanes keyed by their own y_v changes nothing.
-    # Unit weights make no crossings at u, so there every key is the y_v.
-    run, seen = PairSweep.run, []
-
-    def both(self, y_u, y_v, key=None):
-        got = run(self, y_u, y_v, key)
-        want = run(self, y_u, y_v)
-        assert np.array_equal(got.status, want.status)
-        assert np.array_equal(got.alpha_u, want.alpha_u)
-        assert np.array_equal(got.alpha_v, want.alpha_v)
-        seen.append(np.unique(key).size < np.unique(y_v).size)
-        return got
-
-    monkeypatch.setattr(PairSweep, "run", both)
-    grid = [(i + 0.5) / 12 for i in range(12)]
-    rng = np.random.default_rng(32)
-    for trial in range(60):
-        inst = random_instance(rng, weighted=weighted)
-        base = sample_ranks(inst, rng)
-        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
-        u, v = edges[int(rng.integers(len(edges)))]
-        compute_thresholds(inst, SPECS[trial % 3], base, u, v, grid)
-    assert len(seen) == 60 and any(seen) == weighted
-
-
 def test_thresholds_make_one_sweep_run(monkeypatch):
     # one PairSweep.run takes one lane per piece of every grid point; its
     # profile is the one a scalar edge_status call per piece gives
-    from rankmatch.analysis import _flip, _pieces, _rank_cuts
+    from rankmatch.analysis import _flip, _pieces
 
     calls, run = [], PairSweep.run
 
-    def spy(self, y_u, y_v, key=None):
+    def spy(self, y_u, y_v):
         calls.append(np.size(y_u))
-        return run(self, y_u, y_v, key)
+        return run(self, y_u, y_v)
 
     monkeypatch.setattr(PairSweep, "run", spy)
     rng = np.random.default_rng(24)
@@ -672,10 +657,10 @@ def test_thresholds_make_one_sweep_run(monkeypatch):
         u, v = edges[int(rng.integers(len(edges)))]
         calls.clear()
         prof = compute_thresholds(inst, spec, base, u, v, grid)
-        shared, own = _rank_cuts(inst, spec, base, u, v, grid)
+        sweep = PairSweep(inst, spec, base, u, v)
         lanes, betas, thetas = 0, [], []
-        for y_u, cuts in zip(grid, own):
-            ends, mids = _pieces(spec, shared + cuts)
+        for y_u, cuts in zip(grid, sweep.own_cuts(grid)):
+            ends, mids = _pieces(spec, sweep.shared_cuts + cuts)
             st = [edge_status(inst, spec, base, u, v, y_u, y) for y in mids]
             lanes += len(mids)
             betas.append(_flip(ends, [x == MATCHED_BEFORE for x in st], ""))

@@ -507,3 +507,31 @@ def test_profiles_with_a_nan_knot_exit_two(tmp_path, side):
     code, out, err = _cli_in_subprocess(tmp_path, "integral", "--profiles", "profiles.json")
     assert (code, out) == (2, "")
     assert err == "error: profile knots must be finite, got (0.0, nan, 1.0)\n"
+
+
+OVERFLOWING = {
+    # the sum of the two weights overflows: fsum raises OverflowError
+    "two-huge": {"offline": [["v1", 1e308], ["v2", 1e308]],
+                 "online": [["u1", ["v1"]], ["u2", ["v2"]]]},
+    # one weight near the float maximum: pair gain sums reach inf and nan
+    "heavy-light": {"offline": [["v1", 1.7e308], ["v2", 2.0]],
+                    "online": [["u1", ["v1", "v2"]], ["u2", ["v1", "v2"]]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trials", "5"), ("pair-gain", "--grid", "4"),
+    ("thresholds", "--grid", "4", "--format", "json"),
+], ids=["simulate", "pair-gain", "thresholds"])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_finite_weights_that_overflow_exit_two_with_one_error_line(tmp_path, argv, name):
+    (tmp_path / "inst.json").write_text(json.dumps(OVERFLOWING[name]))
+    code, out, err = _cli_in_subprocess(tmp_path, *argv, "--instance", "inst.json")
+    if (name, argv[0]) == ("heavy-light", "thresholds"):
+        # beta and theta are ranks, and no sum of weights overflows: a
+        # valid profile, in JSON without NaN or Infinity
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in JSON output"))
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,6 +1,7 @@
 """Source hygiene: checks over the module files themselves."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -57,3 +58,15 @@ def test_private_import_check_sees_relative_imports_only(tmp_path):
                     "from numpy import _core\nimport os\n\n\n"
                     "def f():\n    from ..core import _hidden as h\n    return h\n")
     assert private_imports(path) == ["..core._hidden", "._util", ".ranking._top"]
+
+
+def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
+    # perfbench/tracing.py wraps program functions by name (PairSweep.run,
+    # numerics.bisect_boundary, GainSpec.curve_scalar, ...); Tracer() looks
+    # each one up, so a renamed or deleted one fails here and not only as
+    # a failed benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    assert len(tracer.bindings) == len(tracing.SPANS) + len(tracing.COUNTS)
+    assert all(callable(original) for _, _, original, _ in tracer.bindings)
