@@ -18,8 +18,9 @@ the other arrivals run as they would without u and with p gone from the
 start, and y_v moves that run only at the edge's shared cuts, so one table
 of runs through ranking.run_lanes, keyed by the shared piece holding y_v
 and the vertex gone (none, or one of u's neighbors other than v), answers
-every lane; u's own choice and the split of the pair's gains are then
-per-lane arithmetic. PairSweep.run takes lanes in any shape its inputs
+every lane. u's choice other than v depends on y_u and the key alone, so
+it is made once per (y_u, key); only v's own offer and the split of the
+gains are per lane. PairSweep.run takes lanes in any shape its inputs
 broadcast to, and reads a zero-stride axis (a np.broadcast_to view) as one
 value, so what depends on y_u or y_v alone costs one evaluation per value.
 pair_gain makes one run over its grid_n x grid_n cells, passing full-shape
@@ -35,6 +36,7 @@ reference, and tests cross-check the two.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,18 +126,21 @@ class PairSweep:
        arrivals without u. The gone = none runs give the arrival position
        at which each of u's neighbors is taken; every run gives v's
        partner.
-    2. Per lane, one block of lanes at a time: u's step over u's neighbor
-       rows gives p. v's partner is the table's at (key, p): u where p is
-       v, and otherwise v's partner with p, or none where u took nothing,
-       gone. The gains of u and v come off the two partners, split exactly
-       as assign_duals splits them.
+    2. u's step, in two stages. Stage 1, per (y_u, key), v left out: u's
+       choice r (the first top offer among u's neighbors free on arrival,
+       by rank, then index; or none), u's gain from r, and v's partner
+       (the table's at (key, r)) and status. Stage 2, per lane: u takes v
+       instead where v is free and beats r's offer, or ties it and has
+       (y_v, v) < (y_r, r). The gains come off the two partners, split
+       exactly as assign_duals splits them.
 
     So every lane is the run vary_two_ranks makes. Lanes may form any
     shape (see run); what depends on one axis alone (the offer parts b(y_u)
-    and a(y_v), u's arrival position, the key's table column, the offers
-    of u's other neighbors) is computed on that axis and broadcast. A block
-    (one run_lanes call, or a slice of step 2) has ranking.lane_block(rows)
-    lanes at most.
+    and a(y_v), u's arrival position, the key) is computed on that axis and
+    broadcast, and stage 1 runs per y_u value and key, not per lane, where
+    y_v varies along an axis on which y_u does not. A block (one run_lanes
+    call, or a slice of stage 1's entries or of the lanes) has
+    ranking.lane_block(rows) lanes at most.
     """
 
     def __init__(self, instance: Instance, spec: GainSpec,
@@ -157,10 +162,20 @@ class PairSweep:
         self.rest = rest[rest != self.u_idx]
         self.ranks_before = np.sort(self.y_on[:self.u_idx])
         self.ranks_after = np.sort(self.y_on[self.u_idx + 1:])
-        # u's neighbor rows, increasing, and v's place among them
-        self.nbrs = np.array(sorted(instance.offline_ids.index(x)
-                                    for x in instance.neighbors[online_id]))
-        self.v_row = int(np.searchsorted(self.nbrs, self.v_idx))
+        # u's choices besides v: none, then u's other neighbors by base
+        # rank, then index, so the first top offer is u's choice by the tie
+        # rule; with offer part a, weight (0 for none) and the rank below
+        # which v wins a tie, (y_v, v) < (y_r, r). v, whose rank varies, is
+        # left out of this one sort: sorting by rank once per y_v value, as
+        # run_lanes sorts each lane, cut pair-gain-corpus from 220 and 214
+        # to 133 and 131 estimates/s (two paired 9-s runs, 2-vCPU host)
+        nbrs = map(instance.offline_ids.index, instance.neighbors[online_id])
+        r = np.array([-1] + sorted((q for q in nbrs if q != self.v_idx),
+                                   key=lambda q: (self.y_off[q], q)))
+        y_r = self.y_off[r]
+        self.choices = (r, np.where(r >= 0, self.a_off[r], 0.0), np.where(r >= 0, self.w[r], 0.0),
+                        np.where(r > self.v_idx, np.nextafter(y_r, np.inf), y_r))
+        self.nbrs = np.append(r[1:], self.v_idx)     # table rows: the others, then v
         self.block = lane_block(max(self.y_on.size, self.w.size))
         # the shared cuts: v's rivals' ranks at every neighbor of v, u
         # included, and v's crossings at the others, inverted at once
@@ -191,13 +206,13 @@ class PairSweep:
 
     def _table(self, y_vs, small):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
-        taken[j, d] is the arrival position among the others at which u's
-        j-th neighbor is taken when v has rank y_vs[d], n_on - 1 if never;
+        taken[j, d] is the arrival position among the others at which
+        nbrs[j] is taken when v has rank y_vs[d], n_on - 1 if never;
         v_by[d, g + 1] is v's partner (an online index, -1 if none) when
         offline vertex g is gone, v_by[d, 0] when none is, and u where g
         is v, which only u takes."""
         n_on, n_off, n_vs = self.y_on.size, self.w.size, y_vs.size
-        gone = np.append(self.nbrs[self.nbrs != self.v_idx], -1)
+        gone = np.append(self.nbrs[:-1], -1)
         taken = np.empty((self.nbrs.size, n_vs), dtype=small)
         v_by = np.empty((n_vs, n_off + 1), dtype=np.intp)
         v_by[:, self.v_idx + 1] = self.u_idx
@@ -227,65 +242,54 @@ class PairSweep:
             taken[:, d[none]] = at[self.nbrs]
         return taken, v_by
 
-    def _u_step(self, a_v, b_u, y_v, pos, seen):
-        """u's step on one block of lanes, given when each of u's
-        neighbors is taken: p, u's partner (an offline index, -1 if
-        none). The arguments broadcast to the block's lane shape (seen
-        after its leading neighbor axis), and so does p. The offers of
-        u's other neighbors vary with b_u alone, so they are made on its
-        shape and broadcast; ranks enter only where offers tie.
+    def _choose(self, out, y_u, b_u, pos, key, taken, v_by):
+        """Stage 1 on a block of entries (y_u, key): u's choice r among
+        self.choices, into out's six fields in the block's shape: the offer
+        v must beat (r's; -1 without r; inf where v is taken before u
+        arrives), the rank below which v wins a tie with r, u's gain from
+        r, and, on a last axis for u taking r and for u taking v: v's
+        weight where v has a partner (else 0), its time part b (else 0),
+        and v's status."""
+        thr, bar, alpha_r, scale, b_by, status = out
+        r, a_r, w_r, bar_r = self.choices
+        free = taken.take(key, axis=1) >= pos
+        # offers by choice, -1 (below every offer) for none and for those
+        # taken before u arrives; free's last row is v's
+        offers = np.full(free.shape, -1.0)
+        col = (slice(1, None),) + (None,) * b_u.ndim
+        np.copyto(offers[1:], np.add.outer(a_r[1:], b_u) * w_r[col], where=free[:-1])
+        top = offers.argmax(axis=0)
+        thr[...] = np.where(free[-1], offers.max(axis=0), np.inf)
+        bar[...] = bar_r.take(top)
+        w_top = w_r.take(top)
+        alpha_r[...] = w_top - w_top * (1.0 - a_r.take(top) - b_u)
+        # v's partner: the table's row key, column r + 1 (0: u took nothing)
+        by = v_by.take(key * v_by.shape[1] + (r.take(top) + 1))
+        matched = by >= 0
+        np.multiply(matched, self.w[self.v_idx], out=scale[..., 0])
+        scale[..., 1] = self.w[self.v_idx]
+        b_by[..., 0] = np.where(matched, self.b_on.take(by), 0.0)
+        b_by[..., 1] = b_u
+        before = matched & (self.y_on.take(by) < y_u)
+        status[..., 0] = np.where(before, MATCHED_BEFORE, UNMATCHED_AFTER)
+        status[..., 1] = MATCHED_TO_U
 
-        The tie rule runs over rows in index order: sorting u's neighbors
-        by rank once per y_v value, as run_lanes sorts each lane, cut
-        pair-gain-corpus from 220 and 214 to 133 and 131 estimates/s (two
-        paired 9-s runs, 2-vCPU host)."""
-        shape = np.broadcast(a_v, b_u, y_v, pos, seen[0]).shape
-        rows = self.nbrs.reshape((-1,) + (1,) * len(shape))
-        w = self.w[rows]
-        cand = np.greater_equal(seen, pos, out=np.empty((rows.size, *shape), dtype=bool))
-        offers = np.multiply(self.a_off[rows] + b_u, w, out=np.empty(cand.shape))
-        np.multiply(a_v + b_u, w[self.v_row], out=offers[self.v_row])
-        offers *= cand
-        # one column per lane; offers are >= 0, so a non-candidate's 0
-        # never beats a candidate, and a lane matches iff some candidate
-        # ties for the top offer
-        offers = offers.reshape(rows.size, -1)
-        tied = offers == offers.max(axis=0)
-        tied &= cand.reshape(rows.size, -1)
-        # the 0/1 bytes of tied sum and weigh without a cast; on a lane with
-        # one tied row, the weighted sum is that row's index
-        ones = tied.view(np.uint8)
-        n_tied = ones.sum(axis=0, dtype=np.min_scalar_type(rows.size))
-        col = self.nbrs[:, None]
-        narrow = col.astype(np.min_scalar_type(int(self.nbrs[-1])))
-        p = np.where(n_tied > 0, (ones * narrow).sum(axis=0, dtype=narrow.dtype),
-                     np.intp(-1))
-        # two or more ties: the smaller rank, then the smaller row
-        multi = np.flatnonzero(n_tied > 1)
-        if multi.size:
-            t = tied[:, multi]
-            r = np.repeat(self.y_off[col], multi.size, axis=1)
-            r[self.v_row] = np.broadcast_to(y_v, shape)[np.unravel_index(multi, shape)]
-            low = np.where(t, r, np.inf).min(axis=0)
-            p[multi] = np.where(t & (r == low), col, np.iinfo(np.intp).max).min(axis=0)
-        return p.reshape(shape)
-
-    def _split(self, y_u, a_v, b_u, p, by):
-        """The gains on one block of lanes: (alpha_u, alpha_v,
-        status). Each matched offline endpoint q keeps w_q * (1 - a - b);
-        the online side gets the complement, exactly as in assign_duals.
-        p and by hold a -1 where there is no partner, which take reads as
-        the last entry, and np.where then masks."""
-        u, v, w = self.u_idx, self.v_idx, self.w
-        w_p, to_v, v_matched = w.take(p), p == v, by >= 0
-        kept = w_p * (1.0 - np.where(to_v, a_v, self.a_off.take(p)) - b_u)
-        alpha_u = np.where(p >= 0, w_p - kept, 0.0)
-        b_by = np.where(by == u, b_u, self.b_on.take(by))
-        alpha_v = np.where(v_matched, w[v] * (1.0 - a_v - b_by), 0.0)
-        before = v_matched & (self.y_on.take(by) < y_u)
-        status = np.where(to_v, np.int8(MATCHED_TO_U), np.where(
-            before, np.int8(MATCHED_BEFORE), np.int8(UNMATCHED_AFTER)))
-        return alpha_u, alpha_v, status
+    def _settle(self, y_v, a_v, b_u, at, chosen):
+        """Stage 2 on a block of lanes, at their entries in stage 1's flat
+        fields chosen: u takes v where v beats r's offer, or ties it with
+        (y_v, v) < (y_r, r); the gains split as assign_duals splits them."""
+        thr, bar, alpha_r, scale, b_by, status = chosen
+        w_v = self.w[self.v_idx]
+        offer = (a_v + b_u) * w_v
+        thr = thr.take(at)
+        to_v = offer > thr
+        tie = offer == thr
+        if tie.any():
+            to_v |= tie & (y_v < bar.take(at))
+        pick = 2 * at + to_v
+        # without a partner, 0 * (1 - a_v) is +0.0, as 1 - a_v > 0
+        alpha_v = scale.take(pick) * (1.0 - a_v - b_by.take(pick))
+        return np.where(to_v, w_v - alpha_v, alpha_r.take(at)), alpha_v, status.take(pick)
 
     def run(self, y_u, y_v) -> SweepResult:
         """Simulate every lane of the shape that y_u and y_v broadcast to,
@@ -316,28 +320,39 @@ class PairSweep:
         # first call, about 14 ms and 1.7 MB of peak RSS per process
         y_vs = np.sort(key, axis=None)
         y_vs = np.concatenate((y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]]))
-        # yv_of lives through the whole run, so in the narrowest type
-        yv_of = np.searchsorted(y_vs, key).astype(np.min_scalar_type(y_vs.size))
+        yv_of = np.searchsorted(y_vs, key)
         taken, v_by = self._table(y_vs, small)
         # u arrives after the lower-index others of rank <= y_u and the
         # higher-index others of rank < y_u: a stable argsort's order
         pos = (np.searchsorted(self.ranks_before, y_u, "right")
                + np.searchsorted(self.ranks_after, y_u, "left")).astype(small)
 
+        # stage 1 pairs each y_u value with every key, or with its lanes'
+        # one key if y_v varies only where y_u does; slot: a lane's pair
+        if any(nu == 1 < nv for nu, nv in zip(y_u.shape, y_v.shape)):
+            keys, slot = np.arange(y_vs.size).reshape((1,) * y_u.ndim + (-1,)), yv_of
+        else:
+            keys, slot = yv_of[..., None], np.zeros((1,) * y_u.ndim, dtype=np.intp)
+        table = (*np.broadcast_shapes(y_u.shape, keys.shape[:-1]), keys.shape[-1])
+        chosen = (np.empty(table), np.empty(table), np.empty(table),
+                  np.empty((*table, 2)), np.empty((*table, 2)), np.empty((*table, 2), np.int8))
+        for blk in _blocks(table, self.block):
+            self._choose(tuple(x[blk] for x in chosen), *(_part(x, blk) for x in (
+                y_u[..., None], b_u[..., None], pos[..., None], keys)), taken, v_by)
+        row = np.arange(y_u.size).reshape(y_u.shape) * table[-1]
+
         out = SweepResult(alpha_u=np.empty(shape), alpha_v=np.empty(shape),
                           status=np.empty(shape, dtype=np.int8))
         for blk in _blocks(shape, self.block):
-            # a compact axis of length one is taken whole, not sliced
-            yu, yv, d, av, bu, at = (x[blk] if x.shape == shape else x[tuple(
-                s if n > 1 else slice(None) for s, n in zip(blk, x.shape))]
-                for x in (y_u, y_v, yv_of, a_v, b_u, pos))
-            # take keeps the gather C-contiguous, and fast to compare
-            p = self._u_step(av, bu, yv, at, taken.take(d, axis=1))
-            # v's partner: the table's row d, column p + 1 (0: u took nothing)
-            by = v_by.take(p + (d.astype(np.intp) * v_by.shape[1] + 1))
-            out.alpha_u[blk], out.alpha_v[blk], out.status[blk] = self._split(
-                yu, av, bu, p, by)
+            yv, av, bu, r, d = (_part(x, blk) for x in (y_v, a_v, b_u, row, slot))
+            out.alpha_u[blk], out.alpha_v[blk], out.status[blk] = self._settle(
+                yv, av, bu, r + d, chosen)
         return out
+
+
+def _part(x: np.ndarray, blk: tuple[slice, ...]) -> np.ndarray:
+    """x's share of the block blk: an axis of length one is taken whole."""
+    return x[tuple([s if n > 1 else slice(None) for s, n in zip(blk, x.shape)])]
 
 
 def _compact(x: np.ndarray, ndim: int) -> np.ndarray:

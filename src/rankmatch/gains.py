@@ -146,8 +146,14 @@ class GainSpec:
                          a0, a1, b0, b1, total, q))
             h = x1 - x0
             total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
+        # offer_inverse inverts an affine piece by np.interp's slope between
+        # its ends, an exp one by p's sign and log|p| + t
+        _, x0, s, r, p, t, *_ = cols = tuple(map(np.array, zip(*rows)))[:10]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = (x0, s, np.where(r != 0.0, (np.append(x0[1:], 1.0) - x0) / (
+                np.append(s[1:], s[-1]) - s), 0.0), np.sign(p), np.log(np.abs(p)) + t)
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
-                            ("_cols", tuple(map(np.array, zip(*rows)))[:10]),
+                            ("_cols", cols), ("_inverse", inverse),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
@@ -222,16 +228,15 @@ class GainSpec:
         k0, k1 = self._split[part]
         if not k1:
             return np.full(z.shape, np.nan)
-        x0, s, r, p, t = np.array(self.pieces).T
+        if not z.size:
+            return np.empty(z.shape)
+        x0, s, slope, sign, log_p = self._inverse
         with np.errstate(divide="ignore", invalid="ignore"):
-            # an affine piece inverts with np.interp's slope between its ends
-            slope = np.where(r != 0.0, (np.append(x0[1:], 1.0) - x0)
-                             / (np.append(s[1:], s[-1]) - s), 0.0)
             f = (z - k0) / k1
             i = np.clip(np.searchsorted(s, f, "right") - 1, 0, s.size - 1)
             d = f - s[i]
-            at_exp = np.log(d * np.sign(p[i])) - (np.log(np.abs(p[i])) + t[i])
-            return np.where(p[i] != 0.0, at_exp, slope[i] * d + x0[i])
+            return np.where(sign[i] != 0.0, np.log(d * sign[i]) - log_p[i],
+                            slope[i] * d + x0[i])
 
     rank_offer_antideriv = _antiderivative(
         0, "Exact antiderivative A of a, the rank part of the offer, with A(0) = 0.")

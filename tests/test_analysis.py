@@ -103,22 +103,23 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
     # every table run is the others' base order, u1 (0.3), u3 (0.6), u4
     # (1.0), without u2; u's step places u2 among them as a stable sort
     # does: at an equal arrival time the smaller id goes first, so u2
-    # follows u1 at 0.3 and precedes u3 at 0.6 and u4 at 1.0
+    # follows u1 at 0.3 and precedes u3 at 0.6 and u4 at 1.0. On flat
+    # lanes, stage 1 takes one entry per lane, in lane order
     from rankmatch import analysis
 
     orders, places = [], []
-    run_lanes, u_step = analysis.run_lanes, PairSweep._u_step
+    run_lanes, choose = analysis.run_lanes, PairSweep._choose
 
     def spy(instance, order, *columns):
         orders.append(order.copy())
         return run_lanes(instance, order, *columns)
 
-    def spy_u_step(self, a_v, b_u, y_v, pos, seen):
-        places.append(pos.copy())
-        return u_step(self, a_v, b_u, y_v, pos, seen)
+    def spy_choose(self, out, y_u, b_u, pos, key, taken, v_by):
+        places.append(np.broadcast_to(pos, out[0].shape).ravel())
+        return choose(self, out, y_u, b_u, pos, key, taken, v_by)
 
     monkeypatch.setattr(analysis, "run_lanes", spy)
-    monkeypatch.setattr(PairSweep, "_u_step", spy_u_step)
+    monkeypatch.setattr(PairSweep, "_choose", spy_choose)
     inst = build_instance([("v1", 2.0), ("v2", 1.0)],
                           [("u1", ["v1"]), ("u2", ["v1", "v2"]), ("u3", ["v2"]),
                            ("u4", ["v2"])])
@@ -301,13 +302,20 @@ def test_sweep_breaks_wide_ties_like_the_scalar_engine():
     ranks = dict(zip(ids, rng.random(400)))
     ranks.update({x: 0.5 + rng.random() / 2 for x in nbrs}, u0=0.2, u=0.6)
     base, v = RankAssignment(ranks), nbrs[-1]
-    grid = [0.05, 0.3, 0.55, 0.7, 0.95, 1.0]
+    grid = np.array([0.05, 0.3, 0.55, 0.7, 0.95, 1.0])
     y_u, y_v = np.repeat(grid, 6), np.tile(grid, 6)
-    res = PairSweep(inst, simple_exp(), base, "u", v).run(y_u, y_v)
-    for i in range(y_u.size):
-        _, duals = vary_two_ranks(inst, simple_exp(), base, "u", v, y_u[i], y_v[i])
-        assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha["u"], duals.alpha[v])
-        assert res.status[i] == edge_status(inst, simple_exp(), base, "u", v, y_u[i], y_v[i])
+    sweep = PairSweep(inst, simple_exp(), base, "u", v)
+    # flat lanes, and 6 x 6 views of one column and one row, whose stage 1
+    # breaks the ties once per (y_u, key)
+    cells = (6, 6)
+    for res in (sweep.run(y_u, y_v), sweep.run(np.broadcast_to(grid[:, None], cells),
+                                                np.broadcast_to(grid, cells))):
+        res = SweepResult(*(x.ravel() for x in (res.alpha_u, res.alpha_v, res.status)))
+        for i in range(y_u.size):
+            _, duals = vary_two_ranks(inst, simple_exp(), base, "u", v, y_u[i], y_v[i])
+            assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha["u"], duals.alpha[v])
+            assert res.status[i] == edge_status(inst, simple_exp(), base, "u", v,
+                                                y_u[i], y_v[i])
 
 
 @pytest.fixture
@@ -385,7 +393,8 @@ def assert_grid_equals_flat(sweep, col, row):
                                                     "adversarial", "table"])
 def test_sweep_on_broadcast_views_matches_repeat_and_tile(spec, weighted):
     # axis values at 0, 1/2, 1 and the base ranks tie arrivals and ranks;
-    # unit weights with simple-exp and the table's flat part tie offers
+    # unit weights with simple-exp and the table's flat part tie offers;
+    # y_v on a shared piece end is keyed at itself, not at a midpoint
     rng = np.random.default_rng(33)
     for trial in range(12):
         inst = random_instance(rng, weighted=weighted)
@@ -393,7 +402,7 @@ def test_sweep_on_broadcast_views_matches_repeat_and_tile(spec, weighted):
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
         sweep = PairSweep(inst, spec, base, u, v)
-        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values()])
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *sweep.ends])
         col = np.concatenate([pool, rng.random(int(rng.integers(1, 20)))])
         row = np.concatenate([rng.permutation(pool), rng.random(int(rng.integers(1, 20)))])
         assert_grid_equals_flat(sweep, col, row)
@@ -401,15 +410,22 @@ def test_sweep_on_broadcast_views_matches_repeat_and_tile(spec, weighted):
 
 def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
     # (300, 200) and (3, 20000) grids exceed one block; the second also
-    # exceeds it along a row, so blocks slice both axes
-    shapes = []
-    u_step = PairSweep._u_step
+    # exceeds it along a row, so blocks slice both axes. Stage 1 takes
+    # each y_u value by each distinct key, and stage 2 every lane once
+    entries, shapes = [], []
+    choose, settle = PairSweep._choose, PairSweep._settle
 
-    def spy_u_step(self, a_v, b_u, y_v, pos, seen):
-        shapes.append(np.broadcast(a_v, b_u, y_v, pos, seen[0]).shape)
-        return u_step(self, a_v, b_u, y_v, pos, seen)
+    def spy_choose(self, out, *args):
+        entries.append(out[0].shape)
+        assert np.broadcast(*args[:4]).shape == out[0].shape
+        return choose(self, out, *args)
 
-    monkeypatch.setattr(PairSweep, "_u_step", spy_u_step)
+    def spy_settle(self, y_v, a_v, b_u, at, chosen):
+        shapes.append(np.broadcast(y_v, a_v, b_u, at).shape)
+        return settle(self, y_v, a_v, b_u, at, chosen)
+
+    monkeypatch.setattr(PairSweep, "_choose", spy_choose)
+    monkeypatch.setattr(PairSweep, "_settle", spy_settle)
     rng = np.random.default_rng(34)
     for trial in range(4):
         inst = random_instance(rng, weighted=trial % 2 == 0)
@@ -417,13 +433,16 @@ def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
         sweep = PairSweep(inst, ORACLE_SPECS[trial], base, u, v)
-        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *rng.random(6)])
+        pool = np.array([0.0, 0.5, 1.0, *base.ranks.values(), *sweep.ends, *rng.random(6)])
         for n_col, n_row in ((300, 200), (3, 20000)):
             col, row = rng.choice(pool, n_col), rng.choice(pool, n_row)
             assert_grid_equals_flat(sweep, col, row)
+            entries.clear()
             shapes.clear()
             cells = (n_col, n_row)
             sweep.run(np.broadcast_to(col[:, None], cells), np.broadcast_to(row, cells))
+            assert max(math.prod(s) for s in entries) <= sweep.block
+            assert sum(math.prod(s) for s in entries) == n_col * table_keys(sweep, row)
             assert len(shapes) > 1
             assert max(math.prod(s) for s in shapes) <= sweep.block
             assert sum(math.prod(s) for s in shapes) == n_col * n_row
@@ -444,6 +463,17 @@ def test_sweep_rejects_lane_shapes_that_do_not_broadcast():
             sweep.run(*args)
     # a scalar broadcasts against anything
     assert sweep.run(0.5, np.full((2, 3), 0.25)).status.shape == (2, 3)
+
+
+def test_sweep_keeps_empty_and_scalar_lane_shapes():
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)], [("u1", ["v1", "v2"]), ("u2", ["v1"])])
+    sweep = PairSweep(inst, half_exp(), sample_ranks(inst, 0), "u1", "v1")
+    for args, shape in ((([], []), (0,)), ((np.zeros((0, 3)), 0.5), (0, 3)),
+                        ((0.5, np.zeros((2, 0))), (2, 0)), ((np.float64(0.2), 0.7), (1,))):
+        res = sweep.run(*args)
+        for field, dtype in (("alpha_u", float), ("alpha_v", float), ("status", np.int8)):
+            assert getattr(res, field).shape == shape and getattr(res, field).dtype == dtype
+    assert_sweeps_equal(sweep.run(np.float64(0.2), 0.7), all_lanes_sweep(sweep, 0.2, 0.7))
 
 
 def test_pair_gain_evaluates_offer_parts_once_per_axis_value(monkeypatch):

@@ -253,6 +253,14 @@ def test_offer_inverse_undoes_offer_parts():
                 assert not 0.0 < far < 1.0 or far in spec.curve_breakpoints
 
 
+def test_offer_inverse_of_no_values_keeps_shape_and_dtype():
+    for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
+        for part in (0, 1):
+            for z in ([], np.zeros((0, 3)), np.zeros((2, 0), dtype=int)):
+                y = spec.offer_inverse(z, part)
+                assert y.shape == np.shape(z) and y.dtype == np.float64
+
+
 def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
     # reference: the offers written out per kind, without the a + b split
     rng = np.random.default_rng(2)
