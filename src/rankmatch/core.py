@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -46,7 +47,8 @@ class Instance:
 
     The views offline_ids, online_ids, weights (id -> weight) and neighbors
     (online id -> neighbor tuple) are built once, at construction; weights
-    and neighbors are read-only mappings. edges is built on first use.
+    and neighbors are read-only mappings. edges and adjacency are built on
+    first use.
     Instances are immutable, pickle, and are safe to share across workers.
     """
 
@@ -73,6 +75,19 @@ class Instance:
     def edges(self) -> frozenset[tuple[str, str]]:
         """Every (online id, offline id) edge."""
         return frozenset((u, v) for u, nbs in self.online for v in nbs)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only bool (online x offline) edge matrix, both in id order."""
+        col = {v: i for i, v in enumerate(self.offline_ids)}
+        nbrs = self.neighbors.values()
+        adj = np.zeros((len(nbrs), len(col)), dtype=bool)
+        # one flat index per edge: its column, plus its row's start
+        flat = np.fromiter(map(col.__getitem__, chain.from_iterable(nbrs)), dtype=np.intp)
+        flat += np.repeat(np.arange(len(nbrs)) * len(col), [len(nbs) for nbs in nbrs])
+        adj.ravel()[flat] = True
+        adj.flags.writeable = False
+        return adj
 
     def has_edge(self, online_id: str, offline_id: str) -> bool:
         return offline_id in self.neighbors.get(online_id, ())

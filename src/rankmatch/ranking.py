@@ -140,49 +140,58 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
 
     Inside, a lane is a row and its offline vertices are columns in rank
     order (a stable argsort, so equal ranks stay in id order), so the rule's
-    choice is the first maximum of the offers. A non-candidate (not
+    choice is the first maximum of the offers. Each step gathers the
+    arrivals' rows of instance.adjacency and puts them in rank order with
+    one index, fixed per call; and'ed with free, they are the candidates.
+    When every offline weight is equal and a is non-increasing along every
+    lane's rank order, the choice is the first candidate, and no offer is
+    computed: float + b and * w (w >= 0) are monotone, so no later
+    candidate offers more, and the tie rule picks the first. The flag is
+    read off the data, not off the spec. Otherwise a non-candidate (not
     adjacent, or gone) offers -1: below every candidate, even one offering
-    0, and a top offer of -1 means no candidate.
+    0, so the first maximum is a candidate whenever there is one.
     """
     n_on, n_lanes = len(instance.online), order.shape[1]
     n_off = len(instance.offline)
     partner = np.full((n_on, n_lanes), -1, dtype=np.intp)
     if n_off == 0:
         return partner
-    off_index = {v: i for i, v in enumerate(instance.offline_ids)}
-    adj = np.zeros((n_on, n_off), dtype=bool)
-    for j, (_, nbs) in enumerate(instance.online):
-        adj[j, [off_index[v] for v in nbs]] = True
-    flat_adj = adj.ravel()
+    adjacency = instance.adjacency
     lanes = np.arange(n_lanes)
     # (T, n_off) arrays in each lane's rank order; at holds each cell's
-    # flat index into the (n_off, T) inputs, then each step's into adj
+    # flat index into the (n_off, T) inputs, cells into a step's rows
     by_rank = np.argsort(off_ranks.T, axis=1, kind="stable")
     at = by_rank * n_lanes
     at += lanes[:, None]
     a = np.take(off_offer, at)
     free = np.take(free, at)
-    w = np.array([w for _, w in instance.offline], dtype=float)[by_rank]
     row_start = lanes * n_off
-    flat_on_offer = on_offer.ravel()
+    cells = by_rank + row_start[:, None]
+    weights = [w for _, w in instance.offline]
+    by_order = len(set(weights)) == 1 and (a[:, 1:] <= a[:, :-1]).all()
+    w = np.array(weights, dtype=float)[by_rank]
+    arriving = on_offer[order, lanes][:, :, None]
+    rows = np.empty((n_lanes, n_off), dtype=bool)
     cand = np.empty((n_lanes, n_off), dtype=bool)
     not_cand = np.empty((n_lanes, n_off), dtype=bool)
     offers = np.empty((n_lanes, n_off))
-    for j in order:
-        # np.take gathers two to three times faster than fancy indexing here
-        arriving = np.take(flat_on_offer, j * n_lanes + lanes)[:, None]
-        np.add(by_rank, (j * n_off)[:, None], out=at)
-        np.take(flat_adj, at, out=cand)
+    for j, b in zip(order, arriving):
+        # take gathers two to three times faster than fancy indexing here
+        adjacency.take(j, axis=0, out=rows)
+        rows.take(cells, out=cand)
         cand &= free
-        np.add(a, arriving, out=offers)
-        offers *= w
-        offers *= cand
-        offers -= np.logical_not(cand, out=not_cand)
-        top = offers.argmax(axis=1)
+        if by_order:
+            top = cand.argmax(axis=1)
+        else:
+            np.add(a, b, out=offers)
+            offers *= w
+            offers *= cand
+            offers -= np.logical_not(cand, out=not_cand)
+            top = offers.argmax(axis=1)
         top += row_start
-        hit = np.flatnonzero(np.take(offers, top) >= 0.0)
+        hit = np.flatnonzero(cand.take(top))
         cell = top[hit]
-        partner[j[hit], hit] = np.take(by_rank, cell)
+        partner[j[hit], hit] = by_rank.take(cell)
         free.flat[cell] = False
     return partner
 

@@ -260,3 +260,20 @@ def test_pickle_round_trip():
     assert back.weights == inst.weights and back.neighbors == inst.neighbors
     assert back.offline_ids == inst.offline_ids and back.online_ids == inst.online_ids
     assert back.edges == inst.edges
+
+
+def test_adjacency_is_a_read_only_cached_edge_matrix():
+    inst = build_instance([("v1", 1.0), ("v2", 0.0), ("v3", 2.0)],
+                          [("u1", ["v3", "v1"]), ("u2", []), ("u3", ["v2"])])
+    adj = inst.adjacency
+    assert adj.dtype == bool and adj.shape == (3, 3)
+    for i, u in enumerate(inst.online_ids):
+        for j, v in enumerate(inst.offline_ids):
+            assert adj[i, j] == (v in inst.neighbors[u])
+    assert inst.adjacency is adj
+    with pytest.raises(ValueError):
+        adj[1, 1] = True
+    assert not adj[1].any()
+    back = pickle.loads(pickle.dumps(inst))
+    assert np.array_equal(back.adjacency, adj) and not back.adjacency.flags.writeable
+    assert build_instance([], [("u1", [])]).adjacency.shape == (1, 0)

@@ -1,13 +1,17 @@
 import json
 import math
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from rankmatch import ranking
 from rankmatch.core import (RankAssignment, build_instance, check_dual_shares,
                             sample_ranks, validate_rank_assignment)
+from rankmatch.experiments import ExperimentConfig, run_ratio_experiment
 from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
-from rankmatch.generators import random_instance
+from rankmatch.generators import generate_instance, random_instance
 from rankmatch.ranking import assign_duals, run_lanes, run_ranking
 
 ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
@@ -260,8 +264,42 @@ def test_run_lanes_matches_run_ranking_lane_for_lane(regime):
         assert tied_offers > 0
 
 
+class OfferCount:
+    """numpy, with its np.add calls counted: run_lanes adds offers only on
+    its general branch, never on the by-order one."""
+
+    def __init__(self):
+        self.adds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.adds += 1
+        return np.add(*args, **kwargs)
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """branches(call, lanes) runs call, a run_lanes call over that many
+    lanes, and returns its result and the branch it took, "by-order" or
+    "offers"; branches.lanes counts the lanes on each."""
+    counter = OfferCount()
+    monkeypatch.setattr(ranking, "np", counter)
+
+    def run(call, lanes):
+        before = counter.adds
+        result = call()
+        branch = "offers" if counter.adds > before else "by-order"
+        run.lanes[branch] += lanes
+        return result, branch
+
+    run.lanes = {"by-order": 0, "offers": 0}
+    return run
+
+
 @pytest.mark.parametrize("regime", ["continuous", "offer-ties"])
-def test_run_lanes_without_a_gone_vertex_matches_run_ranking_without_it(regime):
+def test_run_lanes_without_a_gone_vertex_matches_run_ranking_without_it(regime, branches):
     # free marks one offline vertex per lane as taken before the first
     # arrival: each lane must be run_ranking on the instance without it
     rng = np.random.default_rng(6)
@@ -277,7 +315,7 @@ def test_run_lanes_without_a_gone_vertex_matches_run_ranking_without_it(regime):
         free = np.ones((len(inst.offline), len(lanes)), dtype=bool)
         free[gone, np.arange(len(lanes))] = False
         kept = free.copy()
-        partner = lane_partners(inst, spec, lanes, free)
+        partner, _ = branches(lambda: lane_partners(inst, spec, lanes, free), len(lanes))
         assert np.array_equal(free, kept)
         for t, ranks in enumerate(lanes):
             g = inst.offline_ids[gone[t]]
@@ -289,8 +327,11 @@ def test_run_lanes_without_a_gone_vertex_matches_run_ranking_without_it(regime):
             assert [inst.offline_ids[p] if p >= 0 else None for p in partner[:, t]] == [
                 took.get(u) for u in inst.online_ids]
             tied_offers += offer_ties(without, spec, ranks)
+    # unit weights take the by-order branch, the weighted draws the other
     if regime == "offer-ties":
-        assert tied_offers > 0
+        assert tied_offers > 0 and branches.lanes["offers"] == 0
+    else:
+        assert min(branches.lanes.values()) > 0, branches.lanes
 
 
 def test_run_lanes_matches_run_ranking_property():
@@ -385,3 +426,88 @@ def test_run_lanes_breaks_an_exact_rank_tie_by_row():
     offer = [[0.3, 0.3], [0.0, 0.0], [0.0, 0.0]]
     free = [[True, True], [True, False], [True, True]]
     assert hand_lanes(inst, ranks, offer, [[0.5, 0.5]], free).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("n, want", [(3, Fraction(89, 108)), (4, Fraction(103, 128))])
+def test_run_lanes_on_every_rank_order_of_ut_n_gives_the_exact_ratio(n, want):
+    # unit weights make every spec plain Ranking, whose ratio on
+    # upper_triangular(n) is the mean over the n! x n! rank orders; OPT = n
+    inst = generate_instance("upper_triangular", {"n": n}, 0)
+    orders = list(product(permutations(range(n)), repeat=2))
+    lanes = [RankAssignment({**{v: (p + 0.5) / n for v, p in zip(inst.offline_ids, off)},
+                             **{u: (p + 0.5) / n for u, p in zip(inst.online_ids, on)}})
+             for off, on in orders]
+    for spec in ALL_KINDS:
+        partner = lane_partners(inst, spec, lanes)
+        assert partner.shape == (n, len(orders))
+        assert Fraction(int((partner >= 0).sum()), n * len(orders)) == want
+        for t, ranks in enumerate(lanes):
+            assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
+
+
+def test_ratio_experiment_on_ut4_is_within_four_standard_errors_of_103_128():
+    inst = generate_instance("upper_triangular", {"n": 4}, 0)
+    report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 4000, 7))
+    assert abs(report.mean_ratio - 103 / 128) <= 4 * report.std_error
+
+
+def reference_lane(instance, order, off_ranks, on_offer, off_offer, free, t):
+    """Lane t of run_lanes, one arrival and one neighbour at a time: the
+    top offer w_v * (a + b), then the smaller rank, then the smaller row."""
+    w = [w for _, w in instance.offline]
+    free = free[:, t].tolist()
+    took = [-1] * len(instance.online)
+    for j in order[:, t]:
+        nbrs = instance.neighbors[instance.online_ids[j]]
+        cands = [q for q, v in enumerate(instance.offline_ids) if free[q] and v in nbrs]
+        if cands:
+            q = min(cands, key=lambda q: (-(w[q] * (off_offer[q, t] + on_offer[j, t])),
+                                          off_ranks[q, t], q))
+            free[q] = False
+            took[j] = q
+    return took
+
+
+def reweighted(instance, weights):
+    return build_instance([(v, w) for (v, _), w in zip(instance.offline, weights)],
+                          instance.online)
+
+
+def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
+    rng = np.random.default_rng(26)
+    for trial in range(40):
+        spec = ALL_KINDS[trial % 4]
+        base = random_instance(rng, weighted=False)
+        n_off = len(base.offline)
+        one = build_instance([("v0", float(rng.uniform(0.0, 3.0)))],
+                             [(u, ["v0"] if nbs else []) for u, nbs in base.online])
+        mixed = rng.choice([0.0, 1.0, 2.5], size=n_off)
+        mixed[0], mixed[-1] = 0.0, 2.5
+        cases = (("by-order", reweighted(base, [2.5] * n_off)),
+                 ("by-order", reweighted(base, [0.0] * n_off)),
+                 ("offers" if n_off > 1 else "by-order", reweighted(base, mixed)),
+                 ("by-order", one))
+        for want, inst in cases:
+            lanes = [sample_ranks(inst, rng) for _ in range(6)]
+            if trial % 2:
+                lanes = [RankAssignment({vid: int(rng.integers(5)) / 4
+                                         for vid in inst.all_ids()}) for _ in lanes]
+            partner, branch = branches(lambda: lane_partners(inst, spec, lanes), len(lanes))
+            assert branch == want
+            for t, ranks in enumerate(lanes):
+                assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
+        # equal weights, but an offer part that rises along rank order: no
+        # spec makes one, so the lanes are checked against reference_lane
+        if n_off > 1:
+            inst = cases[0][1]
+            off_ranks = rng.random((n_off, 6))
+            on_offer = rng.random((len(inst.online), 6))
+            order = np.argsort(rng.random(on_offer.shape), axis=0, kind="stable")
+            free = rng.random(off_ranks.shape) < 0.8
+            partner, branch = branches(lambda: run_lanes(inst, order, off_ranks, on_offer,
+                                                         off_ranks, free), 6)
+            assert branch == "offers"
+            for t in range(6):
+                assert partner[:, t].tolist() == reference_lane(
+                    inst, order, off_ranks, on_offer, off_ranks, free, t)
+    assert min(branches.lanes.values()) > 0, branches.lanes
