@@ -12,9 +12,9 @@ from .analysis import (MATCHED_BEFORE, MATCHED_TO_U, UNMATCHED_AFTER,
                        compute_thresholds, edge_status, pair_gain,
                        vary_two_ranks)
 from .bounds import (BoundPoint, Piecewise, ProfileError, StepProfiles,
-                     heatmap_rows, improved_bound, integral_bound,
-                     minimize_bound, profiles_from_json, simple_bound,
-                     solve_curve_equals_two_t, stationary_tau)
+                     SurfaceDomainError, heatmap_rows, improved_bound,
+                     integral_bound, minimize_bound, profiles_from_json,
+                     simple_bound, solve_curve_equals_two_t, stationary_tau)
 from .core import (DualShares, Instance, InstanceError, MatchingResult,
                    RankAssignment, RankError, build_instance,
                    check_dual_shares, matching_result, sample_ranks,

@@ -26,9 +26,11 @@ value, so what depends on y_u or y_v alone costs one evaluation per value.
 pair_gain makes one run over its grid_n x grid_n cells, passing full-shape
 views of one midpoint column and one row: run does per-axis work on grid_n
 values, and a caller that counts lanes by the inputs' size still sees one
-per cell. compute_thresholds makes one run over flat lanes, one per piece
-of its grid, cut by the shared cuts and u's own; tau and gamma classify
-their pieces with edge_status. Every lane follows run_ranking's rules,
+per cell. PairSweep also hands out the edge's pieces: v_pieces along y_v
+per arrival time (the shared cuts and u's own crossings), u_pieces along
+y_u with v at rank one. compute_thresholds makes one run over flat lanes,
+one per v piece of its grid; tau_gamma classifies the u pieces and the
+shared ones with edge_status. Every lane follows run_ranking's rules,
 ties included; the scalar path (vary_two_ranks, edge_status) stays the
 reference, and tests cross-check the two.
 """
@@ -36,7 +38,6 @@ reference, and tests cross-check the two.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,11 @@ class PairSweep:
     __init__ evaluates the spec once on the base ranks: a column of
     arrival times with their offer parts b, and a column of offline ranks
     with their offer parts a; it sorts the other online vertices into
-    their arrival order and computes the shared cuts. A lane is one
-    (y_u, y_v). run() rests on one fact: once u has taken p, the run of
-    the other arrivals is their run in base order with p gone from the
-    start and u never arriving. Before u, no arrival took p, and removing
+    their arrival order and computes the shared pieces (ends, mids), the
+    one cut list of the edge, which v_pieces, u_pieces and tau_gamma build
+    on. A lane is one (y_u, y_v). run() rests on one fact: once u has
+    taken p, the run of the other arrivals is their run in base order
+    with p gone from the start and u never arriving. Before u, no arrival took p, and removing
     a vertex an arrival does not take leaves its choice as it was; after
     u, the free sets are equal. So every run depends only on (y_v, gone),
     gone being none or one of u's neighbors other than v, and on y_v only
@@ -147,8 +149,7 @@ class PairSweep:
                  base_ranks: RankAssignment, online_id: str, offline_id: str):
         if not instance.has_edge(online_id, offline_id):
             raise AnalysisError(f"({online_id}, {offline_id}) is not an edge")
-        self.edge = (instance, spec, base_ranks, online_id, offline_id)
-        self.instance, self.spec = instance, spec
+        self.instance, self.spec, self.base_ranks = instance, spec, base_ranks
         self.u_idx = instance.online_ids.index(online_id)
         self.v_idx = instance.offline_ids.index(offline_id)
         self.w = np.array([w for _, w in instance.offline], dtype=float)
@@ -169,42 +170,74 @@ class PairSweep:
         # left out of this one sort: sorting by rank once per y_v value, as
         # run_lanes sorts each lane, cut pair-gain-corpus from 220 and 214
         # to 133 and 131 estimates/s (two paired 9-s runs, 2-vCPU host)
-        nbrs = map(instance.offline_ids.index, instance.neighbors[online_id])
-        r = np.array([-1] + sorted((q for q in nbrs if q != self.v_idx),
-                                   key=lambda q: (self.y_off[q], q)))
+        adj = instance.adjacency
+        r = np.array([-1] + sorted((q for q in np.flatnonzero(adj[self.u_idx]).tolist()
+                                    if q != self.v_idx), key=lambda q: (self.y_off[q], q)))
         y_r = self.y_off[r]
         self.choices = (r, np.where(r >= 0, self.a_off[r], 0.0), np.where(r >= 0, self.w[r], 0.0),
                         np.where(r > self.v_idx, np.nextafter(y_r, np.inf), y_r))
         self.nbrs = np.append(r[1:], self.v_idx)     # table rows: the others, then v
         self.block = lane_block(max(self.y_on.size, self.w.size))
-        # the shared cuts: v's rivals' ranks at every neighbor of v, u
-        # included, and v's crossings at the others, inverted at once
-        shared, targets = [], []
-        for j, nbrs in instance.neighbors.items():
-            if offline_id in nbrs:
-                shared += [rank_of[q] for q in nbrs if q != offline_id]
-                targets += self._crossings(j, spec.offer_parts_scalar(
-                    rank_of[j])[1]) if j != online_id else []
-        self.shared_cuts = shared + spec.offer_inverse(targets, 0).tolist()
-        self.ends, self.mids = map(np.array, _pieces(spec, self.shared_cuts))
+        # the shared cuts: the ranks of v's rivals (its other neighbors at
+        # each arrival v neighbors, u included) and, at the others, v's
+        # crossings with the rivals whose weight differs from v's (equal
+        # weights cross at the rival's rank); u's crossings are its own cuts
+        w_v = self.w[self.v_idx]
+        rivals = adj & adj[:, [self.v_idx]]
+        rivals[:, self.v_idx] = False
+        q = np.nonzero(rivals)[1]
+        rivals &= (self.w != w_v) & (w_v > 0.0)
+        self.u_rivals = np.flatnonzero(rivals[self.u_idx])
+        rivals[self.u_idx] = False
+        j_x, q_x = np.nonzero(rivals)
+        cuts = self.y_off[q].tolist() + self._crossings(self.b_on[j_x], q_x).tolist()
+        self.ends, self.mids = map(np.array, _pieces(spec, cuts))
 
-    def _crossings(self, online_id, b) -> list[float]:
-        """The a(y_v) at which v's offer to online_id, of time part b,
-        crosses that of another of its neighbors q, w_v (a(y_v) + b) =
-        w_q (a(y_q) + b). With w_q = w_v they cross at y_q, a shared cut."""
-        instance, spec, base_ranks, _, v = self.edge
-        w = instance.weights
-        return [w[q] * (spec.offer_parts_scalar(base_ranks.ranks[q])[0] + b) / w[v] - b
-                for q in instance.neighbors[online_id] if q != v and w[q] != w[v] > 0.0]
+    def _crossings(self, b, q):
+        """The y_v at which v's offer to an arrival of time part b crosses
+        that of its rival q, w_v (a(y_v) + b) = w_q (a(y_q) + b), inverted
+        at once; b and q broadcast."""
+        return self.spec.offer_inverse(
+            self.w[q] * (self.a_off[q] + b) / self.w[self.v_idx] - b, 0)
 
-    def own_cuts(self, y_us) -> list[list[float]]:
-        """Per arrival time y in y_us, u's own cuts along y_v: the crossings
-        of v's offer to u, in one inverse, as u's rows are equally long."""
-        targets = [z for y in y_us for z in self._crossings(
-            self.edge[3], self.spec.offer_parts_scalar(y)[1])]
-        return self.spec.offer_inverse(targets, 0).reshape(len(y_us), -1).tolist()
+    def v_pieces(self, y_us) -> list[tuple[list[float], list[float]]]:
+        """Per arrival time y in y_us, (ends, mids) of the pieces along
+        y_v: the shared pieces, cut again where v's offer to u crosses a
+        rival's."""
+        b = self.spec.offer_parts(np.asarray(y_us, dtype=float))[1]
+        ends = self.ends.tolist()
+        return [_pieces(self.spec, ends + cuts)
+                for cuts in self._crossings(b[:, None], self.u_rivals).tolist()]
 
-    def _table(self, y_vs, small):
+    def u_pieces(self) -> tuple[list[float], list[float]]:
+        """(ends, mids) of the pieces along y_u with v at rank one: y_u
+        moves the run only where u passes another arrival, where the offers
+        of two of u's neighbors q, s cross, w_q (a_q + b(y_u)) =
+        w_s (a_s + b(y_u)), and at the curve kinks."""
+        q = np.flatnonzero(self.instance.adjacency[self.u_idx])
+        w = self.w[q]
+        wa = w * np.where(q == self.v_idx, self.spec.offer_parts_scalar(1.0)[0], self.a_off[q])
+        i, s = np.nonzero(np.triu(w[:, None] != w, 1))
+        cuts = np.concatenate((self.ranks_before, self.ranks_after,
+                               self.spec.offer_inverse((wa[s] - wa[i]) / (w[i] - w[s]), 1)))
+        return _pieces(self.spec, cuts.tolist())
+
+    def tau_gamma(self) -> tuple[float, float]:
+        """(tau, gamma): the earliest arrival time whose theta is one (v at
+        rank one no longer left unmatched), and beta at arrival time one,
+        from one scalar edge_status call per piece. gamma reads the shared
+        pieces alone: at arrival time one, whether v is matched before u is
+        up to the others' run without u, which moves only at shared cuts."""
+        edge = (self.instance, self.spec, self.base_ranks,
+                self.instance.online_ids[self.u_idx], self.instance.offline_ids[self.v_idx])
+        ends, mids = self.u_pieces()
+        tau = _flip(ends, [edge_status(*edge, y, 1.0) == UNMATCHED_AFTER for y in mids],
+                    "along y_u at y_v=1")
+        gamma = _flip(self.ends.tolist(), [edge_status(*edge, 1.0, y) == MATCHED_BEFORE
+                                           for y in self.mids.tolist()], "along y_v at y_u=1")
+        return tau, gamma
+
+    def _table(self, y_vs):
         """Step 1 over the distinct ranks y_vs of v: (taken, v_by).
         taken[j, d] is the arrival position among the others at which
         nbrs[j] is taken when v has rank y_vs[d], n_on - 1 if never;
@@ -213,11 +246,10 @@ class PairSweep:
         is v, which only u takes."""
         n_on, n_off, n_vs = self.y_on.size, self.w.size, y_vs.size
         gone = np.append(self.nbrs[:-1], -1)
-        taken = np.empty((self.nbrs.size, n_vs), dtype=small)
+        taken = np.empty((self.nbrs.size, n_vs), dtype=np.intp)
         v_by = np.empty((n_vs, n_off + 1), dtype=np.intp)
         v_by[:, self.v_idx + 1] = self.u_idx
         a_vs = self.spec.offer_parts(y_vs)[0]
-        k = np.arange(n_on)[:, None]
         for start in range(0, gone.size * n_vs, self.block):
             keys = np.arange(start, min(start + self.block, gone.size * n_vs))
             g, d = gone[keys // n_vs], keys % n_vs
@@ -231,12 +263,12 @@ class PairSweep:
             off_offer[self.v_idx] = a_vs[d]
             order = np.repeat(self.rest[:, None], keys.size, axis=1)
             partner = run_lanes(self.instance, order, off_ranks, on_offer, off_offer, free)
-            # v has at most one partner per lane, so the row sum of the
-            # one-hot took_v is that partner's index
+            # v has at most one partner per lane: a column of took_v is
+            # one-hot or empty, and argmax finds the one
             took_v = partner == self.v_idx
-            v_by[d, g + 1] = np.where(took_v.any(axis=0), (took_v * k).sum(axis=0), -1)
+            v_by[d, g + 1] = np.where(took_v.any(axis=0), took_v.argmax(axis=0), -1)
             none = np.flatnonzero(g < 0)
-            at = np.full((n_off + 1, none.size), n_on - 1, dtype=small)
+            at = np.full((n_off + 1, none.size), n_on - 1, dtype=np.intp)
             # a -1 partner (none) lands in the spare last row
             at[partner[self.rest][:, none], np.arange(none.size)] = np.arange(n_on - 1)[:, None]
             taken[:, d[none]] = at[self.nbrs]
@@ -309,8 +341,6 @@ class PairSweep:
             raise AnalysisError(f"y_u and y_v have shapes {y_u.shape} and {y_v.shape}, "
                                 "which do not broadcast") from None
         y_u, y_v = (_compact(x, len(shape)) for x in (y_u, y_v))
-        # positions and indices, down to -1, fit this type
-        small = np.min_scalar_type(-max(self.y_on.size, self.w.size))
         a_v, b_u = self.spec.offer_parts(y_v)[0], self.spec.offer_parts(y_u)[1]
         # the table key: the midpoint of y_v's shared piece, or y_v on a
         # piece end, where the run can differ from both sides'
@@ -321,11 +351,11 @@ class PairSweep:
         y_vs = np.sort(key, axis=None)
         y_vs = np.concatenate((y_vs[:1], y_vs[1:][y_vs[1:] != y_vs[:-1]]))
         yv_of = np.searchsorted(y_vs, key)
-        taken, v_by = self._table(y_vs, small)
+        taken, v_by = self._table(y_vs)
         # u arrives after the lower-index others of rank <= y_u and the
         # higher-index others of rank < y_u: a stable argsort's order
         pos = (np.searchsorted(self.ranks_before, y_u, "right")
-               + np.searchsorted(self.ranks_after, y_u, "left")).astype(small)
+               + np.searchsorted(self.ranks_after, y_u, "left"))
 
         # stage 1 pairs each y_u value with every key, or with its lanes'
         # one key if y_v varies only where y_u does; slot: a lane's pair
@@ -432,44 +462,13 @@ def _flip(ends: list[float], left: list[bool], where: str) -> float:
     return ends[k]
 
 
-def _time_pieces(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
-                 online_id: str, offline_id: str):
-    """_pieces along y_u with v at rank one.
-
-    y_u moves the run only where u passes another arrival, where the
-    offers of two of u's neighbors q, s cross, w_q (a_q + b(y_u)) =
-    w_s (a_s + b(y_u)), and at the curve kinks.
-    """
-    rank_of = base_ranks.override({offline_id: 1.0}).ranks
-    w, nbrs = instance.weights, instance.neighbors[online_id]
-    a = {q: spec.offer_parts_scalar(rank_of[q])[0] for q in nbrs}
-    targets = [(w[s] * a[s] - w[q] * a[q]) / (w[q] - w[s])
-               for i, q in enumerate(nbrs) for s in nbrs[i + 1:] if w[q] != w[s]]
-    cuts = [rank_of[j] for j in instance.online_ids if j != online_id]
-    return _pieces(spec, cuts + spec.offer_inverse(targets, 1).tolist())
-
-
-def _tau_gamma(sweep: PairSweep) -> tuple[float, float]:
-    """(tau, gamma): the earliest arrival time whose theta is one (v at rank
-    one no longer left unmatched), and beta at arrival time one, from one
-    scalar edge_status call per piece."""
-    edge = sweep.edge
-    ends, mids = _time_pieces(*edge)
-    tau = _flip(ends, [edge_status(*edge, y, 1.0) == UNMATCHED_AFTER for y in mids],
-                "along y_u at y_v=1")
-    ends, mids = _pieces(sweep.spec, sweep.shared_cuts + sweep.own_cuts([1.0])[0])
-    gamma = _flip(ends, [edge_status(*edge, 1.0, y) == MATCHED_BEFORE for y in mids],
-                  "along y_v at y_u=1")
-    return tau, gamma
-
-
 def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
                        online_id: str, offline_id: str, y_u_grid) -> ThresholdProfile:
     """Locate beta(y_u) and theta(y_u) on a grid of arrival times.
 
-    At each grid point the run is constant between the shared cuts and
-    u's own (PairSweep.own_cuts), so one lane per piece, at its midpoint,
-    classifies the whole y_v axis, and beta and theta are piece ends; one
+    At each grid point the run is constant on each of PairSweep.v_pieces,
+    so one lane per piece, at its midpoint, classifies the whole y_v axis,
+    and beta and theta are piece ends; one
     run takes every lane of the grid. Raises ThreeIntervalError when the
     pieces interleave statuses, and AnalysisError when beta decreases or
     theta leaves one after saturating; theta itself need not be monotone.
@@ -480,7 +479,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
     if not grid or not all(0.0 <= y <= 1.0 for y in grid):   # NaN fails too
         raise AnalysisError("y_u grid must be nonempty and inside [0, 1]")
     sweeper = PairSweep(instance, spec, base_ranks, online_id, offline_id)  # checks the edge
-    pieces = [_pieces(spec, sweeper.shared_cuts + cuts) for cuts in sweeper.own_cuts(grid)]
+    pieces = sweeper.v_pieces(grid)
     sizes = [len(mids) for _, mids in pieces]
     statuses = sweeper.run(np.repeat(grid, sizes),
                            [y for _, mids in pieces for y in mids]).status
@@ -500,7 +499,7 @@ def compute_thresholds(instance: Instance, spec: GainSpec, base_ranks: RankAssig
             raise AnalysisError(f"theta left 1.0 at y_u={y} after saturating")
         saturated = saturated or t == 1.0
 
-    tau, gamma = _tau_gamma(sweeper)
+    tau, gamma = sweeper.tau_gamma()
     return ThresholdProfile(online_id=online_id, offline_id=offline_id,
                             y_u_grid=tuple(grid), beta=tuple(betas),
                             theta=tuple(thetas), tau=tau, gamma=gamma)
@@ -572,7 +571,7 @@ def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
     cells = (grid_n, grid_n)
     res = sweeper.run(np.broadcast_to(mids[:, None], cells), np.broadcast_to(mids, cells))
 
-    tau, gamma = _tau_gamma(sweeper)
+    tau, gamma = sweeper.tau_gamma()
 
     cu = mids[:, None] > tau
     cv = mids > gamma

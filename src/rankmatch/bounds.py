@@ -23,8 +23,12 @@ evaluation, which gives both a(x) and b(x), and a fold over the at most
 three candidates. minimize_bound scans a coarse grid and polishes with
 alternating golden-section line searches, reproducing the worst-case
 constants of both built-in curves.
+Both surfaces hold for weight splits only (GainSpec.weight_split, a + b =
+1/2): for any other spec simple_bound and improved_bound, and so
+minimize_bound, heatmap_rows and stationary_tau, raise SurfaceDomainError.
 The module also evaluates the threshold-profile integral, a ratio lower
-bound from explicit beta/theta step profiles, as an exact sum over pieces.
+bound from explicit beta/theta step profiles, as an exact sum over pieces;
+it writes u's floor as a(theta) + b(x), so it takes every spec.
 """
 
 from __future__ import annotations
@@ -54,6 +58,15 @@ class ProfileError(ValueError):
     """Invalid threshold profile supplied to the integral evaluator."""
 
 
+class SurfaceDomainError(ValueError):
+    """A bound surface asked of a spec that is no weight split.
+
+    Both surfaces write u's gain at arrival time x against rank theta as
+    share(x, theta) = 1 - a(x) - b(theta), while u's offer, and so its
+    gain, is a(theta) + b(x): the two agree only where a + b = 1/2.
+    """
+
+
 @dataclass(frozen=True)
 class BoundPoint:
     """A (tau, gamma) point of a bound surface and the value there."""
@@ -63,7 +76,10 @@ class BoundPoint:
     value: float
 
 
-def _check_unit_pair(tau: float, gamma: float) -> None:
+def _check_surface(spec: GainSpec, tau: float, gamma: float) -> None:
+    if not spec.weight_split:
+        raise SurfaceDomainError(f"the bound surfaces hold only where a + b = 1/2; "
+                                 f"the {spec.kind} spec is no weight split")
     if not (0.0 <= tau <= 1.0 and 0.0 <= gamma <= 1.0):
         raise ValueError(f"(tau, gamma) must lie in the unit square: ({tau}, {gamma})")
 
@@ -74,8 +90,9 @@ def simple_bound(spec: GainSpec, tau: float, gamma: float,
 
     The value is exact: int_0^t share(x, y) dx = t (1 - b(y)) - A(t). tol is
     accepted so that every bound_function surface takes the same arguments.
+    A spec that is no weight split raises SurfaceDomainError.
     """
-    _check_unit_pair(tau, gamma)
+    _check_surface(spec, tau, gamma)
     parts, antideriv = spec.offer_parts_scalar, spec.rank_offer_antideriv
     return ((1.0 - tau) * (1.0 - gamma)
             + (gamma * (1.0 - parts(tau)[1]) - antideriv(gamma))
@@ -89,16 +106,16 @@ def improved_bound(spec: GainSpec, tau: float, gamma: float,
     The v-side integral is exact. The u-side integrand at x is the minimum
     over theta in [0, gamma] of
     1 - A(gamma) + gamma (1 - b(tau)) - a(x) + theta (b(tau) - b(x)) - b(theta).
-    Between curve kinks b is convex (the exp curves) or affine (tables, and
-    the constant adversarial b), so the objective is concave in theta there
-    and its minimum sits at 0, gamma, or a kink inside (0, gamma). b(tau),
-    A(gamma) and the candidates' b values are set up once per point; each
-    integrand call evaluates one piece, through offer_parts_scalar, and
-    folds the candidates in order keeping the first minimum. The outer
-    integral uses adaptive quadrature, so the absolute error is bounded by
-    tol.
+    Between curve kinks b is convex (the exp curves) or affine (tables),
+    so the objective is concave in theta there and its minimum sits at 0,
+    gamma, or a kink inside (0, gamma). b(tau), A(gamma) and the
+    candidates' b values are set up once per point; each integrand call
+    evaluates one piece, through offer_parts_scalar, and folds the
+    candidates in order keeping the first minimum. The outer integral uses
+    adaptive quadrature, so the absolute error is bounded by tol. A spec
+    that is no weight split raises SurfaceDomainError.
     """
-    _check_unit_pair(tau, gamma)
+    _check_surface(spec, tau, gamma)
     parts = spec.offer_parts_scalar
     b_tau = parts(tau)[1]
     a_gamma = spec.rank_offer_antideriv(gamma)

@@ -101,6 +101,9 @@ class GainSpec:
 
     Built with the spec, as float tuples that pickle with it: pieces (f's, by
     increasing x0 from 0) and curve_breakpoints (where quadrature must split).
+    weight_split, read off the map from f to a and b, says whether a + b =
+    1/2 for every f, so that share(x, y) + share(y, x) = 1: true for the
+    curve kinds, false for the adversarial one.
     """
 
     kind: str
@@ -153,6 +156,7 @@ class GainSpec:
             inverse = (x0, s, np.where(r != 0.0, (np.append(x0[1:], 1.0) - x0) / (
                 np.append(s[1:], s[-1]) - s), 0.0), np.sign(p), np.log(np.abs(p)) + t)
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
+                            ("weight_split", a0 + b0 == 0.5 and a1 + b1 == 0.0),
                             ("_cols", cols), ("_inverse", inverse),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)

@@ -90,8 +90,8 @@ def generate_instance(kind: str, params: Mapping, seed) -> Instance:
       weighted_random(n, p): random edges plus log-uniform weights in
         [0.1, 10] (weights are drawn before edges, so the edge pattern for
         a seed differs from random's).
-    random/weighted_random also accept n_online/n_offline for rectangular
-    shapes.
+    complete/random/weighted_random also accept n_online/n_offline for
+    rectangular shapes.
     """
     if kind == "complete":
         n_u, n_v = _sizes(params)

@@ -205,6 +205,8 @@ def assert_sweeps_equal(got, want):
 
 
 ORACLE_SPECS = SPECS + (piecewise_table((0.0, 0.5, 1.0), (0.5, 0.5, 0.7)),)
+# slope-valid: each segment climbs at most its left-knot value
+STEEP_TABLE = piecewise_table((0.0, 0.3, 0.7, 1.0), (0.4, 0.5, 0.7, 0.9))
 
 
 def oracle_lanes(rng, sweep, base, kind, n):
@@ -602,8 +604,6 @@ def assert_constant_inside_pieces(ends, status_at):
 def test_status_is_constant_inside_every_piece(spec, weighted):
     # the cuts are complete: along y_v at a random y_u, and along y_u with
     # v at rank one, nothing between two cuts changes v's status
-    from rankmatch.analysis import _pieces, _time_pieces
-
     rng = np.random.default_rng(31)
     for _ in range(120):
         inst = random_instance(rng, weighted=weighted)
@@ -613,11 +613,36 @@ def test_status_is_constant_inside_every_piece(spec, weighted):
         y_u = float(rng.random())
         sweep = PairSweep(inst, spec, base, u, v)
         assert_constant_inside_pieces(
-            _pieces(spec, sweep.shared_cuts + sweep.own_cuts([y_u])[0])[0],
+            sweep.v_pieces([y_u])[0][0],
             lambda y: edge_status(inst, spec, base, u, v, y_u, y))
         assert_constant_inside_pieces(
-            _time_pieces(inst, spec, base, u, v)[0],
+            sweep.u_pieces()[0],
             lambda y: edge_status(inst, spec, base, u, v, y, 1.0))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + (STEEP_TABLE,),
+                         ids=[s.kind for s in ORACLE_SPECS] + ["steep-table"])
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+def test_gamma_reads_the_shared_pieces_alone(spec, weighted):
+    # at arrival time one, u's own crossings never move beta: gamma from
+    # the shared pieces equals gamma from them cut again at y_u = 1
+    from rankmatch.analysis import _flip
+
+    rng = np.random.default_rng(32)
+    cut_again = 0
+    for _ in range(40):
+        inst = random_instance(rng, weighted=weighted)
+        base = sample_ranks(inst, rng)
+        edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
+        u, v = edges[int(rng.integers(len(edges)))]
+        sweep = PairSweep(inst, spec, base, u, v)
+        ends, mids = sweep.v_pieces([1.0])[0]
+        cut_again += len(ends) > sweep.ends.size
+        gamma = _flip(ends, [edge_status(inst, spec, base, u, v, 1.0, y) == MATCHED_BEFORE
+                             for y in mids], "")
+        assert sweep.tau_gamma()[1] == gamma
+    # equal weights cross at the rival's rank, a shared cut already
+    assert (cut_again > 0) == weighted
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["half-exp", "simple-exp", "adversarial"])
@@ -638,13 +663,11 @@ def test_thresholds_hold_on_unit_weight_edges(spec):
 def test_tau_where_two_offers_to_u_cross():
     # with v at rank one, a(1) = 0, so u takes z until 1.5 b(y_u) reaches
     # a(y_z) + b(y_u): random edges rarely need this b^-1 cut
-    from rankmatch.analysis import _time_pieces
-
     inst = build_instance([("v", 1.5), ("z", 1.0)], [("u", ["v", "z"])])
     base = RankAssignment({"u": 0.5, "v": 0.5, "z": 0.3})
     spec = half_exp()
     assert_constant_inside_pieces(
-        _time_pieces(inst, spec, base, "u", "v")[0],
+        PairSweep(inst, spec, base, "u", "v").u_pieces()[0],
         lambda y: edge_status(inst, spec, base, "u", "v", y, 1.0))
     b_tau = spec.offer_parts_scalar(0.3)[0] / 0.5
     prof = compute_thresholds(inst, spec, base, "u", "v", [0.5])
@@ -668,7 +691,7 @@ def test_thresholds_refuse_interleaved_pieces(monkeypatch):
 def test_thresholds_make_one_sweep_run(monkeypatch):
     # one PairSweep.run takes one lane per piece of every grid point; its
     # profile is the one a scalar edge_status call per piece gives
-    from rankmatch.analysis import _flip, _pieces
+    from rankmatch.analysis import _flip
 
     calls, run = [], PairSweep.run
 
@@ -689,8 +712,7 @@ def test_thresholds_make_one_sweep_run(monkeypatch):
         prof = compute_thresholds(inst, spec, base, u, v, grid)
         sweep = PairSweep(inst, spec, base, u, v)
         lanes, betas, thetas = 0, [], []
-        for y_u, cuts in zip(grid, sweep.own_cuts(grid)):
-            ends, mids = _pieces(spec, sweep.shared_cuts + cuts)
+        for y_u, (ends, mids) in zip(grid, sweep.v_pieces(grid)):
             st = [edge_status(inst, spec, base, u, v, y_u, y) for y in mids]
             lanes += len(mids)
             betas.append(_flip(ends, [x == MATCHED_BEFORE for x in st], ""))

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -7,13 +8,13 @@ import pytest
 
 from rankmatch import bounds
 from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
-                              bound_function, heatmap_rows, improved_bound,
-                              integral_bound, minimize_bound,
+                              SurfaceDomainError, bound_function, heatmap_rows,
+                              improved_bound, integral_bound, minimize_bound,
                               piecewise_from_json, profiles_from_json,
                               simple_bound, solve_curve_equals_two_t,
                               stationary_tau)
-from rankmatch.gains import (ADVERSARIAL, LN2, GainSpec, adversarial_baseline,
-                             half_exp, piecewise_table, simple_exp)
+from rankmatch.gains import (LN2, GainSpec, adversarial_baseline, half_exp,
+                             piecewise_table, simple_exp)
 from rankmatch.numerics import integrate
 
 E_HALF = math.exp(-0.5)
@@ -21,6 +22,15 @@ SIMPLE_FLOOR = 1.25 - E_HALF            # 0.6434693402873666
 IMPROVED_FLOOR = 1.0 - LN2 / 2.0        # 0.6534264097200273
 
 MILD_TABLE = piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))
+
+
+def refused_unless_weight_split(spec):
+    """The context a surface test runs in: for a spec that is no weight
+    split (the adversarial one) the first surface call raises
+    SurfaceDomainError, which ends the test."""
+    if spec.weight_split:
+        return contextlib.nullcontext()
+    return pytest.raises(SurfaceDomainError, match="no weight split")
 
 
 def antideriv(kind, t):
@@ -53,7 +63,7 @@ def test_simple_bound_named_values():
     s = simple_exp()
     assert simple_bound(s, 1.0, 0.0) == pytest.approx(SIMPLE_FLOOR, abs=1e-9)
     assert simple_bound(s, 0.5, 0.5) == pytest.approx(SIMPLE_FLOOR, abs=1e-9)
-    for spec in (s, half_exp(), adversarial_baseline(), MILD_TABLE):
+    for spec in (s, half_exp(), MILD_TABLE):
         assert simple_bound(spec, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -79,7 +89,7 @@ def test_simple_bound_matches_closed_form_everywhere():
 def test_simple_bound_matches_quadrature_for_every_kind():
     # reference: both share integrals by adaptive quadrature of share_scalar
     rng = np.random.default_rng(34)
-    for spec in (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE):
+    for spec in (simple_exp(), half_exp(), MILD_TABLE):
         share, bps = spec.share_scalar, spec.curve_breakpoints
         for _ in range(20):
             tau, gamma = rng.random(), rng.random()
@@ -102,25 +112,32 @@ def share_integral(spec, lo, hi, y):
 def test_simple_bound_matches_two_share_integrals_bit_for_bit(spec):
     # the corner plus one closed-form share integral per side, summed in order
     pts = [i / 40 for i in range(41)]
-    for tau in pts:
-        for gamma in pts:
-            want = ((1.0 - tau) * (1.0 - gamma) + share_integral(spec, 0.0, gamma, tau)
-                    + share_integral(spec, 0.0, tau, gamma))
-            assert simple_bound(spec, tau, gamma).hex() == want.hex()
+    with refused_unless_weight_split(spec):
+        for tau in pts:
+            for gamma in pts:
+                want = ((1.0 - tau) * (1.0 - gamma) + share_integral(spec, 0.0, gamma, tau)
+                        + share_integral(spec, 0.0, tau, gamma))
+                assert simple_bound(spec, tau, gamma).hex() == want.hex()
 
 
-def test_improved_bound_adversarial_closed_form():
-    # b = 0: the inner objective is e^(x-1) + e^(gamma-1) - e^(-1) at every theta
-    rng = np.random.default_rng(35)
+def test_surfaces_refuse_the_adversarial_spec():
+    # a + b = 1 - e^(y-1) is not 1/2: at (1, 0.955) both surfaces read
+    # 1.2206 while a corpus edge there has a pair gain of 0.687
     adv = adversarial_baseline()
-    e1 = math.exp(-1.0)
-    for _ in range(40):
-        tau, gamma = rng.random(), rng.random()
-        corner = (1.0 - tau) * (1.0 - gamma)
-        v_side = (1.0 - tau) * (math.exp(gamma - 1.0) - e1)
-        u_side = (math.exp(tau - 1.0) - e1) + tau * (math.exp(gamma - 1.0) - e1)
-        assert improved_bound(adv, tau, gamma, tol=1e-10) == pytest.approx(
-            corner + v_side + u_side, abs=1e-10)
+    assert not adv.weight_split
+    assert all(spec.weight_split for spec in (simple_exp(), half_exp(), MILD_TABLE))
+    for refused in (lambda: simple_bound(adv, 1.0, 0.9553532634660223),
+                    lambda: improved_bound(adv, 1.0, 0.9553532634660223),
+                    lambda: minimize_bound(adv, "simple"),
+                    lambda: minimize_bound(adv, "improved"),
+                    lambda: heatmap_rows(adv, "improved", 2),
+                    lambda: stationary_tau(adv, 0.5)):
+        with pytest.raises(SurfaceDomainError, match="adversarial spec is no weight split"):
+            refused()
+    # the profile integral writes u's floor as a(theta) + b(x): still taken
+    always = StepProfiles(theta_fn=Piecewise((0.0, 1.0), (1.0,)),
+                          beta_fn=Piecewise((0.0, 1.0), (0.0,)))
+    assert integral_bound(adv, always) == 1.0
 
 
 def test_improved_inner_minimum_matches_dense_theta_grid(monkeypatch):
@@ -135,7 +152,7 @@ def test_improved_inner_minimum_matches_dense_theta_grid(monkeypatch):
 
     monkeypatch.setattr(bounds, "integrate", spy)
     rng = np.random.default_rng(36)
-    for spec in (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE):
+    for spec in (simple_exp(), half_exp(), MILD_TABLE):
         for _ in range(25):
             tau, gamma, x = (float(r) for r in rng.random(3))
             thetas = list(np.linspace(0.0, gamma, 401))
@@ -149,18 +166,11 @@ def test_improved_inner_minimum_matches_dense_theta_grid(monkeypatch):
 def two_call_improved_bound(spec, tau, gamma, tol):
     """improved_bound with its integrand in the two-call form: a(x) and
     b(x) each from their own curve evaluation, min() over a generator."""
-    if spec.kind == ADVERSARIAL:
-        def a(x):
-            return 1.0 - math.exp(x - 1.0)
+    def a(x):
+        return 0.5 * (1.0 - spec.curve_scalar(x))
 
-        def b(x):
-            return 0.0
-    else:
-        def a(x):
-            return 0.5 * (1.0 - spec.curve_scalar(x))
-
-        def b(x):
-            return 0.5 * spec.curve_scalar(x)
+    def b(x):
+        return 0.5 * spec.curve_scalar(x)
     b_tau = b(tau)
     const = 1.0 - spec.rank_offer_antideriv(gamma) + gamma * (1.0 - b_tau)
     thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
@@ -181,10 +191,11 @@ def two_call_improved_bound(spec, tau, gamma, tol):
                                   MILD_TABLE], ids=lambda spec: spec.kind)
 def test_improved_bound_matches_two_call_integrand_bit_for_bit(spec, tol):
     pts = [i / 40 for i in range(41)]
-    for tau in pts:
-        for gamma in pts:
-            assert (improved_bound(spec, tau, gamma, tol=tol).hex()
-                    == two_call_improved_bound(spec, tau, gamma, tol).hex())
+    with refused_unless_weight_split(spec):
+        for tau in pts:
+            for gamma in pts:
+                assert (improved_bound(spec, tau, gamma, tol=tol).hex()
+                        == two_call_improved_bound(spec, tau, gamma, tol).hex())
 
 
 @pytest.mark.parametrize("spec, tau, gamma, per_point, fixed", [
@@ -193,7 +204,7 @@ def test_improved_bound_matches_two_call_integrand_bit_for_bit(spec, tol):
     (half_exp(), 0.7, 0.5, 1, 3),
     (simple_exp(), 0.3, 0.8, 1, 4),
     (MILD_TABLE, 0.9, 0.4, 1, 3),
-    (adversarial_baseline(), 0.7, 0.9, 1, 3),
+    (adversarial_baseline(), 0.7, 0.9, 1, 3),     # refused: no weight split
 ], ids=["half-exp-kink-below-gamma", "half-exp", "simple-exp", "table", "adversarial"])
 def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
         monkeypatch, spec, tau, gamma, per_point, fixed):
@@ -213,9 +224,10 @@ def test_improved_bound_evaluates_the_curve_once_per_integrand_point(
 
     monkeypatch.setattr(GainSpec, "offer_parts_scalar", counted_parts)
     monkeypatch.setattr(bounds, "integrate", counted_integrate)
-    improved_bound(spec, tau, gamma, tol=1e-9)
-    assert calls["integrand"] > 0
-    assert calls["parts"] == per_point * calls["integrand"] + fixed
+    with refused_unless_weight_split(spec):
+        improved_bound(spec, tau, gamma, tol=1e-9)
+        assert calls["integrand"] > 0
+        assert calls["parts"] == per_point * calls["integrand"] + fixed
 
 
 def test_improved_bound_named_values():
@@ -228,8 +240,7 @@ def test_improved_bound_named_values():
 
 def test_improved_never_below_simple():
     rng = np.random.default_rng(31)
-    specs = (simple_exp(), half_exp(), adversarial_baseline(), MILD_TABLE)
-    for spec in specs:
+    for spec in (simple_exp(), half_exp(), MILD_TABLE):
         for _ in range(100):
             tau, gamma = rng.random(), rng.random()
             imp = improved_bound(spec, tau, gamma, tol=1e-10)
@@ -521,3 +532,32 @@ def test_pair_gain_never_below_minimized_bound():
         u, v = edges[int(rng.integers(len(edges)))]
         est = pair_gain(inst, half_exp(), base, u, v, grid_n=100)
         assert est.estimate >= floor - 0.01
+
+
+STEEP_TABLE = piecewise_table((0.0, 0.3, 0.7, 1.0), (0.4, 0.5, 0.7, 0.9))
+
+
+@pytest.mark.parametrize("spec, floor", [
+    (simple_exp(), SIMPLE_FLOOR), (half_exp(), IMPROVED_FLOOR),
+    (adversarial_baseline(), 1.0 - math.exp(-1.0)), (STEEP_TABLE, None)],
+    ids=["simple-exp", "half-exp", "adversarial", "table"])
+def test_two_by_one_instance_attains_the_per_edge_bound(spec, floor):
+    # u1 arrives at 0 and takes v first whenever y_u2 > 0, so alpha_u2 = 0
+    # and alpha_v = 1 - a(y_v) - b(0): the pair gain of (u2, v) is exactly
+    # 1 - A(1) - b(0), at the corner (tau, gamma) = (0, 1) of both surfaces
+    from rankmatch.analysis import pair_gain
+    from rankmatch.core import RankAssignment, build_instance
+
+    inst = build_instance([("v", 1.0)], [("u1", ["v"]), ("u2", ["v"])])
+    base = RankAssignment({"u1": 0.0, "u2": 0.5, "v": 0.5})
+    exact = 1.0 - spec.rank_offer_antideriv(1.0) - spec.offer_parts_scalar(0.0)[1]
+    est = pair_gain(inst, spec, base, "u2", "v", grid_n=200)
+    assert (est.tau, est.gamma) == (0.0, 1.0)
+    assert abs(est.estimate - exact) <= 1e-6
+    if floor is not None:
+        assert exact == floor
+    if spec.weight_split:
+        # bit for bit on the exp curves; the table's sums round differently
+        tol = 2.2e-16 if floor is None else 0.0
+        for surface in (simple_bound, improved_bound):
+            assert abs(surface(spec, 0.0, 1.0) - exact) <= tol

@@ -78,6 +78,19 @@ def test_bounds_heatmap_csv(capsys):
     assert len(lines) == 17
 
 
+@pytest.mark.parametrize("action", [("evaluate", "--tau", "1", "--gamma", "0.9553532634660223"),
+                                    ("minimize",), ("heatmap", "--grid", "3")],
+                         ids=lambda action: action[0])
+@pytest.mark.parametrize("which", ["simple", "improved"])
+def test_bounds_refuse_the_adversarial_spec(capsys, action, which):
+    # the surfaces hold only where a + b = 1/2: exit 2 and one error line
+    code, out, err = run_cli(capsys, "bounds", action[0], "--spec", "adversarial",
+                             "--which", which, *action[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no weight split" in err
+
+
 def test_thresholds_csv(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--gen", "complete", "--n", "2",
                            "--grid", "4", "--seed", "2", "--format", "csv")

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of stdout for fast CLI runs.
 
 The lines holding a timestamp are dropped before hashing; everything else a
-run prints is pinned. A change that moves any of these outputs on purpose
-re-pins the hash and says why in CHANGES.md.
+run prints is pinned. A refused run pins its exit status and its error
+line. A change that moves any of these outputs on purpose re-pins the hash
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -30,10 +31,6 @@ GOLDEN = {
         "31e38fdda3451555abb19194cff927b1e90d673e058c3ac7eb1093ce9a777d35",
     _evaluate("half-exp", "simple", "0.8", "0.2"):
         "78c3906056fe5625e3b720733e5d1f27dbec3f0c1463f39391d952ec1540486a",
-    _evaluate("adversarial", "simple", "0.3", "0.7"):
-        "9b0cf9abbe91f425bfbf9ff9b6606aa832758add505c95034e5d918ce9481b25",
-    _evaluate("adversarial", "simple", "0.8", "0.2"):
-        "617336b48b161b59210b643586ca5a59c3093894c5b8fd77f9a4e83c407936fa",
     _evaluate("simple-exp", "improved", "0.3", "0.7"):
         "14a71ab9478aa55ac5feef1ae003e5ab773631a2490bfee3df32e269edaa8b0e",
     _evaluate("simple-exp", "improved", "0.8", "0.2"):
@@ -42,10 +39,6 @@ GOLDEN = {
         "d5ea4ef96693d87b6a335b10b5a74deebde157e8b18848e9ce54bcf8494cde07",
     _evaluate("half-exp", "improved", "0.8", "0.2"):
         "bd766d50841df35bfcfcab06a1c715e09cf7768768dac07bd97f4cf2dbede119",
-    _evaluate("adversarial", "improved", "0.3", "0.7"):
-        "3717b9844bbe8a664f7c2da620cf93e5192c92e47ecc4ebcd5dc6ededcf29383",
-    _evaluate("adversarial", "improved", "0.8", "0.2"):
-        "3c0a6722e5f2a6964a6dbf617d6fe2caef93134a3f3438730b7c1b6c6e244db4",
     ("bounds", "minimize", "--spec", "simple-exp", "--which", "simple"):
         "054a5af962a92267f22e05f0d674829602b242e11025cac65b1e06da1cdc297e",
     ("bounds", "minimize", "--spec", "half-exp", "--which", "improved"):
@@ -60,6 +53,9 @@ GOLDEN = {
         "13e99ae49c4d756e4b51e493f35dca8fcdc15fc7447731085df6cf66b76e4033",
     ("thresholds", *EDGE, "--grid", "16", "--format", "csv"):
         "61f9f2b8ba6007d3e9687c1845a41147058ad7a54ae17a5c28f78621c242efa2",
+    # the JSON profile also prints tau and gamma
+    ("thresholds", *EDGE, "--grid", "16", "--format", "json"):
+        "224a16d7ba3df0a719325c8103e44e4d969d532a279739f6524fb057005d3749",
     ("simulate", "--gen", "weighted_random", "--n", "6", "--p", "0.5", "--trials", "50"):
         "0283c640c2444664b5967ca1faac51a73d489d0227b83d2e0e80721ca731b055",
     (*UT100, "--spec", "half-exp"):
@@ -74,11 +70,23 @@ GOLDEN = {
         "b663db99f7f65c4a6dd00cef4724e1c888ec187d98e92d68298039f888ae563f",
 }
 
+# the bound surfaces refuse a spec that is no weight split: exit 2, nothing
+# on stdout and this one line on stderr
+REFUSED = tuple(_evaluate("adversarial", which, tau, gamma)
+                for which in ("simple", "improved")
+                for tau, gamma in (("0.3", "0.7"), ("0.8", "0.2")))
+REFUSAL = ("error: the bound surfaces hold only where a + b = 1/2; "
+           "the adversarial spec is no weight split\n")
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+
+@pytest.mark.parametrize("argv", [*GOLDEN, *REFUSED], ids=" ".join)
 def test_cli_output_is_pinned(capsys, argv):
-    assert main(list(argv)) == 0
-    out = capsys.readouterr().out
+    status = main(list(argv))
+    out, err = capsys.readouterr()
+    if argv in REFUSED:
+        assert (status, out, err) == (2, "", REFUSAL)
+        return
+    assert status == 0
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if '"timestamp"' not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN[argv]

@@ -64,9 +64,24 @@ def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
     # perfbench/tracing.py wraps program functions by name (PairSweep.run,
     # numerics.bisect_boundary, GainSpec.curve_scalar, ...); Tracer() looks
     # each one up, so a renamed or deleted one fails here and not only as
-    # a failed benchmark run
+    # a failed benchmark run, whose own tests take minutes. Installing and
+    # uninstalling puts every original back, and the names the benchmark's
+    # injected faults rebind still hold the functions they wrap
+    from rankmatch import analysis, bounds, experiments, numerics, ranking
+
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
     assert len(tracer.bindings) == len(tracing.SPANS) + len(tracing.COUNTS)
     assert all(callable(original) for _, _, original, _ in tracer.bindings)
+    try:
+        tracer.install()
+        assert all(getattr(owner, attr) is wrapper
+                   for owner, attr, _, wrapper in tracer.bindings)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original
+               for owner, attr, original, _ in tracer.bindings)
+    assert experiments.run_ranking is ranking.run_ranking
+    assert analysis.run_ranking is ranking.run_ranking
+    assert bounds.integrate is numerics.integrate
