@@ -165,16 +165,17 @@ def minimize_bound(spec: GainSpec, which: str) -> BoundPoint:
     with the surface at quadrature tolerance SCAN_TOL (1e-6), then
     alternating golden-section refinement of each coordinate inside the
     winning cell's neighborhood down to ARG_TOL (1e-6), with the surface at
-    POLISH_TOL (1e-9). Deterministic: ties on the scan resolve to the first
-    grid point in row-major order.
+    POLISH_TOL (1e-9). The scan's point, scored at POLISH_TOL too, is
+    reported instead when its value is strictly lower, so a minimum on the
+    grid is reported there and not near it. Deterministic: ties on the scan
+    resolve to the first grid point in row-major order.
 
     Only the value is a stable output; the minimizer need not be unique.
     For simple-exp the simple surface sits at its minimum 5/4 - e^(-1/2)
     along a whole path in (tau, gamma), (0, 1) -> (1/2, 1) -> (1/2, 1/2)
-    -> (1, 1/2) -> (1, 0): it equals that value exactly at (1, 0),
-    (0.5, 0.5), (0, 1), (0.0109, 1) and (4e-7, 1). The reported tau and
-    gamma are one point of that flat valley, and a change of 1e-15 in the
-    surface can move them along it.
+    -> (1, 1/2) -> (1, 0). The criterion runs (simple-exp on the simple
+    surface, half-exp on the improved one) report the scan's (0, 1), with
+    the constant itself as the value.
     """
     f = bound_function(which)
     pts = _grid_points(SCAN_GRID_N)
@@ -198,7 +199,10 @@ def minimize_bound(spec: GainSpec, which: str) -> BoundPoint:
         window = max(4.0 * ARG_TOL, 0.5 * window)
         if moved < ARG_TOL:
             break
-    return BoundPoint(tau=tau, gamma=gamma, value=f(spec, tau, gamma, tol=POLISH_TOL))
+    polished = BoundPoint(tau=tau, gamma=gamma, value=f(spec, tau, gamma, tol=POLISH_TOL))
+    _, tau, gamma = best
+    scan = BoundPoint(tau=tau, gamma=gamma, value=f(spec, tau, gamma, tol=POLISH_TOL))
+    return scan if scan.value < polished.value else polished
 
 
 def heatmap_rows(spec: GainSpec, which: str,

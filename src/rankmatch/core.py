@@ -47,8 +47,7 @@ class Instance:
 
     The views offline_ids, online_ids, weights (id -> weight) and neighbors
     (online id -> neighbor tuple) are built once, at construction; weights
-    and neighbors are read-only mappings. edges and adjacency are built on
-    first use.
+    and neighbors are read-only mappings. adjacency is built on first use.
     Instances are immutable, pickle, and are safe to share across workers.
     """
 
@@ -70,11 +69,6 @@ class Instance:
     def __reduce__(self):
         # a mappingproxy does not pickle; the views are rebuilt on load
         return Instance, (self.offline, self.online)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[str, str]]:
-        """Every (online id, offline id) edge."""
-        return frozenset((u, v) for u, nbs in self.online for v in nbs)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -220,9 +214,6 @@ class RankAssignment:
         ranks = dict(self.ranks)
         ranks.update(changes)
         return RankAssignment(ranks)
-
-    def to_json_dict(self) -> dict:
-        return {"ranks": dict(sorted(self.ranks.items()))}
 
 
 def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment:

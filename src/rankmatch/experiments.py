@@ -73,9 +73,6 @@ class RatioReport:
     config_echo: dict
     timestamp: str
 
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(a / self.opt_value for a in self.alg_values)
-
     def to_json_dict(self) -> dict:
         return {
             "config": self.config_echo,
@@ -106,7 +103,7 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
     rank_draws(instance, (seed, t)) sample_ranks assigns, and the offer
     parts come from offer_parts, bit for bit run_ranking's
     offer_parts_scalar values, so every lane makes run_ranking's choices.
-    Returns the (n_online, T) partner indices."""
+    Returns the (online, T) partner indices."""
     n_off = len(instance.offline)
     ranks = np.empty((n_off + len(instance.online), len(trials)))
     for k, t in enumerate(trials):

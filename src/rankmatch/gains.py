@@ -20,9 +20,9 @@ a = a0 + a1 f, b = b0 + b1 f. For the curve kinds f is c: an exp curve is
 one exp piece and then the constant 1, a table one affine piece per
 segment with np.interp's slope. For the adversarial kind f is a, one exp
 piece. The rest is generic: a and b by two evaluators (offer_parts_scalar,
-the reference, and offer_parts, its values over arrays bit for bit; curve
-is 2 b), A = int a and B = int b from a running total at each piece start
-(rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
+the reference, and offer_parts, its values over arrays bit for bit;
+curve_scalar is 2 b), A = int a and B = int b from a running total at each
+piece start (rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
 (offer_inverse), the kinks (curve_breakpoints), and c' <= c, which gives
 d share/dy = -c'(y)/2 >= share - 1: r <= s on every piece, so a table is
 refused if a segment climbs faster than its left-knot value.
@@ -99,8 +99,10 @@ class GainSpec:
     (must start at 0 and end at 1) and curve values at the knots, with
     linear interpolation in between.
 
-    Built with the spec, as float tuples that pickle with it: pieces (f's, by
-    increasing x0 from 0) and curve_breakpoints (where quadrature must split).
+    Built with the spec, as float tuples: pieces (f's, by increasing x0
+    from 0) and curve_breakpoints (where quadrature must split). The
+    evaluators' array tables are read-only; numpy unpickles arrays writable,
+    so a spec pickles as its three fields and is rebuilt on load.
     weight_split, read off the map from f to a and b, says whether a + b =
     1/2 for every f, so that share(x, y) + share(y, x) = 1: true for the
     curve kinds, false for the adversarial one.
@@ -151,26 +153,25 @@ class GainSpec:
             total = total + s * h + 0.5 * r * h * h + p * math.exp(x1 + t) - q
         # offer_inverse inverts an affine piece by np.interp's slope between
         # its ends, an exp one by p's sign and log|p| + t
-        _, x0, s, r, p, t, *_ = cols = tuple(map(np.array, zip(*rows)))[:10]
+        _, x0, s, r, p, t, *_ = cols = tuple(map(np.array, list(zip(*rows))[:10]))
         with np.errstate(divide="ignore", invalid="ignore"):
             inverse = (x0, s, np.where(r != 0.0, (np.append(x0[1:], 1.0) - x0) / (
                 np.append(s[1:], s[-1]) - s), 0.0), np.sign(p), np.log(np.abs(p)) + t)
+        for arr in (*cols, *inverse[2:]):
+            arr.setflags(write=False)
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
                             ("weight_split", a0 + b0 == 0.5 and a1 + b1 == 0.0),
                             ("_cols", cols), ("_inverse", inverse),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return GainSpec, (self.kind, self.breakpoints, self.values)
+
     # -- the curve ----------------------------------------------------
 
-    def curve(self, x):
-        """Curve value c(x); accepts scalars or numpy arrays in [0, 1]."""
-        if self.kind == ADVERSARIAL:
-            raise GainSpecError("the adversarial baseline has no underlying curve")
-        return 2.0 * self.offer_parts(x)[1]      # b = c / 2
-
     def curve_scalar(self, x: float) -> float:
-        """curve() for scalar paths: plain math, no domain validation."""
+        """Curve value c(x) = 2 b(x): plain math, no domain validation."""
         if self.kind == ADVERSARIAL:
             raise GainSpecError("the adversarial baseline has no underlying curve")
         return 2.0 * self.offer_parts_scalar(x)[1]      # b = c / 2

@@ -12,12 +12,14 @@ import math
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
 from .core import Instance
+from .numerics import as_real
 
-# most adjacency cells (n_online x n_offline) a generator will allocate
+# most adjacency cells (online x offline) a generator will allocate
 MAX_CELLS = 10**7
 # most draws random_instance makes before giving up on min_edges
 MAX_DRAWS = 10_000
@@ -27,33 +29,44 @@ class GeneratorError(ValueError):
     """Unknown generator kind or invalid parameters."""
 
 
+# the params keys each generate_instance kind reads
+_KEYS = {"complete": ("n",), "upper_triangular": ("n",),
+         "random": ("n", "p"), "weighted_random": ("n", "p")}
+
+
 @lru_cache(maxsize=64)
 def _ids(prefix: str, n: int) -> tuple[str, ...]:
     width = len(str(n))
     return tuple([f"{prefix}{i + 1:0{width}d}" for i in range(n)])
 
 
-def _check_cells(n_u: int, n_v: int) -> None:
-    if n_u * n_v > MAX_CELLS:
-        raise GeneratorError(f"{n_u} x {n_v} instance has {n_u * n_v} cells, "
+def _check_cells(n: int) -> None:
+    if n * n > MAX_CELLS:
+        raise GeneratorError(f"{n} x {n} instance has {n * n} cells, "
                              f"more than MAX_CELLS = {MAX_CELLS}")
 
 
-def _sizes(params: Mapping) -> tuple[int, int]:
+def _params(kind: str, params) -> tuple[int, float]:
+    """(n, p) of a generate_instance call, checked as its docstring says."""
+    if kind not in _KEYS:
+        raise GeneratorError(f"unknown generator kind {kind!r}")
+    if not isinstance(params, Mapping):
+        raise GeneratorError(f"generator params must be a mapping, got {params!r}")
+    for key in params:
+        if key not in _KEYS[kind]:
+            raise GeneratorError(f"{kind} reads only {' and '.join(_KEYS[kind])}, "
+                                 f"not {key!r}")
     n = params.get("n")
-    n_online = int(params.get("n_online", n if n is not None else 0))
-    n_offline = int(params.get("n_offline", n if n is not None else 0))
-    if n_online < 1 or n_offline < 1:
-        raise GeneratorError("need n >= 1 (or n_online/n_offline >= 1)")
-    _check_cells(n_online, n_offline)
-    return n_online, n_offline
-
-
-def _edge_prob(params: Mapping) -> float:
-    p = float(params.get("p", 0.5))
-    if not (0.0 <= p <= 1.0):
-        raise GeneratorError(f"edge probability outside [0, 1]: {p}")
-    return p
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
+        raise GeneratorError(f"need an integer n >= 1, got {n!r}")
+    _check_cells(n := int(n))
+    try:
+        p = as_real(params.get("p", 0.5))
+    except TypeError:
+        p = math.nan
+    if not (0.0 <= p <= 1.0):       # so p was given: the default passes
+        raise GeneratorError(f"need an edge probability p in [0, 1], got {params['p']!r}")
+    return n, p
 
 
 def _unit(offl: tuple[str, ...]) -> tuple[tuple[str, float], ...]:
@@ -79,7 +92,7 @@ def _draw(rng: np.random.Generator, n_u: int, n_v: int, p: float,
 
 
 def generate_instance(kind: str, params: Mapping, seed) -> Instance:
-    """Deterministic instance from (kind, params, seed).
+    """Deterministic n x n instance from (kind, params, seed).
 
     Kinds:
       complete(n): every online adjacent to every offline, unit weights.
@@ -90,27 +103,19 @@ def generate_instance(kind: str, params: Mapping, seed) -> Instance:
       weighted_random(n, p): random edges plus log-uniform weights in
         [0.1, 10] (weights are drawn before edges, so the edge pattern for
         a seed differs from random's).
-    complete/random/weighted_random also accept n_online/n_offline for
-    rectangular shapes.
+    params holds exactly the keys its kind reads: n, an integer >= 1 (not
+    a bool), and for the random kinds p, a number in [0, 1] (1/2 when
+    absent); anything else raises GeneratorError before any allocation.
     """
-    if kind == "complete":
-        n_u, n_v = _sizes(params)
-        offl = _ids("v", n_v)
-        return Instance(_unit(offl), tuple([(u, offl) for u in _ids("u", n_u)]))
-    if kind == "upper_triangular":
-        n = int(params.get("n", 0))
-        if n < 1:
-            raise GeneratorError("need n >= 1")
-        _check_cells(n, n)
-        offl = _ids("v", n)
-        return Instance(_unit(offl), tuple([(u, offl[i:])
-                                            for i, u in enumerate(_ids("u", n))]))
+    n, p = _params(kind, params)
     if kind in ("random", "weighted_random"):
-        n_u, n_v = _sizes(params)
-        p = _edge_prob(params)
-        return _draw(np.random.default_rng(seed), n_u, n_v, p,
+        return _draw(np.random.default_rng(seed), n, n, p,
                      kind == "weighted_random", min_edges=0)
-    raise GeneratorError(f"unknown generator kind {kind!r}")
+    offl = _ids("v", n)
+    if kind == "complete":
+        return Instance(_unit(offl), tuple([(u, offl) for u in _ids("u", n)]))
+    return Instance(_unit(offl), tuple([(u, offl[i:])
+                                        for i, u in enumerate(_ids("u", n))]))
 
 
 def random_instance(rng: np.random.Generator, max_side: int = 6,
@@ -127,7 +132,7 @@ def random_instance(rng: np.random.Generator, max_side: int = 6,
     """
     if max_side < 1:
         raise GeneratorError(f"need max_side >= 1, got {max_side}")
-    _check_cells(max_side, max_side)
+    _check_cells(max_side)
     if min_edges > max_side * max_side:
         raise GeneratorError(f"min_edges = {min_edges} exceeds the "
                              f"{max_side * max_side} edges of a "

@@ -128,14 +128,14 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     order is the (k, T) arrival order: order[i, t] is the online index
     arriving i-th in lane t, by arrival time, then id (a stable argsort of
     the id-ordered arrival times gives it). It may leave online vertices
-    out; those never arrive. on_offer is the (n_online, T) array of the
-    arrivals' offer parts b(y_u); off_ranks and off_offer are (n_offline,
-    T) arrays of offline ranks and their offer parts a(y_v), and free is
-    the (n_offline, T) mask of offline vertices still free at the start
+    out; those never arrive. on_offer is the (online, T) array of the
+    arrivals' offer parts b(y_u); off_ranks and off_offer are (offline, T)
+    arrays of offline ranks and their offer parts a(y_v), and free is
+    the (offline, T) mask of offline vertices still free at the start
     (copied, never written back). Rows follow the instance's id order.
     Every offer w_v * (a + b) must be >= 0, as it is for every GainSpec.
     Each lane follows run_ranking's rules: offer ties go to the smaller
-    offline rank, then the smaller id. Returns the (n_online, T) array of
+    offline rank, then the smaller id. Returns the (online, T) array of
     the offline index each online vertex took, -1 if none.
 
     Inside, a lane is a row and its offline vertices are columns in rank

@@ -22,6 +22,7 @@ SIMPLE_FLOOR = 1.25 - E_HALF            # 0.6434693402873666
 IMPROVED_FLOOR = 1.0 - LN2 / 2.0        # 0.6534264097200273
 
 MILD_TABLE = piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))
+STEEP_TABLE = piecewise_table((0.0, 0.3, 0.7, 1.0), (0.4, 0.5, 0.7, 0.9))
 
 
 def refused_unless_weight_split(spec):
@@ -266,13 +267,34 @@ def test_bounds_continuous_under_tiny_perturbations():
 
 
 def test_minimize_simple_exp_simple():
+    # the minimum sits on the scan's corner (0, 1); the polish must not
+    # report a point near it that scores worse
     point = minimize_bound(simple_exp(), "simple")
-    assert point.value == pytest.approx(SIMPLE_FLOOR, abs=1e-5)
+    assert point.value == SIMPLE_FLOOR
+    assert (point.tau, point.gamma) == (0.0, 1.0)
 
 
 def test_minimize_half_exp_improved():
     point = minimize_bound(half_exp(), "improved")
-    assert point.value == pytest.approx(IMPROVED_FLOOR, abs=1e-5)
+    assert point.value == IMPROVED_FLOOR
+    assert (point.tau, point.gamma) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("which", ["simple", "improved"])
+@pytest.mark.parametrize("spec", [simple_exp(), half_exp(), STEEP_TABLE],
+                         ids=["simple-exp", "half-exp", "table"])
+def test_minimize_is_never_worse_than_a_scan_point(spec, which):
+    # (0, 1) is a scan grid point, scored exactly on both surfaces
+    point = minimize_bound(spec, which)
+    assert point.value <= bound_function(which)(spec, 0.0, 1.0)
+
+
+def test_minimize_half_exp_simple_polishes_off_the_grid():
+    # the minimum (1 - ln 2)^2 + 1/2 at tau = gamma = ln 2 lies between
+    # grid points (the scan reads 0.59453 at (0.694, 0.694))
+    point = minimize_bound(half_exp(), "simple")
+    assert abs(point.value - ((1.0 - LN2) ** 2 + 0.5)) <= 1e-7
+    assert point.tau == pytest.approx(LN2, abs=1e-5)
 
 
 def test_grid_floor_half_exp_improved():
@@ -532,9 +554,6 @@ def test_pair_gain_never_below_minimized_bound():
         u, v = edges[int(rng.integers(len(edges)))]
         est = pair_gain(inst, half_exp(), base, u, v, grid_n=100)
         assert est.estimate >= floor - 0.01
-
-
-STEEP_TABLE = piecewise_table((0.0, 0.3, 0.7, 1.0), (0.4, 0.5, 0.7, 0.9))
 
 
 @pytest.mark.parametrize("spec, floor", [

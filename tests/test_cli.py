@@ -422,6 +422,13 @@ def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     assert err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("gen", ["complete", "upper_triangular"])
+def test_edge_probability_on_a_kind_without_edges_to_draw_exits_two(capsys, gen):
+    code, out, err = run_cli(capsys, "generate", "--gen", gen, "--n", "2", "--p", "0.3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {gen} reads only n, not 'p'\n"
+
+
 def _scipy_modules_after(tmp_path, *commands):
     """Run cli.main on each argv in a fresh interpreter.
 

@@ -25,7 +25,7 @@ def test_single_edge_ratio_is_one():
     report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 50, 0))
     assert report.mean_ratio == 1.0
     assert report.std_error == 0.0
-    assert all(r == 1.0 for r in report.ratios())
+    assert all(a == report.opt_value for a in report.alg_values)
 
 
 def test_complete_two_ratio_is_one():
@@ -37,7 +37,7 @@ def test_complete_two_ratio_is_one():
 def test_ratios_within_unit_interval_and_mean_consistent():
     inst = generate_instance("weighted_random", {"n": 6, "p": 0.5}, 3)
     report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 200, 2))
-    rs = report.ratios()
+    rs = [a / report.opt_value for a in report.alg_values]
     assert all(0.0 <= r <= 1.0 for r in rs)
     assert report.mean_ratio == pytest.approx(math.fsum(rs) / len(rs), abs=1e-12)
 
@@ -75,6 +75,16 @@ def hexes(values):
     return [float(x).hex() for x in values]
 
 
+def rectangular(seed):
+    """The first weighted random_instance draw from seed with at least three
+    online vertices and two more offline ones."""
+    rng = np.random.default_rng(seed)
+    while True:
+        inst = random_instance(rng, max_side=7)
+        if 3 <= len(inst.online) <= len(inst.offline) - 2:
+            return inst
+
+
 def lane_instances():
     rng = np.random.default_rng(11)
     # rectangular: 5 offline, 4 online; u3 has no neighbours, v5 weighs 0
@@ -84,8 +94,7 @@ def lane_instances():
                           ("u3", []), ("u4", ["v4", "v5"])])
     return {"weighted-random": random_instance(rng, weighted=True),
             "unit-random": random_instance(rng, weighted=False),
-            "rectangular": generate_instance("weighted_random",
-                                             {"n_offline": 7, "n_online": 4, "p": 0.6}, 2),
+            "rectangular": rectangular(2),
             "isolated-and-zero-weight": odd}
 
 
@@ -112,7 +121,7 @@ def spy_run_lanes(monkeypatch):
 def test_lane_columns_are_sample_ranks_streams(monkeypatch):
     # column t carries sample_ranks(instance, (seed, t)) bit for bit: the
     # offline ranks, the arrival order and both offer parts
-    inst = generate_instance("weighted_random", {"n_offline": 6, "n_online": 5, "p": 0.5}, 4)
+    inst = rectangular(4)
     spec = half_exp()
     calls = spy_run_lanes(monkeypatch)
     run_ratio_experiment(ExperimentConfig(inst, spec, 40, 13))

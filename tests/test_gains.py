@@ -69,15 +69,20 @@ def test_adversarial_ignores_partner_rank():
     # not a weight split: the two endpoints' shares do not sum to one
     assert s.share_scalar(0.3, 0.8) + s.share_scalar(0.8, 0.3) != pytest.approx(1.0)
     with pytest.raises(GainSpecError):
-        s.curve(0.5)
+        s.curve_scalar(0.5)
 
 
 def test_domain_validation():
     s = half_exp()
     with pytest.raises(GainSpecError):
-        s.curve(1.5)
+        s.offer_parts(1.5)
     with pytest.raises(GainSpecError):
         s.offer_parts(-0.1)
+
+
+def curve_of(spec):
+    """The curve c = 2 b of a curve kind, over arrays."""
+    return lambda y: 2.0 * spec.offer_parts(y)[1]
 
 
 def test_curve_integral_matches_quadrature():
@@ -86,7 +91,7 @@ def test_curve_integral_matches_quadrature():
         for a, b in [(0.0, 1.0), (0.2, 0.9), (0.45, 0.55)]:
             n = 400_000
             xs = a + (np.arange(n) + 0.5) * (b - a) / n
-            mid = float(np.sum(spec.curve(xs))) * (b - a) / n
+            mid = float(np.sum(curve_of(spec)(xs))) * (b - a) / n
             exact = 2.0 * (spec.time_offer_antideriv(b) - spec.time_offer_antideriv(a))
             assert exact == pytest.approx(mid, abs=5e-9)
 
@@ -133,7 +138,7 @@ def test_share_inequality_holds_on_every_accepted_curve():
     tables = [slope_valid_table(rng) for _ in range(250)]
     assert sum(t.values[-1] < 1.0 for t in tables) >= 50
     for spec in [simple_exp(), half_exp(), *tables]:
-        assert share_inequality_defect(spec.curve, spec.curve_breakpoints, rng) <= 1e-6
+        assert share_inequality_defect(curve_of(spec), spec.curve_breakpoints, rng) <= 1e-6
     # the oracle does see a curve that climbs faster than its own value
     def steep(y):
         return np.interp(y, *STEEP)
@@ -222,7 +227,7 @@ def test_scalar_paths_match_array_paths():
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
         if spec.kind != ADVERSARIAL:
             cs = np.array([spec.curve_scalar(float(x)) for x in xs])
-            assert np.max(np.abs(cs - spec.curve(xs))) <= 2e-16
+            assert np.max(np.abs(cs - curve_of(spec)(xs))) <= 2e-16
         ss = np.array([spec.share_scalar(float(x), float(y))
                        for x, y in zip(xs, ys)])
         a, b = spec.offer_parts(xs)[0], spec.offer_parts(ys)[1]
@@ -268,7 +273,8 @@ def test_offer_split_reproduces_unsplit_offers_bit_for_bit():
     w, y_v, y_u = 10.0 * rng.random(n), rng.random(n), rng.random(n)
     for spec in ALL_SPLIT_SPECS + [adversarial_baseline()]:
         if spec.kind != ADVERSARIAL:
-            want = w * 0.5 * (1.0 - spec.curve(y_v) + spec.curve(y_u))
+            curve = curve_of(spec)
+            want = w * 0.5 * (1.0 - curve(y_v) + curve(y_u))
             want_scalar = [wi * 0.5 * (1.0 - spec.curve_scalar(a) + spec.curve_scalar(b))
                            for wi, a, b in zip(w.tolist(), y_v.tolist(), y_u.tolist())]
         else:
@@ -420,3 +426,16 @@ def test_spec_pickles_with_its_pieces(spec):
     assert back == spec and hash(back) == hash(spec)
     assert back.pieces == spec.pieces and back.curve_breakpoints == spec.curve_breakpoints
     assert values(back) == before
+    # numpy unpickles arrays writable: the spec is rebuilt instead
+    assert not any(arr.flags.writeable for arr in (*back._cols, *back._inverse))
+
+
+@pytest.mark.parametrize("spec", ALL_SPLIT_SPECS + [adversarial_baseline()],
+                         ids=lambda spec: spec.kind)
+def test_spec_tables_are_read_only(spec):
+    # a write would move offer_parts off offer_parts_scalar while the spec
+    # still compared equal to an untouched one
+    for arr in (*spec._cols, *spec._inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0.0
+    assert spec.offer_parts(0.9) == tuple(map(np.array, spec.offer_parts_scalar(0.9)))

@@ -12,13 +12,13 @@ from rankmatch.generators import (MAX_CELLS, GeneratorError, generate_instance,
 
 def test_complete_two_has_four_edges():
     inst = generate_instance("complete", {"n": 2}, 0)
-    assert len(inst.edges) == 4
+    assert int(inst.adjacency.sum()) == 4
     assert all(w == 1.0 for _, w in inst.offline)
 
 
 def test_upper_triangular_three():
     inst = generate_instance("upper_triangular", {"n": 3}, 0)
-    assert len(inst.edges) == 6
+    assert int(inst.adjacency.sum()) == 6
     assert inst.neighbors["u1"] == ("v1", "v2", "v3")
     assert inst.neighbors["u2"] == ("v2", "v3")
     assert inst.neighbors["u3"] == ("v3",)
@@ -39,18 +39,48 @@ def test_weighted_random_weights_in_range():
     assert len({w for _, w in inst.offline}) > 1
 
 
-def test_rectangular_sides():
-    inst = generate_instance("random", {"n_online": 2, "n_offline": 5, "p": 1.0}, 0)
-    assert len(inst.online) == 2
-    assert len(inst.offline) == 5
-    assert len(inst.edges) == 10
-
-
 def test_id_padding_keeps_lexicographic_order():
     inst = generate_instance("upper_triangular", {"n": 12}, 0)
     ids = inst.online_ids
     assert ids == tuple(sorted(ids))
     assert ids[0] == "u01" and ids[-1] == "u12"
+
+
+@pytest.mark.parametrize("kind, params, match", [
+    ("upper_triangular", 3, "must be a mapping, got 3"),
+    ("random", [("n", 3)], "must be a mapping"),
+    ("complete", {"n": 3, "size": 3}, "complete reads only n, not 'size'"),
+    ("upper_triangular", {"n": 2, "p": 0.3}, "upper_triangular reads only n, not 'p'"),
+    ("complete", {"n": 2, "p": 0.3}, "complete reads only n, not 'p'"),
+    ("random", {"n": 3, "n_online": 2}, "random reads only n and p, not 'n_online'"),
+    ("weighted_random", {"n": 3, "n_offline": 2}, "reads only n and p, not 'n_offline'"),
+    ("random", {"p": 0.5}, "integer n >= 1, got None"),
+    ("complete", {"n": 2.7}, "integer n >= 1, got 2.7"),
+    ("upper_triangular", {"n": 3.0}, "integer n >= 1, got 3.0"),
+    ("upper_triangular", {"n": True}, "integer n >= 1, got True"),
+    ("random", {"n": "4"}, "integer n >= 1, got '4'"),
+    ("random", {"n": -1}, "integer n >= 1, got -1"),
+    ("random", {"n": 3, "p": "0.5"}, r"p in \[0, 1\], got '0.5'"),
+    ("weighted_random", {"n": 3, "p": True}, r"p in \[0, 1\], got True"),
+    ("random", {"n": 3, "p": None}, r"p in \[0, 1\], got None"),
+    ("random", {"n": 3, "p": 10**400}, r"p in \[0, 1\], got 1000"),
+    ("random", {"n": 3, "p": -0.1}, r"p in \[0, 1\], got -0.1"),
+    ("weighted_random", {"n": 3, "p": float("nan")}, r"p in \[0, 1\], got nan"),
+])
+def test_generate_instance_refuses_params_its_kind_does_not_read(monkeypatch, kind,
+                                                                params, match):
+    # refused as a GeneratorError, before any id list or random draw
+    def allocated(*args):
+        raise AssertionError("allocated before checking the params")
+    monkeypatch.setattr(generators, "_ids", allocated)
+    monkeypatch.setattr(generators.np.random, "default_rng", allocated)
+    with pytest.raises(GeneratorError, match=match):
+        generate_instance(kind, params, 0)
+
+
+def test_generate_instance_takes_numpy_integers_and_integer_p():
+    assert (generate_instance("random", {"n": np.int64(5), "p": 1}, 0)
+            == generate_instance("random", {"n": 5, "p": 1.0}, 0))
 
 
 def test_invalid_params():
@@ -68,7 +98,7 @@ def test_random_instance_always_has_edges():
     rng = np.random.default_rng(0)
     for _ in range(50):
         inst = random_instance(rng)
-        assert len(inst.edges) >= 1
+        assert inst.adjacency.any()
 
 
 def _digest(inst):
@@ -80,7 +110,7 @@ def test_seeded_draws_are_pinned():
     # generate_instance and random_instance share one draw (weights, then
     # edges, then ids); these digests of the canonical JSON were taken
     # before the two were merged, so the same seeds give the same instances
-    inst = generate_instance("weighted_random", {"n_online": 2, "n_offline": 2, "p": 0.5}, 3)
+    inst = generate_instance("weighted_random", {"n": 2, "p": 0.5}, 3)
     assert inst.to_json_dict() == {
         "offline": [{"id": "v1", "weight": 0.14835368361121182},
                     {"id": "v2", "weight": 0.297591836269688}],
@@ -88,8 +118,8 @@ def test_seeded_draws_are_pinned():
     assert [_digest(generate_instance("random", {"n": 5, "p": 0.5}, seed))
             for seed in (0, 1, 2)] == ["1f8eac30968844e6", "030db614747fb701",
                                        "05314f68c8a2735d"]
-    params = {"n_online": 3, "n_offline": 6, "p": 0.4}
-    assert [_digest(generate_instance("weighted_random", params, seed))
+    # a rectangular 3 x 6 draw, as generate_instance once made it
+    assert [_digest(generators._draw(np.random.default_rng(seed), 3, 6, 0.4, True, 0))
             for seed in (0, 1, 2)] == ["32b34f6df6d70118", "3ffb8b5695a16f5b",
                                        "0e24c253e097a1dd"]
     rng = np.random.default_rng(7)
@@ -108,11 +138,10 @@ def _generated():
         yield generate_instance("complete", {"n": n}, 0)
         yield generate_instance("upper_triangular", {"n": n}, 0)
     for kind in ("random", "weighted_random"):
-        for params in ({"n": 4}, {"n": 11, "p": 0.3}, {"n_online": 2, "n_offline": 12},
-                       {"n_online": 13, "n_offline": 3, "p": 0.8}, {"n": 10, "p": 0.0}):
+        for params in ({"n": 4}, {"n": 11, "p": 0.3}, {"n": 12, "p": 0.8},
+                       {"n": 10, "p": 0.0}):
             for seed in range(3):
                 yield generate_instance(kind, params, seed)
-    yield generate_instance("complete", {"n_online": 3, "n_offline": 10}, 0)
     rng = np.random.default_rng(11)
     for i in range(300):
         yield random_instance(rng, max_side=12 if i % 4 == 0 else 6,
@@ -129,7 +158,8 @@ def test_generated_instances_are_canonical():
         assert inst.online_ids == tuple(u for u, _ in inst.online)
         assert inst.weights == dict(inst.offline)
         assert inst.neighbors == dict(inst.online)
-        assert inst.edges == {(u, v) for u, nbs in inst.online for v in nbs}
+        assert inst.adjacency.tolist() == [[v in nbs for v in inst.offline_ids]
+                                           for _, nbs in inst.online]
 
 
 class _NoDraws:
@@ -168,11 +198,12 @@ def test_size_cap_fails_before_allocating(monkeypatch):
         raise AssertionError("allocated before checking the size cap")
     monkeypatch.setattr(generators, "_ids", allocated)
     monkeypatch.setattr(generators.np.random, "default_rng", allocated)
+    # 3163^2 is the first square above MAX_CELLS
+    assert 3162 ** 2 <= MAX_CELLS < 3163 ** 2
     for kind in ("complete", "upper_triangular", "random", "weighted_random"):
-        with pytest.raises(GeneratorError, match="MAX_CELLS"):
-            generate_instance(kind, {"n": 100_000}, 0)
-    with pytest.raises(GeneratorError, match="MAX_CELLS"):
-        generate_instance("random", {"n_online": 2, "n_offline": MAX_CELLS // 2 + 1}, 0)
+        for n in (3163, 100_000):
+            with pytest.raises(GeneratorError, match="MAX_CELLS"):
+                generate_instance(kind, {"n": n}, 0)
     with pytest.raises(GeneratorError, match="MAX_CELLS"):
         random_instance(_NoDraws(), max_side=10**4)
 

@@ -40,9 +40,9 @@ GOLDEN = {
     _evaluate("half-exp", "improved", "0.8", "0.2"):
         "bd766d50841df35bfcfcab06a1c715e09cf7768768dac07bd97f4cf2dbede119",
     ("bounds", "minimize", "--spec", "simple-exp", "--which", "simple"):
-        "054a5af962a92267f22e05f0d674829602b242e11025cac65b1e06da1cdc297e",
+        "d56225478e779861bbf0b1318161869fba429d1658b9efc5efb7de2e69b79b67",
     ("bounds", "minimize", "--spec", "half-exp", "--which", "improved"):
-        "d2de538c2608bb25a07913bad1f0d871fccc0a063155327b2cde3d224144f9aa",
+        "3637b6e14ad96a732cff26e7fdc8d4de2dd41e007fb18d141d2b2bd0f48ed48f",
     ("pair-gain", *EDGE, "--grid", "40"):
         "28257671197b679f3efbf77caa249731e91490b1b601739be20caa965d2f9f89",
     ("pair-gain", *EDGE, "--spec", "adversarial", "--grid", "40"):
