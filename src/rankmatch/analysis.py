@@ -38,7 +38,7 @@ reference, and tests cross-check the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,7 +96,8 @@ def edge_status(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-lane outcome of a batched two-rank sweep, in the lane shape."""
+    """Per-lane outcome of a batched two-rank sweep, in the lane shape;
+    PairSweep.run returns read-only arrays."""
 
     alpha_u: np.ndarray    # online endpoint's gain
     alpha_v: np.ndarray    # offline endpoint's gain
@@ -242,13 +243,12 @@ class PairSweep:
         taken[j, d] is the arrival position among the others at which
         nbrs[j] is taken when v has rank y_vs[d], n_on - 1 if never;
         v_by[d, g + 1] is v's partner (an online index, -1 if none) when
-        offline vertex g is gone, v_by[d, 0] when none is, and u where g
-        is v, which only u takes."""
+        offline vertex g (one of u's other neighbors, never v) is gone, and
+        v_by[d, 0] when none is."""
         n_on, n_off, n_vs = self.y_on.size, self.w.size, y_vs.size
         gone = np.append(self.nbrs[:-1], -1)
         taken = np.empty((self.nbrs.size, n_vs), dtype=np.intp)
         v_by = np.empty((n_vs, n_off + 1), dtype=np.intp)
-        v_by[:, self.v_idx + 1] = self.u_idx
         a_vs = self.spec.offer_parts(y_vs)[0]
         for start in range(0, gone.size * n_vs, self.block):
             keys = np.arange(start, min(start + self.block, gone.size * n_vs))
@@ -377,6 +377,8 @@ class PairSweep:
             yv, av, bu, r, d = (_part(x, blk) for x in (y_v, a_v, b_u, row, slot))
             out.alpha_u[blk], out.alpha_v[blk], out.status[blk] = self._settle(
                 yv, av, bu, r + d, chosen)
+        for x in (out.alpha_u, out.alpha_v, out.status):
+            x.flags.writeable = False
         return out
 
 
@@ -531,17 +533,13 @@ class PairGainEstimate:
     gamma: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "online": self.online_id,
-            "offline": self.offline_id,
-            "grid_n": self.grid_n,
-            "estimate": self.estimate,
-            "corner": self.corner,
-            "v_side": self.v_side,
-            "u_side": self.u_side,
-            "tau": self.tau,
-            "gamma": self.gamma,
-        }
+        """The fields in their order, the two ids as online and offline."""
+        d = asdict(self)
+        return {"online": d.pop("online_id"), "offline": d.pop("offline_id"), **d}
+
+    def to_text(self) -> str:
+        """One "key value" line per to_json_dict field, in its order."""
+        return "".join(f"{k:<10} {v}\n" for k, v in self.to_json_dict().items())
 
 
 def pair_gain(instance: Instance, spec: GainSpec, base_ranks: RankAssignment,

@@ -39,6 +39,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .gains import GainSpec
+from .generators import MAX_CELLS
 from .numerics import as_real, bisect_boundary, golden_minimize, integrate
 
 
@@ -208,7 +209,11 @@ def minimize_bound(spec: GainSpec, which: str) -> BoundPoint:
 def heatmap_rows(spec: GainSpec, which: str,
                  grid_n: int) -> list[tuple[float, float, float]]:
     """(tau, gamma, value) rows over a uniform grid, row-major in tau, with
-    the surface at quadrature tolerance HEATMAP_TOL."""
+    the surface at quadrature tolerance HEATMAP_TOL. A grid of more than
+    generators.MAX_CELLS points is refused before any is evaluated."""
+    if grid_n * grid_n > MAX_CELLS:
+        raise ValueError(f"grid_n = {grid_n} makes {grid_n * grid_n} points, "
+                         f"more than MAX_CELLS = {MAX_CELLS}")
     f = bound_function(which)
     pts = _grid_points(grid_n)
     return [(t, g, f(spec, t, g, tol=HEATMAP_TOL)) for t in pts for g in pts]

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: generate, simulate, pair-gain, thresholds, bounds, integral,
-verify. Every run is reproducible: the same arguments and seed produce
-byte-identical output except for the timestamp field of simulate/verify
-reports. Exit codes: 0 success, 1 property violation or engine check
-failure, 2 configuration error or arithmetic overflow.
+verify. Each cmd_* function returns its result: a report object, a dict,
+or the CSV text of bounds heatmap; main alone renders it, writes it and
+sets the exit code. Every run is reproducible: the same arguments and
+seed produce byte-identical output except for the timestamp field of
+simulate/verify reports. Exit codes: 0 success, 1 property violation or
+engine check failure, 2 configuration error or arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ def _load_spec(name: str) -> GainSpec:
 
 
 def _load_instance(args):
-    if args.instance:
+    if args.gen is None:
+        if args.n is not None or args.p is not None:
+            raise ValueError("--n and --p size a generated instance; "
+                             "they do not go with --instance")
         return validate_instance(_read_json(args.instance, "instance"))
-    if args.gen:
-        params = {"n": args.n}
-        if args.p is not None:
-            params["p"] = args.p
-        return generate_instance(args.gen, params, args.seed)
-    raise ValueError("provide --instance FILE or --gen KIND --n N")
+    params = {"n": 10 if args.n is None else args.n}
+    if args.p is not None:
+        params["p"] = args.p
+    return generate_instance(args.gen, params, args.seed)
 
 
 def _seed(text: str) -> int:
@@ -72,10 +75,11 @@ def _seed(text: str) -> int:
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--gen", help="generator kind "
-                   "(complete|upper_triangular|random|weighted_random)")
-    p.add_argument("--n", type=int, default=10, help="generator size")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="instance JSON file")
+    source.add_argument("--gen", help="generator kind "
+                        "(complete|upper_triangular|random|weighted_random)")
+    p.add_argument("--n", type=int, default=None, help="generator size (10)")
     p.add_argument("--p", type=float, default=None, help="edge probability")
     p.add_argument("--seed", type=_seed, default=0)
 
@@ -98,40 +102,14 @@ def _parse_edge(edge: str) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
-def cmd_generate(args) -> int:
-    instance = _load_instance(args)
-    _emit(_json_text(instance.to_json_dict()), args.out)
-    return 0
+def cmd_generate(args):
+    return _load_instance(args)
 
 
-def cmd_simulate(args) -> int:
-    instance = _load_instance(args)
-    config = ExperimentConfig(instance=instance, spec=_load_spec(args.spec),
-                              trials=args.trials, seed=args.seed,
-                              label=args.gen or args.instance or "")
-    report = run_ratio_experiment(config)
-    if args.format == "text":
-        _emit(report.to_text(), args.out)
-    else:
-        _emit(_json_text(report.to_json_dict()), args.out)
-    return 0
-
-
-def cmd_pair_gain(args) -> int:
-    instance = _load_instance(args)
-    spec = _load_spec(args.spec)
-    ranks = sample_ranks(instance, (args.seed, 0))
-    u, v = _first_edge(instance) if args.edge is None else _parse_edge(args.edge)
-    est = pair_gain(instance, spec, ranks, u, v, grid_n=args.grid)
-    if args.format == "text":
-        d = est.to_json_dict()
-        text = "".join(f"{k:<10} {d[k]}\n" for k in
-                       ("online", "offline", "grid_n", "estimate",
-                        "corner", "v_side", "u_side", "tau", "gamma"))
-        _emit(text, args.out)
-    else:
-        _emit(_json_text(est.to_json_dict()), args.out)
-    return 0
+def cmd_simulate(args):
+    return run_ratio_experiment(ExperimentConfig(
+        instance=_load_instance(args), spec=_load_spec(args.spec), trials=args.trials,
+        seed=args.seed, label=args.gen or args.instance))
 
 
 def _first_edge(instance) -> tuple[str, str]:
@@ -141,55 +119,50 @@ def _first_edge(instance) -> tuple[str, str]:
     raise ValueError("instance has no edges")
 
 
-def cmd_thresholds(args) -> int:
+def _edge_inputs(args):
+    """(instance, spec, base ranks, online id, offline id) of pair-gain and
+    thresholds, loaded in this order, so the first bad input is the one
+    reported."""
     instance = _load_instance(args)
     spec = _load_spec(args.spec)
     ranks = sample_ranks(instance, (args.seed, 0))
     u, v = _first_edge(instance) if args.edge is None else _parse_edge(args.edge)
-    grid = [(i + 0.5) / args.grid for i in range(args.grid)]
-    profile = compute_thresholds(instance, spec, ranks, u, v, grid)
-    if args.format == "csv":
-        _emit(profile.to_csv(), args.out)
-    else:
-        _emit(_json_text(profile.to_json_dict()), args.out)
-    return 0
+    return instance, spec, ranks, u, v
 
 
-def cmd_bounds(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.action == "evaluate":
-        value = bound_function(args.which)(spec, args.tau, args.gamma)
-        _emit(_json_text({"which": args.which, "tau": args.tau,
-                          "gamma": args.gamma, "value": value}), args.out)
-        return 0
-    if args.action == "minimize":
-        point = minimize_bound(spec, args.which)
-        _emit(_json_text({"which": args.which, "tau": point.tau,
-                          "gamma": point.gamma, "value": point.value}), args.out)
-        return 0
-    rows = heatmap_rows(spec, args.which, args.grid)
-    lines = ["tau,gamma,value"]
-    lines += [f"{t!r},{g!r},{v!r}" for t, g, v in rows]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+def cmd_pair_gain(args):
+    return pair_gain(*_edge_inputs(args), grid_n=args.grid)
 
 
-def cmd_integral(args) -> int:
+def cmd_thresholds(args):
+    return compute_thresholds(*_edge_inputs(args),
+                              [(i + 0.5) / args.grid for i in range(args.grid)])
+
+
+def cmd_bounds_evaluate(args):
+    value = bound_function(args.which)(_load_spec(args.spec), args.tau, args.gamma)
+    return {"which": args.which, "tau": args.tau, "gamma": args.gamma, "value": value}
+
+
+def cmd_bounds_minimize(args):
+    point = minimize_bound(_load_spec(args.spec), args.which)
+    return {"which": args.which, "tau": point.tau, "gamma": point.gamma,
+            "value": point.value}
+
+
+def cmd_bounds_heatmap(args):
+    rows = heatmap_rows(_load_spec(args.spec), args.which, args.grid)
+    return "tau,gamma,value\n" + "".join(f"{t!r},{g!r},{v!r}\n" for t, g, v in rows)
+
+
+def cmd_integral(args):
     spec = _load_spec(args.spec)
     profiles = profiles_from_json(_read_json(args.profiles, "profiles"))
-    value = integral_bound(spec, profiles)
-    _emit(_json_text({"value": value,
-                      "profiles": profiles.to_json_dict()}), args.out)
-    return 0
+    return {"value": integral_bound(spec, profiles), "profiles": profiles.to_json_dict()}
 
 
-def cmd_verify(args) -> int:
-    report = run_property_suite(args.seed, _load_spec(args.spec), args.scale)
-    if args.format == "text":
-        _emit(report.to_text(), args.out)
-    else:
-        _emit(_json_text(report.to_json_dict()), args.out)
-    return 0 if report.passed else 1
+def cmd_verify(args):
+    return run_property_suite(args.seed, _load_spec(args.spec), args.scale)
 
 
 @functools.cache
@@ -197,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; main reuses it.
 
     Each subcommand's func is a cmd_* function, which looks up the names it
-    calls when it runs."""
+    calls when it runs and returns its result for main to write."""
     parser = argparse.ArgumentParser(
         prog="rankmatch",
         description="Weighted online bipartite matching under random arrivals: "
@@ -235,12 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate/minimize/heatmap a bound surface "
                        "(evaluate and minimize print JSON, heatmap CSV)")
     actions = p.add_subparsers(dest="action", required=True)
-    for action in ("evaluate", "minimize", "heatmap"):
+    for action, func in (("evaluate", cmd_bounds_evaluate),
+                         ("minimize", cmd_bounds_minimize),
+                         ("heatmap", cmd_bounds_heatmap)):
         a = actions.add_parser(action)
         _add_spec_flag(a)
         _add_output_flags(a)
         a.add_argument("--which", choices=("simple", "improved"), default="improved")
-        a.set_defaults(func=cmd_bounds)
+        a.set_defaults(func=func)
     actions.choices["evaluate"].add_argument("--tau", type=float, default=0.0)
     actions.choices["evaluate"].add_argument("--gamma", type=float, default=0.0)
     actions.choices["heatmap"].add_argument("--grid", type=int, default=64)
@@ -264,15 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; render its result by --format (JSON without
+    one), write it to --out or stdout, and return the exit code."""
     args = build_parser().parse_args(argv)
+    fmt = getattr(args, "format", "json")
     try:
-        return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ThreeIntervalError, LaneCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = args.func(args)
+        if isinstance(result, str):
+            text = result
+        elif fmt == "json":
+            text = _json_text(result if isinstance(result, dict) else result.to_json_dict())
+        else:
+            text = result.to_text() if fmt == "text" else result.to_csv()
+        _emit(text, args.out)
+    except (ValueError, OverflowError, OSError, ThreeIntervalError, LaneCheckError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        # the two engine checks are assertion-level failures
+        return 1 if isinstance(exc, AssertionError) else 2
+    return 0 if getattr(result, "passed", True) else 1
 
 
 if __name__ == "__main__":

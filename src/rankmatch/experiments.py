@@ -15,7 +15,7 @@ run_ranking trial by trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -64,18 +64,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Per-trial values and the measured mean ratio of one experiment."""
+    """Per-trial values and the measured mean ratio of one experiment, with
+    the experiment's config, which the JSON form echoes without its
+    instance."""
 
     alg_values: tuple[float, ...]
     opt_value: float
     mean_ratio: float
     std_error: float
-    config_echo: dict
+    config: ExperimentConfig
     timestamp: str
 
     def to_json_dict(self) -> dict:
+        c = self.config
         return {
-            "config": self.config_echo,
+            "config": {"label": c.label, "trials": c.trials, "seed": c.seed,
+                       "spec": c.spec.to_json_dict()},
             "opt_value": self.opt_value,
             "mean_ratio": self.mean_ratio,
             "std_error": self.std_error,
@@ -163,11 +167,9 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
         std_error = math.sqrt(var / len(ratios))
     else:
         std_error = 0.0
-    echo = {"label": config.label, "trials": config.trials, "seed": seed,
-            "spec": spec.to_json_dict()}
     return RatioReport(alg_values=tuple(alg), opt_value=opt.value,
                        mean_ratio=mean_ratio, std_error=std_error,
-                       config_echo=echo, timestamp=_timestamp())
+                       config=config, timestamp=_timestamp())
 
 
 # -- property suite --------------------------------------------------------
@@ -199,10 +201,7 @@ class PropertyReport:
         return {
             "seed": self.seed,
             "passed": self.passed,
-            "suites": [{"name": s.name, "trials": s.trials,
-                        "violations": s.violations,
-                        "first_violation": s.first_violation}
-                       for s in self.suites],
+            "suites": [asdict(s) for s in self.suites],
             "timestamp": self.timestamp,
         }
 
@@ -222,6 +221,10 @@ def _trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((seed, tag, trial))
 
 
+# the spec of the odd monotonicity trials; a GainSpec is immutable
+_TIE_SPEC = simple_exp()
+
+
 def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec) -> str | None:
     """One raise-the-offline-rank probe of the stays-unmatched property.
 
@@ -230,10 +233,8 @@ def check_monotonicity_trial(seed: int, trial: int, spec: GainSpec) -> str | Non
     caught as well. Returns a reproduction hint on violation, else None.
     """
     rng = _trial_rng(seed, 101, trial)
-    if trial % 2 == 0:
-        trial_spec, weighted = spec, True
-    else:
-        trial_spec, weighted = simple_exp(), False
+    weighted = trial % 2 == 0
+    trial_spec = spec if weighted else _TIE_SPEC
     instance = random_instance(rng, weighted=weighted)
     ranks = sample_ranks(instance, rng)
     _, trace = run_ranking(instance, trial_spec, ranks, collect_offers=False)
@@ -327,14 +328,12 @@ _SUITES = (
 
 
 def _run_suite(name: str, trials: int, check, seed: int, spec: GainSpec) -> SuiteResult:
-    violations = 0
-    first = None
+    violations, first = 0, None
     for t in range(trials):
         hint = check(seed, t, spec)
         if hint is not None:
             violations += 1
-            if first is None:
-                first = hint
+            first = first or hint
     return SuiteResult(name=name, trials=trials, violations=violations,
                        first_violation=first)
 

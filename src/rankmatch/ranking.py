@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,12 +53,19 @@ class SimulationTrace:
     """Arrival-by-arrival record of one ranking run.
 
     match_time maps every offline id to the arrival rank of its partner
-    (math.inf when it ends unmatched). arrivals is empty when the run was
-    made with collect_offers=False.
+    (math.inf when it ends unmatched); it is a read-only copy of the
+    mapping passed in. arrivals is empty when the run was made with
+    collect_offers=False.
     """
 
     arrivals: tuple[ArrivalRecord, ...]
-    match_time: dict[str, float]
+    match_time: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "match_time", MappingProxyType(dict(self.match_time)))
+
+    def __reduce__(self):
+        return SimulationTrace, (self.arrivals, dict(self.match_time))
 
     def to_json_lines(self) -> str:
         """One JSON object per arrival: online id, rank, offers, choice."""

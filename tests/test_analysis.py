@@ -457,6 +457,16 @@ def test_sweep_on_broadcast_views_spans_blocks(monkeypatch):
                                                          res.status))), flat)
 
 
+def test_sweep_results_are_read_only():
+    inst = random_instance(np.random.default_rng(5), weighted=True)
+    u = inst.online_ids[0]
+    sweep = PairSweep(inst, half_exp(), sample_ranks(inst, 5), u, inst.neighbors[u][0])
+    res = sweep.run([0.2, 0.7], 0.4)
+    for x in (res.alpha_u, res.alpha_v, res.status):
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
 def test_sweep_rejects_lane_shapes_that_do_not_broadcast():
     inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
     sweep = PairSweep(inst, half_exp(), sample_ranks(inst, 0), "u1", "v1")

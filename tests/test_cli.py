@@ -414,8 +414,11 @@ def test_lane_check_failure_exits_one(monkeypatch, capsys):
      "grid_n = 100000 makes 10000000000 cells, more than MAX_CELLS = 10000000"),
     (("thresholds", "--gen", "complete", "--n", "2", "--grid", "0"),
      "y_u grid must be nonempty and inside [0, 1]"),
+    # 3163^2 is the first square above MAX_CELLS; refused before any point
+    (("bounds", "heatmap", "--grid", "3163"),
+     "grid_n = 3163 makes 10004569 points, more than MAX_CELLS = 10000000"),
 ], ids=["heatmap-grid-1", "heatmap-grid-0", "verify-scale-inf", "verify-scale-nan",
-        "pair-gain-grid-cells", "thresholds-grid-0"])
+        "pair-gain-grid-cells", "thresholds-grid-0", "heatmap-grid-cells"])
 def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -487,7 +490,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         assert run_cli(capsys, "generate", "--gen", "complete", "--n", n)[0] == 0
     assert len(used) == 2 and used[0] is used[1] is build_parser()
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "--no-such-flag"])
+        main(["generate", "--gen", "complete", "--no-such-flag"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert run_cli(capsys, "generate", "--gen", "complete", "--n", "2")[0] == 0
@@ -555,3 +558,69 @@ def test_finite_weights_that_overflow_exit_two_with_one_error_line(tmp_path, arg
         return
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+INSTANCE_COMMANDS = ("generate", "simulate", "pair-gain", "thresholds")
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_instance_and_gen_together_are_refused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", "inst.json", "--gen", "complete"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("error:") == 1
+    assert "error: argument --gen: not allowed with argument --instance\n" in out.err
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_an_instance_source_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("error:") == 1
+    assert "error: one of the arguments --instance --gen is required\n" in out.err
+
+
+@pytest.mark.parametrize("flag", [("--n", "50"), ("--p", "0.3")], ids=["n", "p"])
+def test_generator_flags_with_an_instance_file_exit_two(tmp_path, capsys, flag):
+    path = tmp_path / "inst.json"
+    assert run_cli(capsys, "generate", "--gen", "complete", "--out", str(path))[0] == 0
+    assert len(json.loads(path.read_text())["offline"]) == 10    # --n defaults to 10
+    code, out, err = run_cli(capsys, "simulate", "--instance", str(path), *flag,
+                             "--trials", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: --n and --p size a generated instance; "
+                   "they do not go with --instance\n")
+    code, out, _ = run_cli(capsys, "simulate", "--instance", str(path), "--trials", "3")
+    assert code == 0 and json.loads(out)["config"]["label"] == str(path)
+
+
+_PROFILES = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
+             "beta": {"kind": "step", "x": [0.0, 1.0], "y": [0.0]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--gen", "complete", "--n", "2"),
+    ("simulate", "--gen", "complete", "--n", "2", "--trials", "5"),
+    ("pair-gain", "--gen", "complete", "--n", "2", "--grid", "4"),
+    ("thresholds", "--gen", "complete", "--n", "2", "--grid", "4"),
+    ("bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5"),
+    ("bounds", "minimize", "--spec", "simple-exp", "--which", "simple"),
+    ("bounds", "heatmap", "--grid", "3"),
+    ("integral", "--profiles", "profiles.json"),
+    ("verify", "--scale", "0.002"),
+], ids=lambda argv: argv[0] if argv[0] != "bounds" else f"bounds-{argv[1]}")
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profiles.json").write_text(json.dumps(_PROFILES))
+
+    def kept(text):
+        return "".join(line for line in text.splitlines(keepends=True)
+                       if '"timestamp"' not in line)
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, *argv, "--out", "out.txt") == (0, "", "")
+    assert kept((tmp_path / "out.txt").read_bytes().decode()) == kept(out)

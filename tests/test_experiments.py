@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,3 +297,19 @@ def test_broken_weight_sum_fails_the_lane_check(monkeypatch):
     with pytest.raises(LaneCheckError, match=r"trial 0 \(seed=5\): ALG \S+ in run_lanes "
                                              r"but \S+ in run_ranking"):
         run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))
+
+
+def test_report_config_is_read_only_and_pickles():
+    inst = generate_instance("upper_triangular", {"n": 4}, 0)
+    spec = piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))
+    config = ExperimentConfig(inst, spec, 5, 7, label="ut4")
+    rep = run_ratio_experiment(config)
+    assert rep.config is config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.config.seed = 99
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.config = dataclasses.replace(config, seed=99)
+    assert rep.to_json_dict()["config"] == {"label": "ut4", "trials": 5, "seed": 7,
+                                            "spec": spec.to_json_dict()}
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep and back.to_json_dict() == rep.to_json_dict()

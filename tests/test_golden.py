@@ -1,18 +1,23 @@
 """Golden outputs: the sha256 of stdout for fast CLI runs.
 
-The lines holding a timestamp are dropped before hashing; everything else a
-run prints is pinned. A refused run pins its exit status and its error
+The lines holding a timestamp (a JSON "timestamp" key, or a text report's
+line starting with "timestamp") are dropped before hashing; everything
+else a run prints is pinned. A refused run pins its exit status and its error
 line. A change that moves any of these outputs on purpose re-pins the hash
 and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from rankmatch.cli import main
 
 EDGE = ("--gen", "weighted_random", "--n", "5", "--seed", "3", "--edge", "u4,v4")
+# the integral pins read this file from the working directory
+PROFILES = {"theta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.75, 1.0]},
+            "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.25]}}
 UT100 = ("simulate", "--gen", "upper_triangular", "--n", "100", "--trials", "200",
          "--seed", "42")
 
@@ -68,6 +73,22 @@ GOLDEN = {
         "3ef78e75024644004ea13bce3784e2f30ebf32e284ebe4b8d1f7559f7bec98b7",
     ("verify", "--scale", "0.002"):
         "b663db99f7f65c4a6dd00cef4724e1c888ec187d98e92d68298039f888ae563f",
+    # the text formats, heatmap CSV on both surfaces, integral and generate
+    ("simulate", "--gen", "weighted_random", "--n", "6", "--p", "0.5", "--trials", "50",
+     "--format", "text"):
+        "d37590329c1b96829552f11377c150a3db1ec3c287e288a8251bc827a9f0476c",
+    ("pair-gain", *EDGE, "--grid", "40", "--format", "text"):
+        "2ed187af826094ba1a04bea08e6332979efa2142d9a5e91b0b4ae0e0e6e08391",
+    ("verify", "--scale", "0.002", "--format", "text"):
+        "0fb05801af3e8b14de4214ec0e2eca38b684a70585ea3cb0c3dc6d2b0e639e1e",
+    ("bounds", "heatmap", "--spec", "simple-exp", "--which", "simple", "--grid", "5"):
+        "73cc290d5a9b0f5a9ed7548235d8ed5eaf874b689318f7c472d0b7e1936af2a3",
+    ("bounds", "heatmap", "--spec", "half-exp", "--which", "improved", "--grid", "5"):
+        "6144753ebb04a23fbeea81ca6a28b2149d1545887707bc9a1b47fdee717a428f",
+    ("integral", "--spec", "half-exp", "--profiles", "profiles.json"):
+        "092332b99da061d3084a8f51587c7424b4dce4151f639d4675777a95e4383b37",
+    ("generate", "--gen", "weighted_random", "--n", "5", "--seed", "3"):
+        "a8f8b09ade793e4fe47e40a21407eedbed750393352e4e584dde38deb54d388d",
 }
 
 # the bound surfaces refuse a spec that is no weight split: exit 2, nothing
@@ -80,7 +101,9 @@ REFUSAL = ("error: the bound surfaces hold only where a + b = 1/2; "
 
 
 @pytest.mark.parametrize("argv", [*GOLDEN, *REFUSED], ids=" ".join)
-def test_cli_output_is_pinned(capsys, argv):
+def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profiles.json").write_text(json.dumps(PROFILES))
     status = main(list(argv))
     out, err = capsys.readouterr()
     if argv in REFUSED:
@@ -88,5 +111,5 @@ def test_cli_output_is_pinned(capsys, argv):
         return
     assert status == 0
     kept = "".join(line for line in out.splitlines(keepends=True)
-                   if '"timestamp"' not in line)
+                   if '"timestamp"' not in line and not line.startswith("timestamp"))
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN[argv]

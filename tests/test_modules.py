@@ -31,6 +31,20 @@ def private_imports(path: Path) -> list[str]:
                   for alias in node.names if alias.name.startswith("_"))
 
 
+def output_calls(path: Path) -> dict[str, list[str]]:
+    """{top-level function or class: its calls of _emit, print and
+    stdout.write}; calls outside any function are listed under ""."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found: dict[str, list[str]] = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func)
+                if callee in ("_emit", "print") or callee.endswith("stdout.write"):
+                    found.setdefault(getattr(top, "name", ""), []).append(callee)
+    return found
+
+
 PACKAGE = sorted(ROOT.glob("src/rankmatch/*.py"))
 MODULES = sorted([*ROOT.glob("tests/*.py"), *PACKAGE])
 
@@ -58,6 +72,22 @@ def test_private_import_check_sees_relative_imports_only(tmp_path):
                     "from numpy import _core\nimport os\n\n\n"
                     "def f():\n    from ..core import _hidden as h\n    return h\n")
     assert private_imports(path) == ["..core._hidden", "._util", ".ranking._top"]
+
+
+def test_cli_writes_its_output_in_one_place():
+    # each subcommand returns its result; main renders and writes it
+    assert output_calls(ROOT / "src/rankmatch/cli.py") == {
+        "_emit": ["sys.stdout.write"], "main": ["_emit"]}
+
+
+def test_output_check_sees_every_writer(tmp_path):
+    path = tmp_path / "writers.py"
+    path.write_text("import sys\nfrom sys import stdout\n\n\n"
+                    "def cmd_a(args):\n    _emit('a', None)\n    print('b')\n\n\n"
+                    "class B:\n    def run(self):\n        stdout.write('c')\n\n\n"
+                    "sys.stdout.write('d')\nsys.stderr.write('e')\n")
+    assert output_calls(path) == {"cmd_a": ["_emit", "print"], "B": ["stdout.write"],
+                                  "": ["sys.stdout.write"]}
 
 
 def test_benchmark_tracer_binds_every_traced_name(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -511,3 +512,17 @@ def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
                 assert partner[:, t].tolist() == reference_lane(
                     inst, order, off_ranks, on_offer, off_ranks, free, t)
     assert min(branches.lanes.values()) > 0, branches.lanes
+
+
+def test_trace_match_time_is_read_only_and_pickles():
+    inst = build_instance([("v1", 1.0), ("v2", 2.0)], [("u1", ["v1", "v2"])])
+    _, trace = run_ranking(inst, half_exp(), sample_ranks(inst, 3))
+    with pytest.raises(TypeError):
+        trace.match_time["v1"] = -5.0
+    given = {"v1": 0.5, "v2": math.inf}
+    copy = ranking.SimulationTrace(arrivals=(), match_time=given)
+    given["v1"] = 0.0
+    assert copy.match_time == {"v1": 0.5, "v2": math.inf}
+    back = pickle.loads(pickle.dumps(trace))
+    assert back == trace and back is not trace
+    assert back.match_time == trace.match_time and back.arrivals == trace.arrivals
