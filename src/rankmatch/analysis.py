@@ -256,13 +256,14 @@ class PairSweep:
             lanes = np.arange(keys.size)
             free = np.ones((n_off, keys.size), dtype=bool)
             free[g[g >= 0], lanes[g >= 0]] = False
-            off_ranks, on_offer, off_offer = (
+            off_ranks, off_offer, order = (
                 np.repeat(col[:, None], keys.size, axis=1)
-                for col in (self.y_off, self.b_on, self.a_off))
+                for col in (self.y_off, self.a_off, self.rest))
             off_ranks[self.v_idx] = y_vs[d]
             off_offer[self.v_idx] = a_vs[d]
-            order = np.repeat(self.rest[:, None], keys.size, axis=1)
-            partner = run_lanes(self.instance, order, off_ranks, on_offer, off_offer, free)
+            partner = run_lanes(self.instance, order, off_ranks,
+                                lambda: np.repeat(self.b_on[:, None], keys.size, axis=1),
+                                off_offer, free)
             # v has at most one partner per lane: a column of took_v is
             # one-hot or empty, and argmax finds the one
             took_v = partner == self.v_idx

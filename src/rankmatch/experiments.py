@@ -25,7 +25,7 @@ from .core import Instance, check_dual_shares, rank_draws, sample_ranks
 from .gains import GainSpec, simple_exp
 from .generators import random_instance
 from .offline import solve_opt
-from .ranking import assign_duals, lane_block, run_lanes, run_ranking
+from .ranking import assign_duals, lane_block, run_lanes, run_ranking, stable_argsort
 
 
 class ConfigError(ValueError):
@@ -104,18 +104,22 @@ class RatioReport:
 def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
                     trials: range) -> np.ndarray:
     """run_lanes with one lane per trial: trial t's ranks are the
-    rank_draws(instance, (seed, t)) sample_ranks assigns, and the offer
-    parts come from offer_parts, bit for bit run_ranking's
-    offer_parts_scalar values, so every lane makes run_ranking's choices.
-    Returns the (online, T) partner indices."""
+    rank_draws(instance, (seed, t)) sample_ranks assigns, drawn into one
+    contiguous row per trial, and the arrival order is their stable order.
+    The offer parts come from offer_parts, bit for bit run_ranking's
+    offer_parts_scalar values, so every lane makes run_ranking's choices;
+    the arrivals' parts are handed over lazily, as run_lanes reads them
+    only when it compares offers. Returns the (online, T) partner
+    indices."""
     n_off = len(instance.offline)
-    ranks = np.empty((n_off + len(instance.online), len(trials)))
+    ranks = np.empty((len(trials), n_off + len(instance.online)))
     for k, t in enumerate(trials):
-        ranks[:, k] = rank_draws(instance, (seed, t))
-    off, on = ranks[:n_off], ranks[n_off:]
-    order = np.argsort(on, axis=0, kind="stable")
-    return run_lanes(instance, order, off, spec.offer_parts(on)[1],
-                     spec.offer_parts(off)[0], np.ones(off.shape, dtype=bool))
+        ranks[k] = rank_draws(instance, (seed, t))
+    # run_lanes takes the trials as columns
+    off, on = ranks[:, :n_off].T, ranks[:, n_off:].T
+    return run_lanes(instance, stable_argsort(on.T).T, off,
+                     lambda: spec.offer_parts(on)[1], spec.offer_parts(off)[0],
+                     np.ones(off.shape, dtype=bool))
 
 
 def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,
@@ -150,14 +154,15 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
     opt = solve_opt(instance)
     if opt.value == 0.0:
         raise DegenerateInstanceError("optimal value is zero; ratio undefined")
-    weights = [w for _, w in instance.offline]
+    # index -1 (no partner) reads the trailing 0.0, which leaves an fsum
+    # unchanged: fsum is exact and never returns -0.0
+    w_ext = np.array([w for _, w in instance.offline] + [0.0])
     block = lane_block(max(len(instance.online), len(instance.offline)))
     alg = []
     for start in range(0, config.trials, block):
         partner = _trial_partners(instance, spec, seed,
                                   range(start, min(start + block, config.trials)))
-        alg += [math.fsum([weights[p] for p in lane if p >= 0])
-                for lane in partner.T.tolist()]
+        alg += map(math.fsum, w_ext[partner.T].tolist())
         if start == 0:
             _check_trial_zero(instance, spec, seed, partner[:, 0].tolist(), alg[0])
     ratios = [a / opt.value for a in alg]

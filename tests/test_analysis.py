@@ -182,7 +182,7 @@ def all_lanes_sweep(sweep, y_u, y_v):
             for col in (sweep.y_off, sweep.b_on, sweep.a_off))
         off_ranks[v] = y_v[blk]
         on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
-        partner = run_lanes(sweep.instance, order, off_ranks, on_offer, off_offer,
+        partner = run_lanes(sweep.instance, order, off_ranks, lambda: on_offer, off_offer,
                             free=np.ones(off_ranks.shape, dtype=bool))
         p = partner[u]
         kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])

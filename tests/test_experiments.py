@@ -121,12 +121,15 @@ def spy_run_lanes(monkeypatch):
 
 def test_lane_columns_are_sample_ranks_streams(monkeypatch):
     # column t carries sample_ranks(instance, (seed, t)) bit for bit: the
-    # offline ranks, the arrival order and both offer parts
+    # offline ranks, the arrival order and both offer parts; the arrivals'
+    # parts come as a zero-argument callable
     inst = rectangular(4)
     spec = half_exp()
     calls = spy_run_lanes(monkeypatch)
     run_ratio_experiment(ExperimentConfig(inst, spec, 40, 13))
-    (order, off_ranks, on_offer, off_offer), = calls
+    (order, off_ranks, arrival_offers, off_offer), = calls
+    on_offer = arrival_offers()
+    assert on_offer.shape == (len(inst.online), 40)
     for t in range(40):
         rank_of = sample_ranks(inst, (13, t)).ranks
         off = [rank_of[v] for v in inst.offline_ids]

@@ -13,7 +13,7 @@ from rankmatch.core import (RankAssignment, build_instance, check_dual_shares,
 from rankmatch.experiments import ExperimentConfig, run_ratio_experiment
 from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
 from rankmatch.generators import generate_instance, random_instance
-from rankmatch.ranking import assign_duals, run_lanes, run_ranking
+from rankmatch.ranking import assign_duals, run_lanes, run_ranking, stable_argsort
 
 ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
              piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6)))
@@ -204,18 +204,24 @@ def test_trace_json_lines_schema():
     assert isinstance(first["offers"], list)
 
 
-def lane_partners(instance, spec, lanes, free=None):
-    """run_lanes over a list of RankAssignments, with the offer parts
-    evaluated exactly as run_ranking evaluates them; every offline vertex
-    starts free unless a free mask is given."""
+def lane_columns(instance, spec, lanes):
+    """(order, off_ranks, b, a): run_lanes' arrays for a list of
+    RankAssignments, with the offer parts evaluated exactly as run_ranking
+    evaluates them."""
     on = np.array([[r.ranks[u] for r in lanes] for u in instance.online_ids])
     off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
     b = np.vectorize(lambda y: spec.offer_parts_scalar(y)[1], otypes=[float])(on)
     a = np.vectorize(lambda y: spec.offer_parts_scalar(y)[0], otypes=[float])(off)
-    order = np.argsort(on, axis=0, kind="stable")
+    return np.argsort(on, axis=0, kind="stable"), off, b, a
+
+
+def lane_partners(instance, spec, lanes, free=None):
+    """run_lanes over a list of RankAssignments (see lane_columns); every
+    offline vertex starts free unless a free mask is given."""
+    order, off, b, a = lane_columns(instance, spec, lanes)
     if free is None:
         free = np.ones(off.shape, dtype=bool)
-    return run_lanes(instance, order, off, b, a, free=free)
+    return run_lanes(instance, order, off, lambda: b, a, free=free)
 
 
 def scalar_partners(instance, spec, ranks):
@@ -398,7 +404,7 @@ def hand_lanes(instance, off_ranks, off_offer, on_offer, free=None):
     order = np.tile(np.arange(len(instance.online))[:, None], (1, off_ranks.shape[1]))
     if free is None:
         free = np.ones(off_ranks.shape, dtype=bool)
-    return run_lanes(instance, order, off_ranks, on_offer, off_offer, np.array(free))
+    return run_lanes(instance, order, off_ranks, lambda: on_offer, off_offer, np.array(free))
 
 
 def test_run_lanes_breaks_a_positive_offer_tie_by_rank_not_row():
@@ -469,6 +475,20 @@ def reference_lane(instance, order, off_ranks, on_offer, off_offer, free, t):
     return took
 
 
+class ArrivalOffers:
+    """run_lanes' lazy arrival offer parts b, with its calls counted; a
+    call raises when b is None."""
+
+    def __init__(self, b):
+        self.b, self.calls = b, 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.b is None:
+            raise AssertionError("the arrival offers were evaluated")
+        return self.b
+
+
 def reweighted(instance, weights):
     return build_instance([(v, w) for (v, _), w in zip(instance.offline, weights)],
                           instance.online)
@@ -493,8 +513,13 @@ def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
             if trial % 2:
                 lanes = [RankAssignment({vid: int(rng.integers(5)) / 4
                                          for vid in inst.all_ids()}) for _ in lanes]
-            partner, branch = branches(lambda: lane_partners(inst, spec, lanes), len(lanes))
-            assert branch == want
+            # the by-order branch never evaluates the arrival offers, the
+            # offer branch once per call
+            order, off, b, a = lane_columns(inst, spec, lanes)
+            offers = ArrivalOffers(b if want == "offers" else None)
+            partner, branch = branches(lambda: run_lanes(inst, order, off, offers, a, np.ones(
+                off.shape, dtype=bool)), len(lanes))
+            assert branch == want and offers.calls == (want == "offers")
             for t, ranks in enumerate(lanes):
                 assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
         # equal weights, but an offer part that rises along rank order: no
@@ -505,13 +530,52 @@ def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
             on_offer = rng.random((len(inst.online), 6))
             order = np.argsort(rng.random(on_offer.shape), axis=0, kind="stable")
             free = rng.random(off_ranks.shape) < 0.8
-            partner, branch = branches(lambda: run_lanes(inst, order, off_ranks, on_offer,
+            offers = ArrivalOffers(on_offer)
+            partner, branch = branches(lambda: run_lanes(inst, order, off_ranks, offers,
                                                          off_ranks, free), 6)
-            assert branch == "offers"
+            assert branch == "offers" and offers.calls == 1
             for t in range(6):
                 assert partner[:, t].tolist() == reference_lane(
                     inst, order, off_ranks, on_offer, off_ranks, free, t)
     assert min(branches.lanes.values()) > 0, branches.lanes
+
+
+def sort_keys():
+    rng = np.random.default_rng(30)
+    one_tied = rng.random((6, 40))
+    one_tied[3] = rng.integers(0, 4, 40) / 4
+    return {"distinct": rng.random((6, 40)),
+            "ties": rng.integers(0, 4, (6, 40)) / 4,
+            "one-tied-row": one_tied,
+            "signed-zeros": np.tile([0.0, -0.0, 0.5, -0.0, 0.0, 0.25, -0.0], (3, 6)),
+            "nan": np.where(rng.random((4, 40)) < 0.3, np.nan, rng.random((4, 40))),
+            "all-equal": np.full((4, 40), 0.5),
+            "one-column": rng.random((5, 1)),
+            "zero-rows": np.empty((0, 6))}
+
+
+@pytest.mark.parametrize("name", list(sort_keys()))
+def test_stable_argsort_is_numpys_stable_argsort(name):
+    x = sort_keys()[name]
+    got = stable_argsort(x)
+    assert got.dtype == np.intp and got.shape == x.shape
+    assert np.array_equal(got, np.argsort(x, axis=1, kind="stable"))
+
+
+def test_run_lanes_with_exactly_tied_offline_ranks_in_one_lane_matches_run_ranking():
+    # one lane of the block holds offline ranks on a grid of five values,
+    # so the block's rank order takes the stable sort; unit weights make
+    # the rank order alone pick every partner
+    inst = generate_instance("upper_triangular", {"n": 20}, 0)
+    rng = np.random.default_rng(30)
+    lanes = [sample_ranks(inst, rng) for _ in range(8)]
+    lanes[5] = lanes[5].override({v: int(rng.integers(5)) / 4 for v in inst.offline_ids})
+    tied = [lanes[5].ranks[v] for v in inst.offline_ids]
+    assert len(set(tied)) < len(tied)
+    for spec in ALL_KINDS:
+        partner = lane_partners(inst, spec, lanes)
+        for t, ranks in enumerate(lanes):
+            assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
 
 
 def test_trace_match_time_is_read_only_and_pickles():
