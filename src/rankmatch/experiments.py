@@ -9,7 +9,10 @@ A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
 them at a time, with offer parts from GainSpec.offer_parts (bit for bit
 the scalar ones), and re-runs trial 0 through the scalar run_ranking
 as a check of its partners and its ALG; the property suites call
-run_ranking trial by trial.
+run_ranking trial by trial. On equal weights, under a spec whose a never
+rises with y (GainSpec.rank_offer_non_increasing, every built-in spec),
+the lanes are plain Ranking by rank order: no offer part is evaluated,
+and a trial's ALG is w times its match count.
 """
 
 from __future__ import annotations
@@ -109,16 +112,20 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
     The offer parts come from offer_parts, bit for bit run_ranking's
     offer_parts_scalar values, so every lane makes run_ranking's choices;
     the arrivals' parts are handed over lazily, as run_lanes reads them
-    only when it compares offers. Returns the (online, T) partner
-    indices."""
+    only when it compares offers. On equal weights, when the spec's a
+    never rises with y (rank_offer_non_increasing), every lane is plain
+    Ranking by rank order and no offline part is evaluated either.
+    Returns the (online, T) partner indices."""
     n_off = len(instance.offline)
     ranks = np.empty((len(trials), n_off + len(instance.online)))
     for k, t in enumerate(trials):
         ranks[k] = rank_draws(instance, (seed, t))
     # run_lanes takes the trials as columns
     off, on = ranks[:, :n_off].T, ranks[:, n_off:].T
+    by_rank = spec.rank_offer_non_increasing and len({w for _, w in instance.offline}) < 2
     return run_lanes(instance, stable_argsort(on.T).T, off,
-                     lambda: spec.offer_parts(on)[1], spec.offer_parts(off)[0],
+                     lambda: spec.offer_parts(on)[1],
+                     None if by_rank else spec.offer_parts(off)[0],
                      np.ones(off.shape, dtype=bool))
 
 
@@ -147,22 +154,29 @@ def run_ratio_experiment(config: ExperimentConfig) -> RatioReport:
 
     Trial t runs on sample_ranks(instance, (seed, t)) as one run_lanes
     lane, in blocks of lane_block(rows) lanes; its ALG is the fsum of its
-    matched weights, as in matching_result. Trial 0 is also run through
+    matched weights, as in matching_result, which on equal weights w is
+    w * k for k matches. Trial 0 is also run through
     run_ranking, and LaneCheckError is raised if the two disagree on a
     partner or on ALG."""
     instance, spec, seed = config.instance, config.spec, config.seed
     opt = solve_opt(instance)
     if opt.value == 0.0:
         raise DegenerateInstanceError("optimal value is zero; ratio undefined")
+    weights = [w for _, w in instance.offline]
+    equal = len(set(weights)) == 1
     # index -1 (no partner) reads the trailing 0.0, which leaves an fsum
     # unchanged: fsum is exact and never returns -0.0
-    w_ext = np.array([w for _, w in instance.offline] + [0.0])
+    w_ext = np.array(weights + [0.0])
     block = lane_block(max(len(instance.online), len(instance.offline)))
     alg = []
     for start in range(0, config.trials, block):
         partner = _trial_partners(instance, spec, seed,
                                   range(start, min(start + block, config.trials)))
-        alg += map(math.fsum, w_ext[partner.T].tolist())
+        if equal:
+            # the fsum of k copies of w is k w correctly rounded, as w * k is
+            alg += (weights[0] * np.count_nonzero(partner >= 0, axis=0)).tolist()
+        else:
+            alg += map(math.fsum, w_ext[partner.T].tolist())
         if start == 0:
             _check_trial_zero(instance, spec, seed, partner[:, 0].tolist(), alg[0])
     ratios = [a / opt.value for a in alg]

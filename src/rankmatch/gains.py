@@ -23,7 +23,8 @@ piece. The rest is generic: a and b by two evaluators (offer_parts_scalar,
 the reference, and offer_parts, its values over arrays bit for bit;
 curve_scalar is 2 b), A = int a and B = int b from a running total at each
 piece start (rank_offer_antideriv, time_offer_antideriv), a^-1 and b^-1
-(offer_inverse), the kinks (curve_breakpoints), and c' <= c, which gives
+(offer_inverse), the kinks (curve_breakpoints), whether a never rises in
+floats (rank_offer_non_increasing), and c' <= c, which gives
 d share/dy = -c'(y)/2 >= share - 1: r <= s on every piece, so a table is
 refused if a segment climbs faster than its left-knot value.
 """
@@ -90,6 +91,28 @@ def _antiderivative(part: int, doc: str):
     return antideriv
 
 
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+def _rank_offer_falls(rows, a1: float) -> bool:
+    """GainSpec.rank_offer_non_increasing from the rows and a = a0 + a1 f:
+    a's slope, of the sign of a1 r or a1 p (signs, as a product could round
+    to 0), is <= 0 on every piece, and at each piece end but the last, a on
+    the piece at the float below the end is >= a on the next piece at the
+    end. a is offer_parts_scalar's, in plain floats, so that building a
+    spec runs no evaluator."""
+    def a_at(row, y):
+        _, x0, s, r, p, t, sa, pa, _, _, a0, _, *_ = row
+        if p:
+            return sa + pa * math.exp(y + t)
+        return a0 + a1 * (s + r * (y - x0)) if r else sa
+
+    return (all(_sign(a1) * _sign(slope) <= 0 for _, _, _, r, p, *_ in rows for slope in (r, p))
+            and all(a_at(left, math.nextafter(left[0], -math.inf)) >= a_at(right, left[0])
+                    for left, right in zip(rows, rows[1:])))
+
+
 @dataclass(frozen=True)
 class GainSpec:
     """Immutable description of one gain-sharing rule.
@@ -106,6 +129,18 @@ class GainSpec:
     weight_split, read off the map from f to a and b, says whether a + b =
     1/2 for every f, so that share(x, y) + share(y, x) = 1: true for the
     curve kinds, false for the adversarial one.
+
+    rank_offer_non_increasing says that a, as evaluated in floats, never
+    rises with y on [0, 1], so that on equal weights the highest offer is
+    the free neighbour of smallest rank. It is worked out once, at
+    construction, in two checks. On every piece a1 and the piece's r (affine) or p (exp)
+    differ in sign or one is 0, so a's slope a1 r or a1 p is <= 0: inside
+    an affine piece the evaluated a is then monotone, as correctly rounded
+    + and * by a fixed constant are; inside an exp piece that relies on
+    math.exp being non-decreasing, which IEEE 754 does not promise (a test
+    checks it over the built-in pieces' arguments). And at every piece end
+    x1 where another piece starts, 1 included, a at the float just below
+    x1 is >= a at x1, compared exactly. Every built-in spec passes.
     """
 
     kind: str
@@ -161,6 +196,7 @@ class GainSpec:
             arr.setflags(write=False)
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
                             ("weight_split", a0 + b0 == 0.5 and a1 + b1 == 0.0),
+                            ("rank_offer_non_increasing", _rank_offer_falls(rows, a1)),
                             ("_cols", cols), ("_inverse", inverse),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)

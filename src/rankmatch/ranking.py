@@ -15,8 +15,12 @@ at most lane_block(rows) lanes. run_lanes puts each lane's offline vertices
 in rank order once (stable_argsort: numpy's stable argsort, by its faster
 default sort when no two ranks in a row tie), so that every choice is the
 first maximum, and evaluates the arrivals' offer parts, which it takes as
-a callable, only when it compares offers; PairSweep in analysis applies
-the rule to u's single step itself, over rows in id order.
+a callable, only when it compares offers. On equal weights a caller may
+pass no offline offer parts when the spec's a never rises with y
+(GainSpec.rank_offer_non_increasing): every lane is then plain Ranking,
+the first free neighbour by rank, and run_lanes reads no offer part at
+all. PairSweep in analysis applies the rule to u's single step itself,
+over rows in id order.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
 
 
 def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
-              on_offer: Callable[[], np.ndarray], off_offer: np.ndarray,
+              on_offer: Callable[[], np.ndarray], off_offer: np.ndarray | None,
               free: np.ndarray) -> np.ndarray:
     """run_ranking over T lanes at once; lanes are columns.
 
@@ -144,10 +148,13 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     returns the (online, T) array of the arrivals' offer parts b(y_u); it
     is called at most once, and only when offers are compared. off_ranks
     and off_offer are (offline, T) arrays of offline ranks and their offer
-    parts a(y_v), and free is the (offline, T) mask of offline vertices
-    still free at the start (copied, never written back). Rows follow the
-    instance's id order. Every offer w_v * (a + b) must be >= 0, as it is
-    for every GainSpec. Each lane follows run_ranking's rules: offer ties
+    parts a(y_v); off_offer=None says that the caller vouches for a being
+    non-increasing in y (GainSpec.rank_offer_non_increasing) and that every
+    offline weight is equal, and ValueError is raised if the weights
+    differ. free is the (offline, T) mask of offline vertices still free at
+    the start (copied, never written back). Rows follow the instance's id
+    order. Every offer w_v * (a + b) must be >= 0, as it is for every
+    GainSpec. Each lane follows run_ranking's rules: offer ties
     go to the smaller offline rank, then the smaller id. Returns the
     (online, T) array of the offline index each online vertex took, -1 if
     none.
@@ -160,10 +167,11 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     When every offline weight is equal and a is non-increasing along every
     lane's rank order, the choice is the first candidate, and no offer is
     computed or read: float + b and * w (w >= 0) are monotone, so no later
-    candidate offers more, and the tie rule picks the first. The flag is
-    read off the data, not off the spec. Otherwise a non-candidate (not
-    adjacent, or gone) offers -1: below every candidate, even one offering
-    0, so the first maximum is a candidate whenever there is one.
+    candidate offers more, and the tie rule picks the first. Given
+    off_offer, the flag is read off its data; given None, off the caller's
+    word. Otherwise a non-candidate (not adjacent, or gone) offers -1:
+    below every candidate, even one offering 0, so the first maximum is a
+    candidate whenever there is one.
     """
     n_on, n_lanes = len(instance.online), order.shape[1]
     n_off = len(instance.offline)
@@ -177,12 +185,18 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     by_rank = stable_argsort(off_ranks.T)
     at = by_rank * n_lanes
     at += lanes[:, None]
-    a = np.take(off_offer, at)
     free = np.take(free, at)
     row_start = lanes * n_off
     cells = by_rank + row_start[:, None]
     weights = [w for _, w in instance.offline]
-    by_order = len(set(weights)) == 1 and (a[:, 1:] <= a[:, :-1]).all()
+    equal = len(set(weights)) == 1
+    if off_offer is None:
+        if not equal:
+            raise ValueError("run_lanes: off_offer=None needs equal offline weights")
+        by_order = True
+    else:
+        a = np.take(off_offer, at)
+        by_order = equal and (a[:, 1:] <= a[:, :-1]).all()
     if by_order:
         arriving = repeat(None)
     else:

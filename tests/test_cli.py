@@ -388,6 +388,19 @@ def test_lane_check_error_exits_one_with_its_message(monkeypatch, capsys):
     assert err == "error: trial 0 (seed=4): u1 took v1 in run_lanes but None in run_ranking\n"
 
 
+def test_lane_check_guards_the_rank_order_lanes(monkeypatch, capsys):
+    # unit weights: the lanes go by rank order on the spec's word, so a
+    # scalar a that rises with y makes run_ranking take other partners
+    from rankmatch.gains import GainSpec
+
+    parts = GainSpec.offer_parts_scalar
+    monkeypatch.setattr(GainSpec, "offer_parts_scalar", lambda self, y: (y, parts(self, y)[1]))
+    code, out, err = run_cli(capsys, "simulate", "--gen", "upper_triangular", "--n", "8")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: trial 0 \(seed=0\): u\d+ took v\d+ in run_lanes "
+                        r"but v\d+ in run_ranking\n", err), err
+
+
 def test_lane_check_failure_exits_one(monkeypatch, capsys):
     from rankmatch import experiments
     from rankmatch.core import matching_result

@@ -6,14 +6,14 @@ import pickle
 import numpy as np
 import pytest
 
-from rankmatch import experiments
+from rankmatch import experiments, gains
 from rankmatch.core import build_instance, matching_result, sample_ranks
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
                                    ExperimentConfig, LaneCheckError,
                                    check_monotonicity_trial,
                                    run_property_suite, run_ratio_experiment)
-from rankmatch.gains import (GainSpec, adversarial_baseline, half_exp, piecewise_table,
-                             simple_exp)
+from rankmatch.gains import (SIMPLE_EXP, GainSpec, adversarial_baseline, half_exp,
+                             piecewise_table, simple_exp)
 from rankmatch.generators import generate_instance, random_instance
 from rankmatch.ranking import SimulationTrace, run_lanes, run_ranking
 
@@ -286,6 +286,46 @@ def test_only_the_trial_zero_check_calls_offer_parts_scalar(monkeypatch):
     calls.clear()
     run_ratio_experiment(ExperimentConfig(inst, half_exp(), 50, 4))
     assert len(calls) == one_run
+
+
+def counted_offer_parts(monkeypatch):
+    """Count GainSpec.offer_parts and offer_parts_scalar calls from here on."""
+    calls = dict.fromkeys(("offer_parts", "offer_parts_scalar"), 0)
+    for name in calls:
+        def counted(self, y, name=name, method=getattr(GainSpec, name)):
+            calls[name] += 1
+            return method(self, y)
+        monkeypatch.setattr(GainSpec, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gen, params", [("upper_triangular", {"n": 12}),
+                                         ("complete", {"n": 6})], ids=["ut12", "complete6"])
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+def test_unit_weight_lanes_evaluate_no_offer_part(monkeypatch, spec, gen, params):
+    # equal weights and a spec whose a never rises: the lanes go by rank
+    # order alone, and only the trial-0 check evaluates offer parts, through
+    # run_ranking's scalar calls
+    inst = generate_instance(gen, params, 0)
+    calls = counted_offer_parts(monkeypatch)
+    report = run_ratio_experiment(ExperimentConfig(inst, spec, 50, 4))
+    assert calls == {"offer_parts": 0,
+                     "offer_parts_scalar": len(inst.offline) + len(inst.online)}
+    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 50, 4))
+
+
+def test_a_spec_whose_a_can_rise_takes_the_offer_path(monkeypatch):
+    # f drops at the knot 1/2, so a jumps up there: the flag fails, the
+    # lanes get a's values, and run_lanes' data check picks each block's branch
+    monkeypatch.setitem(gains._PIECES, SIMPLE_EXP,
+                        ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 0.5, 0.0, 0.0, 0.0)))
+    spec = GainSpec(SIMPLE_EXP)
+    assert not spec.rank_offer_non_increasing
+    inst = generate_instance("upper_triangular", {"n": 12}, 0)
+    calls = counted_offer_parts(monkeypatch)
+    report = run_ratio_experiment(ExperimentConfig(inst, spec, 60, 4))
+    assert calls["offer_parts"] == 2
+    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 60, 4))
 
 
 def test_broken_weight_sum_fails_the_lane_check(monkeypatch):

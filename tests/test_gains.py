@@ -5,10 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
+from rankmatch import gains
 from rankmatch.bounds import improved_bound
-from rankmatch.gains import (ADVERSARIAL, EXP_CHUNK, LN2, TABLE, GainSpec, GainSpecError,
-                             adversarial_baseline, gain_spec_from_json, half_exp,
-                             named_spec, piecewise_table, simple_exp)
+from rankmatch.gains import (ADVERSARIAL, EXP_CHUNK, LN2, SIMPLE_EXP, TABLE, GainSpec,
+                             GainSpecError, adversarial_baseline, gain_spec_from_json,
+                             half_exp, named_spec, piecewise_table, simple_exp)
 
 ALL_SPLIT_SPECS = [simple_exp(), half_exp(),
                    piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6))]
@@ -439,3 +440,68 @@ def test_spec_tables_are_read_only(spec):
         with pytest.raises(ValueError, match="read-only"):
             arr[-1] = 0.0
     assert spec.offer_parts(0.9) == tuple(map(np.array, spec.offer_parts_scalar(0.9)))
+
+
+# the arguments y + t of the built-in exp pieces: simple-exp's, half-exp's
+# and the adversarial one's
+EXP_ARGUMENTS = ((-0.5, 0.0), (0.0, LN2), (-1.0, 0.0))
+
+
+def floats_from(x, n, toward):
+    """n consecutive floats from each x toward `toward`, x included."""
+    run = [np.asarray(x, dtype=float)]
+    for _ in range(n - 1):
+        run.append(np.nextafter(run[-1], toward))
+    return np.concatenate(run, axis=None)
+
+
+@pytest.mark.parametrize("lo, hi", EXP_ARGUMENTS)
+def test_math_exp_is_non_decreasing_over_the_exp_pieces_arguments(lo, hi):
+    # rank_offer_non_increasing relies on it inside an exp piece: checked
+    # on a dense grid, on the 4,096 floats at each end of [lo, hi] and on
+    # runs of consecutive floats from random points
+    rng = np.random.default_rng(31)
+    xs = np.unique(np.concatenate([
+        np.linspace(lo, hi, 1_000_001), floats_from(lo, 4096, np.inf),
+        floats_from(hi, 4096, -np.inf), floats_from(rng.uniform(lo, hi, 64), 1024, np.inf)]))
+    xs = xs[(xs >= lo) & (xs <= hi)]
+    assert xs.size > 1_000_000
+    e = np.fromiter(map(math.exp, xs.tolist()), float, xs.size)
+    assert (e[1:] >= e[:-1]).all()
+
+
+def assert_a_never_rises(spec, rng):
+    """offer_parts' a over sorted ranks, each piece end and the float below
+    it among them, is non-increasing."""
+    ends = np.array([*spec.curve_breakpoints, 1.0])
+    ys = np.sort(np.concatenate([rng.random(2000), [0.0], ends,
+                                 np.nextafter(ends, -np.inf)]))
+    a = spec.offer_parts(ys)[0]
+    assert (a[1:] <= a[:-1]).all()
+
+
+def test_rank_offer_non_increasing_holds_for_builtin_specs_and_slope_valid_tables():
+    rng = np.random.default_rng(32)
+    for spec in [*ALL_SPLIT_SPECS, adversarial_baseline(),
+                 *(slope_valid_table(rng) for _ in range(300))]:
+        assert spec.rank_offer_non_increasing is True
+        assert_a_never_rises(spec, rng)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back.rank_offer_non_increasing is True
+
+
+@pytest.mark.parametrize("pieces", [
+    ((0.0, 1.0, 0.0, -0.5, -0.5), (0.5, 0.5, 0.0, 0.0, 0.0)),
+    ((0.0, 1.0, -0.5, 0.0, 0.0),),
+    ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 0.5, 0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, math.nextafter(1.0, 0.0), 0.0, 0.0, 0.0)),
+], ids=["exp-piece-falls", "affine-piece-falls", "drop-at-knot", "one-ulp-drop-at-knot"])
+def test_rank_offer_non_increasing_fails_where_a_rises(monkeypatch, pieces):
+    # f falls on a piece, or drops at a knot: a = (1 - f) / 2 rises there.
+    # In the last case math.exp at the float below 1/2 rounds to 1, so f
+    # drops by one ulp at the knot and only the float below it shows that
+    monkeypatch.setitem(gains._PIECES, SIMPLE_EXP, pieces)
+    spec = GainSpec(SIMPLE_EXP)
+    assert spec.rank_offer_non_increasing is False
+    with pytest.raises(AssertionError):
+        assert_a_never_rises(spec, np.random.default_rng(33))

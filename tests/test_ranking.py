@@ -10,10 +10,11 @@ import pytest
 from rankmatch import ranking
 from rankmatch.core import (RankAssignment, build_instance, check_dual_shares,
                             sample_ranks, validate_rank_assignment)
-from rankmatch.experiments import ExperimentConfig, run_ratio_experiment
+from rankmatch.experiments import ExperimentConfig, _trial_partners, run_ratio_experiment
 from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
 from rankmatch.generators import generate_instance, random_instance
 from rankmatch.ranking import assign_duals, run_lanes, run_ranking, stable_argsort
+from test_gains import slope_valid_table
 
 ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
              piecewise_table((0.0, 0.5, 1.0), (0.3, 0.45, 0.6)))
@@ -538,6 +539,43 @@ def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
                 assert partner[:, t].tolist() == reference_lane(
                     inst, order, off_ranks, on_offer, off_ranks, free, t)
     assert min(branches.lanes.values()) > 0, branches.lanes
+
+
+def test_run_lanes_on_the_specs_word_is_run_ranking_for_every_lane():
+    # off_offer=None: equal weights and a spec whose a never rises, so each
+    # lane takes its first free neighbour by rank and reads no offer part.
+    # Half the draws put ranks on a k/4 grid, where they tie; the lanes of
+    # run_ratio_experiment's blocks are checked trial by trial, not only trial 0
+    rng = np.random.default_rng(31)
+    rank_ties = 0
+    for k, spec in enumerate([*ALL_KINDS, *(slope_valid_table(rng) for _ in range(20))]):
+        assert spec.rank_offer_non_increasing
+        inst = random_instance(rng, weighted=False)
+        for grid in (False, True):
+            lanes = [sample_ranks(inst, rng) for _ in range(8)]
+            if grid:
+                lanes = [RankAssignment({vid: int(rng.integers(5)) / 4
+                                         for vid in inst.all_ids()}) for _ in lanes]
+            order, off, _, _ = lane_columns(inst, spec, lanes)
+            partner = run_lanes(inst, order, off, ArrivalOffers(None), None,
+                                np.ones(off.shape, dtype=bool))
+            for t, ranks in enumerate(lanes):
+                assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
+                offline = [ranks.ranks[v] for v in inst.offline_ids]
+                rank_ties += len(set(offline)) < len(offline)
+        partner = _trial_partners(inst, spec, k, range(40))
+        for t in range(40):
+            assert partner[:, t].tolist() == scalar_partners(inst, spec,
+                                                             sample_ranks(inst, (k, t)))
+    assert rank_ties > 0
+
+
+def test_run_lanes_refuses_no_offline_parts_on_unequal_weights():
+    inst = build_instance([("v0", 1.0), ("v1", 2.0)], [("u1", ["v0", "v1"])])
+    off = np.array([[0.1], [0.2]])
+    with pytest.raises(ValueError, match="equal offline weights"):
+        run_lanes(inst, np.zeros((1, 1), dtype=np.intp), off, ArrivalOffers(None), None,
+                  np.ones(off.shape, dtype=bool))
 
 
 def sort_keys():
