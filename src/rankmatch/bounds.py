@@ -16,13 +16,14 @@ integrand with an inner minimization over a marginal rank theta <= gamma:
 The A(theta) terms cancel, so the inner minimum needs no antiderivative at
 its candidates; it is found exactly from a finite candidate set (the
 endpoints and the curve kinks), and the outer integral uses adaptive
-Simpson quadrature with panels forced apart at curve kinks. improved_bound
-sets up b(tau), A(gamma) and the candidates once per point and hands a
-nested integrand to integrate; each quadrature point costs one piece
-evaluation, which gives both a(x) and b(x), and a fold over the at most
-three candidates. minimize_bound scans a coarse grid and polishes with
-alternating golden-section line searches, reproducing the worst-case
-constants of both built-in curves.
+Simpson quadrature with panels forced apart at curve kinks, each panel end
+evaluated once. improved_bound sets up b(tau), A(gamma) and the
+candidates' b values once per point and hands integrate one integrand;
+each quadrature point costs one piece evaluation, which gives both a(x)
+and b(x), then the candidates theta = 0 and theta = gamma, folded inline,
+and a loop over the kinks below gamma. minimize_bound scans a coarse grid
+and polishes with alternating golden-section line searches, reproducing
+the worst-case constants of both built-in curves.
 Both surfaces hold for weight splits only (GainSpec.weight_split, a + b =
 1/2): for any other spec simple_bound and improved_bound, and so
 minimize_bound, heatmap_rows and stationary_tau, raise SurfaceDomainError.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .gains import GainSpec
@@ -111,24 +112,30 @@ def improved_bound(spec: GainSpec, tau: float, gamma: float,
     so the objective is concave in theta there and its minimum sits at 0,
     gamma, or a kink inside (0, gamma). b(tau), A(gamma) and the
     candidates' b values are set up once per point; each integrand call
-    evaluates one piece, through offer_parts_scalar, and folds the
-    candidates in order keeping the first minimum. The outer integral uses
-    adaptive quadrature, so the absolute error is bounded by tol. A spec
-    that is no weight split raises SurfaceDomainError.
+    evaluates one piece, through offer_parts_scalar, and folds theta = 0,
+    theta = gamma and then the kinks below gamma in that order, keeping
+    the first minimum. The outer integral uses adaptive quadrature, so the
+    absolute error is bounded by tol. A spec that is no weight split raises
+    SurfaceDomainError.
     """
     _check_surface(spec, tau, gamma)
     parts = spec.offer_parts_scalar
     b_tau = parts(tau)[1]
     a_gamma = spec.rank_offer_antideriv(gamma)
     const = 1.0 - a_gamma + gamma * (1.0 - b_tau)
-    thetas = [0.0, gamma] + [bp for bp in spec.curve_breakpoints if 0.0 < bp < gamma]
-    candidates = [(th, parts(th)[1]) for th in thetas]
+    b_0 = parts(0.0)[1]
+    b_gamma = parts(gamma)[1]
+    kinks = [(th, parts(th)[1]) for th in spec.curve_breakpoints if 0.0 < th < gamma]
 
     def inner(x: float) -> float:
         a_x, b_x = parts(x)
         slope = b_tau - b_x
-        low = math.inf
-        for th, b_th in candidates:
+        # theta = 0, gamma, then the kinks: th * slope - b_th, first minimum kept
+        low = 0.0 * slope - b_0
+        v = gamma * slope - b_gamma
+        if v < low:
+            low = v
+        for th, b_th in kinks:
             v = th * slope - b_th
             if v < low:
                 low = v
@@ -207,16 +214,19 @@ def minimize_bound(spec: GainSpec, which: str) -> BoundPoint:
 
 
 def heatmap_rows(spec: GainSpec, which: str,
-                 grid_n: int) -> list[tuple[float, float, float]]:
+                 grid_n: int) -> Iterator[tuple[float, float, float]]:
     """(tau, gamma, value) rows over a uniform grid, row-major in tau, with
-    the surface at quadrature tolerance HEATMAP_TOL. A grid of more than
-    generators.MAX_CELLS points is refused before any is evaluated."""
+    the surface at quadrature tolerance HEATMAP_TOL, evaluated as they are
+    read. The call itself refuses, before any point is evaluated, a grid of
+    more than generators.MAX_CELLS points or of fewer than 2 per side, and
+    a spec that is no weight split."""
     if grid_n * grid_n > MAX_CELLS:
         raise ValueError(f"grid_n = {grid_n} makes {grid_n * grid_n} points, "
                          f"more than MAX_CELLS = {MAX_CELLS}")
     f = bound_function(which)
     pts = _grid_points(grid_n)
-    return [(t, g, f(spec, t, g, tol=HEATMAP_TOL)) for t in pts for g in pts]
+    _check_surface(spec, 0.0, 0.0)
+    return ((t, g, f(spec, t, g, tol=HEATMAP_TOL)) for t in pts for g in pts)
 
 
 def solve_curve_equals_two_t(spec: GainSpec) -> float:

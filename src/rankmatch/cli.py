@@ -2,19 +2,23 @@
 
 Subcommands: generate, simulate, pair-gain, thresholds, bounds, integral,
 verify. Each cmd_* function returns its result: a report object, a dict,
-or the CSV text of bounds heatmap; main alone renders it, writes it and
-sets the exit code. Every run is reproducible: the same arguments and
-seed produce byte-identical output except for the timestamp field of
-simulate/verify reports. Exit codes: 0 success, 1 property violation or
-engine check failure, 2 configuration error or arithmetic overflow.
+or, for bounds heatmap, an iterator over the lines of its CSV text, so
+that each row is written as soon as it is evaluated; main alone renders
+it, writes it and sets the exit code. Every run is reproducible: the same
+arguments and seed produce byte-identical output except for the timestamp
+field of simulate/verify reports. Exit codes: 0 success, 1 property
+violation or engine check failure, 2 configuration error or arithmetic
+overflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .analysis import ThreeIntervalError, compute_thresholds, pair_gain
@@ -27,11 +31,15 @@ from .gains import GainSpec, gain_spec_from_json, named_spec
 from .generators import generate_instance
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its chunks in order, to the file out or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def _json_text(obj) -> str:
@@ -152,7 +160,8 @@ def cmd_bounds_minimize(args):
 
 def cmd_bounds_heatmap(args):
     rows = heatmap_rows(_load_spec(args.spec), args.which, args.grid)
-    return "tau,gamma,value\n" + "".join(f"{t!r},{g!r},{v!r}\n" for t, g, v in rows)
+    return itertools.chain(["tau,gamma,value\n"],
+                           (f"{t!r},{g!r},{v!r}\n" for t, g, v in rows))
 
 
 def cmd_integral(args):
@@ -245,7 +254,7 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "json")
     try:
         result = args.func(args)
-        if isinstance(result, str):
+        if isinstance(result, Iterator):
             text = result
         elif fmt == "json":
             text = _json_text(result if isinstance(result, dict) else result.to_json_dict())

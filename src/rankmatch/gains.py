@@ -216,18 +216,19 @@ class GainSpec:
 
     def offer_parts_scalar(self, y: float) -> tuple[float, float]:
         """offer_parts() for scalar hot paths, no domain validation: an exp
-        piece by a's and b's own coefficients, an affine one through f."""
+        piece by a's and b's own coefficients, an affine one through f.
+        The row's fields are read by index, as unpacking all sixteen costs
+        more than the call's arithmetic."""
         for row in self._rows:
             if y < row[0]:
                 break
-        _, x0, s, r, p, t, sa, pa, sb, pb, a0, a1, b0, b1, _, _ = row
-        if p:
-            e = math.exp(y + t)
-            return sa + pa * e, sb + pb * e
-        if r:
-            f = s + r * (y - x0)
-            return a0 + a1 * f, b0 + b1 * f
-        return sa, sb
+        if row[4]:      # p: sa + pa e, sb + pb e for e = e^(y + t)
+            e = math.exp(y + row[5])
+            return row[6] + row[7] * e, row[8] + row[9] * e
+        if row[3]:      # r: a0 + a1 f, b0 + b1 f for f = s + r (y - x0)
+            f = row[2] + row[3] * (y - row[1])
+            return row[10] + row[11] * f, row[12] + row[13] * f
+        return row[6], row[8]
 
     def offer_parts(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(a(y), b(y)): the parts of the offer set by the offline rank y

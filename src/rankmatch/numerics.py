@@ -41,18 +41,12 @@ def split_points(a: float, b: float, breakpoints: Iterable[float]) -> list[float
     return pts
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
 def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
+    flm = f(0.5 * (a + m))
+    frm = f(0.5 * (m + b))
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = left + right - whole
     # written so that a NaN error (a NaN or infinite integrand) also stops
     if depth <= 0 or not abs(err) > 15.0 * tol:
@@ -66,9 +60,11 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """Adaptive Simpson integral of f over [a, b].
 
     Panels are forced to split at every interior breakpoint, so f only needs
-    to be smooth between consecutive breakpoints. Accepts a >= b (returns the
-    signed value). Absolute error is roughly bounded by tol; each panel
-    stops refining at MAX_DEPTH levels.
+    to be smooth between consecutive breakpoints. Each panel end is
+    evaluated once: an interior breakpoint is the end of one panel and the
+    start of the next. Accepts a >= b (returns the signed value). Absolute
+    error is roughly bounded by tol; each panel stops refining at MAX_DEPTH
+    levels.
     """
     if a == b:
         return 0.0
@@ -77,12 +73,13 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     pts = split_points(a, b, breakpoints)
     per_panel = tol / (len(pts) - 1)
     total = 0.0
+    fa = f(a)
     for lo, hi in zip(pts, pts[1:]):
-        fa, fb = f(lo), f(hi)
-        m = 0.5 * (lo + hi)
-        fm = f(m)
-        whole = _simpson(fa, fm, fb, hi - lo)
-        total += _adaptive(f, lo, hi, fa, fm, fb, whole, per_panel, MAX_DEPTH)
+        fb = f(hi)
+        fm = f(0.5 * (lo + hi))
+        total += _adaptive(f, lo, hi, fa, fm, fb, (hi - lo) / 6.0 * (fa + 4.0 * fm + fb),
+                           per_panel, MAX_DEPTH)
+        fa = fb
     return total
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import json
 import math
 
@@ -15,7 +16,7 @@ from rankmatch.bounds import (Piecewise, ProfileError, StepProfiles,
                               stationary_tau)
 from rankmatch.gains import (LN2, GainSpec, adversarial_baseline, half_exp,
                              piecewise_table, simple_exp)
-from rankmatch.numerics import integrate
+from rankmatch.numerics import golden_minimize, integrate
 
 E_HALF = math.exp(-0.5)
 SIMPLE_FLOOR = 1.25 - E_HALF            # 0.6434693402873666
@@ -297,6 +298,91 @@ def test_minimize_half_exp_simple_polishes_off_the_grid():
     assert point.tau == pytest.approx(LN2, abs=1e-5)
 
 
+@pytest.mark.parametrize("spec, which", [(simple_exp(), "simple"), (half_exp(), "improved")],
+                         ids=["simple-exp-simple", "half-exp-improved"])
+def test_minimize_scans_every_grid_point_through_the_surface_table(monkeypatch, spec, which):
+    # the benchmark's traced bounds-minimize run counts the surface calls
+    # made through _BOUNDS before the first golden_minimize as the scan,
+    # and its injected fault rebinds bounds.integrate: the scan makes one
+    # call per grid point, and each improved_bound call reaches the
+    # module-global integrate exactly once
+    calls = {"scan": 0, "polish": 0, "integrate": 0}
+    phase = "scan"
+    surface = bounds._BOUNDS[which]
+
+    def counted_surface(*args, **kwargs):
+        calls[phase] += 1
+        return surface(*args, **kwargs)
+
+    def polish(*args, **kwargs):
+        nonlocal phase
+        phase = "polish"
+        return golden_minimize(*args, **kwargs)
+
+    def counted_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setitem(bounds._BOUNDS, which, counted_surface)
+    monkeypatch.setattr(bounds, "golden_minimize", polish)
+    monkeypatch.setattr(bounds, "integrate", counted_integrate)
+    minimize_bound(spec, which)
+    assert calls["scan"] == bounds.SCAN_GRID_N ** 2
+    assert calls["polish"] > 0
+    surface_calls = calls["scan"] + calls["polish"]
+    assert calls["integrate"] == (surface_calls if which == "improved" else 0)
+
+
+# sha256 over the .hex() of each value, one per line, row-major in (tau,
+# gamma) over the grid i / (n - 1): the values of the scalar quadrature
+# that evaluated every panel end twice, which each surface keeps bit for
+# bit (the simple surface is closed form and takes any tol)
+SURFACE_DIGESTS = {
+    ("simple", "simple-exp", 256, "SCAN_TOL"):
+        "e75a3698eff080b0b971c4fe9acb74b7e712c568b2467f28d1eefd2d93e56365",
+    ("improved", "half-exp", 256, "SCAN_TOL"):
+        "5a82e6ea60dfba7be704cd6190633aa175f856b396ea9f7b4f81e9f3f5bcbb7a",
+    ("improved", "simple-exp", 33, "POLISH_TOL"):
+        "0f91ffd529dfe947c35f081c73d67aa1cf085a860fa35b351120deecfa559333",
+    ("improved", "simple-exp", 33, "HEATMAP_TOL"):
+        "d9013488c6f25594dde55b7b3296036f4009a50c780bcbdf059270dd6f5ee304",
+    ("improved", "simple-exp", 33, "STATIONARY_TOL"):
+        "3310cb8a0de3a946b17245781058b0eef60425421f5df8c6732e46c3a5b0dda6",
+    ("improved", "half-exp", 33, "POLISH_TOL"):
+        "09c7bdb87a12b80c74a5be734b1b63efe8864c14400f46045251bce076c39daf",
+    ("improved", "half-exp", 33, "HEATMAP_TOL"):
+        "1f9d32ea54b278f9e3385af24563be087e61a69e61ccbd50b3788bfee33d8313",
+    ("improved", "half-exp", 33, "STATIONARY_TOL"):
+        "3f72731300b73150ee1e60689ad5a55348ca5618591138cdab00a10dd16d63e8",
+    ("improved", "table", 33, "POLISH_TOL"):
+        "87631552bc5d62b5fe9136564ce5be1aa242231351df0a33934d9160584b05b3",
+    ("improved", "table", 33, "HEATMAP_TOL"):
+        "7f3623b8b7fbf28dc6dbee328e87b6fdfc39c1e4c122997ad3f5babd4139de74",
+    ("improved", "table", 33, "STATIONARY_TOL"):
+        "6fe4ffd853d259803656a1b557372558d5909837fd1bc71087f8a1a0fc464e6e",
+    ("simple", "simple-exp", 33, "SCAN_TOL"):
+        "a707ae0fa9eea8d13227b9133444870f7f870d55521026e3ee931551ca61325a",
+    ("simple", "half-exp", 33, "SCAN_TOL"):
+        "26018d7b6b7c2e0f4a39c52c2ab28216e9644f5fbba133c47831ab1981c55097",
+    ("simple", "table", 33, "SCAN_TOL"):
+        "26f4b5bcf556030a24df31c9ca9c84e549e365cf3b6cd3a27739d1f475599679",
+}
+DIGEST_SPECS = {"simple-exp": simple_exp(), "half-exp": half_exp(), "table": STEEP_TABLE}
+
+
+@pytest.mark.parametrize("which, spec, grid_n, tol", SURFACE_DIGESTS,
+                         ids=str)
+def test_surface_grids_keep_their_recorded_bits(which, spec, grid_n, tol):
+    f = bound_function(which)
+    pts = [i / (grid_n - 1) for i in range(grid_n)]
+    digest = hashlib.sha256()
+    for tau in pts:
+        for gamma in pts:
+            value = f(DIGEST_SPECS[spec], tau, gamma, tol=getattr(bounds, tol))
+            digest.update(value.hex().encode() + b"\n")
+    assert digest.hexdigest() == SURFACE_DIGESTS[which, spec, grid_n, tol]
+
+
 def test_grid_floor_half_exp_improved():
     # the worst-case claim quantified over the full minimization grid
     rows = heatmap_rows(half_exp(), "improved", grid_n=256)
@@ -331,11 +417,26 @@ def test_bound_function_rejects_unknown():
 
 
 def test_heatmap_rows_order_and_determinism():
-    rows = heatmap_rows(half_exp(), "simple", grid_n=5)
+    rows = list(heatmap_rows(half_exp(), "simple", grid_n=5))
     assert len(rows) == 25
     assert rows[0][:2] == (0.0, 0.0)
     assert rows[-1][:2] == (1.0, 1.0)
-    assert rows == heatmap_rows(half_exp(), "simple", grid_n=5)
+    assert rows == list(heatmap_rows(half_exp(), "simple", grid_n=5))
+
+
+def test_heatmap_rows_evaluates_each_point_as_it_is_read(monkeypatch):
+    calls = []
+    surface = bounds._BOUNDS["improved"]
+
+    def counted(spec, tau, gamma, tol):
+        calls.append((tau, gamma))
+        return surface(spec, tau, gamma, tol=tol)
+
+    monkeypatch.setitem(bounds._BOUNDS, "improved", counted)
+    rows = heatmap_rows(half_exp(), "improved", grid_n=3)
+    assert calls == []
+    assert next(rows)[:2] == (0.0, 0.0) and calls == [(0.0, 0.0)]
+    assert len(list(rows)) == 8 and len(calls) == 9
 
 
 @pytest.mark.parametrize("grid_n", [-1, 0, 1])

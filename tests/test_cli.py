@@ -438,6 +438,21 @@ def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     assert err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("--grid", "1"), "grid_n must be >= 2, got 1"),
+    (("--grid", "3163"), "grid_n = 3163 makes 10004569 points, more than MAX_CELLS = 10000000"),
+    (("--spec", "adversarial", "--grid", "3"), "the adversarial spec is no weight split"),
+], ids=["grid-1", "grid-cells", "adversarial"])
+def test_heatmap_refusals_create_no_out_file(tmp_path, capsys, argv, named):
+    # the rows stream to the file as they are evaluated, so every refusal
+    # must come before the file is opened
+    out = tmp_path / "heatmap.csv"
+    code, stdout, err = run_cli(capsys, "bounds", "heatmap", *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gen", ["complete", "upper_triangular"])
 def test_edge_probability_on_a_kind_without_edges_to_draw_exits_two(capsys, gen):
     code, out, err = run_cli(capsys, "generate", "--gen", gen, "--n", "2", "--p", "0.3")
