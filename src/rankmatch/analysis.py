@@ -249,21 +249,17 @@ class PairSweep:
         gone = np.append(self.nbrs[:-1], -1)
         taken = np.empty((self.nbrs.size, n_vs), dtype=np.intp)
         v_by = np.empty((n_vs, n_off + 1), dtype=np.intp)
-        a_vs = self.spec.offer_parts(y_vs)[0]
+        ranks = np.concatenate((self.y_off, self.y_on))
         for start in range(0, gone.size * n_vs, self.block):
             keys = np.arange(start, min(start + self.block, gone.size * n_vs))
             g, d = gone[keys // n_vs], keys % n_vs
             lanes = np.arange(keys.size)
             free = np.ones((n_off, keys.size), dtype=bool)
             free[g[g >= 0], lanes[g >= 0]] = False
-            off_ranks, off_offer, order = (
-                np.repeat(col[:, None], keys.size, axis=1)
-                for col in (self.y_off, self.a_off, self.rest))
-            off_ranks[self.v_idx] = y_vs[d]
-            off_offer[self.v_idx] = a_vs[d]
-            partner = run_lanes(self.instance, order, off_ranks,
-                                lambda: np.repeat(self.b_on[:, None], keys.size, axis=1),
-                                off_offer, free)
+            lane_ranks, order = (np.repeat(col[:, None], keys.size, axis=1)
+                                 for col in (ranks, self.rest))
+            lane_ranks[self.v_idx] = y_vs[d]
+            partner = run_lanes(self.instance, self.spec, lane_ranks, order, free)
             # v has at most one partner per lane: a column of took_v is
             # one-hot or empty, and argmax finds the one
             took_v = partner == self.v_idx

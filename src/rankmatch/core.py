@@ -100,12 +100,16 @@ def validate_instance(raw: Mapping) -> Instance:
     """Build an Instance from {"offline": [...], "online": [...]} data.
 
     Raises InstanceError naming the offending id on duplicate ids, unknown
-    neighbor ids, or negative weights, and naming the entry when one is
-    malformed. Zero weights are allowed; a zero weight vertex contributes
-    nothing but may still absorb a match.
+    neighbor ids, or negative weights, naming the entry when one is
+    malformed, and naming any top-level key besides offline and online.
+    Zero weights are allowed; a zero weight vertex contributes nothing but
+    may still absorb a match.
     """
     if not isinstance(raw, Mapping):
         raise InstanceError("instance description must be a mapping")
+    for key in raw:
+        if key not in ("offline", "online"):
+            raise InstanceError(f"an instance reads only offline and online, not {key!r}")
     offline_raw = raw.get("offline", [])
     online_raw = raw.get("online", [])
     for key, entries in (("offline", offline_raw), ("online", online_raw)):

@@ -6,13 +6,10 @@ tag, trial index) for the suites, so any single trial reproduces in
 isolation and parallel or serial execution order cannot change results.
 
 A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
-them at a time, with offer parts from GainSpec.offer_parts (bit for bit
-the scalar ones), and re-runs trial 0 through the scalar run_ranking
-as a check of its partners and its ALG; the property suites call
-run_ranking trial by trial. On equal weights, under a spec whose a never
-rises with y (GainSpec.rank_offer_non_increasing, every built-in spec),
-the lanes are plain Ranking by rank order: no offer part is evaluated,
-and a trial's ALG is w times its match count.
+them at a time, and re-runs trial 0 through the scalar run_ranking as a
+check of its partners and its ALG; the property suites call run_ranking
+trial by trial. On equal weights, a trial's ALG is w times its match
+count.
 """
 
 from __future__ import annotations
@@ -109,24 +106,14 @@ def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
     """run_lanes with one lane per trial: trial t's ranks are the
     rank_draws(instance, (seed, t)) sample_ranks assigns, drawn into one
     contiguous row per trial, and the arrival order is their stable order.
-    The offer parts come from offer_parts, bit for bit run_ranking's
-    offer_parts_scalar values, so every lane makes run_ranking's choices;
-    the arrivals' parts are handed over lazily, as run_lanes reads them
-    only when it compares offers. On equal weights, when the spec's a
-    never rises with y (rank_offer_non_increasing), every lane is plain
-    Ranking by rank order and no offline part is evaluated either.
     Returns the (online, T) partner indices."""
     n_off = len(instance.offline)
     ranks = np.empty((len(trials), n_off + len(instance.online)))
     for k, t in enumerate(trials):
         ranks[k] = rank_draws(instance, (seed, t))
     # run_lanes takes the trials as columns
-    off, on = ranks[:, :n_off].T, ranks[:, n_off:].T
-    by_rank = spec.rank_offer_non_increasing and len({w for _, w in instance.offline}) < 2
-    return run_lanes(instance, stable_argsort(on.T).T, off,
-                     lambda: spec.offer_parts(on)[1],
-                     None if by_rank else spec.offer_parts(off)[0],
-                     np.ones(off.shape, dtype=bool))
+    return run_lanes(instance, spec, ranks.T, stable_argsort(ranks[:, n_off:]).T,
+                     np.ones((n_off, len(trials)), dtype=bool))
 
 
 def _check_trial_zero(instance: Instance, spec: GainSpec, seed: int,

@@ -332,16 +332,20 @@ def _table_knots(obj: Mapping, key: str) -> list[float]:
 
 
 def gain_spec_from_json(obj: Mapping) -> GainSpec:
-    """Build a GainSpec from parsed {"kind": ...} data (optionally with
-    table knots)."""
+    """Build a GainSpec from parsed {"kind": ...} data, with breakpoints
+    and values for a table; a key the kind does not read is refused."""
     if not isinstance(obj, Mapping):
         raise GainSpecError(f'gain spec must be an object {{"kind": ...}}, got {obj!r}')
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in (*_NAMED, TABLE):
+        raise GainSpecError(f"unknown gain spec kind {kind!r}")
+    keys = ("kind", "breakpoints", "values") if kind == TABLE else ("kind",)
+    for key in obj:
+        if key not in keys:
+            raise GainSpecError(f"a {kind} spec reads only {', '.join(keys)}, not {key!r}")
     if kind == TABLE:
         return piecewise_table(_table_knots(obj, "breakpoints"),
                                _table_knots(obj, "values"))
-    if not isinstance(kind, str) or kind not in _NAMED:
-        raise GainSpecError(f"unknown gain spec kind {kind!r}")
     return _NAMED[kind]()
 
 

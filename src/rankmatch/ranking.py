@@ -10,15 +10,14 @@ saturates) break toward the smaller offline rank, then the smaller id.
 
 run_ranking is the scalar engine: one run, with an optional arrival trace.
 run_lanes runs the same rules over many rank assignments at once, one
-lane per assignment, in lockstep with numpy; its callers hand it blocks of
-at most lane_block(rows) lanes. run_lanes puts each lane's offline vertices
-in rank order once (stable_argsort: numpy's stable argsort, by its faster
+lane per assignment, in lockstep with numpy; it takes the spec, as
+run_ranking does, and its callers hand it blocks of at most
+lane_block(rows) lanes. run_lanes puts each lane's offline vertices in
+rank order once (stable_argsort: numpy's stable argsort, by its faster
 default sort when no two ranks in a row tie), so that every choice is the
-first maximum, and evaluates the arrivals' offer parts, which it takes as
-a callable, only when it compares offers. On equal weights a caller may
-pass no offline offer parts when the spec's a never rises with y
-(GainSpec.rank_offer_non_increasing): every lane is then plain Ranking,
-the first free neighbour by rank, and run_lanes reads no offer part at
+first maximum. On equal weights, under a spec whose a never rises with y
+(GainSpec.rank_offer_non_increasing), every lane is plain Ranking, the
+first free neighbour by rank, and run_lanes evaluates no offer part at
 all. PairSweep in analysis applies the rule to u's single step itself,
 over rows in id order.
 """
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
@@ -136,25 +135,18 @@ def run_ranking(instance: Instance, spec: GainSpec, ranks: RankAssignment,
     return result, SimulationTrace(arrivals=tuple(records), match_time=match_time)
 
 
-def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
-              on_offer: Callable[[], np.ndarray], off_offer: np.ndarray | None,
-              free: np.ndarray) -> np.ndarray:
+def run_lanes(instance: Instance, spec: GainSpec, ranks: np.ndarray,
+              order: np.ndarray, free: np.ndarray) -> np.ndarray:
     """run_ranking over T lanes at once; lanes are columns.
 
-    order is the (k, T) arrival order: order[i, t] is the online index
-    arriving i-th in lane t, by arrival time, then id (a stable argsort of
-    the id-ordered arrival times gives it). It may leave online vertices
-    out; those never arrive. on_offer is a zero-argument callable that
-    returns the (online, T) array of the arrivals' offer parts b(y_u); it
-    is called at most once, and only when offers are compared. off_ranks
-    and off_offer are (offline, T) arrays of offline ranks and their offer
-    parts a(y_v); off_offer=None says that the caller vouches for a being
-    non-increasing in y (GainSpec.rank_offer_non_increasing) and that every
-    offline weight is equal, and ValueError is raised if the weights
-    differ. free is the (offline, T) mask of offline vertices still free at
-    the start (copied, never written back). Rows follow the instance's id
-    order. Every offer w_v * (a + b) must be >= 0, as it is for every
-    GainSpec. Each lane follows run_ranking's rules: offer ties
+    ranks is the (offline + online, T) array of every vertex's rank or
+    arrival time, rows in instance.all_ids() order (offline first), as
+    rank_draws lays out one lane. order is the (k, T) arrival order:
+    order[i, t] is the online index arriving i-th in lane t, by arrival
+    time, then id (a stable argsort of the id-ordered arrival times gives
+    it). It may leave online vertices out; those never arrive. free is the
+    (offline, T) mask of offline vertices still free at the start (copied,
+    never written back). Each lane follows run_ranking's rules: offer ties
     go to the smaller offline rank, then the smaller id. Returns the
     (online, T) array of the offline index each online vertex took, -1 if
     none.
@@ -164,14 +156,15 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     choice is the first maximum of the offers. Each step gathers the
     arrivals' rows of instance.adjacency and puts them in rank order with
     one index, fixed per call; and'ed with free, they are the candidates.
-    When every offline weight is equal and a is non-increasing along every
-    lane's rank order, the choice is the first candidate, and no offer is
-    computed or read: float + b and * w (w >= 0) are monotone, so no later
-    candidate offers more, and the tie rule picks the first. Given
-    off_offer, the flag is read off its data; given None, off the caller's
-    word. Otherwise a non-candidate (not adjacent, or gone) offers -1:
-    below every candidate, even one offering 0, so the first maximum is a
-    candidate whenever there is one.
+    When every offline weight is equal and the spec's a never rises with y
+    (spec.rank_offer_non_increasing), the choice is the first candidate,
+    and no offer part is evaluated: float + b and * w (w >= 0) are
+    monotone, so no later candidate offers more, and the tie rule picks
+    the first. Otherwise one spec.offer_parts call over ranks gives a from
+    the offline rows and b from the online rows, bit for bit run_ranking's
+    parts, and a non-candidate (not adjacent, or gone) offers -1: below
+    every candidate, even one offering 0 (no GainSpec offers less), so the
+    first maximum is a candidate whenever there is one.
     """
     n_on, n_lanes = len(instance.online), order.shape[1]
     n_off = len(instance.offline)
@@ -182,26 +175,21 @@ def run_lanes(instance: Instance, order: np.ndarray, off_ranks: np.ndarray,
     lanes = np.arange(n_lanes)
     # (T, n_off) arrays in each lane's rank order; at holds each cell's
     # flat index into the (n_off, T) inputs, cells into a step's rows
-    by_rank = stable_argsort(off_ranks.T)
+    by_rank = stable_argsort(ranks[:n_off].T)
     at = by_rank * n_lanes
     at += lanes[:, None]
     free = np.take(free, at)
     row_start = lanes * n_off
     cells = by_rank + row_start[:, None]
     weights = [w for _, w in instance.offline]
-    equal = len(set(weights)) == 1
-    if off_offer is None:
-        if not equal:
-            raise ValueError("run_lanes: off_offer=None needs equal offline weights")
-        by_order = True
-    else:
-        a = np.take(off_offer, at)
-        by_order = equal and (a[:, 1:] <= a[:, :-1]).all()
+    by_order = spec.rank_offer_non_increasing and len(set(weights)) == 1
     if by_order:
         arriving = repeat(None)
     else:
+        a, b = spec.offer_parts(ranks)
+        a = np.take(a[:n_off], at)
         w = np.array(weights, dtype=float)[by_rank]
-        arriving = on_offer()[order, lanes][:, :, None]
+        arriving = b[n_off:][order, lanes][:, :, None]
         offers = np.empty((n_lanes, n_off))
         not_cand = np.empty((n_lanes, n_off), dtype=bool)
     rows = np.empty((n_lanes, n_off), dtype=bool)

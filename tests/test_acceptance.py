@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rankmatch.analysis import pair_gain
 from rankmatch.bounds import improved_bound, solve_curve_equals_two_t, stationary_tau

@@ -11,8 +11,7 @@ from rankmatch.analysis import (MATCHED_BEFORE, MATCHED_TO_U, UNMATCHED_AFTER,
 from rankmatch.core import RankAssignment, build_instance, sample_ranks
 from rankmatch.gains import (LN2, adversarial_baseline, half_exp, piecewise_table,
                              simple_exp)
-from rankmatch.generators import random_instance
-from rankmatch.ranking import assign_duals, run_ranking
+from rankmatch.generators import generate_instance, random_instance
 
 SPECS = (half_exp(), simple_exp(), adversarial_baseline())
 
@@ -110,9 +109,9 @@ def test_sweep_inserts_u_into_arrival_ties_like_a_stable_sort(monkeypatch):
     orders, places = [], []
     run_lanes, choose = analysis.run_lanes, PairSweep._choose
 
-    def spy(instance, order, *columns):
+    def spy(instance, spec, ranks, order, free):
         orders.append(order.copy())
-        return run_lanes(instance, order, *columns)
+        return run_lanes(instance, spec, ranks, order, free)
 
     def spy_choose(self, out, y_u, b_u, pos, key, taken, v_by):
         places.append(np.broadcast_to(pos, out[0].shape).ravel())
@@ -169,6 +168,7 @@ def all_lanes_sweep(sweep, y_u, y_v):
     b_u = sweep.spec.offer_parts(y_u)[1]
     a_v = sweep.spec.offer_parts(y_v)[0]
     u, v, w = sweep.u_idx, sweep.v_idx, sweep.w
+    n_off = w.size
     k = np.arange(sweep.y_on.size)[:, None]
     for start in range(0, n, LANE_BLOCK):
         blk = slice(start, start + LANE_BLOCK)
@@ -177,13 +177,13 @@ def all_lanes_sweep(sweep, y_u, y_v):
                + np.searchsorted(sweep.ranks_after, y_u[blk], "left"))
         order = np.append(sweep.rest, u)[k - (k > pos)]
         order[pos, lanes] = u
-        off_ranks, on_offer, off_offer = (
-            np.repeat(col[:, None], lanes.size, axis=1)
-            for col in (sweep.y_off, sweep.b_on, sweep.a_off))
-        off_ranks[v] = y_v[blk]
-        on_offer[u], off_offer[v] = b_u[blk], a_v[blk]
-        partner = run_lanes(sweep.instance, order, off_ranks, lambda: on_offer, off_offer,
-                            free=np.ones(off_ranks.shape, dtype=bool))
+        ranks = np.repeat(np.concatenate((sweep.y_off, sweep.y_on))[:, None], lanes.size,
+                          axis=1)
+        ranks[v], ranks[n_off + u] = y_v[blk], y_u[blk]
+        off_offer, on_offer = sweep.spec.offer_parts(ranks)
+        off_offer, on_offer = off_offer[:n_off], on_offer[n_off:]
+        partner = run_lanes(sweep.instance, sweep.spec, ranks, order,
+                            np.ones((n_off, lanes.size), dtype=bool))
         p = partner[u]
         kept = w[p] * (1.0 - off_offer[p, lanes] - b_u[blk])
         out.alpha_u[blk] = np.where(p >= 0, w[p] - kept, 0.0)
@@ -244,6 +244,40 @@ def test_sweep_matches_all_lanes_oracle_bit_for_bit(spec, weighted):
             _, duals = vary_two_ranks(inst, spec, base, u, v, y_u[i], y_v[i])
             assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha[u], duals.alpha[v])
             assert res.status[i] == edge_status(inst, spec, base, u, v, y_u[i], y_v[i])
+
+
+@pytest.mark.parametrize("gen", ["upper_triangular", "random"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["half-exp", "simple-exp",
+                                                    "adversarial", "table"])
+def test_unit_weight_sweeps_run_their_table_by_rank_order(branches, monkeypatch, spec, gen):
+    # unit weights under a spec whose a never rises: every table run of
+    # pair_gain and compute_thresholds takes run_lanes' by-order branch,
+    # which evaluates no offer part, and the lanes are the scalar engine's
+    from rankmatch import analysis
+
+    seen, run_lanes = [], analysis.run_lanes
+
+    def spy(instance, lane_spec, ranks, order, free):
+        partner, branch = branches(lambda: run_lanes(instance, lane_spec, ranks, order, free),
+                                   order.shape[1])
+        seen.append(branch)
+        return partner
+
+    monkeypatch.setattr(analysis, "run_lanes", spy)
+    inst = generate_instance(gen, {"n": 6}, 4)
+    base = sample_ranks(inst, (4, 0))
+    grid = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+    y_u, y_v = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    for u in inst.online_ids:
+        for v in inst.neighbors[u]:
+            pair_gain(inst, spec, base, u, v, 8)
+            compute_thresholds(inst, spec, base, u, v, [0.125, 0.375, 0.625, 0.875])
+            res = PairSweep(inst, spec, base, u, v).run(y_u, y_v)
+            for i in range(y_u.size):
+                _, duals = vary_two_ranks(inst, spec, base, u, v, y_u[i], y_v[i])
+                assert (res.alpha_u[i], res.alpha_v[i]) == (duals.alpha[u], duals.alpha[v])
+                assert res.status[i] == edge_status(inst, spec, base, u, v, y_u[i], y_v[i])
+    assert seen and set(seen) == {"by-order"}
 
 
 def test_sweep_matches_all_lanes_oracle_at_the_edges():
@@ -328,9 +362,9 @@ def lane_counts(monkeypatch):
     counts = []
     run_lanes = analysis.run_lanes
 
-    def spy(instance, order, *columns):
+    def spy(instance, spec, ranks, order, free):
         counts.append(order.shape[1])
-        return run_lanes(instance, order, *columns)
+        return run_lanes(instance, spec, ranks, order, free)
 
     monkeypatch.setattr(analysis, "run_lanes", spy)
     return counts
@@ -489,28 +523,40 @@ def test_sweep_keeps_empty_and_scalar_lane_shapes():
 
 
 def test_pair_gain_evaluates_offer_parts_once_per_axis_value(monkeypatch):
+    from rankmatch import analysis
     from rankmatch.gains import GainSpec
 
-    # b on the y_u column and a on the y_v row: the table's keys are the
-    # few shared pieces, not the grid's y_v again
-    shapes = []
-    offer_parts = GainSpec.offer_parts
+    # b on the y_u column and a on the y_v row; the table's run_lanes calls
+    # evaluate their lanes' ranks, deg(u) lanes per shared piece holding a
+    # grid y_v, not the grid's y_v again
+    shapes, tables = [], []
+    offer_parts, run_lanes = GainSpec.offer_parts, analysis.run_lanes
 
     def spy(self, y):
         shapes.append(np.shape(y))
         return offer_parts(self, y)
 
+    def spy_lanes(instance, spec, ranks, order, free):
+        tables.append(ranks.shape)
+        return run_lanes(instance, spec, ranks, order, free)
+
     monkeypatch.setattr(GainSpec, "offer_parts", spy)
+    monkeypatch.setattr(analysis, "run_lanes", spy_lanes)
     rng = np.random.default_rng(35)
     for trial in range(6):
         inst = random_instance(rng, weighted=True)
         base = sample_ranks(inst, (35, trial))
         edges = [(u, v) for u in inst.online_ids for v in inst.neighbors[u]]
         u, v = edges[int(rng.integers(len(edges)))]
+        spec = SPECS[trial % 3]
+        pieces = PairSweep(inst, spec, base, u, v).mids.size
         shapes.clear()
-        est = pair_gain(inst, SPECS[trial % 3], base, u, v, 120)
+        tables.clear()
+        est = pair_gain(inst, spec, base, u, v, 120)
         assert est.estimate >= 0.0
-        assert sorted(x for x in shapes if math.prod(x) >= 120) == [(1, 120), (120, 1)]
+        assert sorted(x for x in shapes if x not in tables and math.prod(x) >= 120) == [
+            (1, 120), (120, 1)]
+        assert sum(lanes for _, lanes in tables) <= len(inst.neighbors[u]) * pieces
 
 
 def test_three_interval_structure_random_probes():

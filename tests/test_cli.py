@@ -284,6 +284,23 @@ def test_numeric_text_and_numeric_ids_exit_two(tmp_path, capsys, argv, payload, 
     assert err.count("\n") == 1 and err.count("error:") == 1
 
 
+@pytest.mark.parametrize("argv, payload, named", [
+    (("bounds", "evaluate", "--tau", "0.2", "--gamma", "0.7", "--spec"),
+     {"kind": "half-exp", "breakpoints": [0, 0.5, 1], "values": [0.1, 0.6, 1.0]},
+     "a half-exp spec reads only kind, not 'breakpoints'"),
+    (("simulate", "--instance"),
+     {"offline": [{"id": "v1", "weight": 1.0}], "onlin": [{"id": "u1", "neighbors": ["v1"]}]},
+     "an instance reads only offline and online, not 'onlin'"),
+], ids=["spec-named-with-knots", "instance-misspelled-side"])
+def test_input_keys_that_are_not_read_exit_two(tmp_path, capsys, argv, payload, named):
+    # a key no reader reads is refused, not dropped: the half-exp value, or
+    # an instance without an online side, would come out instead
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {named}\n")
+
+
 @pytest.mark.parametrize("argv, named", [
     (("bounds", "evaluate", "--spec"), 'gain spec must be an object {"kind": ...}'),
     (("simulate", "--instance"), "instance description must be a mapping"),

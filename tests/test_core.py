@@ -1,5 +1,4 @@
 import json
-import math
 import pickle
 
 import numpy as np
@@ -41,6 +40,15 @@ def test_validate_duplicate_ids():
     # ids must also be unique across sides, or the rank map is ambiguous
     with pytest.raises(InstanceError, match="duplicate id x"):
         build_instance([("x", 1.0)], [("x", [])])
+
+
+@pytest.mark.parametrize("key", ["onlin", "weights", "Offline"])
+def test_validate_refuses_keys_it_does_not_read(key):
+    # a misspelled side would otherwise read as an empty one
+    raw = {"offline": [{"id": "v1", "weight": 1.0}], key: [{"id": "u1", "neighbors": ["v1"]}]}
+    with pytest.raises(InstanceError,
+                       match=f"an instance reads only offline and online, not '{key}'"):
+        validate_instance(raw)
 
 
 def test_validate_rejects_nan_weight():

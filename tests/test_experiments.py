@@ -111,32 +111,28 @@ def spy_run_lanes(monkeypatch):
     """Record every experiments.run_lanes call's arguments."""
     calls = []
 
-    def spy(instance, order, off_ranks, on_offer, off_offer, free):
-        calls.append((order, off_ranks, on_offer, off_offer))
-        return run_lanes(instance, order, off_ranks, on_offer, off_offer, free)
+    def spy(instance, spec, ranks, order, free):
+        calls.append((spec, ranks, order, free))
+        return run_lanes(instance, spec, ranks, order, free)
 
     monkeypatch.setattr(experiments, "run_lanes", spy)
     return calls
 
 
 def test_lane_columns_are_sample_ranks_streams(monkeypatch):
-    # column t carries sample_ranks(instance, (seed, t)) bit for bit: the
-    # offline ranks, the arrival order and both offer parts; the arrivals'
-    # parts come as a zero-argument callable
+    # column t carries sample_ranks(instance, (seed, t)) bit for bit: every
+    # rank, in all_ids order, and the arrival order; every vertex starts free
     inst = rectangular(4)
     spec = half_exp()
     calls = spy_run_lanes(monkeypatch)
     run_ratio_experiment(ExperimentConfig(inst, spec, 40, 13))
-    (order, off_ranks, arrival_offers, off_offer), = calls
-    on_offer = arrival_offers()
-    assert on_offer.shape == (len(inst.online), 40)
+    (lane_spec, ranks, order, free), = calls
+    assert lane_spec is spec and free.all()
+    assert ranks.shape == (len(inst.all_ids()), 40)
+    assert free.shape == (len(inst.offline), 40)
     for t in range(40):
         rank_of = sample_ranks(inst, (13, t)).ranks
-        off = [rank_of[v] for v in inst.offline_ids]
-        on = [rank_of[u] for u in inst.online_ids]
-        assert hexes(off_ranks[:, t]) == hexes(off)
-        assert hexes(off_offer[:, t]) == hexes(spec.offer_parts_scalar(y)[0] for y in off)
-        assert hexes(on_offer[:, t]) == hexes(spec.offer_parts_scalar(y)[1] for y in on)
+        assert hexes(ranks[:, t]) == hexes(rank_of[x] for x in inst.all_ids())
         arrivals = sorted(inst.online_ids, key=lambda u: (rank_of[u], u))
         assert order[:, t].tolist() == [inst.online_ids.index(u) for u in arrivals]
 
@@ -147,7 +143,7 @@ def test_trials_span_blocks(monkeypatch):
     inst = generate_instance("upper_triangular", {"n": 100}, 0)
     calls = spy_run_lanes(monkeypatch)
     report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 700, 3))
-    assert [c[0].shape[1] for c in calls] == [655, 45]
+    assert [c[2].shape[1] for c in calls] == [655, 45]
     assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, half_exp(), 700, 3))
 
 
@@ -166,8 +162,8 @@ def test_broken_scalar_engine_fails_the_lane_check(monkeypatch):
 
 
 def test_broken_lane_engine_fails_the_lane_check(monkeypatch):
-    def last_arrival_unmatched(instance, order, *columns):
-        partner = run_lanes(instance, order, *columns)
+    def last_arrival_unmatched(instance, spec, ranks, order, free):
+        partner = run_lanes(instance, spec, ranks, order, free)
         partner[order[-1], np.arange(order.shape[1])] = -1
         return partner
 
@@ -315,8 +311,8 @@ def test_unit_weight_lanes_evaluate_no_offer_part(monkeypatch, spec, gen, params
 
 
 def test_a_spec_whose_a_can_rise_takes_the_offer_path(monkeypatch):
-    # f drops at the knot 1/2, so a jumps up there: the flag fails, the
-    # lanes get a's values, and run_lanes' data check picks each block's branch
+    # f drops at the knot 1/2, so a jumps up there: the flag fails, and
+    # run_lanes evaluates the block's offer parts in one offer_parts call
     monkeypatch.setitem(gains._PIECES, SIMPLE_EXP,
                         ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 0.5, 0.0, 0.0, 0.0)))
     spec = GainSpec(SIMPLE_EXP)
@@ -324,7 +320,7 @@ def test_a_spec_whose_a_can_rise_takes_the_offer_path(monkeypatch):
     inst = generate_instance("upper_triangular", {"n": 12}, 0)
     calls = counted_offer_parts(monkeypatch)
     report = run_ratio_experiment(ExperimentConfig(inst, spec, 60, 4))
-    assert calls["offer_parts"] == 2
+    assert calls["offer_parts"] == 1
     assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 60, 4))
 
 

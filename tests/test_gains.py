@@ -208,6 +208,20 @@ def test_table_rejects_non_finite_breakpoints(bad):
                              "values": [0.5, 0.5, 1.0]})
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "half-exp", "breakpoints": [0, 0.5, 1], "values": [0.1, 0.6, 1.0]},
+     "breakpoints"),
+    ({"kind": "adversarial", "values": [0.1, 1.0]}, "values"),
+    ({"kind": "simple-exp", "Kind": "half-exp"}, "Kind"),
+    ({"kind": "table", "breakpoints": [0, 1], "values": [0.5, 1.0], "value": [0.5]}, "value"),
+], ids=["named-with-knots", "named-with-values", "named-with-a-stray-key", "table-with-a-typo"])
+def test_gain_spec_from_json_refuses_keys_it_does_not_read(obj, key):
+    # as GainSpec("half-exp", breakpoints=...) refuses its extras
+    with pytest.raises(GainSpecError,
+                       match=rf"a {obj['kind']} spec reads only kind\b.*, not '{key}'$"):
+        gain_spec_from_json(obj)
+
+
 def test_json_round_trip():
     for spec in [simple_exp(), half_exp(), adversarial_baseline(),
                  piecewise_table((0.0, 0.4, 1.0), (0.4, 0.5, 0.6))]:

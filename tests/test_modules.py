@@ -45,6 +45,20 @@ def output_calls(path: Path) -> dict[str, list[str]]:
     return found
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports, at any depth, and never reads: no Name node
+    holds them (the root of a.b.c is one). `from __future__` imports are
+    compiler directives, not names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
 PACKAGE = sorted(ROOT.glob("src/rankmatch/*.py"))
 MODULES = sorted([*ROOT.glob("tests/*.py"), *PACKAGE])
 
@@ -72,6 +86,24 @@ def test_private_import_check_sees_relative_imports_only(tmp_path):
                     "from numpy import _core\nimport os\n\n\n"
                     "def f():\n    from ..core import _hidden as h\n    return h\n")
     assert private_imports(path) == ["..core._hidden", "._util", ".ranking._top"]
+
+
+# __init__.py imports the public API, for its importers to use
+IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=[str(p.relative_to(ROOT)) for p in IMPORTERS])
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_check_sees_every_binding(tmp_path):
+    path = tmp_path / "importer.py"
+    path.write_text("from __future__ import annotations\n\nimport os.path\nimport sys\n"
+                    "import numpy as np\nfrom math import exp, log as ln, pi\n\n\n"
+                    "def f(x: np.ndarray) -> float:\n    import json\n    return exp(pi)\n\n\n"
+                    "sys.exit(os.path.sep)\n")
+    assert unused_imports(path) == ["json", "ln"]
 
 
 def test_cli_writes_its_output_in_one_place():

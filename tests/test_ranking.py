@@ -7,13 +7,15 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from rankmatch import ranking
+from rankmatch import gains, ranking
 from rankmatch.core import (RankAssignment, build_instance, check_dual_shares,
                             sample_ranks, validate_rank_assignment)
 from rankmatch.experiments import ExperimentConfig, _trial_partners, run_ratio_experiment
-from rankmatch.gains import adversarial_baseline, half_exp, piecewise_table, simple_exp
+from rankmatch.gains import (SIMPLE_EXP, GainSpec, adversarial_baseline, half_exp,
+                             piecewise_table, simple_exp)
 from rankmatch.generators import generate_instance, random_instance
 from rankmatch.ranking import assign_duals, run_lanes, run_ranking, stable_argsort
+from test_experiments import counted_offer_parts
 from test_gains import slope_valid_table
 
 ALL_KINDS = (half_exp(), simple_exp(), adversarial_baseline(),
@@ -205,24 +207,21 @@ def test_trace_json_lines_schema():
     assert isinstance(first["offers"], list)
 
 
-def lane_columns(instance, spec, lanes):
-    """(order, off_ranks, b, a): run_lanes' arrays for a list of
-    RankAssignments, with the offer parts evaluated exactly as run_ranking
-    evaluates them."""
-    on = np.array([[r.ranks[u] for r in lanes] for u in instance.online_ids])
-    off = np.array([[r.ranks[v] for r in lanes] for v in instance.offline_ids])
-    b = np.vectorize(lambda y: spec.offer_parts_scalar(y)[1], otypes=[float])(on)
-    a = np.vectorize(lambda y: spec.offer_parts_scalar(y)[0], otypes=[float])(off)
-    return np.argsort(on, axis=0, kind="stable"), off, b, a
+def lane_columns(instance, lanes):
+    """(order, ranks): run_lanes' arrival order and (all_ids, T) ranks for
+    a list of RankAssignments."""
+    ranks = np.array([[r.ranks[x] for r in lanes] for x in instance.all_ids()])
+    on = ranks[len(instance.offline):]
+    return np.argsort(on, axis=0, kind="stable"), ranks
 
 
 def lane_partners(instance, spec, lanes, free=None):
     """run_lanes over a list of RankAssignments (see lane_columns); every
     offline vertex starts free unless a free mask is given."""
-    order, off, b, a = lane_columns(instance, spec, lanes)
+    order, ranks = lane_columns(instance, lanes)
     if free is None:
-        free = np.ones(off.shape, dtype=bool)
-    return run_lanes(instance, order, off, lambda: b, a, free=free)
+        free = np.ones((len(instance.offline), len(lanes)), dtype=bool)
+    return run_lanes(instance, spec, ranks, order, free)
 
 
 def scalar_partners(instance, spec, ranks):
@@ -270,40 +269,6 @@ def test_run_lanes_matches_run_ranking_lane_for_lane(regime):
         assert arrival_ties > 0 and tied_offers > 0
     if regime == "offer-ties":
         assert tied_offers > 0
-
-
-class OfferCount:
-    """numpy, with its np.add calls counted: run_lanes adds offers only on
-    its general branch, never on the by-order one."""
-
-    def __init__(self):
-        self.adds = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def add(self, *args, **kwargs):
-        self.adds += 1
-        return np.add(*args, **kwargs)
-
-
-@pytest.fixture
-def branches(monkeypatch):
-    """branches(call, lanes) runs call, a run_lanes call over that many
-    lanes, and returns its result and the branch it took, "by-order" or
-    "offers"; branches.lanes counts the lanes on each."""
-    counter = OfferCount()
-    monkeypatch.setattr(ranking, "np", counter)
-
-    def run(call, lanes):
-        before = counter.adds
-        result = call()
-        branch = "offers" if counter.adds > before else "by-order"
-        run.lanes[branch] += lanes
-        return result, branch
-
-    run.lanes = {"by-order": 0, "offers": 0}
-    return run
 
 
 @pytest.mark.parametrize("regime", ["continuous", "offer-ties"])
@@ -398,25 +363,24 @@ def test_run_lanes_breaks_a_zero_offer_tie_by_rank_then_id():
             assert [inst.offline_ids[p] for p in took] == ["v0", want]
 
 
-def hand_lanes(instance, off_ranks, off_offer, on_offer, free=None):
-    """run_lanes on hand-built (rows, T) arrays, arrivals in id order."""
-    off_ranks, off_offer, on_offer = (np.array(x, dtype=float)
-                                      for x in (off_ranks, off_offer, on_offer))
-    order = np.tile(np.arange(len(instance.online))[:, None], (1, off_ranks.shape[1]))
+def hand_lanes(instance, ranks, free=None):
+    """run_lanes under half-exp on a hand-built (all_ids, T) rank array,
+    arrivals in id order."""
+    ranks = np.array(ranks, dtype=float)
+    order = np.tile(np.arange(len(instance.online))[:, None], (1, ranks.shape[1]))
     if free is None:
-        free = np.ones(off_ranks.shape, dtype=bool)
-    return run_lanes(instance, order, off_ranks, lambda: on_offer, off_offer, np.array(free))
+        free = np.ones((len(instance.offline), ranks.shape[1]), dtype=bool)
+    return run_lanes(instance, half_exp(), ranks, order, np.array(free))
 
 
 def test_run_lanes_breaks_a_positive_offer_tie_by_rank_not_row():
     # unit weights, a = 0 for both (half-exp saturates from ln 2) and
-    # b = 0.25: the offers tie, and lane 0's smaller rank sits at the larger row
+    # b(0) = 0.25: the offers tie, and lane 0's smaller rank sits at the larger row
     spec = half_exp()
     assert [spec.offer_parts_scalar(y)[0] for y in (0.8, 0.9)] == [0.0, 0.0]
     assert spec.offer_parts_scalar(0.0)[1] == 0.25
     inst = build_instance([("v0", 1.0), ("v1", 1.0)], [("u1", ["v0", "v1"])])
-    partner = hand_lanes(inst, [[0.9, 0.8], [0.8, 0.9]], [[0.0, 0.0], [0.0, 0.0]],
-                         [[0.25, 0.25]])
+    partner = hand_lanes(inst, [[0.9, 0.8], [0.8, 0.9], [0.0, 0.0]])
     assert partner.tolist() == [[1, 0]]
     for t, (r0, r1) in enumerate(((0.9, 0.8), (0.8, 0.9))):
         ranks = RankAssignment({"v0": r0, "v1": r1, "u1": 0.0})
@@ -424,16 +388,15 @@ def test_run_lanes_breaks_a_positive_offer_tie_by_rank_not_row():
 
 
 def test_run_lanes_breaks_an_exact_rank_tie_by_row():
-    # v1 and v2 share a rank and an offer; v0 ranks first but is no
+    # v1 and v2 share a rank and so an offer; v0 ranks first but is no
     # neighbor. validate_rank_assignment refuses tied user ranks, so this
     # pins the rule on hand-built arrays: lane 0 takes v1, lane 1 (v1
     # already taken) v2
     inst = build_instance([("v0", 1.0), ("v1", 1.0), ("v2", 1.0)],
                           [("u1", ["v1", "v2"])])
-    ranks = [[0.1, 0.1], [0.8, 0.8], [0.8, 0.8]]
-    offer = [[0.3, 0.3], [0.0, 0.0], [0.0, 0.0]]
+    ranks = [[0.1, 0.1], [0.8, 0.8], [0.8, 0.8], [0.0, 0.0]]
     free = [[True, True], [True, False], [True, True]]
-    assert hand_lanes(inst, ranks, offer, [[0.5, 0.5]], free).tolist() == [[1, 2]]
+    assert hand_lanes(inst, ranks, free).tolist() == [[1, 2]]
 
 
 @pytest.mark.parametrize("n, want", [(3, Fraction(89, 108)), (4, Fraction(103, 128))])
@@ -459,43 +422,19 @@ def test_ratio_experiment_on_ut4_is_within_four_standard_errors_of_103_128():
     assert abs(report.mean_ratio - 103 / 128) <= 4 * report.std_error
 
 
-def reference_lane(instance, order, off_ranks, on_offer, off_offer, free, t):
-    """Lane t of run_lanes, one arrival and one neighbour at a time: the
-    top offer w_v * (a + b), then the smaller rank, then the smaller row."""
-    w = [w for _, w in instance.offline]
-    free = free[:, t].tolist()
-    took = [-1] * len(instance.online)
-    for j in order[:, t]:
-        nbrs = instance.neighbors[instance.online_ids[j]]
-        cands = [q for q, v in enumerate(instance.offline_ids) if free[q] and v in nbrs]
-        if cands:
-            q = min(cands, key=lambda q: (-(w[q] * (off_offer[q, t] + on_offer[j, t])),
-                                          off_ranks[q, t], q))
-            free[q] = False
-            took[j] = q
-    return took
-
-
-class ArrivalOffers:
-    """run_lanes' lazy arrival offer parts b, with its calls counted; a
-    call raises when b is None."""
-
-    def __init__(self, b):
-        self.b, self.calls = b, 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.b is None:
-            raise AssertionError("the arrival offers were evaluated")
-        return self.b
-
-
 def reweighted(instance, weights):
     return build_instance([(v, w) for (v, _), w in zip(instance.offline, weights)],
                           instance.online)
 
 
-def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
+def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches, monkeypatch):
+    # f drops at the knot 1/2, so a rises there: on equal weights too, the
+    # lanes of that spec compare offers
+    monkeypatch.setitem(gains._PIECES, SIMPLE_EXP,
+                        ((0.0, 0.0, 0.0, 1.0, -0.5), (0.5, 0.5, 0.0, 0.0, 0.0)))
+    rising = GainSpec(SIMPLE_EXP)
+    assert not rising.rank_offer_non_increasing
+    calls = counted_offer_parts(monkeypatch)
     rng = np.random.default_rng(26)
     for trial in range(40):
         spec = ALL_KINDS[trial % 4]
@@ -505,47 +444,32 @@ def test_run_lanes_by_order_and_offer_branches_are_each_run_ranking(branches):
                              [(u, ["v0"] if nbs else []) for u, nbs in base.online])
         mixed = rng.choice([0.0, 1.0, 2.5], size=n_off)
         mixed[0], mixed[-1] = 0.0, 2.5
-        cases = (("by-order", reweighted(base, [2.5] * n_off)),
-                 ("by-order", reweighted(base, [0.0] * n_off)),
-                 ("offers" if n_off > 1 else "by-order", reweighted(base, mixed)),
-                 ("by-order", one))
-        for want, inst in cases:
+        cases = (("by-order", spec, reweighted(base, [2.5] * n_off)),
+                 ("by-order", spec, reweighted(base, [0.0] * n_off)),
+                 ("offers" if n_off > 1 else "by-order", spec, reweighted(base, mixed)),
+                 ("by-order", spec, one),
+                 ("offers", rising, reweighted(base, [2.5] * n_off)))
+        for want, lane_spec, inst in cases:
             lanes = [sample_ranks(inst, rng) for _ in range(6)]
             if trial % 2:
                 lanes = [RankAssignment({vid: int(rng.integers(5)) / 4
                                          for vid in inst.all_ids()}) for _ in lanes]
-            # the by-order branch never evaluates the arrival offers, the
-            # offer branch once per call
-            order, off, b, a = lane_columns(inst, spec, lanes)
-            offers = ArrivalOffers(b if want == "offers" else None)
-            partner, branch = branches(lambda: run_lanes(inst, order, off, offers, a, np.ones(
-                off.shape, dtype=bool)), len(lanes))
-            assert branch == want and offers.calls == (want == "offers")
+            # the by-order branch evaluates no offer part, the offer branch
+            # makes one offer_parts call
+            calls["offer_parts"] = 0
+            partner, branch = branches(lambda: lane_partners(inst, lane_spec, lanes), len(lanes))
+            assert branch == want and calls["offer_parts"] == (want == "offers")
             for t, ranks in enumerate(lanes):
-                assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
-        # equal weights, but an offer part that rises along rank order: no
-        # spec makes one, so the lanes are checked against reference_lane
-        if n_off > 1:
-            inst = cases[0][1]
-            off_ranks = rng.random((n_off, 6))
-            on_offer = rng.random((len(inst.online), 6))
-            order = np.argsort(rng.random(on_offer.shape), axis=0, kind="stable")
-            free = rng.random(off_ranks.shape) < 0.8
-            offers = ArrivalOffers(on_offer)
-            partner, branch = branches(lambda: run_lanes(inst, order, off_ranks, offers,
-                                                         off_ranks, free), 6)
-            assert branch == "offers" and offers.calls == 1
-            for t in range(6):
-                assert partner[:, t].tolist() == reference_lane(
-                    inst, order, off_ranks, on_offer, off_ranks, free, t)
+                assert partner[:, t].tolist() == scalar_partners(inst, lane_spec, ranks)
     assert min(branches.lanes.values()) > 0, branches.lanes
 
 
-def test_run_lanes_on_the_specs_word_is_run_ranking_for_every_lane():
-    # off_offer=None: equal weights and a spec whose a never rises, so each
-    # lane takes its first free neighbour by rank and reads no offer part.
-    # Half the draws put ranks on a k/4 grid, where they tie; the lanes of
+def test_run_lanes_on_the_specs_word_is_run_ranking_for_every_lane(monkeypatch):
+    # equal weights and a spec whose a never rises, so each lane takes its
+    # first free neighbour by rank and no offer part is evaluated. Half
+    # the draws put ranks on a k/4 grid, where they tie; the lanes of
     # run_ratio_experiment's blocks are checked trial by trial, not only trial 0
+    calls = counted_offer_parts(monkeypatch)
     rng = np.random.default_rng(31)
     rank_ties = 0
     for k, spec in enumerate([*ALL_KINDS, *(slope_valid_table(rng) for _ in range(20))]):
@@ -556,9 +480,7 @@ def test_run_lanes_on_the_specs_word_is_run_ranking_for_every_lane():
             if grid:
                 lanes = [RankAssignment({vid: int(rng.integers(5)) / 4
                                          for vid in inst.all_ids()}) for _ in lanes]
-            order, off, _, _ = lane_columns(inst, spec, lanes)
-            partner = run_lanes(inst, order, off, ArrivalOffers(None), None,
-                                np.ones(off.shape, dtype=bool))
+            partner = lane_partners(inst, spec, lanes)
             for t, ranks in enumerate(lanes):
                 assert partner[:, t].tolist() == scalar_partners(inst, spec, ranks)
                 offline = [ranks.ranks[v] for v in inst.offline_ids]
@@ -567,15 +489,7 @@ def test_run_lanes_on_the_specs_word_is_run_ranking_for_every_lane():
         for t in range(40):
             assert partner[:, t].tolist() == scalar_partners(inst, spec,
                                                              sample_ranks(inst, (k, t)))
-    assert rank_ties > 0
-
-
-def test_run_lanes_refuses_no_offline_parts_on_unequal_weights():
-    inst = build_instance([("v0", 1.0), ("v1", 2.0)], [("u1", ["v0", "v1"])])
-    off = np.array([[0.1], [0.2]])
-    with pytest.raises(ValueError, match="equal offline weights"):
-        run_lanes(inst, np.zeros((1, 1), dtype=np.intp), off, ArrivalOffers(None), None,
-                  np.ones(off.shape, dtype=bool))
+    assert rank_ties > 0 and calls["offer_parts"] == 0
 
 
 def sort_keys():
