@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .gains import GainSpec
 from .generators import MAX_CELLS
-from .numerics import as_real, bisect_boundary, golden_minimize, integrate
+from .numerics import as_array, as_object, as_real, bisect_boundary, golden_minimize, integrate
 
 
 # minimize_bound: scan grid size, quadrature tolerances of the scan and the
@@ -285,15 +285,13 @@ class Piecewise:
 
 
 def piecewise_from_json(obj: Mapping) -> Piecewise:
+    as_object(obj, ("kind", "x", "y"), ProfileError, "a profile")
     try:
-        knots = obj["x"], obj["y"]
-        if not all(isinstance(k, (list, tuple)) for k in knots):
-            raise TypeError("profile x and y must be arrays, not strings")
-        xs, ys = (tuple(as_real(t) for t in k) for k in knots)
-        kind = obj.get("kind", "step")
-    except (KeyError, TypeError, ValueError, AttributeError):
+        xs, ys = (tuple(as_real(t) for t in as_array(obj[key])) for key in ("x", "y"))
+    except (KeyError, TypeError):
         raise ProfileError(f'malformed profile {obj!r}: want {{"kind": "step", '
                            '"x": [numbers], "y": [numbers]}') from None
+    kind = obj.get("kind", "step")
     if kind != "step":
         raise ProfileError(f'unknown profile kind {kind!r}: profiles are "step" only')
     return Piecewise(xs=xs, ys=ys)
@@ -325,9 +323,8 @@ class StepProfiles:
 
 
 def profiles_from_json(obj: Mapping) -> StepProfiles:
-    """Profiles from parsed {"theta": ..., "beta": ...} data."""
-    if not isinstance(obj, Mapping):
-        raise ProfileError("profiles must be a mapping with theta and beta entries")
+    """Profiles from parsed {"theta": ..., "beta": ...} data; unread keys are refused."""
+    as_object(obj, ("theta", "beta"), ProfileError, "a profile pair")
     for key in ("theta", "beta"):
         if key not in obj:
             raise ProfileError(f"profiles lack the {key} entry")

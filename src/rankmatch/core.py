@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .numerics import as_real
+from .numerics import as_array, as_entry, as_id, as_object, as_real, is_object
 
 
 # relative accounting slack of check_dual_shares
@@ -101,25 +101,22 @@ def validate_instance(raw: Mapping) -> Instance:
 
     Raises InstanceError naming the offending id on duplicate ids, unknown
     neighbor ids, or negative weights, naming the entry when one is
-    malformed, and naming any top-level key besides offline and online.
+    malformed, and naming any key the instance or an entry does not read.
     Zero weights are allowed; a zero weight vertex contributes nothing but
     may still absorb a match.
     """
-    if not isinstance(raw, Mapping):
-        raise InstanceError("instance description must be a mapping")
-    for key in raw:
-        if key not in ("offline", "online"):
-            raise InstanceError(f"an instance reads only offline and online, not {key!r}")
-    offline_raw = raw.get("offline", [])
-    online_raw = raw.get("online", [])
-    for key, entries in (("offline", offline_raw), ("online", online_raw)):
-        if not isinstance(entries, (list, tuple)):
-            raise InstanceError(f"{key} must be a list of entries, got {entries!r}")
+    raw = as_object(raw, ("offline", "online"), InstanceError, "an instance")
+    sides = {}
+    for key in ("offline", "online"):
+        try:
+            sides[key] = as_array(raw.get(key, []))
+        except TypeError:
+            raise InstanceError(f"{key} must be a list of entries, got {raw[key]!r}") from None
 
     seen: set[str] = set()
     offline = []
-    for entry in offline_raw:
-        vid, weight = _parse_offline(entry)
+    for entry in sides["offline"]:
+        vid, weight = as_entry(entry, "weight", as_real, InstanceError, "offline entry")
         if vid in seen:
             raise InstanceError(f"duplicate id {vid}")
         seen.add(vid)
@@ -132,8 +129,9 @@ def validate_instance(raw: Mapping) -> Instance:
     offline_ids = {v for v, _ in offline}
 
     online = []
-    for entry in online_raw:
-        uid, nbs = _parse_online(entry)
+    for entry in sides["online"]:
+        uid, nbs = as_entry(entry, "neighbors", lambda ns: [as_id(n) for n in as_array(ns)],
+                            InstanceError, "online entry")
         if uid in seen:
             raise InstanceError(f"duplicate id {uid}")
         seen.add(uid)
@@ -146,47 +144,11 @@ def validate_instance(raw: Mapping) -> Instance:
     return Instance(offline=tuple(offline), online=tuple(online))
 
 
-def _array(value) -> list | tuple:
-    """value itself if it is a JSON array; a string is not read as one."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"not an array: {value!r}")
-    return value
-
-
-def _id(value) -> str:
-    """value itself if it is a string; an id is never a number."""
-    if not isinstance(value, str):
-        raise TypeError(f"not an id: {value!r}")
-    return value
-
-
-def _parse_offline(entry) -> tuple[str, float]:
-    try:
-        vid, weight = ((entry["id"], entry["weight"]) if isinstance(entry, Mapping)
-                       else _array(entry))
-        return _id(vid), as_real(weight)
-    except (KeyError, TypeError, ValueError):
-        raise InstanceError(f"malformed offline entry {entry!r}: want "
-                            '{"id": ..., "weight": ...} or [id, weight]') from None
-
-
-def _parse_online(entry) -> tuple[str, list[str]]:
-    try:
-        uid, nbs = ((entry["id"], entry["neighbors"]) if isinstance(entry, Mapping)
-                    else _array(entry))
-        return _id(uid), [_id(n) for n in _array(nbs)]
-    except (KeyError, TypeError, ValueError):
-        raise InstanceError(f"malformed online entry {entry!r}: want "
-                            '{"id": ..., "neighbors": [...]} or [id, neighbors]') from None
-
-
 def build_instance(offline: Iterable[tuple[str, float]],
                    online: Iterable[tuple[str, Iterable[str]]]) -> Instance:
     """Convenience constructor from (id, weight) and (id, neighbors) pairs."""
-    return validate_instance({
-        "offline": [{"id": v, "weight": w} for v, w in offline],
-        "online": [{"id": u, "neighbors": list(nbs)} for u, nbs in online],
-    })
+    return validate_instance({"offline": [(v, w) for v, w in offline],
+                              "online": [(u, list(nbs)) for u, nbs in online]})
 
 
 @dataclass(frozen=True)
@@ -223,13 +185,17 @@ class RankAssignment:
 def validate_rank_assignment(instance: Instance, raw: Mapping) -> RankAssignment:
     """Validate coverage, range and pairwise distinctness of user ranks.
 
-    Raises RankError naming the entry when ranks is not a mapping or a
-    rank is not a number.
+    raw maps ids to ranks, or is {"ranks": <that mapping>} and no other key:
+    a "ranks" key is the wrapper unless it is a vertex id holding no object.
+    Raises RankError naming the entry when ranks is not a mapping or a rank
+    is not a number.
     """
-    ranks = raw.get("ranks", raw) if isinstance(raw, Mapping) else raw
-    if not isinstance(ranks, Mapping):
-        raise RankError(f"ranks must map vertex ids to numbers, got {ranks!r}")
     ids = instance.all_ids()
+    ranks = raw
+    if is_object(raw) and "ranks" in raw and (is_object(raw["ranks"]) or "ranks" not in ids):
+        ranks = as_object(raw, ("ranks",), RankError, "a rank wrapper")["ranks"]
+    if not is_object(ranks):
+        raise RankError(f"ranks must map vertex ids to numbers, got {ranks!r}")
     missing = [i for i in ids if i not in ranks]
     if missing:
         raise RankError(f"missing rank for {missing[0]}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_real
+from .numerics import as_array, as_object, as_real, is_object
 
 SIMPLE_EXP = "simple-exp"
 HALF_EXP = "half-exp"
@@ -95,22 +95,18 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _rank_offer_falls(rows, a1: float) -> bool:
-    """GainSpec.rank_offer_non_increasing from the rows and a = a0 + a1 f:
-    a's slope, of the sign of a1 r or a1 p (signs, as a product could round
-    to 0), is <= 0 on every piece, and at each piece end but the last, a on
-    the piece at the float below the end is >= a on the next piece at the
-    end. a is offer_parts_scalar's, in plain floats, so that building a
-    spec runs no evaluator."""
-    def a_at(row, y):
-        _, x0, s, r, p, t, sa, pa, _, _, a0, _, *_ = row
-        if p:
-            return sa + pa * math.exp(y + t)
-        return a0 + a1 * (s + r * (y - x0)) if r else sa
-
-    return (all(_sign(a1) * _sign(slope) <= 0 for _, _, _, r, p, *_ in rows for slope in (r, p))
-            and all(a_at(left, math.nextafter(left[0], -math.inf)) >= a_at(right, left[0])
-                    for left, right in zip(rows, rows[1:])))
+def _rank_offer_falls(spec: GainSpec, a1: float) -> bool:
+    """GainSpec.rank_offer_non_increasing from the spec's rows and a = a0 +
+    a1 f: a's slope, of the sign of a1 r or a1 p (signs, as a product could
+    round to 0), is <= 0 on every piece, and at each piece end but the
+    last, a at the float below the end is >= a at the end. a is
+    offer_parts_scalar's, in plain floats, so that building a spec runs no
+    numpy routine."""
+    parts = spec.offer_parts_scalar
+    return (all(_sign(a1) * _sign(slope) <= 0
+                for _, _, _, r, p, *_ in spec._rows for slope in (r, p))
+            and all(parts(math.nextafter(end, -math.inf))[0] >= parts(end)[0]
+                    for end, *_ in spec._rows[:-1]))
 
 
 @dataclass(frozen=True)
@@ -196,10 +192,10 @@ class GainSpec:
             arr.setflags(write=False)
         for name, value in (("pieces", pieces), ("_split", split), ("_rows", tuple(rows)),
                             ("weight_split", a0 + b0 == 0.5 and a1 + b1 == 0.0),
-                            ("rank_offer_non_increasing", _rank_offer_falls(rows, a1)),
                             ("_cols", cols), ("_inverse", inverse),
                             ("curve_breakpoints", tuple(x for x, *_ in pieces if 0 < x < 1))):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "rank_offer_non_increasing", _rank_offer_falls(self, a1))
 
     def __reduce__(self):
         return GainSpec, (self.kind, self.breakpoints, self.values)
@@ -324,25 +320,20 @@ _NAMED = {SIMPLE_EXP: simple_exp, HALF_EXP: half_exp, ADVERSARIAL: adversarial_b
 def _table_knots(obj: Mapping, key: str) -> list[float]:
     knots = obj.get(key, ())
     try:
-        if isinstance(knots, (list, tuple)):   # a string is not a list of digits
-            return [as_real(x) for x in knots]
+        return [as_real(x) for x in as_array(knots)]
     except TypeError:
-        pass
-    raise GainSpecError(f"table spec {key} must be a list of numbers, got {knots!r}")
+        raise GainSpecError(f"table spec {key} must be a list of numbers, got {knots!r}") from None
 
 
 def gain_spec_from_json(obj: Mapping) -> GainSpec:
     """Build a GainSpec from parsed {"kind": ...} data, with breakpoints
     and values for a table; a key the kind does not read is refused."""
-    if not isinstance(obj, Mapping):
-        raise GainSpecError(f'gain spec must be an object {{"kind": ...}}, got {obj!r}')
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in (*_NAMED, TABLE):
+    table_keys = ("kind", "breakpoints", "values")
+    kind = obj.get("kind") if is_object(obj) else None
+    if kind not in (*_NAMED, TABLE):    # refuse a non-object or a stray key, else the kind
+        as_object(obj, table_keys, GainSpecError, "a gain spec")
         raise GainSpecError(f"unknown gain spec kind {kind!r}")
-    keys = ("kind", "breakpoints", "values") if kind == TABLE else ("kind",)
-    for key in obj:
-        if key not in keys:
-            raise GainSpecError(f"a {kind} spec reads only {', '.join(keys)}, not {key!r}")
+    as_object(obj, table_keys if kind == TABLE else ("kind",), GainSpecError, f"a {kind} spec")
     if kind == TABLE:
         return piecewise_table(_table_knots(obj, "breakpoints"),
                                _table_knots(obj, "values"))

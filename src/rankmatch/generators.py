@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import Instance
-from .numerics import as_real
+from .numerics import as_object, as_real
 
 # most adjacency cells (online x offline) a generator will allocate
 MAX_CELLS = 10**7
@@ -50,12 +50,7 @@ def _params(kind: str, params) -> tuple[int, float]:
     """(n, p) of a generate_instance call, checked as its docstring says."""
     if kind not in _KEYS:
         raise GeneratorError(f"unknown generator kind {kind!r}")
-    if not isinstance(params, Mapping):
-        raise GeneratorError(f"generator params must be a mapping, got {params!r}")
-    for key in params:
-        if key not in _KEYS[kind]:
-            raise GeneratorError(f"{kind} reads only {' and '.join(_KEYS[kind])}, "
-                                 f"not {key!r}")
+    params = as_object(params, _KEYS[kind], GeneratorError, kind)
     n = params.get("n")
     if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
         raise GeneratorError(f"need an integer n >= 1, got {n!r}")

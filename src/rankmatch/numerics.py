@@ -1,5 +1,6 @@
 """Deterministic scalar numerics: quadrature, root finding, line search,
-and as_real, the one test of what counts as a number in an input file.
+and the input grammar, the one test of what counts as a number, an id, an
+array, an object and an entry in an input file.
 
 Everything here is pure and reproducible; no global state, no randomness.
 The integrators take explicit breakpoint lists so that piecewise integrands
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_DEPTH = 48   # recursion limit of adaptive Simpson per panel
@@ -19,7 +20,7 @@ MAX_DEPTH = 48   # recursion limit of adaptive Simpson per panel
 def as_real(value) -> float:
     """float(value) for a real number; TypeError for anything else.
 
-    The input parsers read numbers through this: numeric text such as
+    The input readers read numbers through this: numeric text such as
     "2.5", bools (a real number to Python) and integers beyond the float
     range are not numbers.
     """
@@ -29,6 +30,56 @@ def as_real(value) -> float:
         return float(value)
     except OverflowError:
         raise TypeError(f"not a float: {value!r}") from None
+
+
+def as_id(value) -> str:
+    """value itself if it is a string, as an id is never a number; else TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"not an id: {value!r}")
+    return value
+
+
+def as_array(value) -> list | tuple:
+    """value itself if it is an array, which a string is not; else TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not an array: {value!r}")
+    return value
+
+
+def is_object(value) -> bool:
+    """Whether value is an object: a mapping of keys to values."""
+    return isinstance(value, Mapping)
+
+
+def as_object(value, keys: tuple[str, ...], error: type[Exception], name: str) -> Mapping:
+    """value itself if it is an object whose keys all lie in keys; else
+    error, the reader's own exception: "<name> must be a mapping", or
+    "<name> reads only <keys>, not <key>" for the first other key, which a
+    reader refuses so that a misspelled key is not dropped in silence."""
+    if not is_object(value):
+        raise error(f"{name} must be a mapping, got {value!r}")
+    for key in value:
+        if key not in keys:
+            *rest, last = keys
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise error(f"{name} reads only {listed}, not {key!r}")
+    return value
+
+
+def as_entry(entry, key: str, read: Callable, error: type[Exception],
+             name: str) -> tuple[str, object]:
+    """(id, read(value)) of an entry written [id, value] or {"id": id,
+    key: value}: error naming another key of the object, or the entry when
+    it has any other shape, when the id is not a string or when read
+    raises TypeError."""
+    pair = ((as_object(entry, ("id", key), error, name).get("id"), entry.get(key))
+            if is_object(entry) else entry)
+    try:
+        vid, value = as_array(pair)
+        return as_id(vid), read(value)
+    except (TypeError, ValueError):
+        raise error(f'malformed {name} {entry!r}: want {{"id": ..., "{key}": ...}} '
+                    f"or [id, {key}]") from None
 
 
 def split_points(a: float, b: float, breakpoints: Iterable[float]) -> list[float]:

@@ -222,7 +222,7 @@ def test_bad_seed_exits_two_naming_the_flag(capsys, argv, seed):
 
 @pytest.mark.parametrize("payload, named", [
     ("", "gain spec file {path} is not valid JSON"),
-    ("[1]", 'gain spec must be an object {"kind": ...}, got [1]'),
+    ("[1]", "a gain spec must be a mapping, got [1]"),
     ('{"kind": "table", "breakpoints": 5}',
      "table spec breakpoints must be a list of numbers, got 5"),
     ('{"kind": "table", "breakpoints": "01", "values": "11"}',
@@ -291,10 +291,24 @@ def test_numeric_text_and_numeric_ids_exit_two(tmp_path, capsys, argv, payload, 
     (("simulate", "--instance"),
      {"offline": [{"id": "v1", "weight": 1.0}], "onlin": [{"id": "u1", "neighbors": ["v1"]}]},
      "an instance reads only offline and online, not 'onlin'"),
-], ids=["spec-named-with-knots", "instance-misspelled-side"])
+    (("simulate", "--instance"),
+     {"offline": [{"id": "v1", "weight": 1.0, "wieght": 5.0}], "online": []},
+     "offline entry reads only id and weight, not 'wieght'"),
+    (("simulate", "--instance"),
+     {"offline": [["v1", 1.0], ["v2", 1.0]],
+      "online": [{"id": "u1", "neighbors": ["v1"], "neighbours": ["v2"]}]},
+     "online entry reads only id and neighbors, not 'neighbours'"),
+    (("integral", "--profiles"), {"theta": _STEP, "beta": _STEP, "gamma": 0.5},
+     "a profile pair reads only theta and beta, not 'gamma'"),
+    (("integral", "--profiles"),
+     {"theta": _STEP, "beta": {"kind": "step", "x": [0.0, 1.0], "y": [0.5], "ys": [0.9]}},
+     "a profile reads only kind, x and y, not 'ys'"),
+], ids=["spec-named-with-knots", "instance-misspelled-side", "offline-entry-misspelled-key",
+        "online-entry-misspelled-key", "profiles-stray-key", "profile-stray-key"])
 def test_input_keys_that_are_not_read_exit_two(tmp_path, capsys, argv, payload, named):
-    # a key no reader reads is refused, not dropped: the half-exp value, or
-    # an instance without an online side, would come out instead
+    # a key no reader reads is refused, not dropped: the half-exp value, an
+    # instance without an online side, or the misspelled entry's or profile's
+    # intended value left out, would come out instead
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, *argv, str(path))
@@ -302,9 +316,9 @@ def test_input_keys_that_are_not_read_exit_two(tmp_path, capsys, argv, payload, 
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("bounds", "evaluate", "--spec"), 'gain spec must be an object {"kind": ...}'),
-    (("simulate", "--instance"), "instance description must be a mapping"),
-    (("integral", "--profiles"), "profiles must be a mapping"),
+    (("bounds", "evaluate", "--spec"), "a gain spec must be a mapping"),
+    (("simulate", "--instance"), "an instance must be a mapping"),
+    (("integral", "--profiles"), "a profile pair must be a mapping"),
 ], ids=["spec", "instance", "profiles"])
 @pytest.mark.parametrize("document", [
     "half-exp",
@@ -407,10 +421,13 @@ def test_lane_check_error_exits_one_with_its_message(monkeypatch, capsys):
 
 def test_lane_check_guards_the_rank_order_lanes(monkeypatch, capsys):
     # unit weights: the lanes go by rank order on the spec's word, so a
-    # scalar a that rises with y makes run_ranking take other partners
-    from rankmatch.gains import GainSpec
+    # scalar a that rises with y makes run_ranking take other partners. The
+    # spec is built before a is patched, as building it checks a's order
+    from rankmatch.gains import GainSpec, half_exp
 
-    parts = GainSpec.offer_parts_scalar
+    spec, parts = half_exp(), GainSpec.offer_parts_scalar
+    assert spec.rank_offer_non_increasing
+    monkeypatch.setattr("rankmatch.cli.named_spec", lambda name: spec)
     monkeypatch.setattr(GainSpec, "offer_parts_scalar", lambda self, y: (y, parts(self, y)[1]))
     code, out, err = run_cli(capsys, "simulate", "--gen", "upper_triangular", "--n", "8")
     assert (code, out) == (1, "")

@@ -114,6 +114,17 @@ def test_rank_validation_names_malformed_entries():
     assert ranks.ranks == {"v1": 1.0, "u1": 0.5}
 
 
+def test_rank_wrapper_is_read_only_where_it_can_be_one():
+    # a vertex named "ranks" holds a number: the bare mapping, not a wrapper
+    inst = build_instance([("ranks", 1.0)], [("u1", ["ranks"])])
+    bare = validate_rank_assignment(inst, {"ranks": 0.3, "u1": 0.5})
+    assert bare.ranks == {"ranks": 0.3, "u1": 0.5}
+    assert validate_rank_assignment(inst, {"ranks": dict(bare.ranks)}) == bare
+    # the wrapper holds nothing beside its mapping
+    with pytest.raises(RankError, match="^a rank wrapper reads only ranks, not 'seed'$"):
+        validate_rank_assignment(tiny(), {"ranks": {"v1": 0.5, "u1": 0.25}, "seed": 3})
+
+
 def test_sample_ranks_deterministic():
     inst = build_instance([("v1", 1.0), ("v2", 2.0)],
                           [("u1", ["v1"]), ("u2", ["v2"])])

@@ -267,7 +267,8 @@ def test_property_report_serialization():
 def test_only_the_trial_zero_check_calls_offer_parts_scalar(monkeypatch):
     # the lanes take their offer parts from the array offer_parts: a T-trial
     # experiment makes exactly the scalar calls of one run_ranking
-    inst = generate_instance("upper_triangular", {"n": 12}, 0)
+    # (the spec is built first: building one checks a's order through it)
+    inst, spec = generate_instance("upper_triangular", {"n": 12}, 0), half_exp()
     calls = []
     offer_parts_scalar = GainSpec.offer_parts_scalar
 
@@ -276,11 +277,11 @@ def test_only_the_trial_zero_check_calls_offer_parts_scalar(monkeypatch):
         return offer_parts_scalar(self, y)
 
     monkeypatch.setattr(GainSpec, "offer_parts_scalar", counted)
-    run_ranking(inst, half_exp(), sample_ranks(inst, (4, 0)), collect_offers=False)
+    run_ranking(inst, spec, sample_ranks(inst, (4, 0)), collect_offers=False)
     one_run = len(calls)
     assert one_run == len(inst.offline) + len(inst.online)
     calls.clear()
-    run_ratio_experiment(ExperimentConfig(inst, half_exp(), 50, 4))
+    run_ratio_experiment(ExperimentConfig(inst, spec, 50, 4))
     assert len(calls) == one_run
 
 

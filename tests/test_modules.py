@@ -59,6 +59,18 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
+def shape_checks(path: Path) -> list[str]:
+    """The isinstance calls of a module that test for an object (Mapping)
+    or an array (list, tuple), sorted: what an input file's objects and
+    arrays are is decided in one module, so that every reader agrees."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                  and len(node.args) == 2
+                  and {getattr(n, "id", getattr(n, "attr", None))
+                       for n in ast.walk(node.args[1])} & {"Mapping", "list", "tuple"})
+
+
 PACKAGE = sorted(ROOT.glob("src/rankmatch/*.py"))
 MODULES = sorted([*ROOT.glob("tests/*.py"), *PACKAGE])
 
@@ -120,6 +132,22 @@ def test_output_check_sees_every_writer(tmp_path):
                     "sys.stdout.write('d')\nsys.stderr.write('e')\n")
     assert output_calls(path) == {"cmd_a": ["_emit", "print"], "B": ["stdout.write"],
                                   "": ["sys.stdout.write"]}
+
+
+def test_input_grammar_lives_in_numerics():
+    # the input readers ask numerics what an object or an array is
+    assert {p.name: shape_checks(p) for p in PACKAGE if shape_checks(p)} == {
+        "numerics.py": ["isinstance(value, (list, tuple))", "isinstance(value, Mapping)"]}
+
+
+def test_shape_check_sees_every_object_and_array_test(tmp_path):
+    path = tmp_path / "reader.py"
+    path.write_text("import collections.abc as abc\nfrom collections.abc import Mapping\n\n\n"
+                    "def read(x):\n    if isinstance(x, Mapping) or isinstance(x, (list, tuple)):\n"
+                    "        return isinstance(x[0], abc.Mapping)\n"
+                    "    return isinstance(x, (str, int)) or isinstance(x, list) or len(x)\n")
+    assert shape_checks(path) == ["isinstance(x, (list, tuple))", "isinstance(x, Mapping)",
+                                  "isinstance(x, list)", "isinstance(x[0], abc.Mapping)"]
 
 
 def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
