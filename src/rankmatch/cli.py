@@ -28,7 +28,7 @@ from .core import sample_ranks, validate_instance
 from .experiments import (ExperimentConfig, LaneCheckError, run_property_suite,
                           run_ratio_experiment)
 from .gains import GainSpec, gain_spec_from_json, named_spec
-from .generators import generate_instance
+from .generators import MAX_CELLS, generate_instance
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -143,8 +143,13 @@ def cmd_pair_gain(args):
 
 
 def cmd_thresholds(args):
-    return compute_thresholds(*_edge_inputs(args),
-                              [(i + 0.5) / args.grid for i in range(args.grid)])
+    inputs = _edge_inputs(args)
+    # each y_u point classifies the whole y_v axis: the grid takes pair-gain's
+    # bound, refused before any grid-sized list is built
+    if args.grid * args.grid > MAX_CELLS:
+        raise ValueError(f"grid_n = {args.grid} makes {args.grid * args.grid} cells, "
+                         f"more than MAX_CELLS = {MAX_CELLS}")
+    return compute_thresholds(*inputs, [(i + 0.5) / args.grid for i in range(args.grid)])
 
 
 def cmd_bounds_evaluate(args):

@@ -383,6 +383,65 @@ def test_surface_grids_keep_their_recorded_bits(which, spec, grid_n, tol):
     assert digest.hexdigest() == SURFACE_DIGESTS[which, spec, grid_n, tol]
 
 
+@pytest.mark.parametrize("which, spec, grid_n, tol", SURFACE_DIGESTS,
+                         ids=str)
+def test_memoized_surface_grids_keep_their_recorded_bits(which, spec, grid_n, tol):
+    # minimize_bound evaluates its scan and polish on one memoized view of
+    # the spec; over a whole grid that view gives the direct values' bits
+    f = bound_function(which)
+    view = bounds._memoized(DIGEST_SPECS[spec])
+    pts = [i / (grid_n - 1) for i in range(grid_n)]
+    digest = hashlib.sha256()
+    for tau in pts:
+        for gamma in pts:
+            value = f(view, tau, gamma, tol=getattr(bounds, tol))
+            digest.update(value.hex().encode() + b"\n")
+    assert digest.hexdigest() == SURFACE_DIGESTS[which, spec, grid_n, tol]
+
+
+def _bits(value):
+    return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
+
+
+@pytest.mark.parametrize("spec", [simple_exp(), half_exp(), STEEP_TABLE,
+                                  piecewise_table((-0.0, 1.0), (-0.0, -0.0))],
+                         ids=["simple-exp", "half-exp", "table", "signed-zero-table"])
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
+def test_memoized_view_keeps_signed_zeros_apart(spec, zeros):
+    # 0.0 and -0.0 are one dict key: A's memo keeps neither, as A(-0.0) is
+    # -0.0, while a and b take the same bits at both zeros, so their memo
+    # may keep one for the other
+    assert spec.rank_offer_antideriv(-0.0).hex() == "-0x0.0p+0"
+    assert spec.rank_offer_antideriv(0.0).hex() == "0x0.0p+0"
+    assert _bits(spec.offer_parts_scalar(-0.0)) == _bits(spec.offer_parts_scalar(0.0))
+    view = bounds._memoized(spec)
+    for y in (*zeros, *zeros, 0.25, 0.25):
+        for name in ("offer_parts_scalar", "rank_offer_antideriv"):
+            assert _bits(getattr(view, name)(y)) == _bits(getattr(spec, name)(y))
+
+
+@pytest.mark.parametrize("spec, which", [(simple_exp(), "simple"), (STEEP_TABLE, "improved")],
+                         ids=["simple-exp-simple", "table-improved"])
+def test_minimize_memo_lasts_one_call(monkeypatch, spec, which):
+    # each call builds its own memo, so a second call on the same spec
+    # evaluates the real spec as often as the first, and far less often
+    # than once per scan point
+    calls = [0]
+    parts = GainSpec.offer_parts_scalar
+
+    def counted(self, y):
+        calls[0] += 1
+        return parts(self, y)
+
+    monkeypatch.setattr(GainSpec, "offer_parts_scalar", counted)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        minimize_bound(spec, which)
+        counts.append(calls[0])
+    assert 0 < counts[0] == counts[1] < bounds.SCAN_GRID_N ** 2
+
+
 def test_grid_floor_half_exp_improved():
     # the worst-case claim quantified over the full minimization grid
     rows = heatmap_rows(half_exp(), "improved", grid_n=256)

@@ -464,8 +464,11 @@ def test_lane_check_failure_exits_one(monkeypatch, capsys):
     # 3163^2 is the first square above MAX_CELLS; refused before any point
     (("bounds", "heatmap", "--grid", "3163"),
      "grid_n = 3163 makes 10004569 points, more than MAX_CELLS = 10000000"),
+    (("thresholds", "--gen", "weighted_random", "--n", "6", "--grid", "3163"),
+     "grid_n = 3163 makes 10004569 cells, more than MAX_CELLS = 10000000"),
 ], ids=["heatmap-grid-1", "heatmap-grid-0", "verify-scale-inf", "verify-scale-nan",
-        "pair-gain-grid-cells", "thresholds-grid-0", "heatmap-grid-cells"])
+        "pair-gain-grid-cells", "thresholds-grid-0", "heatmap-grid-cells",
+        "thresholds-grid-cells"])
 def test_bad_numeric_flags_exit_two_with_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
