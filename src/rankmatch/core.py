@@ -1,9 +1,11 @@
 """Core domain types: instances, rank assignments, matchings, dual shares.
 
-No algorithmic logic lives here, only validated immutable data and its JSON
-round-trips. Ids are opaque strings; every deterministic iteration in the
-package walks vertices in lexicographic id order so downstream tie-breaking
-is reproducible. The mappings these types expose (`Instance.weights`,
+No algorithmic logic lives here, only validated immutable data, its JSON
+round-trips and the rank streams of a seed (rank_draws, and its batched
+form trial_rank_draws, which runs numpy's SeedSequence hash itself). Ids
+are opaque strings; every deterministic iteration in the package walks
+vertices in lexicographic id order so downstream tie-breaking is
+reproducible. The mappings these types expose (`Instance.weights`,
 `Instance.neighbors`, `RankAssignment.ranks`, `DualShares.alpha`) are
 read-only views built at construction, and every type pickles.
 """
@@ -11,6 +13,7 @@ read-only views built at construction, and every type pickles.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -221,8 +224,143 @@ def rank_draws(instance: Instance, seed) -> np.ndarray:
     with seed. seed may be an int or a tuple of ints (stream splitting for
     trials), or a numpy Generator, which is drawn from (and advanced)
     directly. Draws carry 53 bits, so ties effectively never occur.
+
+    This is the reference form, one stream per call, through numpy's own
+    SeedSequence; trial_rank_draws is the batched form of the per-trial
+    streams (seed, t).
     """
     return np.random.default_rng(seed).random(len(instance.offline) + len(instance.online))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool size, the
+# hash constants and the shift of its 32-bit hash and mix steps
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(seed) -> list[int]:
+    """The uint32 entropy words SeedSequence reads from seed, an int or an
+    array of ints: an int's 32-bit words, least significant first (0 is one
+    word); an array's in order. ValueError on a negative int, TypeError on
+    anything else."""
+    try:
+        n = operator.index(seed)
+    except TypeError:
+        return [w for part in as_array(seed) for w in _entropy_words(part)]
+    if n < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, np.uint64) for every column e of the
+    (words, T) uint32 entropy, as a C-contiguous (T, 4) array.
+
+    numpy's algorithm, run over the column axis: the hash constants step as
+    Python ints, which do not depend on the data, and the data are uint32
+    arrays, whose arithmetic wraps mod 2**32 as numpy's C code does.
+    """
+    const = _INIT_A
+
+    def hashmix(x):
+        nonlocal const
+        x = x ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        x *= np.uint32(const)
+        x ^= x >> _XSHIFT
+        return x
+
+    def mix(x, y):
+        x = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        x ^= x >> _XSHIFT
+        return x
+
+    # the pool takes the first 4 words, padded with zeros, then mixes
+    # every word into every other, then folds in any further words
+    start = np.zeros((_POOL, entropy.shape[1]), np.uint32)
+    start[:len(entropy)] = entropy[:_POOL]
+    pool = [hashmix(word) for word in start]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: 8 words from the cycled pool, each hashed with its
+    # own step of the constant, paired low word first
+    consts = [_INIT_B]
+    for _ in range(8):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    consts = np.array(consts, np.uint32)[:, None]
+    words = np.array(pool * 2)
+    words ^= consts[:-1]
+    words *= consts[1:]
+    words ^= words >> _XSHIFT
+    wide = words.astype(np.uint64)
+    return (wide[0::2] | wide[1::2] << 32).T.copy()
+
+
+def _trial_states(seed, trials) -> np.ndarray:
+    """Row k is np.random.SeedSequence((seed, trials[k])).generate_state(4,
+    np.uint64), the state PCG64 takes from default_rng((seed, trials[k])),
+    bit for bit. seed is as for _entropy_words; a trial is an int in
+    [0, 2**64), one or two entropy words, and any other trial raises
+    TypeError or OverflowError."""
+    head = _entropy_words(seed)
+    t = np.array([operator.index(x) for x in trials], dtype=np.uint64)
+    lo, hi = t & _MASK32, t >> 32
+    states = np.empty((len(t), 4), np.uint64)
+    # a trial's word count sets its entropy's length and so the hash's
+    # steps: one-word and two-word trials hash as two batches
+    for rows, tail in ((hi == 0, (lo,)), (hi != 0, (lo, hi))):
+        if rows.any():
+            entropy = np.empty((len(head) + len(tail), np.count_nonzero(rows)), np.uint32)
+            entropy[:len(head)] = np.array(head, np.uint32)[:, None]
+            entropy[len(head):] = [words[rows] for words in tail]
+            states[rows] = _seed_states(entropy)
+    return states
+
+
+def trial_rank_draws(instance: Instance, seed, trials) -> np.ndarray:
+    """The rank streams of a block of trials: a (len(trials), n) array whose
+    row k is rank_draws(instance, (seed, trials[k])), bit for bit.
+
+    This is the batched form of rank_draws: the SeedSequence hash of every
+    stream runs at once (_trial_states), and each trial still gets its
+    own PCG64 generator, seeded and drawn by numpy, so any trial replays
+    alone through rank_draws or sample_ranks.
+    """
+    # numpy.random loads on first use, as under default_rng: importing it
+    # with core would cost every process about 6 MB, bounds runs included
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        """Hands PCG64 one stream's state, computed ahead, in place of the
+        SeedSequence it would otherwise build and hash."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads 4 uint64 words at construction; any other request
+            # would get words no SeedSequence gives
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a preset seed holds 4 uint64 words, not {n_words} {dtype}")
+            return self.state
+
+    states = _trial_states(seed, trials)
+    draws = np.empty((len(states), len(instance.offline) + len(instance.online)))
+    for row, state in zip(draws, states):
+        np.random.Generator(np.random.PCG64(PresetSeed(state))).random(out=row)
+    return draws
 
 
 def sample_ranks(instance: Instance, seed) -> RankAssignment:

@@ -4,24 +4,30 @@ Per-trial randomness comes from numpy SeedSequence streams keyed by
 (master seed, trial index) for ratio experiments and (master seed, suite
 tag, trial index) for the suites, so any single trial reproduces in
 isolation and parallel or serial execution order cannot change results.
+A ratio experiment seeds a block's streams at once (core.trial_rank_draws
+runs the SeedSequence hash of the whole block as array ops, then gives
+each trial its own PCG64 generator); its draws equal those of one
+rank_draws call per trial bit for bit. A seed is a non-negative integer;
+anything else is a ConfigError before any stream is seeded.
 
 A ratio experiment runs its trials as ranking.run_lanes lanes, blocks of
-them at a time, and re-runs trial 0 through the scalar run_ranking as a
-check of its partners and its ALG; the property suites call run_ranking
-trial by trial. On equal weights, a trial's ALG is w times its match
-count.
+them at a time, and re-runs trial 0 through the scalar run_ranking, on
+sample_ranks' own numpy stream, as a check of its partners and its ALG;
+the property suites call run_ranking trial by trial. On equal weights, a
+trial's ALG is w times its match count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .analysis import AnalysisError, ThreeIntervalError, compute_thresholds
-from .core import Instance, check_dual_shares, rank_draws, sample_ranks
+from .core import Instance, check_dual_shares, sample_ranks, trial_rank_draws
 from .gains import GainSpec, simple_exp
 from .generators import random_instance
 from .offline import solve_opt
@@ -47,9 +53,20 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _as_seed(seed) -> int:
+    """seed as an int if it is a non-negative integer (any Integral but a
+    bool); ConfigError otherwise, before any stream is seeded with it."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One ratio experiment: instance, gain spec, trial count, master seed."""
+    """One ratio experiment: instance, gain spec, trial count, master seed.
+
+    ConfigError unless trials >= 1 and seed is a non-negative integer; an
+    Integral seed such as np.int64 is kept as an int."""
 
     instance: Instance
     spec: GainSpec
@@ -60,6 +77,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "seed", _as_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -104,13 +122,12 @@ class RatioReport:
 def _trial_partners(instance: Instance, spec: GainSpec, seed: int,
                     trials: range) -> np.ndarray:
     """run_lanes with one lane per trial: trial t's ranks are the
-    rank_draws(instance, (seed, t)) sample_ranks assigns, drawn into one
-    contiguous row per trial, and the arrival order is their stable order.
+    rank_draws(instance, (seed, t)) sample_ranks assigns, drawn for the
+    whole block at once by trial_rank_draws, the batched form of that
+    reference, one row per trial; the arrival order is their stable order.
     Returns the (online, T) partner indices."""
     n_off = len(instance.offline)
-    ranks = np.empty((len(trials), n_off + len(instance.online)))
-    for k, t in enumerate(trials):
-        ranks[k] = rank_draws(instance, (seed, t))
+    ranks = trial_rank_draws(instance, seed, trials)
     # run_lanes takes the trials as columns
     return run_lanes(instance, spec, ranks.T, stable_argsort(ranks[:, n_off:]).T,
                      np.ones((n_off, len(trials)), dtype=bool))
@@ -346,9 +363,11 @@ def _run_suite(name: str, trials: int, check, seed: int, spec: GainSpec) -> Suit
 
 def run_property_suite(seed: int, spec: GainSpec, scale: float = 1.0) -> PropertyReport:
     """Run all quantified property suites, each at max(1, int(trials * scale))
-    trials. The engine checks call this module's run_ranking, so a mutation
-    test swaps in a deliberately broken engine by rebinding
-    experiments.run_ranking."""
+    trials; ConfigError on a seed that is not a non-negative integer or a
+    scale that is not positive and finite. The engine checks call this
+    module's run_ranking, so a mutation test swaps in a deliberately broken
+    engine by rebinding experiments.run_ranking."""
+    seed = _as_seed(seed)
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError(f"scale must be positive and finite, got {scale}")
     suites = tuple(_run_suite(name, max(1, int(trials * scale)), check, seed, spec)

@@ -497,16 +497,16 @@ def test_edge_probability_on_a_kind_without_edges_to_draw_exits_two(capsys, gen)
     assert err == f"error: {gen} reads only n, not 'p'\n"
 
 
-def _scipy_modules_after(tmp_path, *commands):
+def _modules_after(tmp_path, package, *commands):
     """Run cli.main on each argv in a fresh interpreter.
 
-    Returns the exit codes and the names of the scipy modules loaded by
-    then; the child imports rankmatch from the same source tree.
+    Returns the exit codes and the names of the modules of package loaded
+    by then; the child imports rankmatch from the same source tree.
     """
     script = ("import json, sys\n"
               "import rankmatch, rankmatch.cli\n"
               "codes = [rankmatch.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              f"loaded = sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.'))\n"
               "print(json.dumps([codes, loaded]))\n")
     src = str(Path(rankmatch.__file__).resolve().parent.parent)
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -521,8 +521,8 @@ def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
     profiles = {"theta": {"kind": "step", "x": [0.0, 1.0], "y": [1.0]},
                 "beta": {"kind": "step", "x": [0.0, 0.5, 1.0], "y": [0.0, 0.5]}}
     (tmp_path / "profiles.json").write_text(json.dumps(profiles))
-    codes, loaded = _scipy_modules_after(
-        tmp_path,
+    codes, loaded = _modules_after(
+        tmp_path, "scipy",
         ["generate", "--gen", "upper_triangular", "--n", "3", "--out", "inst.json"],
         ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"],
         ["pair-gain", "--instance", "inst.json", "--grid", "8", "--out", "pg.json"],
@@ -534,12 +534,22 @@ def test_paths_without_an_offline_optimum_never_import_scipy(tmp_path):
 
 
 def test_simulate_computes_the_offline_optimum_without_scipy(tmp_path):
-    codes, loaded = _scipy_modules_after(
-        tmp_path, ["simulate", "--gen", "complete", "--n", "3", "--trials", "5",
-                   "--out", "sim.json"])
+    codes, loaded = _modules_after(
+        tmp_path, "scipy",
+        ["simulate", "--gen", "complete", "--n", "3", "--trials", "5", "--out", "sim.json"])
     assert codes == [0]
     assert loaded == []
     assert json.loads((tmp_path / "sim.json").read_text())["opt_value"] == 3.0
+
+
+def test_bound_paths_never_import_numpy_random(tmp_path):
+    # numpy.random costs a process about 6 MB, so rankmatch loads it only
+    # when a path draws, never at import
+    codes, loaded = _modules_after(
+        tmp_path, "numpy.random",
+        ["bounds", "evaluate", "--tau", "0.5", "--gamma", "0.5", "--out", "b.json"])
+    assert codes == [0]
+    assert loaded == []
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

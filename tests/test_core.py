@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from rankmatch.core import (DualShares, InstanceError, RankAssignment, RankError,
-                            build_instance, check_dual_shares, matching_result,
-                            rank_draws, sample_ranks, validate_instance,
+                            _trial_states, build_instance, check_dual_shares,
+                            matching_result, rank_draws, sample_ranks,
+                            trial_rank_draws, validate_instance,
                             validate_rank_assignment)
 
 
@@ -146,6 +147,77 @@ def test_sample_ranks_assigns_rank_draws_by_id():
         assert draws.shape == (5,)
         ranks = sample_ranks(inst, seed).ranks
         assert [ranks[i].hex() for i in inst.all_ids()] == [x.hex() for x in draws.tolist()]
+
+
+def seed_sequence_states(seed, trials):
+    """numpy's own hash of every (seed, t): the reference of _trial_states."""
+    return np.array([np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+                     for t in trials], dtype=np.uint64).reshape(-1, 4)
+
+
+# one entropy word, the last one-word value, the first two-word one, two
+# words with the top bit set, two seed words as a tuple, a 97-bit int
+EDGE_SEEDS = {"0": 0, "5": 5, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^63+12345": 2**63 + 12345,
+              "(7,303)": (7, 303), "2^96+2^33+1": 2**96 + 2**33 + 1}
+# one-word and two-word trials interleaved, so the two hash batches scatter
+EDGE_TRIALS = (*range(300), 2**32 - 1, 2**32, 7, 2**32 + 5, 2**64 - 1, 2**40 + 7, 1)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=list(EDGE_SEEDS))
+def test_batched_seed_hash_equals_seed_sequence(seed):
+    states = _trial_states(seed, EDGE_TRIALS)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert states.tolist() == seed_sequence_states(seed, EDGE_TRIALS).tolist()
+
+
+def test_batched_seed_hash_property():
+    # any (seed, t) numpy's SeedSequence takes: seeds of 0 to 12 entropy
+    # words, beyond the pool of 4, and trials of 1 or 2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    word = st.integers(0, 2**160)
+    seed = word | st.tuples(word, word) | st.lists(st.integers(0, 2**32 - 1), max_size=4)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(seed, st.lists(st.integers(0, 2**64 - 1), max_size=6))
+    def check(seed, trials):
+        assert (_trial_states(seed, trials).tolist()
+                == seed_sequence_states(seed, trials).tolist())
+
+    check()
+
+
+def test_batched_seed_hash_raises_where_it_cannot_be_exact():
+    # a trial beyond two words, a negative trial or seed, or a non-integer
+    # raises; none is hashed as some other value
+    for seed, trials, error in ((1, [2**64], OverflowError), (1, [-1], OverflowError),
+                                (1, [1.5], TypeError), (1, [0, 2**70], OverflowError),
+                                (-1, [0], ValueError), ((3, -2), [0], ValueError),
+                                (1.5, [0], TypeError), ("7", [0], TypeError)):
+        with pytest.raises(error):
+            _trial_states(seed, trials)
+
+
+def test_trial_rank_draws_rows_are_rank_draws():
+    # row k is the reference stream rank_draws(instance, (seed, trials[k]))
+    inst = build_instance([("v2", 1.0), ("v1", 2.0)],
+                          [("u1", ["v1"]), ("u3", ["v2"]), ("u2", [])])
+    for seed in (0, 9, 2**40 + 7):
+        for trials in (range(3), range(650, 700), [2**32, 4, 2**32 - 1], []):
+            draws = trial_rank_draws(inst, seed, trials)
+            assert draws.shape == (len(trials), 5)
+            assert [[x.hex() for x in row] for row in draws.tolist()] == [
+                [x.hex() for x in rank_draws(inst, (seed, t)).tolist()] for t in trials]
+    assert trial_rank_draws(build_instance([], []), 3, range(4)).shape == (4, 0)
+
+
+def test_trial_rank_draws_serve_pcg64_only_its_four_words(monkeypatch):
+    # a seed request other than PCG64's 4 uint64 words raises, as the
+    # precomputed state answers no other
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: seed.generate_state(8, np.uint32))
+    with pytest.raises(ValueError, match="^a preset seed holds 4 uint64 words, not 8 "):
+        trial_rank_draws(tiny(), 3, range(2))
 
 
 def test_sample_ranks_uniform_mean():

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from rankmatch import experiments, gains
-from rankmatch.core import build_instance, matching_result, sample_ranks
+from rankmatch import core, experiments, gains
+from rankmatch.core import build_instance, matching_result, rank_draws, sample_ranks
 from rankmatch.experiments import (ConfigError, DegenerateInstanceError,
                                    ExperimentConfig, LaneCheckError,
                                    check_monotonicity_trial,
@@ -103,8 +104,10 @@ def lane_instances():
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
 def test_alg_values_equal_scalar_loop_bit_for_bit(spec, name):
     inst = lane_instances()[name]
-    report = run_ratio_experiment(ExperimentConfig(inst, spec, 150, 9))
-    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 150, 9))
+    # 2**40 + 7 is two entropy words, so every (seed, t) hashes three
+    for seed in (9, 2**40 + 7):
+        report = run_ratio_experiment(ExperimentConfig(inst, spec, 150, seed))
+        assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, spec, 150, seed))
 
 
 def spy_run_lanes(monkeypatch):
@@ -139,12 +142,18 @@ def test_lane_columns_are_sample_ranks_streams(monkeypatch):
 
 def test_trials_span_blocks(monkeypatch):
     # UT(100) blocks hold CELL_BLOCK // 100 = 655 lanes, so 700 trials
-    # take two run_lanes calls
+    # take two run_lanes calls; the second block's streams start at trial 655
     inst = generate_instance("upper_triangular", {"n": 100}, 0)
     calls = spy_run_lanes(monkeypatch)
-    report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 700, 3))
-    assert [c[2].shape[1] for c in calls] == [655, 45]
-    assert hexes(report.alg_values) == hexes(scalar_alg_values(inst, half_exp(), 700, 3))
+    for seed in (3, 2**40 + 7):
+        calls.clear()
+        report = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 700, seed))
+        assert [c[2].shape[1] for c in calls] == [655, 45]
+        for t, column in ((654, calls[0][1][:, -1]), (655, calls[1][1][:, 0]),
+                          (699, calls[1][1][:, -1])):
+            assert hexes(column) == hexes(rank_draws(inst, (seed, t)))
+        assert hexes(report.alg_values) == hexes(
+            scalar_alg_values(inst, half_exp(), 700, seed))
 
 
 def drop_last_match_engine(instance, spec, ranks, collect_offers=True):
@@ -171,6 +180,53 @@ def test_broken_lane_engine_fails_the_lane_check(monkeypatch):
     inst = generate_instance("complete", {"n": 3}, 0)
     with pytest.raises(LaneCheckError, match="took None in run_lanes but v"):
         run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))
+
+
+def test_a_wrong_batched_stream_fails_the_lane_check(monkeypatch):
+    # trial 0 re-runs on sample_ranks' own numpy stream, so lanes drawn
+    # from any other stream do not pass
+    def next_seed_draws(instance, seed, trials):
+        return core.trial_rank_draws(instance, seed + 1, trials)
+
+    monkeypatch.setattr(experiments, "trial_rank_draws", next_seed_draws)
+    inst = generate_instance("upper_triangular", {"n": 12}, 0)
+    with pytest.raises(LaneCheckError, match=r"^trial 0 \(seed=5\): "):
+        run_ratio_experiment(ExperimentConfig(inst, half_exp(), 20, 5))
+
+
+# a negative seed (numpy's ValueError deep in the run), a float (a
+# TypeError), a bool (ran as seed 1) and a seed of another shape
+BAD_SEEDS = (-1, 1.5, True, np.bool_(False), "3", (1, 2), None)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_a_seed_is_a_non_negative_integer(monkeypatch, seed):
+    # refused with ConfigError before any stream is seeded
+    def no_draw(*args):
+        raise AssertionError("a stream was seeded")
+
+    monkeypatch.setattr(experiments, "trial_rank_draws", no_draw)
+    monkeypatch.setattr(experiments, "_trial_rng", no_draw)
+    inst = build_instance([("v1", 1.0)], [("u1", ["v1"])])
+    match = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(inst, half_exp(), 10, seed)
+    with pytest.raises(ConfigError, match=match):
+        run_property_suite(seed, half_exp(), scale=0.001)
+
+
+def test_an_integral_seed_runs_as_its_int():
+    inst = generate_instance("weighted_random", {"n": 5, "p": 0.6}, 1)
+    config = ExperimentConfig(inst, half_exp(), 30, np.int64(2**40 + 7))
+    assert type(config.seed) is int
+    a = run_ratio_experiment(config).to_json_dict()
+    b = run_ratio_experiment(ExperimentConfig(inst, half_exp(), 30, 2**40 + 7)).to_json_dict()
+    a.pop("timestamp")
+    b.pop("timestamp")
+    assert json.dumps(a) == json.dumps(b)
+    suites = run_property_suite(np.uint8(4), half_exp(), scale=0.001)
+    assert suites.to_json_dict()["seed"] == 4
+    assert suites.suites == run_property_suite(4, half_exp(), scale=0.001).suites
 
 
 def test_property_suite_passes_at_small_scale():
